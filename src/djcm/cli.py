@@ -7,8 +7,9 @@
     djcm validate [--seed SEED] [--tuples N]
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error.  DJCM_THREADS caps the worker pool; DJCM_BACKEND selects
-the numba or numpy kernels.
+3 I/O error.  DJCM_THREADS caps the worker processes of a simulate
+sweep (figures run serially); DJCM_BACKEND selects the numba or numpy
+kernels.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dynamics import EXCITED, solve_sector
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .observables import husimi_q
 from .output import write_json
-from .runner import run_pool, run_simulation, trajectory_quality, worker_count, write_husimi_files
+from .runner import run_simulation, run_simulations, trajectory_quality, worker_count, write_husimi_files
 
 __all__ = ["main", "build_parser"]
 
@@ -82,11 +83,7 @@ def _cmd_simulate(args) -> int:
         run_simulation(cfg, args.out)
         return EXIT_OK
     points = sweep.expand()
-    tasks = [
-        (lambda label=label, pt=pt: run_simulation(pt, os.path.join(args.out, label)))
-        for label, pt in points
-    ]
-    manifests = run_pool(tasks)
+    manifests = run_simulations([(pt, os.path.join(args.out, label)) for label, pt in points])
     write_json(
         os.path.join(args.out, "sweep_manifest.json"),
         {

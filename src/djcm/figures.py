@@ -27,7 +27,7 @@ from .dynamics import solve_sector
 from .model import Identity, Kerr, ModelParams
 from .observables import husimi_q, trajectory_series
 from .output import write_csv, write_json, write_text
-from .runner import run_pool, trajectory_quality, write_husimi_files
+from .runner import trajectory_quality, write_husimi_files
 from .svgplot import line_plot_svg
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7_TAU", "row_params", "run_figure"]
@@ -82,10 +82,7 @@ def _row_echo(row: FigureRow) -> dict:
 
 
 def _row_trajectories(rows, tau, method):
-    tasks = [
-        (lambda p=row_params(r): solve_sector(p, tau / p.omega_cavity, method=method)) for r in rows
-    ]
-    return run_pool(tasks)
+    return [solve_sector(p, tau / p.omega_cavity, method=method) for p in map(row_params, rows)]
 
 
 def _emit_series_panel(out_dir, name, tau, series, svg, title):
@@ -149,21 +146,17 @@ def run_figure(
         # chi = 0 panel from row1, chi = 0.2 panel from row2
         fig_rows = (ROWS[0], ROWS[1])
         t_eval = FIG7_TAU / 0.2
-        grids = run_pool(
-            [
-                (
-                    lambda p=row_params(r): husimi_q(
-                        p,
-                        t_eval,
-                        x_range=(-FIG7_RANGE, FIG7_RANGE),
-                        y_range=(-FIG7_RANGE, FIG7_RANGE),
-                        resolution=FIG7_RESOLUTION,
-                        method=method,
-                    )
-                )
-                for r in fig_rows
-            ]
-        )
+        grids = [
+            husimi_q(
+                row_params(r),
+                t_eval,
+                x_range=(-FIG7_RANGE, FIG7_RANGE),
+                y_range=(-FIG7_RANGE, FIG7_RANGE),
+                resolution=FIG7_RESOLUTION,
+                method=method,
+            )
+            for r in fig_rows
+        ]
         for letter, row, grid in zip("ab", fig_rows, grids):
             name = f"fig7{letter}"
             files = write_husimi_files(

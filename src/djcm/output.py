@@ -12,11 +12,7 @@ import os
 
 import numpy as np
 
-__all__ = ["fmt_float", "write_text", "write_csv", "write_json"]
-
-
-def fmt_float(x) -> str:
-    return f"{float(x):.17g}"
+__all__ = ["write_text", "write_csv", "write_json"]
 
 
 def write_text(path, text: str) -> None:
@@ -26,16 +22,19 @@ def write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Comma-separated file with a header row; one array per column."""
+    """Comma-separated file with a header row; one array per column.
+
+    Every cell is the float64 value of its column entry printed as
+    ``%.17g``; the whole body is formatted by one ``%`` call.
+    """
     if len(header) != len(columns):
         raise ValueError("header and columns must have equal length")
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("all columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(fmt_float(col[i]) for col in columns))
-    write_text(path, "\n".join(lines) + "\n")
+    cells = np.column_stack(columns).astype(np.float64, copy=False).ravel().tolist()
+    row_template = ",".join(["%.17g"] * len(columns)) + "\n"
+    write_text(path, ",".join(header) + "\n" + (row_template * n) % tuple(cells))
 
 
 def write_json(path, doc) -> None:

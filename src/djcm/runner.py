@@ -1,10 +1,9 @@
 """Shared machinery for CLI runs: trajectory execution, file emission,
-manifest assembly and the worker pool (capped by DJCM_THREADS)."""
+manifest assembly and the sweep's worker processes (capped by DJCM_THREADS)."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,12 +15,15 @@ from .observables import HusimiGrid, husimi_q, trajectory_series
 from .output import write_csv, write_json, write_text
 from .svgplot import heatmap_svg, line_plot_svg
 
-__all__ = ["worker_count", "run_pool", "trajectory_quality", "run_simulation"]
+__all__ = ["worker_count", "trajectory_quality", "run_simulation", "run_simulations"]
 
 
 def worker_count() -> int:
-    """Worker pool size: available cores, capped by DJCM_THREADS."""
-    n = os.cpu_count() or 1
+    """Sweep worker processes: the CPUs this process may run on, capped by DJCM_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
     cap = os.environ.get("DJCM_THREADS")
     if cap:
         try:
@@ -29,15 +31,6 @@ def worker_count() -> int:
         except ValueError as exc:
             raise ValueError(f"DJCM_THREADS must be an integer, got {cap!r}") from exc
     return n
-
-
-def run_pool(tasks):
-    """Run callables on the worker pool; results in submission order."""
-    if len(tasks) <= 1 or worker_count() == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(tasks))) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 def trajectory_quality(traj: Trajectory) -> dict:
@@ -127,3 +120,28 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
         manifest["husimi"] = husimi_meta
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
+
+
+def _simulate_job(job: tuple[RunConfig, str]) -> dict:
+    cfg, out_dir = job
+    return run_simulation(cfg, out_dir)
+
+
+def run_simulations(jobs: list[tuple[RunConfig, str]]) -> list[dict]:
+    """run_simulation over (RunConfig, out_dir) pairs; manifests in job order.
+
+    Several jobs run on worker_count() worker processes: CSV formatting
+    holds the interpreter lock, so threads would not overlap it.  Workers
+    are forked, not spawned, so they start without re-importing NumPy;
+    the CLI has started no thread of its own when it forks.  Where fork
+    does not exist the jobs run one after another.
+    """
+    workers = min(worker_count(), len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [run_simulation(cfg, out_dir) for cfg, out_dir in jobs]
+    # imported here: the pool machinery would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_simulate_job, jobs))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from djcm.cli import main
+from djcm.runner import worker_count
 
 BASE_CONFIG = {
     "params": {
@@ -246,19 +247,51 @@ def test_figures_byte_identical_reruns(tmp_path):
     assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
+def _three_point_sweep(tmp_path):
+    return write_config(
+        tmp_path,
+        samples=200,
+        tau_max=10.0,
+        observables=["populations", "inversion"],
+        svg=False,
+        sweep={"axes": [["chi", [0.0, 0.1, 0.2]]]},
+    )
+
+
 def test_worker_cap_does_not_change_output(tmp_path, monkeypatch):
+    cfg = _three_point_sweep(tmp_path)
     out_serial = tmp_path / "serial"
     out_pooled = tmp_path / "pooled"
     monkeypatch.setenv("DJCM_THREADS", "1")
-    assert main(["figures", "fig7", "--out", str(out_serial)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out_serial)]) == 0
     monkeypatch.setenv("DJCM_THREADS", "2")
-    assert main(["figures", "fig7", "--out", str(out_pooled)]) == 0
-    assert tree_bytes(out_serial) == tree_bytes(out_pooled)
+    assert main(["simulate", "--config", cfg, "--out", str(out_pooled)]) == 0
+    serial, pooled = tree_bytes(out_serial), tree_bytes(out_pooled)
+    assert len(serial) == 3 * 3 + 1
+    # the sweep manifest records the worker count; every other byte matches
+    for tree in (serial, pooled):
+        tree["sweep_manifest.json"] = json.loads(tree["sweep_manifest.json"])
+    assert serial["sweep_manifest.json"].pop("workers") == 1
+    assert pooled["sweep_manifest.json"].pop("workers") == worker_count()
+    assert serial == pooled
 
 
-def test_worker_cap_validation(monkeypatch, tmp_path):
+def test_worker_cap_validation(monkeypatch, tmp_path, capsys):
+    cfg = _three_point_sweep(tmp_path)
     monkeypatch.setenv("DJCM_THREADS", "many")
-    assert main(["figures", "fig3", "--out", str(tmp_path / "x")]) == 2
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "DJCM_THREADS" in capsys.readouterr().err
+
+
+def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):
+    cfg = _three_point_sweep(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    monkeypatch.setenv("DJCM_THREADS", "2")
+    assert main(["simulate", "--config", cfg, "--out", str(blocker / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:")
+    assert "Traceback" not in err
 
 
 def test_io_error_exit_code(monkeypatch):

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from djcm.output import fmt_float, write_csv, write_json
+from djcm.output import write_csv, write_json
 from djcm.svgplot import COLORMAP, heatmap_svg, line_plot_svg
-
-
-def test_fmt_float_17_significant_digits_roundtrip():
-    values = [0.1, 1.0 / 3.0, 2.0**-52, 123456789.123456789, -0.0, 1e300]
-    for v in values:
-        assert float(fmt_float(v)) == v
-    assert fmt_float(0.1) == "0.10000000000000001"
 
 
 def test_write_csv_layout(tmp_path):
@@ -21,6 +14,26 @@ def test_write_csv_layout(tmp_path):
         write_csv(str(path), ["a"], [np.array([0.0]), np.array([1.0])])
     with pytest.raises(ValueError):
         write_csv(str(path), ["a", "b"], [np.array([0.0]), np.array([1.0, 2.0])])
+
+
+def test_write_csv_matches_per_cell_17g_reference(tmp_path):
+    edge = [-0.0, 5e-324, 2.0**-52, 0.1, 1.0 / 3.0, 1e16, 1e22, 1e300, -1e300, np.inf, np.nan]
+    floats = np.array(edge + [123456789.123456789, -np.inf])
+    ints = np.arange(len(floats), dtype=np.int64) * -(2**40)
+    ints[-1] = 2**53 + 1  # rounds to 2**53 as float64
+    path = tmp_path / "pin.csv"
+    write_csv(str(path), ["f", "i"], [floats, ints])
+    reference = "f,i\n" + "".join(f"{float(f):.17g},{float(i):.17g}\n" for f, i in zip(floats, ints))
+    assert path.read_bytes() == reference.encode()
+    # 17 significant digits round-trip every finite double exactly
+    for line, v in zip(path.read_text().splitlines()[1:], floats):
+        cell = line.split(",")[0]
+        if np.isfinite(v):
+            assert float(cell) == v and np.signbit(float(cell)) == np.signbit(v)
+    assert path.read_text().splitlines()[4].startswith("0.10000000000000001,")
+    # a 0-row file is the header only
+    write_csv(str(path), ["a", "b"], [np.array([]), np.array([], dtype=np.int64)])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_write_json_sorted_and_newline_terminated(tmp_path):
