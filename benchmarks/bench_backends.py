@@ -2,8 +2,8 @@
 """Benchmark the hot integrator kernel: numba-compiled vs pure NumPy.
 
 Workload: the three reference parameter rows integrated over tau in
-[0, tau_max] at the figure sampling density, plus the closed-form
-analytic path for reference.  The first numba call compiles (cached on
+[0, tau_max] at the figure sampling density, plus the analytic
+(eigendecomposition) route for reference.  The first numba call compiles (cached on
 disk), so a warm-up pass runs before timing.
 
     python benchmarks/bench_backends.py [--samples N] [--repeats R] [--tau-max T]
@@ -15,29 +15,16 @@ import time
 import numpy as np
 
 from djcm.backend import HAVE_NUMBA
-from djcm.dynamics import EXCITED, amplitudes_ode, analytic_trajectory
+from djcm.dynamics import solve_sector
 from djcm.figures import ROWS, row_params
-from djcm.model import sector_coefficients
-from djcm.spectrum import solve_cubic, theta_poly
 
 
-def time_backend(backend, grids, repeats):
+def time_route(grids, repeats, **kwargs):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for coeffs, omega_e, t in grids:
-            amplitudes_ode(coeffs, omega_e, EXCITED, t, backend=backend)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def time_analytic(grids, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for coeffs, omega_e, t in grids:
-            roots = solve_cubic(theta_poly(coeffs, omega_e))
-            analytic_trajectory(coeffs, omega_e, EXCITED, t, roots=roots)
+        for params, t in grids:
+            solve_sector(params, t, **kwargs)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -52,31 +39,29 @@ def main():
     grids = []
     for row in ROWS:
         params = row_params(row)
-        coeffs = sector_coefficients(params)
-        t = np.linspace(0.0, args.tau_max, args.samples) / params.omega_cavity
-        grids.append((coeffs, params.omega_e, t))
+        grids.append((params, np.linspace(0.0, args.tau_max, args.samples) / params.omega_cavity))
 
     print(f"workload: 3 reference rows, {args.samples} samples, tau <= {args.tau_max:g}")
     print(f"repeats:  best of {args.repeats}\n")
 
-    t_numpy = time_backend("numpy", grids, args.repeats)
+    t_numpy = time_route(grids, args.repeats, method="oracle", backend="numpy")
     print(f"ode / numpy fallback : {t_numpy * 1e3:9.2f} ms")
 
     if HAVE_NUMBA:
-        time_backend("numba", grids, 1)  # warm-up / JIT
-        t_numba = time_backend("numba", grids, args.repeats)
+        time_route(grids, 1, method="oracle", backend="numba")  # warm-up / JIT
+        t_numba = time_route(grids, args.repeats, method="oracle", backend="numba")
         print(f"ode / numba kernel   : {t_numba * 1e3:9.2f} ms   ({t_numpy / t_numba:5.1f}x speedup)")
     else:
         print("ode / numba kernel   : numba not importable")
 
-    t_ana = time_analytic(grids, args.repeats)
-    print(f"analytic residue path: {t_ana * 1e3:9.2f} ms   (closed form, for reference)")
+    t_ana = time_route(grids, args.repeats, method="analytic")
+    print(f"analytic (eigh) route: {t_ana * 1e3:9.2f} ms   (closed form, for reference)")
 
     # the two backends must agree exactly
     if HAVE_NUMBA:
-        coeffs, omega_e, t = grids[0]
-        a = amplitudes_ode(coeffs, omega_e, EXCITED, t, backend="numba").amplitudes
-        b = amplitudes_ode(coeffs, omega_e, EXCITED, t, backend="numpy").amplitudes
+        params, t = grids[0]
+        a = solve_sector(params, t, method="oracle", backend="numba").amplitudes
+        b = solve_sector(params, t, method="oracle", backend="numpy").amplitudes
         print(f"\nbackend max deviation: {np.max(np.abs(a - b)):.3e}")
 
 

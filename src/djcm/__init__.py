@@ -8,7 +8,6 @@ from .dynamics import (
     InitialCondition,
     StepSizeUnderflowError,
     Trajectory,
-    amplitudes_analytic,
     amplitudes_ode,
     analytic_trajectory,
     solve_sector,
@@ -39,6 +38,6 @@ from .observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from .spectrum import CubicPoly, CubicRoots, DegenerateRootsError, solve_cubic, theta_poly
+from .spectrum import CubicPoly, CubicRoots, sector_generator, theta_poly
 
 __version__ = "0.1.0"

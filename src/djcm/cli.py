@@ -6,10 +6,11 @@
                   [--config run.json] [--out DIR]
     djcm validate [--seed SEED] [--tuples N]
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error.  DJCM_THREADS caps the worker processes of a simulate
-sweep (figures run serially); DJCM_BACKEND selects the numba or numpy
-kernels.
+Exit codes: 0 success, 1 validation failure, 2 configuration error or
+parameters outside the numerical range (integrator step-size underflow,
+floating-point overflow), 3 I/O error.  DJCM_THREADS caps the worker
+processes of a simulate sweep (figures run serially); DJCM_BACKEND
+selects the numba or numpy kernels.
 """
 
 from __future__ import annotations
@@ -23,11 +24,18 @@ import numpy as np
 from . import __version__
 from .backend import ACTIVE
 from .config import ConfigError, load_config_file, run_config_from_dict, sweep_from_dict
-from .dynamics import EXCITED, solve_sector
+from .dynamics import EXCITED, StepSizeUnderflowError, solve_sector
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .observables import husimi_q
 from .output import write_json
-from .runner import run_simulation, run_simulations, trajectory_quality, worker_count, write_husimi_files
+from .runner import (
+    QUALITY_KEYS,
+    run_simulation,
+    run_simulations,
+    trajectory_quality,
+    worker_count,
+    write_husimi_files,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -92,7 +100,7 @@ def _cmd_simulate(args) -> int:
             "backend": ACTIVE,
             "workers": worker_count(),
             "points": [
-                {"label": label, "method": manifest["method"]}
+                {"label": label, **{key: manifest[key] for key in QUALITY_KEYS}}
                 for (label, _), manifest in zip(points, manifests)
             ],
         },
@@ -195,6 +203,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (StepSizeUnderflowError, ArithmeticError) as exc:
+        print(f"numerical range error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .model import Identity, Kerr, ModelParams
@@ -62,7 +63,7 @@ class RunConfig:
     samples: int = 2000
     observables: tuple[str, ...] = DEFAULT_OBSERVABLES
     svg: bool = True
-    method: str = "auto"
+    method: str = "analytic"
     husimi_range: float = 3.0
     husimi_resolution: int = 121
     husimi_tau: float | None = None
@@ -176,7 +177,13 @@ def _require(doc: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _params_from_dict(doc, where: str = "params") -> ModelParams:
@@ -212,7 +219,7 @@ def _ic_from_list(values, where: str = "ic") -> InitialCondition:
     amps = []
     for i, v in enumerate(values):
         if isinstance(v, (int, float)) and not isinstance(v, bool):
-            amps.append(complex(v))
+            amps.append(complex(_number(v, f"{where}[{i}]")))
         elif isinstance(v, list) and len(v) == 2:
             amps.append(complex(_number(v[0], f"{where}[{i}]"), _number(v[1], f"{where}[{i}]")))
         else:
@@ -257,7 +264,7 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
         samples=samples,
         observables=tuple(observables),
         svg=svg,
-        method="oracle" if force_oracle else "auto",
+        method="oracle" if force_oracle else "analytic",
         husimi_range=_number(husimi.get("range", 3.0), "husimi.range"),
         husimi_resolution=resolution,
         husimi_tau=None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau"),

@@ -2,27 +2,29 @@
 
 Two independent routes produce the same trajectory:
 
-* the analytic path inverts the sector's Laplace-domain 3x3 system by a
-  pole (residue) expansion over the roots of the characteristic cubic,
-  then restores the rotating phases on the second and third amplitudes;
+* the analytic path diagonalises the sector's real symmetric generator K
+  (spectrum.sector_generator) and evolves the shifted amplitudes as
+  V exp(-i Lambda t) V^T x0, which is the residue expansion of the
+  Laplace inversion over the roots alpha_j = -i lambda_j of the
+  characteristic cubic; it then restores the rotating phases on the
+  second and third amplitudes;
 * the oracle path integrates the coupled amplitude ODEs directly with
   an adaptive Dormand-Prince 5(4) scheme.
 
-The analytic path is exact up to root accuracy and is the default; the
-ODE path is the fallback for (measure-zero) degenerate-root parameter
-sets and the independent cross-check everywhere else.
+The analytic path is exact up to round-off on every parameter set,
+degenerate spectra included, and is the default; the ODE path is the
+independent cross-check.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .model import ModelParams, SectorCoefficients, sector_coefficients
-from .spectrum import CubicRoots, DegenerateRootsError, solve_cubic, theta_poly
+from .spectrum import CubicRoots, cubic_roots, sector_generator, theta_poly
 
 __all__ = [
     "METHOD_ANALYTIC",
@@ -32,19 +34,13 @@ __all__ = [
     "EXCITED",
     "AmplitudeState",
     "Trajectory",
-    "sector_matrix",
-    "residue_weights",
-    "amplitudes_analytic",
     "analytic_trajectory",
-    "explicit_excited_amplitudes",
     "amplitudes_ode",
     "solve_sector",
 ]
 
 METHOD_ANALYTIC = "Analytic"
 METHOD_ORACLE = "Oracle"
-
-TOL_NORM = 1e-9
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -92,7 +88,9 @@ class Trajectory:
 
     amplitudes has shape (len(times), 3); method records which route
     produced it.  params is present when the run came from a full
-    ModelParams (solve_sector), None for coefficient-level runs.
+    ModelParams (solve_sector), None for coefficient-level runs.  roots
+    is set on the analytic route, the integrator's accepted and rejected
+    step counts on the oracle route.
     """
 
     times: np.ndarray
@@ -102,6 +100,8 @@ class Trajectory:
     method: str
     params: ModelParams | None = None
     roots: CubicRoots | None = None
+    steps_accepted: int | None = None
+    steps_rejected: int | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -130,94 +130,37 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
     return grid
 
 
-def sector_matrix(z: complex, coeffs: SectorCoefficients, omega_e: float) -> np.ndarray:
-    """Laplace-domain system matrix M(z) of the shifted amplitude triple."""
-    return np.array(
-        [
-            [z, 1j * coeffs.v2, 1j * coeffs.v1],
-            [1j * coeffs.v2, z - 1j * coeffs.s, 1j * omega_e],
-            [1j * coeffs.v1, 1j * omega_e, z - 1j * coeffs.h],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3), dtype=np.complex128)
-    out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    out[0, 1] = -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1])
-    out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    out[1, 0] = -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-    out[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    out[1, 2] = -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0])
-    out[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    out[2, 1] = -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0])
-    out[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return out
-
-
-def residue_weights(
-    coeffs: SectorCoefficients, omega_e: float, roots: CubicRoots, ic: InitialCondition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pole locations and residue weight vectors of the Laplace inversion.
-
-    Returns (alphas, W) with W[:, j] = adj(M(alpha_j)) @ ic / Theta'(alpha_j);
-    the shifted amplitude vector is then sum_j W[:, j] * exp(alpha_j * t).
-    """
-    poly = theta_poly(coeffs, omega_e)
-    ic_vec = ic.as_array()
-    alphas = np.array(roots.roots, dtype=np.complex128)
-    weights = np.empty((3, 3), dtype=np.complex128)
-    for j, alpha in enumerate(roots.roots):
-        adj = _adjugate3(sector_matrix(alpha, coeffs, omega_e))
-        weights[:, j] = adj @ ic_vec / poly.deriv(alpha)
-    return alphas, weights
-
-
-def _analytic_amplitudes(
-    coeffs: SectorCoefficients, omega_e: float, roots: CubicRoots, ic: InitialCondition, times: np.ndarray
-) -> np.ndarray:
-    alphas, weights = residue_weights(coeffs, omega_e, roots, ic)
-    shifted = weights @ np.exp(alphas[:, None] * times[None, :])
-    amps = np.empty((times.size, 3), dtype=np.complex128)
-    amps[:, 0] = shifted[0]
-    amps[:, 1] = np.exp(-1j * coeffs.s * times) * shifted[1]
-    amps[:, 2] = np.exp(-1j * coeffs.h * times) * shifted[2]
-    # sum_j adj(M(alpha_j)) / Theta'(alpha_j) = I (partial fractions), so the
-    # t = 0 sample equals the initial condition exactly; pin it to keep the
-    # residue round-off (~1e-33) out of observables that are identically zero.
-    zero = times == 0.0
-    if np.any(zero):
-        amps[zero] = ic.as_array()
-    return amps
-
-
-def amplitudes_analytic(
-    coeffs: SectorCoefficients,
-    omega_e: float,
-    roots: CubicRoots,
-    ic: InitialCondition,
-    t: float,
-) -> AmplitudeState:
-    """Closed-form amplitudes at a single time from the residue expansion."""
-    amps = _analytic_amplitudes(coeffs, omega_e, roots, ic, np.array([float(t)]))
-    c1, c2, c3 = amps[0]
-    return AmplitudeState(t=float(t), c1=complex(c1), c2=complex(c2), c3=complex(c3))
-
-
 def analytic_trajectory(
     coeffs: SectorCoefficients,
     omega_e: float,
     ic: InitialCondition,
     times,
-    roots: CubicRoots | None = None,
     params: ModelParams | None = None,
 ) -> Trajectory:
-    """Closed-form trajectory over a strictly increasing time grid."""
+    """Closed-form trajectory over a strictly increasing time grid.
+
+    x(t) = V exp(-i Lambda t) V^T x0 from the eigendecomposition K = V Lambda V^T:
+    the residue expansion of the Laplace inversion, with projector residues
+    over the poles alpha_j = -i lambda_j.  Raises an ArithmeticError when the
+    spectrum or a phase lambda_j * t leaves the floating-point range.
+    """
     grid = _as_grid(times, require_zero_start=False)
-    if roots is None:
-        roots = solve_cubic(theta_poly(coeffs, omega_e))
-    amps = _analytic_amplitudes(coeffs, omega_e, roots, ic, grid)
+    x0 = ic.as_array()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lam, vec = np.linalg.eigh(sector_generator(coeffs, omega_e))
+            roots = cubic_roots(theta_poly(coeffs, omega_e), lam)
+            shifted = vec @ ((vec.T @ x0)[:, None] * np.exp(-1j * np.outer(lam, grid)))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"sector {coeffs.n} propagator: {exc}") from exc
+    amps = np.empty((grid.size, 3), dtype=np.complex128)
+    amps[:, 0] = shifted[0]
+    amps[:, 1] = np.exp(-1j * coeffs.s * grid) * shifted[1]
+    amps[:, 2] = np.exp(-1j * coeffs.h * grid) * shifted[2]
+    # V V^T = I, so the t = 0 sample equals the initial condition exactly;
+    # pin it to keep the round-off (~1e-16) out of observables that are
+    # identically zero there.
+    amps[grid == 0.0] = x0
     return Trajectory(
         times=grid,
         amplitudes=amps,
@@ -227,42 +170,6 @@ def analytic_trajectory(
         params=params,
         roots=roots,
     )
-
-
-def explicit_excited_amplitudes(
-    coeffs: SectorCoefficients, omega_e: float, roots: CubicRoots, t: float
-) -> tuple[complex, complex, complex]:
-    """Explicit three-pole formulas for the default entry condition (0,1,0).
-
-    Hand-written expansion of the second column of the inverted sector
-    matrix; kept separate from the residue machinery so the two can be
-    cross-checked term for term.
-    """
-    al1, al2, al3 = roots.roots
-    h, s, v1, v2 = coeffs.h, coeffs.s, coeffs.v1, coeffs.v2
-    d1 = (al1 - al2) * (al1 - al3)
-    d2 = (al2 - al1) * (al2 - al3)
-    d3 = (al3 - al1) * (al3 - al2)
-    e1 = cmath.exp(al1 * t)
-    e2 = cmath.exp(al2 * t)
-    e3 = cmath.exp(al3 * t)
-
-    c1 = -(
-        (h * v2 + v1 * omega_e + 1j * al1 * v2) / d1 * e1
-        + (h * v2 + v1 * omega_e + 1j * al2 * v2) / d2 * e2
-        + (h * v2 + v1 * omega_e + 1j * al3 * v2) / d3 * e3
-    )
-    c2 = cmath.exp(-1j * s * t) * (
-        (al1 * al1 - 1j * h * al1 + v1 * v1) / d1 * e1
-        + (al2 * al2 - 1j * h * al2 + v1 * v1) / d2 * e2
-        + (al3 * al3 - 1j * h * al3 + v1 * v1) / d3 * e3
-    )
-    c3 = -cmath.exp(-1j * h * t) * (
-        (1j * omega_e * al1 + v1 * v2) / d1 * e1
-        + (1j * omega_e * al2 + v1 * v2) / d2 * e2
-        + (1j * omega_e * al3 + v1 * v2) / d3 * e3
-    )
-    return c1, c2, c3
 
 
 def amplitudes_ode(
@@ -278,7 +185,7 @@ def amplitudes_ode(
     """Integrate the coupled amplitude ODEs over a grid starting at t = 0."""
     grid = _as_grid(times, require_zero_start=True)
     kernel = _kernels.select_integrator(backend)
-    out, status, _, _ = kernel(
+    out, status, accepted, rejected = kernel(
         grid,
         complex(ic.c1),
         complex(ic.c2),
@@ -294,7 +201,7 @@ def amplitudes_ode(
     )
     if status == _kernels.STATUS_UNDERFLOW:
         raise StepSizeUnderflowError(
-            f"step size underflow while integrating to t = {grid[-1]!r}; "
+            f"step size underflow while integrating to t = {float(grid[-1])!r}; "
             "tolerances unreachable for these parameters"
         )
     return Trajectory(
@@ -304,6 +211,8 @@ def amplitudes_ode(
         omega_e=omega_e,
         method=METHOD_ORACLE,
         params=params,
+        steps_accepted=int(accepted),
+        steps_rejected=int(rejected),
     )
 
 
@@ -311,29 +220,22 @@ def solve_sector(
     params: ModelParams,
     times,
     ic: InitialCondition = EXCITED,
-    method: str = "auto",
+    method: str = "analytic",
     rtol: float = 1e-10,
     atol: float = 1e-10,
     backend: str | None = None,
 ) -> Trajectory:
     """Evolve params.sector_n over a grid starting at t = 0.
 
-    method 'auto' uses the analytic path and falls back to the ODE when
-    the cubic roots are (nearly) degenerate; 'analytic' and 'oracle'
-    force one route.
+    method 'analytic' (the default) takes the eigendecomposition route,
+    'oracle' the ODE integrator.
     """
-    if method not in ("auto", "analytic", "oracle"):
-        raise ValueError(f"method must be 'auto', 'analytic' or 'oracle', got {method!r}")
+    if method not in ("analytic", "oracle"):
+        raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")
     grid = _as_grid(times, require_zero_start=True)
     coeffs = sector_coefficients(params)
-    if method in ("auto", "analytic"):
-        try:
-            roots = solve_cubic(theta_poly(coeffs, params.omega_e))
-        except DegenerateRootsError:
-            if method == "analytic":
-                raise
-        else:
-            return analytic_trajectory(coeffs, params.omega_e, ic, grid, roots=roots, params=params)
+    if method == "analytic":
+        return analytic_trajectory(coeffs, params.omega_e, ic, grid, params=params)
     return amplitudes_ode(
         coeffs, params.omega_e, ic, grid, rtol=rtol, atol=atol, backend=backend, params=params
     )

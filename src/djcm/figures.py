@@ -107,7 +107,7 @@ def run_figure(
     tau_max: float = 50.0,
     samples: int = 2000,
     svg: bool = True,
-    method: str = "auto",
+    method: str = "analytic",
 ) -> dict:
     """Compute one built-in figure and write its panel files into out_dir.
 

@@ -314,7 +314,7 @@ def husimi_q(
     mode: str = "single",
     n_max: int | None = None,
     ic: InitialCondition = EXCITED,
-    method: str = "auto",
+    method: str = "analytic",
 ) -> HusimiGrid:
     """Husimi function over a grid of coherent-state amplitudes.
 

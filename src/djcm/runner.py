@@ -15,7 +15,16 @@ from .observables import HusimiGrid, husimi_q, trajectory_series
 from .output import write_csv, write_json, write_text
 from .svgplot import heatmap_svg, line_plot_svg
 
-__all__ = ["worker_count", "trajectory_quality", "run_simulation", "run_simulations"]
+__all__ = ["QUALITY_KEYS", "worker_count", "trajectory_quality", "run_simulation", "run_simulations"]
+
+QUALITY_KEYS = (
+    "method",
+    "norm_drift_max",
+    "root_max_residual",
+    "root_min_gap",
+    "ode_steps_accepted",
+    "ode_steps_rejected",
+)
 
 
 def worker_count() -> int:
@@ -34,17 +43,19 @@ def worker_count() -> int:
 
 
 def trajectory_quality(traj: Trajectory) -> dict:
-    """Per-run quality metrics embedded in every manifest."""
-    quality = {
-        "method": traj.method,
-        "norm_drift_max": traj.norm_error(),
-        "root_max_residual": None,
-        "root_min_gap": None,
-    }
-    if traj.roots is not None:
-        quality["root_max_residual"] = traj.roots.max_residual
-        quality["root_min_gap"] = traj.roots.min_pairwise_gap
-    return quality
+    """Per-run route and accuracy, embedded in every manifest: the route,
+    the norm drift, the spectrum's residual and gap (analytic route) and
+    the integrator's step counts (oracle route); null where not taken."""
+    roots = traj.roots
+    values = (
+        traj.method,
+        traj.norm_error(),
+        None if roots is None else roots.max_residual,
+        None if roots is None else roots.min_pairwise_gap,
+        traj.steps_accepted,
+        traj.steps_rejected,
+    )
+    return dict(zip(QUALITY_KEYS, values))
 
 
 def write_husimi_files(grid: HusimiGrid, base_path: str, title: str, svg: bool) -> list[str]:

@@ -1,39 +1,35 @@
-"""Characteristic cubic of the sector dynamics and its complex roots.
+"""Generator of the sector dynamics, its characteristic cubic and the
+cubic's roots.
 
-The Laplace-domain 3x3 system of one photon sector has determinant
-Theta(z), a monic cubic whose roots are the oscillation poles of the
-amplitudes.  For physical coefficients the roots sit on the imaginary
-axis (the generator is Hermitian), which the diagnostics expose.
+The shifted amplitude triple of one photon sector obeys dx/dt = -iKx
+with the real symmetric generator
+
+    K = [[0, v2, v1], [v2, -s, omega_e], [v1, omega_e, -h]].
+
+Its Laplace-domain matrix is M(z) = zI + iK, whose determinant Theta(z)
+is a monic cubic.  The roots of Theta are alpha_j = -i lambda_j, with
+lambda_j the eigenvalues of K: they sit on the imaginary axis, and an
+eigendecomposition of K finds them without any root formula.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import SectorCoefficients
 
-__all__ = [
-    "CubicPoly",
-    "CubicRoots",
-    "DegenerateRootsError",
-    "theta_poly",
-    "solve_cubic",
-]
-
-TOL_RESIDUAL = 1e-12
-TOL_DEGENERATE = 1e-8
-
-
-class DegenerateRootsError(ValueError):
-    """Raised when two roots (nearly) coincide and the residue expansion
-    of the time-domain amplitudes would be ill-conditioned."""
+__all__ = ["CubicPoly", "CubicRoots", "sector_generator", "theta_poly", "root_residual", "cubic_roots"]
 
 
 @dataclass(frozen=True)
 class CubicPoly:
-    """Monic cubic z^3 + a2*z^2 + a1*z + a0 with complex coefficients."""
+    """Monic cubic z^3 + a2*z^2 + a1*z + a0 with complex coefficients.
+
+    The coefficients may also be NumPy arrays that broadcast against z,
+    which evaluates a stack of cubics at once.
+    """
 
     a2: complex
     a1: complex
@@ -50,8 +46,9 @@ class CubicPoly:
 class CubicRoots:
     """Roots ordered by ascending imaginary part (ties by real part).
 
-    min_pairwise_gap is the smallest |alpha_i - alpha_j|; max_residual is
-    the largest |Theta(alpha_j)| / max(1, |alpha_j|^3) over the roots.
+    min_pairwise_gap is the smallest |alpha_i - alpha_j|, zero on a
+    degenerate spectrum; max_residual is the largest
+    |Theta(alpha_j)| / max(1, |alpha_j|^3) over the roots.
     """
 
     roots: tuple[complex, complex, complex]
@@ -59,8 +56,26 @@ class CubicRoots:
     max_residual: float
 
 
+def sector_generator(coeffs: SectorCoefficients, omega_e: float) -> np.ndarray:
+    """Real symmetric generator K of the shifted amplitudes, dx/dt = -iKx.
+
+    Raises OverflowError when a sector constant has left the
+    floating-point range (huge couplings, sector numbers or chi).
+    """
+    k = np.array(
+        [
+            [0.0, coeffs.v2, coeffs.v1],
+            [coeffs.v2, -coeffs.s, omega_e],
+            [coeffs.v1, omega_e, -coeffs.h],
+        ]
+    )
+    if not np.isfinite(k).all():
+        raise OverflowError(f"the constants of sector {coeffs.n} overflow the floating-point range")
+    return k
+
+
 def theta_poly(coeffs: SectorCoefficients, omega_e: float) -> CubicPoly:
-    """Characteristic cubic of the sector's Laplace matrix.
+    """Characteristic cubic det(zI + iK) of the sector's Laplace matrix.
 
     a2 = -i(h + s) and a0 are purely imaginary, a1 is purely real; under
     z -> i*lambda the cubic becomes real, so all roots are purely
@@ -74,61 +89,15 @@ def theta_poly(coeffs: SectorCoefficients, omega_e: float) -> CubicPoly:
     return CubicPoly(a2=a2, a1=a1, a0=a0)
 
 
-def _cardano(poly: CubicPoly) -> list[complex]:
-    a2, a1, a0 = poly.a2, poly.a1, poly.a0
-    shift = a2 / 3.0
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2 * a2 * a2 / 27.0 - a2 * a1 / 3.0 + a0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    root_disc = cmath.sqrt(disc)
-    # pick the branch with the larger magnitude to avoid cancellation
-    u3 = -q / 2.0 + root_disc
-    alt = -q / 2.0 - root_disc
-    if abs(alt) > abs(u3):
-        u3 = alt
-    if u3 == 0:
-        # p == q == 0: triple root
-        return [-shift, -shift, -shift]
-    u = u3 ** (1.0 / 3.0)
-    omega = complex(-0.5, 0.5 * math.sqrt(3.0))
-    roots = []
-    for _ in range(3):
-        roots.append(u - p / (3.0 * u) - shift)
-        u *= omega
-    return roots
+def root_residual(poly: CubicPoly, alpha: np.ndarray) -> np.ndarray:
+    """|Theta(alpha)| / max(1, |alpha|^3), elementwise."""
+    return np.abs(poly(alpha)) / np.maximum(1.0, np.abs(alpha) ** 3)
 
 
-def _polish(poly: CubicPoly, z: complex, max_iter: int = 3) -> complex:
-    best = z
-    best_res = abs(poly(z))
-    for _ in range(max_iter):
-        dz = poly.deriv(z)
-        if dz == 0:
-            break
-        z = z - poly(z) / dz
-        res = abs(poly(z))
-        if res >= best_res:
-            break
-        best, best_res = z, res
-    return best
-
-
-def solve_cubic(poly: CubicPoly, tol_degenerate: float = TOL_DEGENERATE) -> CubicRoots:
-    """Roots of a monic cubic via Cardano's formula plus Newton polishing.
-
-    Raises DegenerateRootsError when the smallest pairwise root gap falls
-    below tol_degenerate * max(1, |alpha|): the residue formulas downstream
-    assume distinct poles, and the ODE path covers the degenerate set.
-    """
-    raw = _cardano(poly)
-    roots = sorted((_polish(poly, z) for z in raw), key=lambda z: (z.imag, z.real))
-    a, b, c = roots
-    gap = min(abs(a - b), abs(a - c), abs(b - c))
-    scale = max(1.0, max(abs(z) for z in roots))
-    if gap < tol_degenerate * scale:
-        raise DegenerateRootsError(
-            f"near-degenerate cubic roots (gap {gap:.3e}, scale {scale:.3e}); "
-            "use the ODE path for this parameter set"
-        )
-    residual = max(abs(poly(z)) / max(1.0, abs(z) ** 3) for z in roots)
-    return CubicRoots(roots=(a, b, c), min_pairwise_gap=gap, max_residual=residual)
+def cubic_roots(poly: CubicPoly, eigenvalues: np.ndarray) -> CubicRoots:
+    """Run record of Theta's roots alpha_j = -i lambda_j, from the ascending
+    eigenvalues of K."""
+    alpha = -1j * eigenvalues[::-1]
+    gap = float(np.min(np.diff(eigenvalues)))
+    residual = float(np.max(root_residual(poly, alpha)))
+    return CubicRoots(roots=tuple(complex(z) for z in alpha), min_pairwise_gap=gap, max_residual=residual)

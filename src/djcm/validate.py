@@ -37,7 +37,7 @@ from .observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from .spectrum import DegenerateRootsError, solve_cubic, theta_poly
+from .spectrum import CubicPoly, root_residual, sector_generator, theta_poly
 
 __all__ = ["CriterionResult", "DEFAULT_SEED", "DEFAULT_TUPLES", "run_all", "format_report", "run_validate"]
 
@@ -102,10 +102,7 @@ def _c2_norm_conservation() -> CriterionResult:
 def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    max_reality = 0.0
-    max_vieta = 0.0
-    max_residual = 0.0
-    degenerate = 0
+    generators, polys = [], []
     for _ in range(tuples):
         while True:
             w = np.sort(rng.uniform(0.0, 1.0, 3))
@@ -121,27 +118,33 @@ def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
             sector_n=int(rng.integers(0, 6)),
         )
         coeffs = sector_coefficients(params)
-        poly = theta_poly(coeffs, params.omega_e)
-        try:
-            roots = solve_cubic(poly)
-        except DegenerateRootsError:
-            degenerate += 1
-            continue
-        a, b, c = roots.roots
-        for alpha in roots.roots:
-            max_reality = max(max_reality, abs(alpha.real) / max(1.0, abs(alpha.imag)))
-            max_residual = max(max_residual, abs(poly(alpha)) / max(1.0, abs(alpha) ** 3))
-        e_sum, e_pair, e_prod = -poly.a2, poly.a1, -poly.a0
-        max_vieta = max(
-            max_vieta,
-            abs(a + b + c - e_sum) / max(1.0, abs(e_sum)),
-            abs(a * b + a * c + b * c - e_pair) / max(1.0, abs(e_pair)),
-            abs(a * b * c - e_prod) / max(1.0, abs(e_prod)),
+        generators.append(sector_generator(coeffs, params.omega_e))
+        polys.append(theta_poly(coeffs, params.omega_e))
+    a2, a1, a0 = (np.array([[getattr(p, name)] for p in polys]) for name in ("a2", "a1", "a0"))
+    poly = CubicPoly(a2=a2, a1=a1, a0=a0)
+    # the propagator's spectrum alpha = -i lambda against Theta
+    alpha = -1j * np.linalg.eigh(np.stack(generators))[0]
+    max_residual = float(np.max(root_residual(poly, alpha)))
+    a, b, c = alpha.T
+    e_sum, e_pair, e_prod = -a2[:, 0], a1[:, 0], -a0[:, 0]
+    max_vieta = float(
+        max(
+            np.max(np.abs(a + b + c - e_sum) / np.maximum(1.0, np.abs(e_sum))),
+            np.max(np.abs(a * b + a * c + b * c - e_pair) / np.maximum(1.0, np.abs(e_pair))),
+            np.max(np.abs(a * b * c - e_prod) / np.maximum(1.0, np.abs(e_prod))),
         )
+    )
+    # reality of Theta's roots from a solver that does not assume a
+    # symmetric generator: eigenvalues of the companion matrices
+    companion = np.zeros((tuples, 3, 3), dtype=np.complex128)
+    companion[:, 0, :] = -np.concatenate([a2, a1, a0], axis=1)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    z = np.linalg.eigvals(companion)
+    max_reality = float(np.max(np.abs(z.real) / np.maximum(1.0, np.abs(z.imag))))
     passed = max_reality <= 1e-10 and max_vieta <= 1e-12 and max_residual <= 1e-12
     details = (
         f"max|Re alpha|/scale = {max_reality:.3e}, vieta = {max_vieta:.3e}, "
-        f"|Theta(alpha)|/scale = {max_residual:.3e}, degenerate = {degenerate}/{tuples}"
+        f"|Theta(alpha)|/scale = {max_residual:.3e}, over {tuples} tuples"
     )
     return CriterionResult(3, "spectral structure", passed, details, time.perf_counter() - t0)
 

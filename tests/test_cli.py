@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from djcm.cli import main
-from djcm.runner import worker_count
+from djcm.runner import QUALITY_KEYS, worker_count
 
 BASE_CONFIG = {
     "params": {
@@ -89,6 +89,44 @@ def test_simulate_force_oracle(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "Oracle"
     assert manifest["root_max_residual"] is None
+    assert manifest["ode_steps_accepted"] > 0
+    assert manifest["ode_steps_rejected"] >= 0
+
+
+def test_simulate_degenerate_spectrum_runs_analytic(tmp_path):
+    params = dict(BASE_CONFIG["params"], g1=0.0, g2=0.0, omega_e=0.0)
+    cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["method"] == "Analytic"
+    assert manifest["root_min_gap"] == 0.0
+    assert manifest["root_max_residual"] is not None
+
+
+@pytest.mark.parametrize(
+    "params, flags",
+    [
+        (dict(omega_cavity=1e-300, g1=1e150), []),  # |alpha|^3 overflows
+        (dict(g1=1e15, g2=1e15), ["--force-oracle"]),  # integrator step size underflows
+    ],
+)
+def test_numerical_range_errors_exit_2(tmp_path, capsys, params, flags):
+    params = dict(BASE_CONFIG["params"], **params)
+    cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
+    assert main(["simulate", "--config", cfg, *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical range error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_infinite_tau_max_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, tau_max=float("inf"))
+    assert "Infinity" in (tmp_path / "run.json").read_text()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "tau_max" in err and "finite" in err
 
 
 def test_simulate_invalid_observable_exits_2(tmp_path, capsys):
@@ -130,9 +168,13 @@ def test_simulate_sweep(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert [p["label"] for p in manifest["points"]] == ["chi=0", "chi=0.2"]
-    for label in ("chi=0", "chi=0.2"):
+    for point in manifest["points"]:
+        label = point["label"]
         assert (out / label / "inversion.csv").exists()
-        assert (out / label / "manifest.json").exists()
+        point_manifest = json.loads((out / label / "manifest.json").read_text())
+        # every point carries its run's full route and accuracy record
+        assert point == {"label": label, **{key: point_manifest[key] for key in QUALITY_KEYS}}
+        assert point["method"] == "Analytic" and point["root_max_residual"] is not None
 
 
 def test_figures_fig2_panels(tmp_path):

@@ -37,7 +37,7 @@ def test_minimal_config_defaults():
     cfg = run_config_from_dict(doc())
     assert isinstance(cfg.params.deformation, Identity)
     assert cfg.samples == 2000
-    assert cfg.method == "auto"
+    assert cfg.method == "analytic"
     assert "populations" in cfg.observables
     assert "husimi" not in cfg.observables
     assert cfg.ic.c2 == 1.0 + 0j
@@ -97,6 +97,18 @@ def test_zero_cavity_frequency_rejected():
     bad["params"]["omega_cavity"] = 0.0
     with pytest.raises(ConfigError, match="omega_cavity"):
         run_config_from_dict(bad)
+
+
+def test_non_finite_numbers_are_rejected():
+    with pytest.raises(ConfigError, match="tau_max: expected a finite number"):
+        run_config_from_dict(doc(tau_max=float("inf")))
+    bad = doc()
+    bad["params"]["g1"] = float("nan")
+    with pytest.raises(ConfigError, match="params.g1: expected a finite number"):
+        run_config_from_dict(bad)
+    base = run_config_from_dict(doc())
+    with pytest.raises(ConfigError, match=r"sweep.axes\[1\]: expected a finite number"):
+        sweep_from_dict(doc(sweep={"axes": [["chi", [0.0]], ["omega_e", [0.04, float("inf")]]]}), base)
 
 
 def test_husimi_section_validation():

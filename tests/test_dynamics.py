@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +10,15 @@ from djcm.dynamics import (
     AmplitudeState,
     InitialCondition,
     StepSizeUnderflowError,
-    amplitudes_analytic,
     amplitudes_ode,
     analytic_trajectory,
-    explicit_excited_amplitudes,
-    residue_weights,
-    sector_matrix,
     solve_sector,
 )
 from djcm.model import Identity, Kerr, ModelParams, SectorCoefficients, sector_coefficients
-from djcm.spectrum import DegenerateRootsError, solve_cubic, theta_poly
+from djcm.spectrum import sector_generator, theta_poly
 
 from test_model import fig_params
+from test_spectrum import lambda_cubic, random_params, real_cubic_roots_bisection
 
 ROW_KWARGS = (
     dict(),
@@ -30,6 +29,45 @@ ROW_KWARGS = (
 
 def tau_grid(tau_max=50.0, samples=500, omega=0.2):
     return np.linspace(0.0, tau_max, samples) / omega
+
+
+def bisection_roots(coeffs, omega_e):
+    """Roots alpha = i*lambda of Theta from the bisection oracle on the real cubic."""
+    return [1j * lam for lam in real_cubic_roots_bisection(*lambda_cubic(coeffs, omega_e))]
+
+
+def explicit_excited_amplitudes(coeffs, omega_e, roots, t):
+    """Explicit three-pole formulas for the default entry condition (0,1,0).
+
+    Hand-written expansion of the second column of the inverted sector
+    matrix over three distinct roots of Theta; the reference that the
+    eigendecomposition route is checked against term for term.
+    """
+    al1, al2, al3 = roots
+    h, s, v1, v2 = coeffs.h, coeffs.s, coeffs.v1, coeffs.v2
+    d1 = (al1 - al2) * (al1 - al3)
+    d2 = (al2 - al1) * (al2 - al3)
+    d3 = (al3 - al1) * (al3 - al2)
+    e1 = cmath.exp(al1 * t)
+    e2 = cmath.exp(al2 * t)
+    e3 = cmath.exp(al3 * t)
+
+    c1 = -(
+        (h * v2 + v1 * omega_e + 1j * al1 * v2) / d1 * e1
+        + (h * v2 + v1 * omega_e + 1j * al2 * v2) / d2 * e2
+        + (h * v2 + v1 * omega_e + 1j * al3 * v2) / d3 * e3
+    )
+    c2 = cmath.exp(-1j * s * t) * (
+        (al1 * al1 - 1j * h * al1 + v1 * v1) / d1 * e1
+        + (al2 * al2 - 1j * h * al2 + v1 * v1) / d2 * e2
+        + (al3 * al3 - 1j * h * al3 + v1 * v1) / d3 * e3
+    )
+    c3 = -cmath.exp(-1j * h * t) * (
+        (1j * omega_e * al1 + v1 * v2) / d1 * e1
+        + (1j * omega_e * al2 + v1 * v2) / d2 * e2
+        + (1j * omega_e * al3 + v1 * v2) / d3 * e3
+    )
+    return c1, c2, c3
 
 
 def test_initial_condition_norm_check():
@@ -44,22 +82,12 @@ def test_amplitude_state_norm():
 
 
 def test_sector_matrix_determinant_matches_theta():
+    # the Laplace matrix M(z) = zI + iK has determinant Theta(z)
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
     poly = theta_poly(c, 0.04)
     for z in (0.3 + 0.1j, -0.2j, 1.0):
-        m = sector_matrix(z, c, 0.04)
+        m = z * np.eye(3) + 1j * sector_generator(c, 0.04)
         assert np.linalg.det(m) == pytest.approx(poly(z), abs=1e-14)
-
-
-def test_adjugate_times_matrix_is_determinant():
-    from djcm.dynamics import _adjugate3
-
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    adj = _adjugate3(m)
-    det = np.linalg.det(m)
-    assert np.allclose(adj @ m, det * np.eye(3), atol=1e-12)
-    assert np.allclose(m @ adj, det * np.eye(3), atol=1e-12)
 
 
 def test_t0_returns_initial_condition_exactly():
@@ -73,12 +101,12 @@ def test_t0_returns_initial_condition_exactly():
 
 
 def test_residue_weights_sum_to_initial_condition():
-    # partial fractions: sum_j adj(M(alpha_j))/Theta'(alpha_j) = identity
+    # the projector residues v_j v_j^T sum to the identity, so the expansion
+    # reproduces the initial condition at t -> 0 without the t = 0 pin
     c = sector_coefficients(fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2))
-    roots = solve_cubic(theta_poly(c, 0.08))
     ic = InitialCondition(0.5, 0.5, complex(0.5, 0.5))
-    _, weights = residue_weights(c, 0.08, roots, ic)
-    assert np.allclose(weights.sum(axis=1), ic.as_array(), atol=1e-13)
+    traj = analytic_trajectory(c, 0.08, ic, np.array([1e-300]))
+    assert np.allclose(traj.amplitudes[0], ic.as_array(), rtol=0.0, atol=1e-13)
 
 
 def test_closed_form_two_coupling_limit():
@@ -104,7 +132,11 @@ def test_fully_decoupled_sector_is_constant():
     p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Identity(), 1)
     ic = InitialCondition(*(complex(1 / math.sqrt(3)),) * 3)
     traj = solve_sector(p, tau_grid(20.0, 200), ic=ic)
-    assert traj.method == "Oracle"  # degenerate roots force the fallback
+    # the degenerate spectrum (double root at 0) takes the analytic route too
+    assert traj.method == "Analytic"
+    assert traj.roots is not None
+    assert traj.roots.min_pairwise_gap == 0.0
+    assert traj.roots.max_residual <= 1e-12
     assert np.max(np.abs(traj.amplitudes - ic.as_array())) <= 1e-12
 
 
@@ -169,21 +201,19 @@ def test_phase_convention_pinned_by_oracle():
 def test_explicit_formulas_match_residue_construction(kwargs):
     p = fig_params(**kwargs)
     c = sector_coefficients(p)
-    roots = solve_cubic(theta_poly(c, p.omega_e))
-    for t in np.linspace(0.0, 250.0, 41):
-        state = amplitudes_analytic(c, p.omega_e, roots, EXCITED, t)
-        e1, e2, e3 = explicit_excited_amplitudes(c, p.omega_e, roots, t)
-        assert abs(state.c1 - e1) <= 1e-12
-        assert abs(state.c2 - e2) <= 1e-12
-        assert abs(state.c3 - e3) <= 1e-12
+    roots = bisection_roots(c, p.omega_e)
+    t = np.linspace(0.0, 250.0, 41)
+    traj = analytic_trajectory(c, p.omega_e, EXCITED, t)
+    for ti, amps in zip(t, traj.amplitudes):
+        explicit = explicit_excited_amplitudes(c, p.omega_e, roots, ti)
+        assert np.max(np.abs(amps - np.array(explicit))) <= 1e-12
 
 
 def test_explicit_formulas_entry_values():
     # the three-pole expansion must honor the entry condition on its own
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
-    roots = solve_cubic(theta_poly(c, p.omega_e))
-    c1, c2, c3 = explicit_excited_amplitudes(c, p.omega_e, roots, 0.0)
+    c1, c2, c3 = explicit_excited_amplitudes(c, p.omega_e, bisection_roots(c, p.omega_e), 0.0)
     assert abs(c1) <= 1e-13
     assert abs(c2 - 1.0) <= 1e-13
     assert abs(c3) <= 1e-13
@@ -195,40 +225,31 @@ def test_explicit_formulas_random_coefficients():
         coeffs = SectorCoefficients(
             h=float(rng.uniform(-0.5, 0.5)),
             s=float(rng.uniform(-0.5, 0.5)),
-            nu=0.0,  # nu enters the explicit/residue paths only through h, s
+            nu=0.0,  # nu enters the explicit/eigendecomposition paths only through h, s
             v1=float(rng.uniform(0.01, 0.3)),
             v2=float(rng.uniform(0.01, 0.3)),
             n=1,
         )
         omega_e = float(rng.uniform(0.0, 0.2))
-        try:
-            roots = solve_cubic(theta_poly(coeffs, omega_e))
-        except DegenerateRootsError:
-            continue
         t = float(rng.uniform(0.0, 100.0))
-        state = amplitudes_analytic(coeffs, omega_e, roots, EXCITED, t)
-        explicit = explicit_excited_amplitudes(coeffs, omega_e, roots, t)
-        for got, want in zip((state.c1, state.c2, state.c3), explicit):
-            assert abs(got - want) <= 1e-12
+        amps = analytic_trajectory(coeffs, omega_e, EXCITED, np.array([t])).amplitudes[0]
+        explicit = explicit_excited_amplitudes(coeffs, omega_e, bisection_roots(coeffs, omega_e), t)
+        assert np.max(np.abs(amps - np.array(explicit))) <= 1e-12
 
 
-def test_solve_sector_auto_prefers_analytic():
+def test_solve_sector_defaults_to_analytic():
     traj = solve_sector(fig_params(), tau_grid(10.0, 50))
     assert traj.method == "Analytic"
     assert traj.roots is not None
     assert traj.params is not None
-
-
-def test_solve_sector_forced_analytic_raises_on_degenerate():
-    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Identity(), 1)
-    with pytest.raises(DegenerateRootsError):
-        solve_sector(p, tau_grid(10.0, 50), method="analytic")
+    assert traj.steps_accepted is None and traj.steps_rejected is None
 
 
 def test_solve_sector_rejects_bad_method_and_grid():
     p = fig_params()
-    with pytest.raises(ValueError):
-        solve_sector(p, tau_grid(10.0, 50), method="magic")
+    for method in ("magic", "auto"):
+        with pytest.raises(ValueError):
+            solve_sector(p, tau_grid(10.0, 50), method=method)
     with pytest.raises(ValueError):
         solve_sector(p, np.array([1.0, 2.0]))  # must start at 0
     with pytest.raises(ValueError):
@@ -264,3 +285,46 @@ def test_general_initial_condition_cross_method():
     orc = solve_sector(p, t, ic=ic, method="oracle")
     assert np.max(np.abs(ana.amplitudes - orc.amplitudes)) <= 1e-6
     assert ana.norm_error() <= 1e-9
+
+
+def shifted_propagator(coeffs, omega_e, times):
+    """U(t) of the shifted amplitudes at each time: the trajectories of the
+    three basis states with the rotating phases e^{-ist}, e^{-iht} removed."""
+    basis = (InitialCondition(1, 0, 0), InitialCondition(0, 1, 0), InitialCondition(0, 0, 1))
+    cols = [analytic_trajectory(coeffs, omega_e, ic, times).amplitudes for ic in basis]
+    unitary = np.stack(cols, axis=2)  # (T, 3, 3), column j evolves basis state j
+    phases = np.stack([np.ones_like(times), np.exp(1j * coeffs.s * times), np.exp(1j * coeffs.h * times)], axis=1)
+    return phases[:, :, None] * unitary
+
+
+def test_propagator_group_property():
+    # U(t1 + t2) = U(t1) U(t2) over seeded random sectors, zero couplings included
+    rng = np.random.default_rng(7)
+    for i in range(60):
+        p = random_params(rng)
+        if i % 3 == 0:
+            p = replace(p, g1=0.0, g2=0.0, omega_e=0.0)
+        elif i % 3 == 1:
+            p = replace(p, g2=0.0, omega_e=0.0)
+        c = sector_coefficients(p)
+        t1, t2 = np.sort(rng.uniform(0.0, 100.0, 2))
+        u1, u2, u12 = shifted_propagator(c, p.omega_e, np.array([t1, t2, t1 + t2]))
+        assert np.max(np.abs(u12 - u1 @ u2)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", (10.0, 30.0, 50.0))
+def test_norm_drift_large_sectors(tau):
+    # every sector of the all-sector Husimi sum at range 10, row 2 of the figures
+    base = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    t = np.array([0.0, tau / base.omega_cavity])
+    worst = max(solve_sector(replace(base, sector_n=n), t).norm_error() for n in range(343))
+    assert worst <= 1e-12
+
+
+def test_ode_step_counts_recorded():
+    p = fig_params()
+    traj = solve_sector(p, tau_grid(20.0, 200), method="oracle")
+    assert traj.roots is None
+    assert traj.steps_accepted > 0
+    assert traj.steps_rejected >= 0
+

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from djcm.dynamics import EXCITED, analytic_trajectory
 from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
-from djcm.spectrum import CubicPoly, DegenerateRootsError, solve_cubic, theta_poly
+from djcm.spectrum import CubicPoly, sector_generator, theta_poly
 
 from test_model import fig_params
 
@@ -51,6 +52,11 @@ def lambda_cubic(coeffs, omega_e):
     b1 = -poly.a1.real
     b0 = 2.0 * omega_e * coeffs.v1 * coeffs.v2 + coeffs.v1**2 * coeffs.s + coeffs.v2**2 * coeffs.h
     return b2, b1, b0
+
+
+def propagator_roots(coeffs, omega_e):
+    """Roots of Theta recorded by the analytic route (-i times K's eigenvalues)."""
+    return analytic_trajectory(coeffs, omega_e, EXCITED, np.array([0.0])).roots
 
 
 def random_params(rng):
@@ -103,8 +109,9 @@ def test_theta_structure_purely_imaginary_even_coefficients():
 
 
 def test_solve_cubic_factorable():
-    poly = CubicPoly(a2=0.0, a1=complex(0.01), a0=0.0)  # z (z^2 + 0.1^2)
-    roots = solve_cubic(poly)
+    # h = s = omega_e = 0: Theta = z (z^2 + v1^2 + v2^2) = z (z^2 + 0.1^2)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, n=0)
+    roots = propagator_roots(coeffs, 0.0)
     expected = (-0.1j, 0.0, 0.1j)
     for got, want in zip(roots.roots, expected):
         assert got == pytest.approx(want, abs=1e-15)
@@ -113,14 +120,14 @@ def test_solve_cubic_factorable():
 
 def test_solve_cubic_orders_by_imaginary_part():
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
-    roots = solve_cubic(theta_poly(c, 0.04)).roots
+    roots = propagator_roots(c, 0.04).roots
     assert roots[0].imag < roots[1].imag < roots[2].imag
 
 
 def test_solve_cubic_vieta_fig_row():
     c = sector_coefficients(fig_params())
     poly = theta_poly(c, 0.04)
-    r = solve_cubic(poly)
+    r = propagator_roots(c, 0.04)
     a, b, cc = r.roots
     assert abs((a + b + cc) - (-poly.a2)) <= 1e-12 * max(1.0, abs(poly.a2))
     assert abs(a * b * cc - (-poly.a0)) <= 1e-12 * max(1.0, abs(poly.a0))
@@ -135,7 +142,7 @@ def test_solve_cubic_against_bisection_oracle_fig_rows():
     ):
         c = sector_coefficients(fig_params(**kwargs))
         p = fig_params(**kwargs)
-        roots = solve_cubic(theta_poly(c, p.omega_e))
+        roots = propagator_roots(c, p.omega_e)
         oracle = real_cubic_roots_bisection(*lambda_cubic(c, p.omega_e))
         assert len(oracle) == 3
         for got, lam in zip(roots.roots, oracle):
@@ -144,19 +151,13 @@ def test_solve_cubic_against_bisection_oracle_fig_rows():
 
 
 def test_property_sweep_roots_purely_imaginary():
-    # >= 1000 random physical tuples, oracle = bisection on the real cubic
+    # 1000 random physical tuples, every one checked; oracle = bisection on the real cubic
     rng = np.random.default_rng(20250810)
     eps = np.finfo(float).eps
-    checked = 0
     for _ in range(1000):
         p = random_params(rng)
         c = sector_coefficients(p)
-        poly = theta_poly(c, p.omega_e)
-        try:
-            roots = solve_cubic(poly)
-        except DegenerateRootsError:
-            continue
-        checked += 1
+        roots = propagator_roots(c, p.omega_e)
         scale = max(1.0, max(abs(z.imag) for z in roots.roots))
         assert all(abs(z.real) <= 1e-10 * scale for z in roots.roots)
         assert roots.max_residual <= 1e-12
@@ -169,18 +170,26 @@ def test_property_sweep_roots_purely_imaginary():
             slope = abs(np.prod([lam - other for other in oracle if other != lam])) or 1.0
             noise = 8.0 * eps * (abs(lam) ** 3 + abs(b2) * lam**2 + abs(b1 * lam) + abs(b0))
             assert abs(got.imag - lam) <= 1e-12 + noise / slope
-    assert checked >= 990  # near-degenerate tuples are measure-zero
 
 
-def test_degenerate_roots_raise():
+def test_degenerate_roots_are_solved():
     # all couplings zero: Theta = z^2 (z - i s), double root at 0
     coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.0, v2=0.0, n=1)
-    with pytest.raises(DegenerateRootsError):
-        solve_cubic(theta_poly(coeffs, 0.0))
+    roots = propagator_roots(coeffs, 0.0)
+    assert roots.roots == (0.0, 0.0, 0.1j)
+    assert roots.min_pairwise_gap == 0.0
+    assert roots.max_residual == 0.0
     # fully trivial sector: triple root at 0
     coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.0, v2=0.0, n=0)
-    with pytest.raises(DegenerateRootsError):
-        solve_cubic(theta_poly(coeffs, 0.0))
+    roots = propagator_roots(coeffs, 0.0)
+    assert roots.roots == (0.0, 0.0, 0.0)
+    assert roots.min_pairwise_gap == 0.0
+
+
+def test_sector_generator_rejects_overflowed_constants():
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=math.inf, v2=0.1, n=7)
+    with pytest.raises(OverflowError, match="sector 7"):
+        sector_generator(coeffs, 0.0)
 
 
 def test_cubic_poly_evaluation_and_derivative():
