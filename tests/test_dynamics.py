@@ -245,6 +245,21 @@ def test_solve_sector_defaults_to_analytic():
     assert traj.steps_accepted is None and traj.steps_rejected is None
 
 
+def test_solve_sector_forced_analytic_solves_degenerate():
+    # all couplings zero: double root at 0; the forced analytic route solves
+    # it and agrees with the ODE oracle for a phased initial condition
+    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Identity(), 1)
+    ic = InitialCondition(complex(0.6, 0.0), complex(0.0, 0.48), complex(0.384, 0.512))
+    t = tau_grid(10.0, 50)
+    ana = solve_sector(p, t, ic=ic, method="analytic")
+    orc = solve_sector(p, t, ic=ic, method="oracle")
+    assert ana.method == "Analytic"
+    assert ana.roots is not None
+    assert ana.roots.min_pairwise_gap == 0.0
+    assert np.max(np.abs(ana.amplitudes - orc.amplitudes)) <= 1e-6
+    assert ana.norm_error() <= 1e-12
+
+
 def test_solve_sector_rejects_bad_method_and_grid():
     p = fig_params()
     for method in ("magic", "auto"):
