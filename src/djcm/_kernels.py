@@ -1,10 +1,14 @@
 """Adaptive Dormand-Prince 5(4) kernel for the three-amplitude sector ODE.
 
 The right-hand side is inlined for speed: the system is only three
-complex amplitudes, so the kernel works on scalars and never allocates
-inside the step loop.  Error control uses the standard mixed
-absolute/relative norm with a PI step-size controller; the fifth-order
-solution is propagated.
+complex amplitudes, so the step loop works on Python float/complex
+scalars, with the rotating phases from cmath.exp.  The output array is
+the only NumPy object it touches: NumPy scalars (NumPy's exp of a
+number, an element read from an array) would send every operation
+through NumPy's far slower scalar arithmetic.  Error control uses the
+standard mixed absolute/relative norm with a PI step-size controller;
+the fifth-order solution is propagated.  A step that is NaN or below
+1e-14 * max(1, |t|) ends the run with STATUS_UNDERFLOW.
 
 The same source is used for both backends: `integrate_sector_numba` is
 the numba-compiled version (when numba is importable) and
@@ -13,6 +17,7 @@ the numba-compiled version (when numba is importable) and
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -48,15 +53,15 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
     if n_out == 1:
         return out, STATUS_OK, 0, 0
 
-    t = times[0]
-    t_end = times[n_out - 1]
+    t = float(times[0])
+    t_end = float(times[n_out - 1])
     nacc = 0
     nrej = 0
 
     # first derivative (also the FSAL carry)
-    ph = np.exp(1j * hh * t)
-    ps = np.exp(1j * ss * t)
-    pn = np.exp(1j * nu * t)
+    ph = cmath.exp(1j * hh * t)
+    ps = cmath.exp(1j * ss * t)
+    pn = cmath.exp(1j * nu * t)
     k11 = -1j * (v1 * ph * y3 + v2 * ps * y2)
     k12 = -1j * (v2 * ps.conjugate() * y1 + ome * pn.conjugate() * y3)
     k13 = -1j * (v1 * ph.conjugate() * y1 + ome * pn * y2)
@@ -76,9 +81,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
     u2 = y2 + h * k12
     u3 = y3 + h * k13
     tp = t + h
-    ph = np.exp(1j * hh * tp)
-    ps = np.exp(1j * ss * tp)
-    pn = np.exp(1j * nu * tp)
+    ph = cmath.exp(1j * hh * tp)
+    ps = cmath.exp(1j * ss * tp)
+    pn = cmath.exp(1j * nu * tp)
     f11 = -1j * (v1 * ph * u3 + v2 * ps * u2)
     f12 = -1j * (v2 * ps.conjugate() * u1 + ome * pn.conjugate() * u3)
     f13 = -1j * (v1 * ph.conjugate() * u1 + ome * pn * u2)
@@ -99,9 +104,10 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
     rejected = False
 
     for i in range(1, n_out):
-        target = times[i]
+        target = float(times[i])
         while t < target:
-            if h < 1e-14 * max(1.0, abs(t)):
+            # `not >=` also ends on a NaN step (non-finite derivatives)
+            if not h >= 1e-14 * max(1.0, abs(t)):
                 return out, STATUS_UNDERFLOW, nacc, nrej
             clipped = t + 1.05 * h >= target
             ht = target - t if clipped else h
@@ -111,9 +117,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
             w1 = y1 + ht * 0.2 * k11
             w2 = y2 + ht * 0.2 * k12
             w3 = y3 + ht * 0.2 * k13
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            ph = cmath.exp(1j * hh * tt)
+            ps = cmath.exp(1j * ss * tt)
+            pn = cmath.exp(1j * nu * tt)
             k21 = -1j * (v1 * ph * w3 + v2 * ps * w2)
             k22 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
             k23 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
@@ -122,9 +128,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
             w1 = y1 + ht * (3.0 / 40.0 * k11 + 9.0 / 40.0 * k21)
             w2 = y2 + ht * (3.0 / 40.0 * k12 + 9.0 / 40.0 * k22)
             w3 = y3 + ht * (3.0 / 40.0 * k13 + 9.0 / 40.0 * k23)
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            ph = cmath.exp(1j * hh * tt)
+            ps = cmath.exp(1j * ss * tt)
+            pn = cmath.exp(1j * nu * tt)
             k31 = -1j * (v1 * ph * w3 + v2 * ps * w2)
             k32 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
             k33 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
@@ -133,9 +139,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
             w1 = y1 + ht * (44.0 / 45.0 * k11 - 56.0 / 15.0 * k21 + 32.0 / 9.0 * k31)
             w2 = y2 + ht * (44.0 / 45.0 * k12 - 56.0 / 15.0 * k22 + 32.0 / 9.0 * k32)
             w3 = y3 + ht * (44.0 / 45.0 * k13 - 56.0 / 15.0 * k23 + 32.0 / 9.0 * k33)
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            ph = cmath.exp(1j * hh * tt)
+            ps = cmath.exp(1j * ss * tt)
+            pn = cmath.exp(1j * nu * tt)
             k41 = -1j * (v1 * ph * w3 + v2 * ps * w2)
             k42 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
             k43 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
@@ -150,9 +156,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
             w3 = y3 + ht * (
                 19372.0 / 6561.0 * k13 - 25360.0 / 2187.0 * k23 + 64448.0 / 6561.0 * k33 - 212.0 / 729.0 * k43
             )
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            ph = cmath.exp(1j * hh * tt)
+            ps = cmath.exp(1j * ss * tt)
+            pn = cmath.exp(1j * nu * tt)
             k51 = -1j * (v1 * ph * w3 + v2 * ps * w2)
             k52 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
             k53 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
@@ -170,9 +176,9 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
                 9017.0 / 3168.0 * k13 - 355.0 / 33.0 * k23 + 46732.0 / 5247.0 * k33
                 + 49.0 / 176.0 * k43 - 5103.0 / 18656.0 * k53
             )
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            ph = cmath.exp(1j * hh * tt)
+            ps = cmath.exp(1j * ss * tt)
+            pn = cmath.exp(1j * nu * tt)
             k61 = -1j * (v1 * ph * w3 + v2 * ps * w2)
             k62 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
             k63 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
@@ -189,9 +195,7 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
                 35.0 / 384.0 * k13 + 500.0 / 1113.0 * k33 + 125.0 / 192.0 * k43
                 - 2187.0 / 6784.0 * k53 + 11.0 / 84.0 * k63
             )
-            ph = np.exp(1j * hh * tt)
-            ps = np.exp(1j * ss * tt)
-            pn = np.exp(1j * nu * tt)
+            # FSAL stage: same tt = t + ht as stage 6, so ph/ps/pn carry over
             k71 = -1j * (v1 * ph * z3 + v2 * ps * z2)
             k72 = -1j * (v2 * ps.conjugate() * z1 + ome * pn.conjugate() * z3)
             k73 = -1j * (v1 * ph.conjugate() * z1 + ome * pn * z2)

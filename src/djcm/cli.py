@@ -16,6 +16,7 @@ selects the numba or numpy kernels.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -123,10 +124,12 @@ def _cmd_husimi(args) -> int:
         ic = EXCITED
     if args.resolution < 2:
         raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
-    if args.range <= 0:
-        raise ConfigError(f"--range must be > 0, got {args.range}")
-    if args.t < 0:
-        raise ConfigError(f"--t must be >= 0, got {args.t}")
+    if not (math.isfinite(args.range) and args.range > 0):
+        raise ConfigError(f"--range must be finite and > 0, got {args.range}")
+    if not (math.isfinite(args.t) and args.t >= 0):
+        raise ConfigError(f"--t must be finite and >= 0, got {args.t}")
+    if args.all_sectors is not None and args.all_sectors < 0:
+        raise ConfigError(f"--all-sectors must be >= 0, got {args.all_sectors}")
     r = args.range
     t_raw = args.t / params.omega_cavity
     grid = husimi_q(

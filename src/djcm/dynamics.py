@@ -18,13 +18,14 @@ independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .model import ModelParams, SectorCoefficients, sector_coefficients
-from .spectrum import CubicRoots, cubic_roots, sector_generator, theta_poly
+from .spectrum import CubicRoots, check_sector_constants, cubic_roots, sector_generator, theta_poly
 
 __all__ = [
     "METHOD_ANALYTIC",
@@ -182,8 +183,19 @@ def amplitudes_ode(
     backend: str | None = None,
     params: ModelParams | None = None,
 ) -> Trajectory:
-    """Integrate the coupled amplitude ODEs over a grid starting at t = 0."""
+    """Integrate the coupled amplitude ODEs over a grid starting at t = 0.
+
+    Raises OverflowError when a sector constant, or a rotating phase at
+    the last grid point, is not finite, and StepSizeUnderflowError when no
+    representable step meets the tolerances.
+    """
     grid = _as_grid(times, require_zero_start=True)
+    check_sector_constants(coeffs, omega_e)
+    t_end = float(grid[-1])
+    if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
+        raise OverflowError(
+            f"the phases of sector {coeffs.n} overflow the floating-point range by t = {t_end!r}"
+        )
     kernel = _kernels.select_integrator(backend)
     out, status, accepted, rejected = kernel(
         grid,
@@ -201,7 +213,7 @@ def amplitudes_ode(
     )
     if status == _kernels.STATUS_UNDERFLOW:
         raise StepSizeUnderflowError(
-            f"step size underflow while integrating to t = {float(grid[-1])!r}; "
+            f"step size underflow while integrating to t = {t_end!r}; "
             "tolerances unreachable for these parameters"
         )
     return Trajectory(

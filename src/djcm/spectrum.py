@@ -14,13 +14,22 @@ eigendecomposition of K finds them without any root formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SectorCoefficients
 
-__all__ = ["CubicPoly", "CubicRoots", "sector_generator", "theta_poly", "root_residual", "cubic_roots"]
+__all__ = [
+    "CubicPoly",
+    "CubicRoots",
+    "check_sector_constants",
+    "sector_generator",
+    "theta_poly",
+    "root_residual",
+    "cubic_roots",
+]
 
 
 @dataclass(frozen=True)
@@ -56,22 +65,32 @@ class CubicRoots:
     max_residual: float
 
 
+def check_sector_constants(coeffs: SectorCoefficients, omega_e: float) -> None:
+    """Raise OverflowError when a sector constant has left the
+    floating-point range (huge couplings, sector numbers or chi).
+
+    Both routes run this check: the eigendecomposition cannot take a
+    non-finite K, and the ODE oracle would step on NaN derivatives.
+    """
+    constants = (coeffs.h, coeffs.s, coeffs.nu, coeffs.v1, coeffs.v2, omega_e)
+    if not all(math.isfinite(c) for c in constants):
+        raise OverflowError(f"the constants of sector {coeffs.n} overflow the floating-point range")
+
+
 def sector_generator(coeffs: SectorCoefficients, omega_e: float) -> np.ndarray:
     """Real symmetric generator K of the shifted amplitudes, dx/dt = -iKx.
 
     Raises OverflowError when a sector constant has left the
-    floating-point range (huge couplings, sector numbers or chi).
+    floating-point range (see check_sector_constants).
     """
-    k = np.array(
+    check_sector_constants(coeffs, omega_e)
+    return np.array(
         [
             [0.0, coeffs.v2, coeffs.v1],
             [coeffs.v2, -coeffs.s, omega_e],
             [coeffs.v1, omega_e, -coeffs.h],
         ]
     )
-    if not np.isfinite(k).all():
-        raise OverflowError(f"the constants of sector {coeffs.n} overflow the floating-point range")
-    return k
 
 
 def theta_poly(coeffs: SectorCoefficients, omega_e: float) -> CubicPoly:

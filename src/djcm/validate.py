@@ -14,7 +14,6 @@ result objects and printed to stderr by the CLI, never into the report.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import tempfile
@@ -274,9 +273,9 @@ def _c8_moment_vanishing() -> CriterionResult:
 
 
 def _read_csv_column(path: str, column: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return np.array([float(row[column]) for row in reader])
+    with open(path) as fh:
+        index = fh.readline().rstrip("\n").split(",").index(column)
+        return np.loadtxt(fh, delimiter=",", usecols=index, ndmin=1)
 
 
 def _c9_figure_shape() -> CriterionResult:
@@ -285,15 +284,14 @@ def _c9_figure_shape() -> CriterionResult:
         manifest = run_figure("fig2", tmp)
         names = [p["name"] for p in manifest["panels"]]
         ok = len(names) == 9
-        all_bounded = True
-        for panel in manifest["panels"]:
-            values = _read_csv_column(os.path.join(tmp, panel["name"] + ".csv"), panel["observable"])
-            if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-                all_bounded = False
-        p2_row2 = _read_csv_column(os.path.join(tmp, "fig2e.csv"), "P2")
-        p3_row2 = _read_csv_column(os.path.join(tmp, "fig2f.csv"), "P3")
-        p2_row3 = _read_csv_column(os.path.join(tmp, "fig2h.csv"), "P2")
-        p3_row3 = _read_csv_column(os.path.join(tmp, "fig2i.csv"), "P3")
+        # one read per panel; fig2e/f hold P2/P3 of row 2, fig2h/i those of row 3
+        columns = {
+            panel["name"]: _read_csv_column(os.path.join(tmp, panel["name"] + ".csv"), panel["observable"])
+            for panel in manifest["panels"]
+        }
+    all_bounded = all(-1e-12 <= v.min() and v.max() <= 1.0 + 1e-12 for v in columns.values())
+    p2_row2, p3_row2 = columns["fig2e"], columns["fig2f"]
+    p2_row3, p3_row3 = columns["fig2h"], columns["fig2i"]
     thr2 = FIG2_SHAPE_THRESHOLDS["row2"]
     thr3 = FIG2_SHAPE_THRESHOLDS["row3"]
     exchange = (

@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import djcm
 from djcm.cli import main
 from djcm.runner import QUALITY_KEYS, worker_count
 
@@ -119,6 +122,20 @@ def test_numerical_range_errors_exit_2(tmp_path, capsys, params, flags):
     assert err.startswith("numerical range error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_overflowed_constants_exit_2_on_both_routes(tmp_path):
+    # the oracle used to step forever on the NaN step these constants give
+    params = dict(BASE_CONFIG["params"], omega_cavity=1e300, chi=1e10, sector_n=0)
+    cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(djcm.__file__)))
+    for flags in ([], ["--force-oracle"]):
+        argv = ["simulate", "--config", cfg, *flags, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "djcm.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "numerical range error: the constants of sector 0 overflow the floating-point range\n"
 
 
 def test_infinite_tau_max_exits_2(tmp_path, capsys):
@@ -256,6 +273,22 @@ def test_husimi_validation_errors(tmp_path):
     assert main(["husimi", "--t", "-1", "--out", str(tmp_path)]) == 2
     assert main(["husimi", "--t", "1", "--resolution", "1", "--out", str(tmp_path)]) == 2
     assert main(["husimi", "--t", "1", "--range", "0", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t", "nan"], "--t must be finite and >= 0, got nan"),
+        (["--t", "inf"], "--t must be finite and >= 0, got inf"),
+        (["--t", "1", "--range", "nan"], "--range must be finite and > 0, got nan"),
+        (["--t", "1", "--all-sectors", "-1"], "--all-sectors must be >= 0, got -1"),
+    ],
+)
+def test_husimi_rejects_bad_flags(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["husimi", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_validate_deterministic_and_passing(capsys):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from djcm import _kernels, backend
-from djcm.dynamics import EXCITED, amplitudes_ode
+from djcm.dynamics import EXCITED, InitialCondition, amplitudes_ode, analytic_trajectory
 from djcm.model import SectorCoefficients, sector_coefficients
 
 from test_model import fig_params
@@ -58,3 +60,52 @@ def test_kernel_counts_steps():
     assert status == _kernels.STATUS_OK
     assert nacc >= 10
     assert np.all(np.isfinite(out))
+
+
+def test_kernel_nan_step_ends_as_underflow():
+    # a NaN constant makes the first step NaN; the guard must end the loop
+    kernel = _kernels.select_integrator("numpy")
+    times = np.array([0.0, 1.0])
+    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, math.nan, 0.0, 0.0, 0.05, 0.05, 0.0, 1e-10, 1e-10)
+    assert status == _kernels.STATUS_UNDERFLOW
+
+
+def test_kernel_repeated_calls_are_identical():
+    kernel = _kernels.select_integrator("numpy")
+    times = np.linspace(0.0, 100.0, 201)
+    args = (times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10, 1e-10)
+    first, second = kernel(*args), kernel(*args)
+    assert np.array_equal(first[0], second[0])
+    assert first[1:] == second[1:]
+
+
+def test_oracle_matches_analytic_on_random_sectors():
+    # detunings up to |h|, |s| = 5 and sectors up to n = 300 (couplings up
+    # to ~3.5), so the phases reach ~200 rad; tolerance of validate criterion 1
+    rng = np.random.default_rng(2024)
+    t = np.linspace(0.0, 40.0, 81)
+    for _ in range(30):
+        n = int(rng.integers(0, 301))
+        h, s = (float(x) for x in rng.uniform(-5.0, 5.0, 2))
+        g1, g2, omega_e = (float(x) for x in rng.uniform(0.0, 0.2, 3))
+        coeffs = SectorCoefficients(
+            h=h, s=s, nu=s - h, v1=g1 * math.sqrt(n + 1), v2=g2 * math.sqrt(n + 1), n=n
+        )
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ic = InitialCondition(*(complex(c) for c in z / np.linalg.norm(z)))
+        ana = analytic_trajectory(coeffs, omega_e, ic, t)
+        ode = amplitudes_ode(coeffs, omega_e, ic, t)
+        assert np.max(np.abs(ana.amplitudes - ode.amplitudes)) <= 1e-6, (n, h, s)
+
+
+def test_oracle_rejects_overflowed_constants():
+    coeffs = SectorCoefficients(h=-math.inf, s=math.inf, nu=math.inf, v1=0.05, v2=0.05, n=4)
+    with pytest.raises(OverflowError, match="constants of sector 4"):
+        amplitudes_ode(coeffs, 0.0, EXCITED, np.array([0.0, 1.0]))
+
+
+def test_oracle_rejects_overflowed_phases():
+    # finite constants whose phase s * t leaves the floating-point range
+    coeffs = SectorCoefficients(h=0.0, s=1e200, nu=1e200, v1=0.0, v2=0.0, n=2)
+    with pytest.raises(OverflowError, match="phases of sector 2"):
+        amplitudes_ode(coeffs, 0.0, EXCITED, np.array([0.0, 1e200]))
