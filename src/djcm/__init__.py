@@ -4,8 +4,8 @@ Kerr-deformed cavity, with the full set of derived quantum observables."""
 from .backend import ACTIVE as active_backend
 from .dynamics import (
     EXCITED,
-    AmplitudeState,
     InitialCondition,
+    StepBudgetError,
     StepSizeUnderflowError,
     Trajectory,
     amplitudes_ode,
@@ -25,8 +25,8 @@ from .model import (
 from .observables import (
     HusimiGrid,
     ObservableSeries,
-    ReducedAtomState,
     UndefinedObservableError,
+    entropy,
     field_moments,
     g2_zero,
     husimi_q,

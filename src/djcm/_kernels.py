@@ -8,7 +8,9 @@ number, an element read from an array) would send every operation
 through NumPy's far slower scalar arithmetic.  Error control uses the
 standard mixed absolute/relative norm with a PI step-size controller;
 the fifth-order solution is propagated.  A step that is NaN or below
-1e-14 * max(1, |t|) ends the run with STATUS_UNDERFLOW.
+1e-14 * max(1, |t|) ends the run with STATUS_UNDERFLOW, and a run that
+has attempted MAX_STEPS steps without reaching the last grid point ends
+with STATUS_BUDGET.
 
 The same source is used for both backends: `integrate_sector_numba` is
 the numba-compiled version (when numba is importable) and
@@ -27,6 +29,8 @@ from .backend import ACTIVE, HAVE_NUMBA, njit_kernel
 __all__ = [
     "STATUS_OK",
     "STATUS_UNDERFLOW",
+    "STATUS_BUDGET",
+    "MAX_STEPS",
     "integrate_sector_numpy",
     "integrate_sector_numba",
     "select_integrator",
@@ -34,6 +38,14 @@ __all__ = [
 
 STATUS_OK = 0
 STATUS_UNDERFLOW = 1
+STATUS_BUDGET = 2
+
+# Attempted (accepted + rejected) steps per call.  The cost of a run grows
+# with |h| t, |s| t and the couplings times t, so a fast-rotating sector
+# would otherwise step for hours.  The NumPy kernel takes ~23 us per step
+# on a 2-vCPU VM, so the budget ends such a run after ~2.3 s; validate's
+# longest oracle rows take 3999 steps, 25x below it.
+MAX_STEPS = 100_000
 
 
 def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, atol):
@@ -106,6 +118,8 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
     for i in range(1, n_out):
         target = float(times[i])
         while t < target:
+            if nacc + nrej >= MAX_STEPS:
+                return out, STATUS_BUDGET, nacc, nrej
             # `not >=` also ends on a NaN step (non-finite derivatives)
             if not h >= 1e-14 * max(1.0, abs(t)):
                 return out, STATUS_UNDERFLOW, nacc, nrej

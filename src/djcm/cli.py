@@ -7,16 +7,15 @@
     djcm validate [--seed SEED] [--tuples N]
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error or
-parameters outside the numerical range (integrator step-size underflow,
-floating-point overflow), 3 I/O error.  DJCM_THREADS caps the worker
-processes of a simulate sweep (figures run serially); DJCM_BACKEND
-selects the numba or numpy kernels.
+parameters outside the numerical range (integrator step-size underflow
+or step budget, floating-point overflow), 3 I/O error.  DJCM_THREADS
+caps the worker processes of a simulate sweep (figures run serially);
+DJCM_BACKEND selects the numba or numpy kernels.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .backend import ACTIVE
-from .config import ConfigError, load_config_file, run_config_from_dict, sweep_from_dict
-from .dynamics import EXCITED, StepSizeUnderflowError, solve_sector
+from .config import ConfigError, check_husimi_grid, load_config_file, run_config_from_dict, sweep_from_dict
+from .dynamics import EXCITED, StepBudgetError, StepSizeUnderflowError, solve_sector
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .observables import husimi_q
 from .output import write_json
@@ -122,14 +121,8 @@ def _cmd_husimi(args) -> int:
     else:
         params = row_params(ROWS[1])  # chi = 0.2 reference row
         ic = EXCITED
-    if args.resolution < 2:
-        raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
-    if not (math.isfinite(args.range) and args.range > 0):
-        raise ConfigError(f"--range must be finite and > 0, got {args.range}")
-    if not (math.isfinite(args.t) and args.t >= 0):
-        raise ConfigError(f"--t must be finite and >= 0, got {args.t}")
-    if args.all_sectors is not None and args.all_sectors < 0:
-        raise ConfigError(f"--all-sectors must be >= 0, got {args.all_sectors}")
+    flags = ("--resolution", "--range", "--t", "--all-sectors")
+    check_husimi_grid(args.resolution, args.range, args.t, args.all_sectors, flags)
     r = args.range
     t_raw = args.t / params.omega_cavity
     grid = husimi_q(
@@ -207,7 +200,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepSizeUnderflowError, ArithmeticError) as exc:
+    except (StepSizeUnderflowError, StepBudgetError, ArithmeticError) as exc:
         print(f"numerical range error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -32,18 +32,19 @@ from dataclasses import dataclass, replace
 
 from .model import Identity, Kerr, ModelParams
 from .dynamics import EXCITED, InitialCondition
-from .observables import OBSERVABLE_NAMES
+from .observables import OBSERVABLE_NAMES, SERIES
 
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "check_husimi_grid",
     "SweepConfig",
     "load_config_file",
     "run_config_from_dict",
     "sweep_from_dict",
 ]
 
-DEFAULT_OBSERVABLES = ("populations", "inversion", "g2", "entropy", "mandel_q", "squeezing")
+DEFAULT_OBSERVABLES = tuple(SERIES)
 
 SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
@@ -230,6 +231,22 @@ def _ic_from_list(values, where: str = "ic") -> InitialCondition:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def check_husimi_grid(
+    resolution: int, half_width: float, tau: float | None, n_max: int | None, names: tuple[str, ...]
+) -> None:
+    """Husimi grid rules shared by the config's husimi fields and the husimi
+    command's flags; names gives the field or flag for resolution, range,
+    tau and n_max, in that order, for the error message."""
+    if resolution < 2:
+        raise ConfigError(f"{names[0]} must be >= 2, got {resolution}")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ConfigError(f"{names[1]} must be finite and > 0, got {half_width}")
+    if tau is not None and not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"{names[2]} must be finite and >= 0, got {tau}")
+    if n_max is not None and n_max < 0:
+        raise ConfigError(f"{names[3]} must be >= 0, got {n_max}")
+
+
 def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
     params = _params_from_dict(_require(doc, "params", "config"))
@@ -254,8 +271,12 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     if husimi_n_max is not None and (isinstance(husimi_n_max, bool) or not isinstance(husimi_n_max, int)):
         raise ConfigError(f"husimi.n_max: expected an integer, got {husimi_n_max!r}")
     resolution = husimi.get("resolution", 121)
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
-        raise ConfigError(f"husimi.resolution: expected an integer >= 2, got {resolution!r}")
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise ConfigError(f"husimi.resolution: expected an integer, got {resolution!r}")
+    husimi_range = _number(husimi.get("range", 3.0), "husimi.range")
+    husimi_tau = None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau")
+    fields = ("husimi.resolution", "husimi.range", "husimi.tau", "husimi.n_max")
+    check_husimi_grid(resolution, husimi_range, husimi_tau, husimi_n_max, fields)
 
     return RunConfig(
         params=params,
@@ -265,9 +286,9 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
         observables=tuple(observables),
         svg=svg,
         method="oracle" if force_oracle else "analytic",
-        husimi_range=_number(husimi.get("range", 3.0), "husimi.range"),
+        husimi_range=husimi_range,
         husimi_resolution=resolution,
-        husimi_tau=None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau"),
+        husimi_tau=husimi_tau,
         husimi_n_max=husimi_n_max,
     )
 

@@ -31,9 +31,9 @@ __all__ = [
     "METHOD_ANALYTIC",
     "METHOD_ORACLE",
     "StepSizeUnderflowError",
+    "StepBudgetError",
     "InitialCondition",
     "EXCITED",
-    "AmplitudeState",
     "Trajectory",
     "analytic_trajectory",
     "amplitudes_ode",
@@ -47,6 +47,11 @@ METHOD_ORACLE = "Oracle"
 class StepSizeUnderflowError(RuntimeError):
     """The adaptive integrator could not meet its tolerance with any
     representable step size (pathological parameters)."""
+
+
+class StepBudgetError(RuntimeError):
+    """The adaptive integrator used up its fixed step budget
+    (_kernels.MAX_STEPS) before the end of the grid."""
 
 
 @dataclass(frozen=True)
@@ -71,27 +76,16 @@ EXCITED = InitialCondition()
 
 
 @dataclass(frozen=True)
-class AmplitudeState:
-    """Amplitudes of |1,n+1>, |2,n>, |3,n> at one instant."""
-
-    t: float
-    c1: complex
-    c2: complex
-    c3: complex
-
-    def norm_sq(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled sector evolution.
 
-    amplitudes has shape (len(times), 3); method records which route
-    produced it.  params is present when the run came from a full
-    ModelParams (solve_sector), None for coefficient-level runs.  roots
-    is set on the analytic route, the integrator's accepted and rejected
-    step counts on the oracle route.
+    amplitudes has shape (len(times), 3): row i holds the amplitudes of
+    |1,n+1>, |2,n>, |3,n> at times[i], and every observable in
+    djcm.observables takes the whole array or any row of it.  method
+    records which route produced it.  params is present when the run
+    came from a full ModelParams (solve_sector), None for
+    coefficient-level runs.  roots is set on the analytic route, the
+    integrator's accepted and rejected step counts on the oracle route.
     """
 
     times: np.ndarray
@@ -106,13 +100,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> AmplitudeState:
-        c1, c2, c3 = self.amplitudes[i]
-        return AmplitudeState(t=float(self.times[i]), c1=complex(c1), c2=complex(c2), c3=complex(c3))
-
-    def __iter__(self):
-        return (self.state(i) for i in range(len(self.times)))
 
     def norm_error(self) -> float:
         """max over samples of | |c1|^2+|c2|^2+|c3|^2 - 1 |."""
@@ -186,8 +173,9 @@ def amplitudes_ode(
     """Integrate the coupled amplitude ODEs over a grid starting at t = 0.
 
     Raises OverflowError when a sector constant, or a rotating phase at
-    the last grid point, is not finite, and StepSizeUnderflowError when no
-    representable step meets the tolerances.
+    the last grid point, is not finite, StepSizeUnderflowError when no
+    representable step meets the tolerances, and StepBudgetError when
+    the grid needs more than _kernels.MAX_STEPS steps.
     """
     grid = _as_grid(times, require_zero_start=True)
     check_sector_constants(coeffs, omega_e)
@@ -215,6 +203,11 @@ def amplitudes_ode(
         raise StepSizeUnderflowError(
             f"step size underflow while integrating to t = {t_end!r}; "
             "tolerances unreachable for these parameters"
+        )
+    if status == _kernels.STATUS_BUDGET:
+        raise StepBudgetError(
+            f"the ODE oracle used up its budget of {_kernels.MAX_STEPS} steps before t = {t_end!r}; "
+            "the analytic route solves these parameters"
         )
     return Trajectory(
         times=grid,

@@ -1,9 +1,14 @@
-"""Quantum measures computed from sector trajectories.
+"""Quantum measures computed from sector amplitudes.
 
-Populations and inversion come straight from the amplitudes; field
-moments, photon statistics and squeezing use the deformed ladder
-operators restricted to the sector's three basis kets; entanglement is
-quantified by the von Neumann entropy of the reduced atomic state.
+Every observable is one function over an amplitude array `amps` of
+shape (..., 3), the amplitudes of |1,n+1>, |2,n>, |3,n>: a row (3,)
+gives the value at one instant and a trajectory's (T, 3) amplitudes
+give the series, bit for bit the same per sample.  `trajectory_series`
+looks the named observable up in SERIES.  Populations and inversion
+come straight from the amplitudes; field moments and photon statistics
+use the deformed ladder operators restricted to the sector's three
+basis kets; the entanglement entropy of the reduced atomic state
+reduces to the binary entropy of P1.
 
 The ladder-moment engine (`annihilation_moment`, `number_moment`) builds
 matrix elements generically from the basis kets instead of hand-reduced
@@ -18,32 +23,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import EXCITED, AmplitudeState, InitialCondition, Trajectory, solve_sector
+from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
 from .model import ModelParams, f_value
 
 __all__ = [
     "UndefinedObservableError",
     "ObservableSeries",
-    "ReducedAtomState",
     "HusimiGrid",
+    "SERIES",
     "OBSERVABLE_NAMES",
     "populations",
     "inversion",
     "field_moments",
     "g2_zero",
+    "mandel_q",
+    "entropy",
     "reduced_density",
     "von_neumann_entropy",
-    "mandel_q",
     "squeezing_params",
     "annihilation_moment",
     "number_moment",
     "trajectory_series",
     "husimi_q",
 ]
-
-LN2 = math.log(2.0)
-
-OBSERVABLE_NAMES = ("populations", "inversion", "g2", "entropy", "mandel_q", "squeezing", "husimi")
 
 
 class UndefinedObservableError(ZeroDivisionError):
@@ -63,13 +65,6 @@ class ObservableSeries:
             raise ValueError("times and values must have equal length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"series {self.name!r} contains non-finite values")
-
-
-@dataclass(frozen=True)
-class ReducedAtomState:
-    """Reduced 3x3 atomic density matrix (rows/cols |1>, |2>, |3>)."""
-
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,25 +123,27 @@ def number_moment(amps: np.ndarray, params: ModelParams, k: int):
     """<(A+A)^k> for a sector state; amps has shape (..., 3)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = np.zeros(np.shape(amps)[:-1], dtype=np.float64)
+    probs = populations(amps)
+    total = np.zeros(probs.shape[:-1], dtype=np.float64)
     for i, (_, photons) in enumerate(_sector_basis(params.sector_n)):
         eigen = photons * f_value(params.deformation, photons) ** 2
-        total = total + np.abs(np.asarray(amps)[..., i]) ** 2 * eigen**k
+        total = total + probs[..., i] * eigen**k
     return total
 
 
 # ---------------------------------------------------------------------------
-# per-state observables
+# observables over (..., 3) amplitude arrays
 # ---------------------------------------------------------------------------
 
-def populations(state: AmplitudeState) -> tuple[float, float, float]:
-    """Occupation probabilities (P1, P2, P3) of the three sector kets."""
-    return (abs(state.c1) ** 2, abs(state.c2) ** 2, abs(state.c3) ** 2)
+def populations(amps: np.ndarray) -> np.ndarray:
+    """Occupation probabilities |c|^2 of the three sector kets, shape (..., 3)."""
+    return np.abs(amps) ** 2
 
 
-def inversion(state: AmplitudeState) -> float:
+def inversion(amps: np.ndarray) -> np.ndarray:
     """Population inversion between the ground and the top level, P1 - P3."""
-    return abs(state.c1) ** 2 - abs(state.c3) ** 2
+    probs = populations(amps)
+    return probs[..., 0] - probs[..., 2]
 
 
 def _moment_weights(params: ModelParams) -> tuple[float, float, float]:
@@ -159,62 +156,74 @@ def _moment_weights(params: ModelParams) -> tuple[float, float, float]:
     return w_up, w_dn, w_two
 
 
-def field_moments(state: AmplitudeState, params: ModelParams) -> tuple[float, float]:
+def field_moments(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments of the deformed photon number, (<A+A>, <(A+A)^2>)."""
-    p1 = abs(state.c1) ** 2
-    p23 = abs(state.c2) ** 2 + abs(state.c3) ** 2
+    probs = populations(amps)
+    p1, p23 = probs[..., 0], probs[..., 1] + probs[..., 2]
     w_up, w_dn, _ = _moment_weights(params)
-    return (w_up * p1 + w_dn * p23, w_up**2 * p1 + w_dn**2 * p23)
+    return w_up * p1 + w_dn * p23, w_up**2 * p1 + w_dn**2 * p23
 
 
-def g2_zero(state: AmplitudeState, params: ModelParams) -> float:
+def g2_zero(amps: np.ndarray, params: ModelParams) -> np.ndarray:
     """Zero-delay second-order intensity correlation g2(0)."""
-    p1 = abs(state.c1) ** 2
-    p23 = abs(state.c2) ** 2 + abs(state.c3) ** 2
+    probs = populations(amps)
+    p1, p23 = probs[..., 0], probs[..., 1] + probs[..., 2]
     w_up, w_dn, w_two = _moment_weights(params)
     m1 = w_up * p1 + w_dn * p23
-    if m1 == 0.0:
-        raise UndefinedObservableError("g2(0) is undefined: <A+A> = 0")
+    if np.any(m1 == 0.0):
+        raise UndefinedObservableError("g2 is undefined where <A+A> = 0")
     return (w_up * w_dn * p1 + w_two * w_dn * p23) / (m1 * m1)
 
 
-def reduced_density(state: AmplitudeState) -> ReducedAtomState:
-    """Reduced atomic density matrix after tracing out the field.
-
-    Block structure: level |1> decouples (its field ket differs by one
-    photon), leaving a rank-one 2x2 block for |2>, |3>.
-    """
-    c1, c2, c3 = state.c1, state.c2, state.c3
-    rho = np.array(
-        [
-            [c1 * c1.conjugate(), 0.0, 0.0],
-            [0.0, c2 * c2.conjugate(), c3 * c2.conjugate()],
-            [0.0, c2 * c3.conjugate(), c3 * c3.conjugate()],
-        ],
-        dtype=np.complex128,
-    )
-    return ReducedAtomState(matrix=rho)
-
-
-def von_neumann_entropy(rho: ReducedAtomState) -> float:
-    """Entanglement entropy -sum(lambda ln lambda) of the reduced state, in nats."""
-    lam = np.linalg.eigvalsh(rho.matrix)
-    lam = np.where((lam < 0.0) & (lam >= -1e-12), 0.0, lam)
-    if np.any(lam < 0.0):
-        raise ValueError(f"density matrix has a negative eigenvalue: {lam}")
-    positive = lam[lam > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
-
-
-def mandel_q(state: AmplitudeState, params: ModelParams) -> float:
+def mandel_q(amps: np.ndarray, params: ModelParams) -> np.ndarray:
     """Mandel Q of the deformed photon number; -1 for number states."""
-    m1, m2 = field_moments(state, params)
-    if m1 == 0.0:
-        raise UndefinedObservableError("Mandel Q is undefined: <A+A> = 0")
+    m1, m2 = field_moments(amps, params)
+    if np.any(m1 == 0.0):
+        raise UndefinedObservableError("mandel_q is undefined where <A+A> = 0")
     return (m2 - m1 * m1) / m1 - 1.0
 
 
-def _squeezing_arrays(amps: np.ndarray, params: ModelParams):
+def entropy(amps: np.ndarray) -> np.ndarray:
+    """Entanglement entropy in nats, as the binary entropy h2(P1).
+
+    The reduced atomic state has eigenvalues {P1, 0, 1 - P1} (see
+    reduced_density), so its von Neumann entropy is h2(P1); validate
+    checks the identity against von_neumann_entropy.
+    """
+    p = np.clip(populations(amps)[..., 0], 0.0, 1.0)
+    out = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        mask = q > 0.0
+        out[mask] -= q[mask] * np.log(q[mask])
+    return out
+
+
+def reduced_density(amps: np.ndarray) -> np.ndarray:
+    """Reduced atomic density matrices after tracing out the field, (..., 3, 3).
+
+    Rows/columns are |1>, |2>, |3>.  Level |1> decouples (its field ket
+    differs by one photon), leaving a rank-one 2x2 block for |2>, |3>.
+    """
+    c = np.asarray(amps, dtype=np.complex128)
+    rho = np.zeros(c.shape[:-1] + (3, 3), dtype=np.complex128)
+    rho[..., 0, 0] = c[..., 0] * np.conj(c[..., 0])
+    rho[..., 1:, 1:] = c[..., None, 1:] * np.conj(c[..., 1:, None])
+    return rho
+
+
+def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
+    """Entropy -sum(lambda ln lambda) of density matrices (..., 3, 3), in nats."""
+    lam = np.linalg.eigvalsh(rho)
+    lam = np.where((lam < 0.0) & (lam >= -1e-12), 0.0, lam)
+    if np.any(lam < 0.0):
+        raise ValueError(f"density matrix has a negative eigenvalue: {lam.min()!r}")
+    positive = lam > 0.0
+    return -np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)
+
+
+def squeezing_params(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, ...]:
+    """First- and second-order quadrature squeezing parameters
+    (s1_x, s1_p, s2_x, s2_p), assembled from the generic moment engine."""
     m1 = number_moment(amps, params, 1)
     m2 = number_moment(amps, params, 2)
     a1 = annihilation_moment(amps, params, 1)
@@ -236,25 +245,21 @@ def _squeezing_arrays(amps: np.ndarray, params: ModelParams):
     return s1x, s1p, s2x, s2p
 
 
-def squeezing_params(state: AmplitudeState, params: ModelParams) -> tuple[float, float, float, float]:
-    """First- and second-order quadrature squeezing parameters
-    (s1_x, s1_p, s2_x, s2_p), assembled from the generic moment engine."""
-    amps = np.array([state.c1, state.c2, state.c3], dtype=np.complex128)
-    s1x, s1p, s2x, s2p = _squeezing_arrays(amps, params)
-    return (float(s1x), float(s1p), float(s2x), float(s2p))
-
-
 # ---------------------------------------------------------------------------
 # trajectory-level series
 # ---------------------------------------------------------------------------
 
-def _entropy_values(p1: np.ndarray) -> np.ndarray:
-    p = np.clip(p1, 0.0, 1.0)
-    out = np.zeros_like(p)
-    for q in (p, 1.0 - p):
-        mask = q > 0.0
-        out[mask] -= q[mask] * np.log(q[mask])
-    return out
+# observable name -> (CSV column names, amps, params -> one array per column)
+SERIES = {
+    "populations": (("P1", "P2", "P3"), lambda amps, params: np.moveaxis(populations(amps), -1, 0)),
+    "inversion": (("W",), lambda amps, params: (inversion(amps),)),
+    "g2": (("g2",), lambda amps, params: (g2_zero(amps, params),)),
+    "entropy": (("S",), lambda amps, params: (entropy(amps),)),
+    "mandel_q": (("Q",), lambda amps, params: (mandel_q(amps, params),)),
+    "squeezing": (("s1_x", "s1_p", "s2_x", "s2_p"), squeezing_params),
+}
+
+OBSERVABLE_NAMES = (*SERIES, "husimi")
 
 
 def trajectory_series(traj: Trajectory, name: str, params: ModelParams | None = None) -> list[ObservableSeries]:
@@ -262,36 +267,11 @@ def trajectory_series(traj: Trajectory, name: str, params: ModelParams | None = 
     params = params if params is not None else traj.params
     if params is None:
         raise ValueError("trajectory carries no ModelParams; pass params explicitly")
+    if name not in SERIES:
+        raise ValueError(f"unknown observable {name!r}")
+    columns, values = SERIES[name]
     tau = params.omega_cavity * traj.times
-    amps = traj.amplitudes
-    probs = np.abs(amps) ** 2
-
-    if name == "populations":
-        return [ObservableSeries(f"P{i + 1}", tau, probs[:, i]) for i in range(3)]
-    if name == "inversion":
-        return [ObservableSeries("W", tau, probs[:, 0] - probs[:, 2])]
-    if name == "entropy":
-        return [ObservableSeries("S", tau, _entropy_values(probs[:, 0]))]
-    if name in ("g2", "mandel_q"):
-        w_up, w_dn, w_two = _moment_weights(params)
-        p1 = probs[:, 0]
-        p23 = probs[:, 1] + probs[:, 2]
-        m1 = w_up * p1 + w_dn * p23
-        if np.any(m1 == 0.0):
-            raise UndefinedObservableError(f"{name} is undefined where <A+A> = 0")
-        if name == "g2":
-            return [ObservableSeries("g2", tau, (w_up * w_dn * p1 + w_two * w_dn * p23) / m1**2)]
-        m2 = w_up**2 * p1 + w_dn**2 * p23
-        return [ObservableSeries("Q", tau, (m2 - m1**2) / m1 - 1.0)]
-    if name == "squeezing":
-        s1x, s1p, s2x, s2p = _squeezing_arrays(amps, params)
-        return [
-            ObservableSeries("s1_x", tau, s1x),
-            ObservableSeries("s1_p", tau, s1p),
-            ObservableSeries("s2_x", tau, s2x),
-            ObservableSeries("s2_p", tau, s2p),
-        ]
-    raise ValueError(f"unknown observable {name!r}")
+    return [ObservableSeries(col, tau, v) for col, v in zip(columns, values(traj.amplitudes, params))]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +319,7 @@ def husimi_q(
 
     if mode == "single":
         n = params.sector_n
-        p = np.abs(_amplitudes_at(params, float(t), ic, method)) ** 2
+        p = populations(_amplitudes_at(params, float(t), ic, method))
         pois = np.exp(-r2)
         for m in range(1, n + 1):
             pois = pois * (r2 / m)
@@ -354,7 +334,7 @@ def husimi_q(
         for m in range(n_max + 1):
             if m > 0:
                 pois = pois * (r2 / m)
-            p = np.abs(_amplitudes_at(replace(params, sector_n=m), float(t), ic, method)) ** 2
+            p = populations(_amplitudes_at(replace(params, sector_n=m), float(t), ic, method))
             acc += pois * ((r2 / (m + 1)) * p[0] + p[1] + p[2])
         values = acc / math.pi
         used_n_max = n_max

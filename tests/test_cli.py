@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import djcm
+from djcm import _kernels
 from djcm.cli import main
 from djcm.runner import QUALITY_KEYS, worker_count
 
@@ -138,6 +139,18 @@ def test_overflowed_constants_exit_2_on_both_routes(tmp_path):
         assert proc.stderr == "numerical range error: the constants of sector 0 overflow the floating-point range\n"
 
 
+def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # omega_cavity 1e-6 stretches tau <= 50 to t <= 5e7, far past any step
+    # budget of the oracle; the analytic route takes a fraction of a second
+    monkeypatch.setattr(_kernels, "MAX_STEPS", 2000)
+    params = dict(BASE_CONFIG["params"], omega_cavity=1e-6, g1=0.06, g2=0.08, omega_e=0.08, chi=0.2)
+    cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
+    assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical range error: the ODE oracle used up its budget of")
+    assert err.count("\n") == 1
+
+
 def test_infinite_tau_max_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, tau_max=float("inf"))
     assert "Infinity" in (tmp_path / "run.json").read_text()
@@ -151,6 +164,13 @@ def test_simulate_invalid_observable_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "observables" in err and "wigner" in err
+
+
+def test_simulate_bad_husimi_field_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, observables=["husimi"], husimi={"n_max": -1})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: husimi.n_max must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_missing_config_exits_2(tmp_path):

@@ -119,6 +119,22 @@ def test_husimi_section_validation():
         run_config_from_dict(doc(husimi={"resolution": 1}))
 
 
+@pytest.mark.parametrize(
+    "husimi, message",
+    [
+        ({"n_max": -1}, "husimi.n_max must be >= 0, got -1"),
+        ({"range": 0}, "husimi.range must be finite and > 0, got 0.0"),
+        ({"range": -2}, "husimi.range must be finite and > 0, got -2.0"),
+        ({"tau": -1}, "husimi.tau must be finite and >= 0, got -1.0"),
+        ({"resolution": 1}, "husimi.resolution must be >= 2, got 1"),
+    ],
+)
+def test_husimi_fields_follow_the_flag_rules(husimi, message):
+    with pytest.raises(ConfigError) as info:
+        run_config_from_dict(doc(husimi=husimi))
+    assert str(info.value) == message
+
+
 def test_json_syntax_error_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "params": [,]\n}\n')

@@ -7,7 +7,6 @@ import pytest
 
 from djcm.dynamics import (
     EXCITED,
-    AmplitudeState,
     InitialCondition,
     StepSizeUnderflowError,
     amplitudes_ode,
@@ -74,11 +73,6 @@ def test_initial_condition_norm_check():
     InitialCondition(0.6, 0.8j, 0.0)
     with pytest.raises(ValueError):
         InitialCondition(1.0, 1.0, 0.0)
-
-
-def test_amplitude_state_norm():
-    st = AmplitudeState(0.0, 0.6, 0.8j, 0.0)
-    assert st.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sector_matrix_determinant_matches_theta():
@@ -277,10 +271,10 @@ def test_trajectory_accessors():
     p = fig_params()
     traj = solve_sector(p, tau_grid(5.0, 20))
     assert len(traj) == 20
-    states = list(traj)
-    assert states[0].t == 0.0
-    assert states[-1].t == pytest.approx(25.0)
-    assert states[5].norm_sq() == pytest.approx(1.0, abs=1e-12)
+    assert traj.amplitudes.shape == (20, 3)
+    assert traj.times[0] == 0.0
+    assert traj.times[-1] == pytest.approx(25.0)
+    assert np.sum(np.abs(traj.amplitudes[5]) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_size_underflow():

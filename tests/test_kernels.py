@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from djcm import _kernels, backend
-from djcm.dynamics import EXCITED, InitialCondition, amplitudes_ode, analytic_trajectory
+from djcm.dynamics import EXCITED, InitialCondition, StepBudgetError, amplitudes_ode, analytic_trajectory
 from djcm.model import SectorCoefficients, sector_coefficients
 
 from test_model import fig_params
@@ -109,3 +109,20 @@ def test_oracle_rejects_overflowed_phases():
     coeffs = SectorCoefficients(h=0.0, s=1e200, nu=1e200, v1=0.0, v2=0.0, n=2)
     with pytest.raises(OverflowError, match="phases of sector 2"):
         amplitudes_ode(coeffs, 0.0, EXCITED, np.array([0.0, 1e200]))
+
+
+def test_step_budget_ends_the_run(monkeypatch):
+    # a run that needs exactly the budget is unchanged; one step less raises
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    coeffs = sector_coefficients(p)
+    t = np.linspace(0.0, 60.0, 400) / p.omega_cavity
+    full = amplitudes_ode(coeffs, p.omega_e, EXCITED, t, backend="numpy")
+    steps = full.steps_accepted + full.steps_rejected
+    assert steps < _kernels.MAX_STEPS
+    monkeypatch.setattr(_kernels, "MAX_STEPS", steps)
+    exact = amplitudes_ode(coeffs, p.omega_e, EXCITED, t, backend="numpy")
+    assert np.array_equal(exact.amplitudes, full.amplitudes)
+    assert (exact.steps_accepted, exact.steps_rejected) == (full.steps_accepted, full.steps_rejected)
+    monkeypatch.setattr(_kernels, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetError, match=f"budget of {steps - 1} steps"):
+        amplitudes_ode(coeffs, p.omega_e, EXCITED, t, backend="numpy")

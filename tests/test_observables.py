@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from djcm.dynamics import EXCITED, AmplitudeState, solve_sector
+from djcm.dynamics import solve_sector
 from djcm.model import Identity, Kerr, ModelParams
 from djcm.observables import (
     ObservableSeries,
+    SERIES,
     UndefinedObservableError,
     annihilation_moment,
+    entropy,
     field_moments,
     g2_zero,
     husimi_q,
@@ -28,10 +30,10 @@ from test_model import fig_params
 LN2 = math.log(2.0)
 
 
-def state_at_tau(params, tau):
+def amps_at_tau(params, tau):
     t = tau / params.omega_cavity
     traj = solve_sector(params, np.array([0.0, t]) if t > 0 else np.array([0.0]))
-    return traj.state(len(traj) - 1)
+    return traj.amplitudes[-1]
 
 
 def row_trajectory(tau_max=50.0, samples=800, **kwargs):
@@ -41,7 +43,7 @@ def row_trajectory(tau_max=50.0, samples=800, **kwargs):
 
 def test_populations_at_t0():
     p = fig_params()
-    assert populations(state_at_tau(p, 0.0)) == (0.0, 1.0, 0.0)
+    assert populations(amps_at_tau(p, 0.0)).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_populations_sum_to_one_along_trajectory():
@@ -54,11 +56,10 @@ def test_populations_sum_to_one_along_trajectory():
 
 def test_inversion_zero_at_t0_and_decoupled():
     p = fig_params()
-    assert inversion(state_at_tau(p, 0.0)) == 0.0
+    assert inversion(amps_at_tau(p, 0.0)) == 0.0
     dec = ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.0, 0.0, Identity(), 1)
     traj = solve_sector(dec, np.linspace(0.0, 100.0, 101))
-    for state in traj:
-        assert inversion(state) == pytest.approx(0.0, abs=1e-20)
+    assert np.max(np.abs(inversion(traj.amplitudes))) <= 1e-20
 
 
 def test_inversion_bounded():
@@ -69,9 +70,9 @@ def test_inversion_bounded():
 
 def test_field_moments_fock_values():
     p = fig_params()
-    assert field_moments(state_at_tau(p, 0.0), p) == (1.0, 1.0)
+    assert field_moments(amps_at_tau(p, 0.0), p) == (1.0, 1.0)
     pk = fig_params(chi=0.2)
-    m1, m2 = field_moments(state_at_tau(pk, 0.0), pk)
+    m1, m2 = field_moments(amps_at_tau(pk, 0.0), pk)
     assert m1 == pytest.approx(1.2, abs=1e-15)
     assert m2 == pytest.approx(1.44, abs=1e-15)
 
@@ -81,36 +82,34 @@ def test_field_moments_bounds_and_engine_cross_check():
     n = p.sector_n
     f2_up = (n + 1) * (1 + 0.2 * (n + 1) ** 2)
     f2_dn = n * (1 + 0.2 * n**2)
-    for i in range(0, len(traj), 25):
-        state = traj.state(i)
-        m1, m2 = field_moments(state, p)
-        assert m1 >= 0.0 and m2 >= 0.0
-        assert m1 <= max(f2_up, f2_dn) + 1e-12
-        amps = np.array([state.c1, state.c2, state.c3])
-        assert number_moment(amps, p, 1) == pytest.approx(m1, abs=1e-14)
-        assert number_moment(amps, p, 2) == pytest.approx(m2, abs=1e-14)
+    amps = traj.amplitudes[::25]
+    m1, m2 = field_moments(amps, p)
+    assert np.all(m1 >= 0.0) and np.all(m2 >= 0.0)
+    assert np.all(m1 <= max(f2_up, f2_dn) + 1e-12)
+    assert np.max(np.abs(number_moment(amps, p, 1) - m1)) <= 1e-14
+    assert np.max(np.abs(number_moment(amps, p, 2) - m2)) <= 1e-14
 
 
 def test_g2_zero_fock_sector_is_zero():
     for chi in (0.0, 0.2):
         p = fig_params(chi=chi)
-        assert g2_zero(state_at_tau(p, 0.0), p) == 0.0
+        assert g2_zero(amps_at_tau(p, 0.0), p) == 0.0
 
 
 def test_g2_zero_direct_formula_n2():
     # c1 = 0, |c2|^2 + |c3|^2 = 1, undeformed n = 2: numerator 2, m1 = 2
     p = fig_params(n=2)
-    state = AmplitudeState(0.0, 0.0, math.sqrt(0.5), math.sqrt(0.5))
-    assert g2_zero(state, p) == pytest.approx(0.5, abs=1e-15)
+    amps = np.array([0.0, math.sqrt(0.5), math.sqrt(0.5)], dtype=np.complex128)
+    assert g2_zero(amps, p) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_g2_undefined_on_empty_intensity():
     p = fig_params(n=0)
-    state = state_at_tau(p, 0.0)
+    amps = amps_at_tau(p, 0.0)
     with pytest.raises(UndefinedObservableError):
-        g2_zero(state, p)
+        g2_zero(amps, p)
     with pytest.raises(UndefinedObservableError):
-        mandel_q(state, p)
+        mandel_q(amps, p)
 
 
 def test_g2_series_nonnegative_and_sub_poissonian():
@@ -123,34 +122,35 @@ def test_g2_series_nonnegative_and_sub_poissonian():
 
 def test_reduced_density_structure():
     p = fig_params()
-    rho0 = reduced_density(state_at_tau(p, 0.0)).matrix
+    rho0 = reduced_density(amps_at_tau(p, 0.0))
     assert np.allclose(rho0, np.diag([0.0, 1.0, 0.0]))
-    state = state_at_tau(p, 30.0)
-    rho = reduced_density(state).matrix
+    amps = amps_at_tau(p, 30.0)
+    c1, c2, c3 = amps
+    rho = reduced_density(amps)
     assert np.allclose(rho, rho.conj().T, atol=1e-15)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert rho[0, 1] == 0.0 and rho[0, 2] == 0.0
-    assert rho[1, 2] == state.c3 * state.c2.conjugate()
-    assert rho[2, 1] == state.c2 * state.c3.conjugate()
+    # the ufunc, as in reduced_density: NumPy's scalar `*` skips the FMA of its array loop
+    assert rho[1, 2] == np.multiply(c3, np.conj(c2))
+    assert rho[2, 1] == np.multiply(c2, np.conj(c3))
     # eigenvalues are {P1, 0, 1 - P1} (rank-one upper block)
-    p1 = abs(state.c1) ** 2
+    p1 = abs(c1) ** 2
     lam = np.sort(np.linalg.eigvalsh(rho))
     assert np.allclose(lam, np.sort([p1, 0.0, 1.0 - p1]), atol=1e-12)
 
 
 def test_von_neumann_entropy_values():
     p = fig_params()
-    assert von_neumann_entropy(reduced_density(state_at_tau(p, 0.0))) == 0.0
-    half = AmplitudeState(0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0)
+    assert von_neumann_entropy(reduced_density(amps_at_tau(p, 0.0))) == 0.0
+    half = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0], dtype=np.complex128)
     assert von_neumann_entropy(reduced_density(half)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_series_matches_eigen_route():
     p, traj = row_trajectory(g1=0.06, g2=0.08, chi=0.2, samples=400)
     series = trajectory_series(traj, "entropy", p)[0].values
-    for i in range(0, len(traj), 7):
-        s_eig = von_neumann_entropy(reduced_density(traj.state(i)))
-        assert abs(series[i] - s_eig) <= 1e-10
+    s_eig = von_neumann_entropy(reduced_density(traj.amplitudes[::7]))
+    assert np.max(np.abs(series[::7] - s_eig)) <= 1e-10
     assert series.min() >= 0.0
     assert series.max() <= LN2 + 1e-12
 
@@ -158,7 +158,7 @@ def test_entropy_series_matches_eigen_route():
 def test_mandel_q_fock_values():
     for chi in (0.0, 0.2):
         p = fig_params(chi=chi)
-        assert mandel_q(state_at_tau(p, 0.0), p) == pytest.approx(-1.0, abs=1e-12)
+        assert mandel_q(amps_at_tau(p, 0.0), p) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_mandel_q_series_bounded_below():
@@ -195,9 +195,9 @@ def test_annihilation_moments_vanish_identically():
 
 def test_squeezing_fock_values():
     p = fig_params()
-    assert squeezing_params(state_at_tau(p, 0.0), p) == (2.0, 2.0, 0.0, 0.0)
+    assert squeezing_params(amps_at_tau(p, 0.0), p) == (2.0, 2.0, 0.0, 0.0)
     pk = fig_params(chi=0.2)
-    s1x, s1p, s2x, s2p = squeezing_params(state_at_tau(pk, 0.0), pk)
+    s1x, s1p, s2x, s2p = squeezing_params(amps_at_tau(pk, 0.0), pk)
     assert s1x == pytest.approx(2.4, abs=1e-14)
     assert s2x == pytest.approx(0.48, abs=1e-14)
 
@@ -215,16 +215,61 @@ def test_squeezing_identities_along_trajectory():
     assert np.all(s1x >= 0.0)
 
 
-def test_series_match_per_state_operations():
+def _stacked(result):
+    # functions with several outputs return a tuple of equally shaped arrays
+    return np.stack(result, axis=-1) if isinstance(result, tuple) else np.asarray(result)
+
+
+ARRAY_FUNCTIONS = {
+    "populations": lambda amps, p: populations(amps),
+    "inversion": lambda amps, p: inversion(amps),
+    "field_moments": field_moments,
+    "g2_zero": g2_zero,
+    "mandel_q": mandel_q,
+    "entropy": lambda amps, p: entropy(amps),
+    "reduced_density": lambda amps, p: reduced_density(amps),
+    "von_neumann_entropy": lambda amps, p: von_neumann_entropy(reduced_density(amps)),
+    "squeezing_params": squeezing_params,
+    "number_moment": lambda amps, p: (number_moment(amps, p, 1), number_moment(amps, p, 2)),
+}
+
+
+def test_array_functions_rows_match_stack_and_bounds():
+    # seeded random normalised (T, 3) stacks over sectors 0..50 and chi in [0, 0.5]
+    rng = np.random.default_rng(20250810)
+    for _ in range(40):
+        p = fig_params(n=int(rng.integers(0, 51)), chi=float(rng.uniform(0.0, 0.5)))
+        rows = int(rng.integers(1, 40))
+        amps = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        for name, fn in ARRAY_FUNCTIONS.items():
+            whole = _stacked(fn(amps, p))
+            by_row = [_stacked(fn(row, p)) for row in amps]
+            assert by_row[0].shape == whole.shape[1:], name
+            assert np.array_equal(whole, np.stack(by_row)), name
+        assert np.ndim(g2_zero(amps[0], p)) == 0
+        probs = populations(amps)
+        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+        s = entropy(amps)
+        assert np.all(s >= 0.0) and np.all(s <= LN2)
+        s_eig = von_neumann_entropy(reduced_density(amps))
+        assert np.all(s_eig >= 0.0) and np.all(s_eig <= LN2 + 1e-12)
+        assert np.max(np.abs(s - s_eig)) <= 1e-10
+        assert np.all(g2_zero(amps, p) >= 0.0)
+        assert np.all(mandel_q(amps, p) >= -1.0)
+
+
+def test_series_table_matches_array_functions():
     p, traj = row_trajectory(g1=0.06, g2=0.08, chi=0.2, samples=200)
-    series = {name: trajectory_series(traj, name, p) for name in ("populations", "inversion", "g2", "mandel_q")}
-    for i in range(0, 200, 11):
-        state = traj.state(i)
-        for level, value in enumerate(populations(state)):
-            assert series["populations"][level].values[i] == pytest.approx(value, abs=1e-14)
-        assert series["inversion"][0].values[i] == pytest.approx(inversion(state), abs=1e-14)
-        assert series["g2"][0].values[i] == pytest.approx(g2_zero(state, p), abs=1e-13)
-        assert series["mandel_q"][0].values[i] == pytest.approx(mandel_q(state, p), abs=1e-13)
+    for name, (columns, _) in SERIES.items():
+        series = trajectory_series(traj, name, p)
+        assert [s.name for s in series] == list(columns)
+    amps = traj.amplitudes
+    probs = populations(amps)
+    for level in range(3):
+        assert np.array_equal(trajectory_series(traj, "populations", p)[level].values, probs[:, level])
+    assert np.array_equal(trajectory_series(traj, "g2", p)[0].values, g2_zero(amps, p))
+    assert np.array_equal(trajectory_series(traj, "entropy", p)[0].values, entropy(amps))
 
 
 def test_series_times_are_scaled():
