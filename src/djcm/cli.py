@@ -22,19 +22,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .backend import ACTIVE
-from .config import ConfigError, check_husimi_grid, load_config_file, run_config_from_dict, sweep_from_dict
+from .config import ConfigError, check_husimi_grid, load_config_file, params_echo, run_config_from_dict, sweep_from_dict
 from .dynamics import EXCITED, StepBudgetError, StepSizeUnderflowError, solve_sector
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
-from .observables import husimi_q
 from .output import write_json
 from .runner import (
     QUALITY_KEYS,
+    manifest_header,
     run_simulation,
     run_simulations,
     trajectory_quality,
     worker_count,
-    write_husimi_files,
+    write_husimi,
 )
 
 __all__ = ["main", "build_parser"]
@@ -88,6 +87,7 @@ def _cmd_simulate(args) -> int:
     cfg = run_config_from_dict(doc, force_oracle=args.force_oracle)
     sweep = sweep_from_dict(doc, cfg)
     if sweep is None:
+        cfg.check_intensity_observables()
         run_simulation(cfg, args.out)
         return EXIT_OK
     points = sweep.expand()
@@ -95,9 +95,7 @@ def _cmd_simulate(args) -> int:
     write_json(
         os.path.join(args.out, "sweep_manifest.json"),
         {
-            "command": "simulate-sweep",
-            "version": __version__,
-            "backend": ACTIVE,
+            **manifest_header("simulate-sweep"),
             "workers": worker_count(),
             "points": [
                 {"label": label, **{key: manifest[key] for key in QUALITY_KEYS}}
@@ -123,46 +121,22 @@ def _cmd_husimi(args) -> int:
         ic = EXCITED
     flags = ("--resolution", "--range", "--t", "--all-sectors")
     check_husimi_grid(args.resolution, args.range, args.t, args.all_sectors, flags)
-    r = args.range
-    t_raw = args.t / params.omega_cavity
-    grid = husimi_q(
-        params,
-        t_raw,
-        x_range=(-r, r),
-        y_range=(-r, r),
-        resolution=args.resolution,
-        mode="single" if args.all_sectors is None else "all",
-        n_max=args.all_sectors,
-        ic=ic,
-    )
     # quality metrics of the underlying state solve (populated sector)
+    t_raw = args.t / params.omega_cavity
     grid_times = np.array([0.0, t_raw]) if t_raw > 0 else np.array([0.0])
     quality = trajectory_quality(solve_sector(params, grid_times, ic=ic))
-    files = write_husimi_files(
-        grid, os.path.join(args.out, "husimi"), f"Husimi Q at tau={args.t:g}", svg=True
+    title = f"Husimi Q at tau={args.t:g}"
+    files, record = write_husimi(
+        args.out, "husimi", title, params, args.t, args.range, args.resolution, args.all_sectors, ic=ic
     )
     write_json(
         os.path.join(args.out, "husimi_manifest.json"),
         {
-            "command": "husimi",
-            "version": __version__,
-            "backend": ACTIVE,
+            **manifest_header("husimi"),
             **quality,
-            "tau": args.t,
-            "range": r,
-            "resolution": args.resolution,
-            "mode": "single" if args.all_sectors is None else "all",
-            "n_max": grid.n_max,
-            "params": {
-                "omega_cavity": params.omega_cavity,
-                "omega_levels": list(params.omega_levels),
-                "g1": params.g1,
-                "g2": params.g2,
-                "omega_e": params.omega_e,
-                "chi": getattr(params.deformation, "chi", 0.0),
-                "sector_n": params.sector_n,
-            },
-            "outputs": sorted(os.path.basename(f) for f in files),
+            **record,
+            "params": params_echo(params),
+            "outputs": sorted(files),
         },
     )
     return EXIT_OK
@@ -194,10 +168,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StepSizeUnderflowError, StepBudgetError, ArithmeticError) as exc:

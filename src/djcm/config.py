@@ -37,6 +37,7 @@ from .observables import OBSERVABLE_NAMES, SERIES
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "params_echo",
     "check_husimi_grid",
     "SweepConfig",
     "load_config_file",
@@ -52,6 +53,20 @@ MAX_SWEEP_POINTS = 10_000
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
+
+
+def params_echo(params: ModelParams) -> dict:
+    """The model parameters in the config file's "params" form (embedded in manifests)."""
+    d = params.deformation
+    return {
+        "omega_cavity": params.omega_cavity,
+        "omega_levels": list(params.omega_levels),
+        "g1": params.g1,
+        "g2": params.g2,
+        "omega_e": params.omega_e,
+        "chi": d.chi if isinstance(d, Kerr) else 0.0,
+        "sector_n": params.sector_n,
+    }
 
 
 @dataclass(frozen=True)
@@ -83,19 +98,23 @@ class RunConfig:
                     f"observables: unknown name {name!r}; valid names are {', '.join(OBSERVABLE_NAMES)}"
                 )
 
+    def check_intensity_observables(self) -> None:
+        """Reject g2 and mandel_q where they are undefined from the first
+        sample: <A+A> = 0 at tau = 0 when the vacuum sector (sector_n 0)
+        starts with no |1,1> amplitude (ic[0] = 0).  A separate check, not
+        part of construction, because a sweep's base config and the husimi
+        command's config never run their observables."""
+        if self.params.sector_n == 0 and self.ic.c1 == 0:
+            for name in ("g2", "mandel_q"):
+                if name in self.observables:
+                    raise ConfigError(
+                        f"observables: {name} is undefined for sector_n 0 with ic[0] = 0, where <A+A> = 0 at tau = 0"
+                    )
+
     def echo(self) -> dict:
         """JSON-serializable canonical form (embedded in manifests)."""
-        d = self.params.deformation
         doc = {
-            "params": {
-                "omega_cavity": self.params.omega_cavity,
-                "omega_levels": list(self.params.omega_levels),
-                "g1": self.params.g1,
-                "g2": self.params.g2,
-                "omega_e": self.params.omega_e,
-                "chi": d.chi if isinstance(d, Kerr) else 0.0,
-                "sector_n": self.params.sector_n,
-            },
+            "params": params_echo(self.params),
             "ic": [[z.real, z.imag] for z in (self.ic.c1, self.ic.c2, self.ic.c3)],
             "tau_max": self.tau_max,
             "samples": self.samples,
@@ -134,7 +153,8 @@ class SweepConfig:
             raise ConfigError(f"sweep produces {size} points, above the limit of {MAX_SWEEP_POINTS}")
 
     def expand(self) -> list[tuple[str, RunConfig]]:
-        """(label, RunConfig) per sweep point, in deterministic axis order."""
+        """(label, RunConfig) per sweep point, in deterministic axis order;
+        every point passes RunConfig.check_intensity_observables."""
         points = []
         names = [name for name, _ in self.axes]
         for combo in itertools.product(*(values for _, values in self.axes)):
@@ -149,7 +169,9 @@ class SweepConfig:
                 else:
                     params = replace(params, **{name: float(value)})
                 label_bits.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-            points.append(("_".join(label_bits), replace(self.base, params=params)))
+            point = replace(self.base, params=params)
+            point.check_intensity_observables()
+            points.append(("_".join(label_bits), point))
         return points
 
 

@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .backend import ACTIVE
 from .dynamics import solve_sector
 from .model import Identity, Kerr, ModelParams
-from .observables import husimi_q, trajectory_series
-from .output import write_csv, write_json, write_text
-from .runner import trajectory_quality, write_husimi_files
-from .svgplot import line_plot_svg
+from .observables import trajectory_series
+from .output import write_json
+from .runner import manifest_header, trajectory_quality, write_husimi, write_series_panel
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7_TAU", "row_params", "run_figure"]
 
@@ -55,12 +52,28 @@ FIG7_TAU = 25.0
 FIG7_RANGE = 3.0
 FIG7_RESOLUTION = 121
 
-# single-series figures: observable and CSV column name
-_ROW_FIGS = {
-    "fig3": ("inversion", "W"),
-    "fig4": ("g2", "g2"),
-    "fig5": ("entropy", "S"),
-    "fig6": ("mandel_q", "Q"),
+
+def _whole(observable: str) -> tuple:
+    return ((observable, slice(None), observable),)
+
+
+# figure id -> (rows, observable, panels per row); a panel is (manifest
+# label, slice of the observable's columns, title ahead of " (<row>)").
+# Panels take consecutive letters, row by row.  fig7 is the Husimi figure.
+_SERIES_FIGURES = {
+    "fig2": (ROWS, "populations", tuple((p, slice(i, i + 1), p) for i, p in enumerate(("P1", "P2", "P3")))),
+    "fig3": (ROWS, "inversion", _whole("inversion")),
+    "fig4": (ROWS, "g2", _whole("g2")),
+    "fig5": (ROWS, "entropy", _whole("entropy")),
+    "fig6": (ROWS, "mandel_q", _whole("mandel_q")),
+    "fig8": (
+        (ROWS[0], ROWS[2]),
+        "squeezing",
+        (
+            ("squeezing-first", slice(0, 2), "first-order squeezing"),
+            ("squeezing-second", slice(2, 4), "second-order squeezing"),
+        ),
+    ),
 }
 
 
@@ -81,26 +94,6 @@ def _row_echo(row: FigureRow) -> dict:
     return {"row": row.label, "omega_e": row.omega_e, "g1": row.g1, "g2": row.g2, "chi": row.chi}
 
 
-def _row_trajectories(rows, tau, method):
-    return [solve_sector(p, tau / p.omega_cavity, method=method) for p in map(row_params, rows)]
-
-
-def _emit_series_panel(out_dir, name, tau, series, svg, title):
-    files = [f"{name}.csv"]
-    write_csv(
-        os.path.join(out_dir, f"{name}.csv"),
-        ["tau"] + [s.name for s in series],
-        [tau] + [s.values for s in series],
-    )
-    if svg:
-        files.append(f"{name}.svg")
-        write_text(
-            os.path.join(out_dir, f"{name}.svg"),
-            line_plot_svg(tau, [(s.name, s.values) for s in series], title=title),
-        )
-    return files
-
-
 def run_figure(
     fig_id: str,
     out_dir: str,
@@ -115,91 +108,34 @@ def run_figure(
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
-    os.makedirs(out_dir, exist_ok=True)
     tau = np.linspace(0.0, tau_max, samples)
+    letters = iter("abcdefghi")
     panels = []
-
-    if fig_id == "fig2":
-        trajectories = _row_trajectories(ROWS, tau, method)
-        letters = "abcdefghi"
-        for i, (row, traj) in enumerate(zip(ROWS, trajectories)):
-            series = trajectory_series(traj, "populations", row_params(row))
-            for level, s in enumerate(series):
-                name = f"fig2{letters[3 * i + level]}"
-                files = _emit_series_panel(
-                    out_dir, name, tau, [s], svg, f"{s.name} ({row.label})"
-                )
-                panels.append(
-                    {"name": name, "observable": s.name, **_row_echo(row), "files": files, **trajectory_quality(traj)}
-                )
-    elif fig_id in _ROW_FIGS:
-        observable, _ = _ROW_FIGS[fig_id]
-        trajectories = _row_trajectories(ROWS, tau, method)
-        for letter, row, traj in zip("abc", ROWS, trajectories):
-            series = trajectory_series(traj, observable, row_params(row))
-            name = f"{fig_id}{letter}"
-            files = _emit_series_panel(out_dir, name, tau, series, svg, f"{observable} ({row.label})")
-            panels.append(
-                {"name": name, "observable": observable, **_row_echo(row), "files": files, **trajectory_quality(traj)}
-            )
-    elif fig_id == "fig7":
+    if fig_id == "fig7":
         # chi = 0 panel from row1, chi = 0.2 panel from row2
-        fig_rows = (ROWS[0], ROWS[1])
-        t_eval = FIG7_TAU / 0.2
-        grids = [
-            husimi_q(
-                row_params(r),
-                t_eval,
-                x_range=(-FIG7_RANGE, FIG7_RANGE),
-                y_range=(-FIG7_RANGE, FIG7_RANGE),
-                resolution=FIG7_RESOLUTION,
-                method=method,
+        for row in ROWS[:2]:
+            name = fig_id + next(letters)
+            title = f"Husimi Q, chi={row.chi:g}, tau={FIG7_TAU:g}"
+            files, record = write_husimi(
+                out_dir, name, title, row_params(row), FIG7_TAU, FIG7_RANGE, FIG7_RESOLUTION, method=method, svg=svg
             )
-            for r in fig_rows
-        ]
-        for letter, row, grid in zip("ab", fig_rows, grids):
-            name = f"fig7{letter}"
-            files = write_husimi_files(
-                grid, os.path.join(out_dir, name), f"Husimi Q, chi={row.chi:g}, tau={FIG7_TAU:g}", svg
-            )
-            panels.append(
-                {
-                    "name": name,
-                    "observable": "husimi",
-                    **_row_echo(row),
-                    "files": [os.path.basename(f) for f in files],
-                    "tau": FIG7_TAU,
-                    "range": FIG7_RANGE,
-                    "resolution": FIG7_RESOLUTION,
-                    "n_max": grid.n_max,
-                }
-            )
-    else:  # fig8
-        fig_rows = (ROWS[0], ROWS[2])
-        trajectories = _row_trajectories(fig_rows, tau, method)
-        letters = iter("abcd")
-        for row, traj in zip(fig_rows, trajectories):
-            series = trajectory_series(traj, "squeezing", row_params(row))
-            for order, pair in (("first", series[:2]), ("second", series[2:])):
-                name = f"fig8{next(letters)}"
-                files = _emit_series_panel(
-                    out_dir, name, tau, pair, svg, f"{order}-order squeezing ({row.label})"
-                )
-                panels.append(
-                    {
-                        "name": name,
-                        "observable": f"squeezing-{order}",
-                        **_row_echo(row),
-                        "files": files,
-                        **trajectory_quality(traj),
-                    }
-                )
+            del record["mode"]  # both panels are single-sector
+            panels.append({"name": name, "observable": "husimi", **_row_echo(row), "files": files, **record})
+    else:
+        rows, observable, row_panels = _SERIES_FIGURES[fig_id]
+        for row in rows:
+            params = row_params(row)
+            traj = solve_sector(params, tau / params.omega_cavity, method=method)
+            series = trajectory_series(traj, observable, params)
+            quality = trajectory_quality(traj)
+            for label, columns, title in row_panels:
+                name = fig_id + next(letters)
+                files = write_series_panel(out_dir, name, tau, series[columns], svg, f"{title} ({row.label})")
+                panels.append({"name": name, "observable": label, **_row_echo(row), "files": files, **quality})
 
     manifest = {
-        "command": "figures",
+        **manifest_header("figures"),
         "figure": fig_id,
-        "version": __version__,
-        "backend": ACTIVE,
         "tau_max": tau_max,
         "samples": samples,
         "panels": panels,

@@ -318,26 +318,24 @@ def husimi_q(
     r2 = x[None, :] ** 2 + y[:, None] ** 2
 
     if mode == "single":
-        n = params.sector_n
-        p = populations(_amplitudes_at(params, float(t), ic, method))
-        pois = np.exp(-r2)
-        for m in range(1, n + 1):
-            pois = pois * (r2 / m)
-        values = pois * ((r2 / (n + 1)) * p[0] + p[1] + p[2]) / math.pi
-        used_n_max = n
+        sectors = (params.sector_n,)
     elif mode == "all":
-        peak = float(np.max(r2))
         if n_max is None:
+            peak = float(np.max(r2))
             n_max = max(30, math.ceil(peak + 10.0 * math.sqrt(peak)))
-        pois = np.exp(-r2)
-        acc = np.zeros_like(r2)
-        for m in range(n_max + 1):
-            if m > 0:
-                pois = pois * (r2 / m)
-            p = populations(_amplitudes_at(replace(params, sector_n=m), float(t), ic, method))
-            acc += pois * ((r2 / (m + 1)) * p[0] + p[1] + p[2])
-        values = acc / math.pi
-        used_n_max = n_max
+        sectors = range(n_max + 1)
     else:
         raise ValueError(f"mode must be 'single' or 'all', got {mode!r}")
-    return HusimiGrid(x_axis=x, y_axis=y, values=values, t=float(t), n_max=used_n_max)
+    # pois is the Poisson weight r2^m exp(-r2) / m!, a running product
+    # advanced to each summed sector n
+    pois = np.exp(-r2)
+    m = 0
+    acc = np.zeros_like(r2)
+    for n in sectors:
+        while m < n:
+            m += 1
+            pois = pois * (r2 / m)
+        p = populations(_amplitudes_at(replace(params, sector_n=n), float(t), ic, method))
+        acc += pois * ((r2 / (n + 1)) * p[0] + p[1] + p[2])
+    values = acc / math.pi
+    return HusimiGrid(x_axis=x, y_axis=y, values=values, t=float(t), n_max=sectors[-1])

@@ -10,12 +10,22 @@ import numpy as np
 from . import __version__
 from .backend import ACTIVE
 from .config import RunConfig
-from .dynamics import Trajectory, solve_sector
-from .observables import HusimiGrid, husimi_q, trajectory_series
+from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
+from .model import ModelParams
+from .observables import ObservableSeries, husimi_q, trajectory_series
 from .output import write_csv, write_json, write_text
 from .svgplot import heatmap_svg, line_plot_svg
 
-__all__ = ["QUALITY_KEYS", "worker_count", "trajectory_quality", "run_simulation", "run_simulations"]
+__all__ = [
+    "QUALITY_KEYS",
+    "worker_count",
+    "trajectory_quality",
+    "manifest_header",
+    "write_series_panel",
+    "write_husimi",
+    "run_simulation",
+    "run_simulations",
+]
 
 QUALITY_KEYS = (
     "method",
@@ -58,77 +68,97 @@ def trajectory_quality(traj: Trajectory) -> dict:
     return dict(zip(QUALITY_KEYS, values))
 
 
-def write_husimi_files(grid: HusimiGrid, base_path: str, title: str, svg: bool) -> list[str]:
-    """husimi grid -> CSV (columns x, y, q; y-major order) and optional SVG."""
-    ny, nx = grid.values.shape
-    xs = np.tile(grid.x_axis, ny)
-    ys = np.repeat(grid.y_axis, nx)
-    qs = grid.values.reshape(-1)
-    files = [base_path + ".csv"]
-    write_csv(base_path + ".csv", ["x", "y", "q"], [xs, ys, qs])
+def manifest_header(command: str) -> dict:
+    """The fields that open every manifest: the command, the library version
+    and the kernel backend."""
+    return {"command": command, "version": __version__, "backend": ACTIVE}
+
+
+def write_series_panel(
+    out_dir: str, name: str, tau: np.ndarray, series: list[ObservableSeries], svg: bool, title: str, ylabel: str = ""
+) -> list[str]:
+    """One panel: <name>.csv (columns tau and one per series) and, with svg,
+    <name>.svg (line plot); returns the file names."""
+    files = [f"{name}.csv"]
+    write_csv(os.path.join(out_dir, files[0]), ["tau"] + [s.name for s in series], [tau] + [s.values for s in series])
     if svg:
-        files.append(base_path + ".svg")
-        write_text(base_path + ".svg", heatmap_svg(grid.x_axis, grid.y_axis, grid.values, title=title))
+        files.append(f"{name}.svg")
+        svg_text = line_plot_svg(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
+        write_text(os.path.join(out_dir, files[1]), svg_text)
     return files
 
 
+def write_husimi(
+    out_dir: str,
+    name: str,
+    title: str,
+    params: ModelParams,
+    tau: float,
+    half_width: float,
+    resolution: int,
+    n_max: int | None = None,
+    *,
+    ic: InitialCondition = EXCITED,
+    method: str = "analytic",
+    svg: bool = True,
+) -> tuple[list[str], dict]:
+    """Husimi Q at scaled time tau over [-half_width, half_width]^2 ->
+    <name>.csv (columns x, y, q; y-major order) and, with svg, <name>.svg
+    (heatmap).  n_max None sums the populated sector only (mode single),
+    an integer the sectors 0..n_max (mode all).  Returns the file names
+    and the grid record {tau, range, resolution, n_max, mode}."""
+    mode = "single" if n_max is None else "all"
+    grid = husimi_q(
+        params,
+        tau / params.omega_cavity,
+        x_range=(-half_width, half_width),
+        y_range=(-half_width, half_width),
+        resolution=resolution,
+        mode=mode,
+        n_max=n_max,
+        ic=ic,
+        method=method,
+    )
+    ny, nx = grid.values.shape
+    files = [f"{name}.csv"]
+    xs, ys = np.tile(grid.x_axis, ny), np.repeat(grid.y_axis, nx)
+    write_csv(os.path.join(out_dir, files[0]), ["x", "y", "q"], [xs, ys, grid.values.reshape(-1)])
+    if svg:
+        files.append(f"{name}.svg")
+        write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.x_axis, grid.y_axis, grid.values, title=title))
+    record = {"tau": tau, "range": half_width, "resolution": resolution, "n_max": grid.n_max, "mode": mode}
+    return files, record
+
+
 def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute one RunConfig and write CSV/SVG/manifest files into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute one RunConfig and write CSV/SVG/manifest files into out_dir.
+
+    Every series and the Husimi grid are computed before the first file
+    is written, so a run that fails writes nothing.
+    """
     tau = np.linspace(0.0, cfg.tau_max, cfg.samples)
-    times = tau / cfg.params.omega_cavity
-    traj = solve_sector(cfg.params, times, ic=cfg.ic, method=cfg.method)
-
+    traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
+    panels = [(name, trajectory_series(traj, name, cfg.params)) for name in cfg.observables if name != "husimi"]
+    manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
     outputs = []
-    husimi_meta = None
-    for name in cfg.observables:
-        if name == "husimi":
-            tau_h = cfg.tau_max if cfg.husimi_tau is None else cfg.husimi_tau
-            r = cfg.husimi_range
-            grid = husimi_q(
-                cfg.params,
-                tau_h / cfg.params.omega_cavity,
-                x_range=(-r, r),
-                y_range=(-r, r),
-                resolution=cfg.husimi_resolution,
-                mode="single" if cfg.husimi_n_max is None else "all",
-                n_max=cfg.husimi_n_max,
-                ic=cfg.ic,
-                method=cfg.method,
-            )
-            outputs += write_husimi_files(
-                grid, os.path.join(out_dir, "husimi"), f"Husimi Q at tau={tau_h:g}", cfg.svg
-            )
-            husimi_meta = {
-                "tau": tau_h,
-                "range": r,
-                "resolution": cfg.husimi_resolution,
-                "n_max": grid.n_max,
-                "mode": "single" if cfg.husimi_n_max is None else "all",
-            }
-            continue
-        series = trajectory_series(traj, name, cfg.params)
-        csv_path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(csv_path, ["tau"] + [s.name for s in series], [tau] + [s.values for s in series])
-        outputs.append(csv_path)
-        if cfg.svg:
-            svg_path = os.path.join(out_dir, f"{name}.svg")
-            write_text(
-                svg_path,
-                line_plot_svg(tau, [(s.name, s.values) for s in series], title=name, ylabel=name),
-            )
-            outputs.append(svg_path)
-
-    manifest = {
-        "command": "simulate",
-        "version": __version__,
-        "backend": ACTIVE,
-        "config": cfg.echo(),
-        **trajectory_quality(traj),
-        "outputs": sorted(os.path.basename(f) for f in outputs),
-    }
-    if husimi_meta is not None:
-        manifest["husimi"] = husimi_meta
+    if "husimi" in cfg.observables:
+        tau_h = cfg.tau_max if cfg.husimi_tau is None else cfg.husimi_tau
+        outputs, manifest["husimi"] = write_husimi(
+            out_dir,
+            "husimi",
+            f"Husimi Q at tau={tau_h:g}",
+            cfg.params,
+            tau_h,
+            cfg.husimi_range,
+            cfg.husimi_resolution,
+            cfg.husimi_n_max,
+            ic=cfg.ic,
+            method=cfg.method,
+            svg=cfg.svg,
+        )
+    for name, series in panels:
+        outputs += write_series_panel(out_dir, name, tau, series, cfg.svg, title=name, ylabel=name)
+    manifest["outputs"] = sorted(outputs)
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 

@@ -11,6 +11,7 @@ import pytest
 import djcm
 from djcm import _kernels
 from djcm.cli import main
+from djcm.figures import FIGURE_IDS, run_figure
 from djcm.runner import QUALITY_KEYS, worker_count
 
 BASE_CONFIG = {
@@ -173,6 +174,37 @@ def test_simulate_bad_husimi_field_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
+        ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with ic[0] = 0"),
+        ({"sweep": {"axes": [["sector_n", [1, 0]]]}}, "configuration error: observables: g2 is undefined"),
+        # the series are computed, then the Husimi solve at tau = 1e308 overflows
+        ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e308}}, "numerical range error: sector 1"),
+    ],
+)
+def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, samples=50, **overrides)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_husimi_runs_the_vacuum_sector(tmp_path):
+    # the husimi command reads only params and ic from a config file
+    cfg = write_config(tmp_path, params=VACUUM)
+    out = tmp_path / "h"
+    assert main(["husimi", "--t", "5", "--resolution", "21", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "husimi_manifest.json").read_text())
+    assert manifest["params"]["sector_n"] == 0 and manifest["n_max"] == 0
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
@@ -261,6 +293,36 @@ def test_figures_fig8_four_panels(tmp_path):
     assert cols["s1_x"].min() >= 0.0
     header, cols = read_csv_columns(out / "fig8d.csv")
     assert header == ["tau", "s2_x", "s2_p"]
+
+
+FIGURE_PANELS = {
+    "fig2": [(f"fig2{letter}", level, ["tau", level]) for letter, level in zip("abcdefghi", ["P1", "P2", "P3"] * 3)],
+    "fig3": [(f"fig3{letter}", "inversion", ["tau", "W"]) for letter in "abc"],
+    "fig4": [(f"fig4{letter}", "g2", ["tau", "g2"]) for letter in "abc"],
+    "fig5": [(f"fig5{letter}", "entropy", ["tau", "S"]) for letter in "abc"],
+    "fig6": [(f"fig6{letter}", "mandel_q", ["tau", "Q"]) for letter in "abc"],
+    "fig7": [(f"fig7{letter}", "husimi", ["x", "y", "q"]) for letter in "ab"],
+    "fig8": [
+        ("fig8a", "squeezing-first", ["tau", "s1_x", "s1_p"]),
+        ("fig8b", "squeezing-second", ["tau", "s2_x", "s2_p"]),
+        ("fig8c", "squeezing-first", ["tau", "s1_x", "s1_p"]),
+        ("fig8d", "squeezing-second", ["tau", "s2_x", "s2_p"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_figure_panels_labels_and_headers(tmp_path, fig_id):
+    manifest = run_figure(fig_id, str(tmp_path), samples=50)
+    panels = manifest["panels"]
+    assert [(p["name"], p["observable"]) for p in panels] == [(n, label) for n, label, _ in FIGURE_PANELS[fig_id]]
+    for panel, (name, _, header) in zip(panels, FIGURE_PANELS[fig_id]):
+        assert panel["files"] == [f"{name}.csv", f"{name}.svg"]
+        with open(tmp_path / f"{name}.csv") as fh:
+            assert fh.readline().rstrip("\n").split(",") == header
+    written = sorted(os.listdir(tmp_path))
+    listed = sorted([f"{fig_id}_manifest.json"] + [f for p in panels for f in p["files"]])
+    assert written == listed
 
 
 def test_figures_rejects_unknown_id():

@@ -181,3 +181,40 @@ def test_sweep_cartesian_guard():
 def test_sweep_absent_returns_none():
     base = run_config_from_dict(doc())
     assert sweep_from_dict(doc(), base) is None
+
+
+@pytest.mark.parametrize(
+    "sector_n, ic, observables, undefined",
+    [
+        (0, None, None, "g2"),  # the default observables hold both; g2 comes first
+        (0, None, ["populations", "mandel_q"], "mandel_q"),
+        (0, [0, 0.6, 0.8], ["g2"], "g2"),
+        (0, None, ["populations", "inversion", "entropy", "squeezing"], None),
+        (0, [1, 0, 0], None, None),  # <A+A> = 1 at tau = 0
+        (1, None, None, None),
+    ],
+)
+def test_intensity_observables_need_photons_at_tau_0(sector_n, ic, observables, undefined):
+    params = dict(BASE_DOC["params"], sector_n=sector_n)
+    fields = {"params": params}
+    if ic is not None:
+        fields["ic"] = ic
+    if observables is not None:
+        fields["observables"] = observables
+    cfg = run_config_from_dict(doc(**fields))  # construction accepts every case
+    if undefined is None:
+        cfg.check_intensity_observables()
+    else:
+        with pytest.raises(ConfigError, match=f"observables: {undefined} is undefined for sector_n 0"):
+            cfg.check_intensity_observables()
+
+
+def test_sweep_through_vacuum_sector_fails_in_expand():
+    base = run_config_from_dict(doc())
+    sweep = sweep_from_dict(doc(sweep={"axes": [["chi", [0.0, 0.2]], ["sector_n", [2, 0]]]}), base)
+    with pytest.raises(ConfigError, match="observables: g2 is undefined for sector_n 0"):
+        sweep.expand()
+    # a sweep that leaves the vacuum sector out expands from a vacuum base
+    vacuum_base = run_config_from_dict(doc(params=dict(BASE_DOC["params"], sector_n=0)))
+    sweep = sweep_from_dict(doc(sweep={"axes": [["sector_n", [1, 2]]]}), vacuum_base)
+    assert [label for label, _ in sweep.expand()] == ["sector_n=1", "sector_n=2"]
