@@ -36,6 +36,7 @@ from .observables import OBSERVABLE_NAMES, SERIES
 
 __all__ = [
     "ConfigError",
+    "MAX_CSV_CELLS",
     "RunConfig",
     "params_echo",
     "check_husimi_grid",
@@ -49,6 +50,9 @@ DEFAULT_OBSERVABLES = tuple(SERIES)
 
 SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
+# CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text);
+# a run formats each file in memory, so the limit also bounds its memory
+MAX_CSV_CELLS = 50_000_000
 
 
 class ConfigError(ValueError):
@@ -67,6 +71,13 @@ def params_echo(params: ModelParams) -> dict:
         "chi": d.chi if isinstance(d, Kerr) else 0.0,
         "sector_n": params.sector_n,
     }
+
+
+def _check_output_budget(cells: int, what: str) -> None:
+    if cells > MAX_CSV_CELLS:
+        raise ConfigError(
+            f"output budget: {what} would write {cells} CSV cells, above the limit of {MAX_CSV_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,11 +103,22 @@ class RunConfig:
             raise ConfigError(f"samples must be >= 2, got {self.samples!r}")
         if self.params.omega_cavity <= 0.0:
             raise ConfigError("params.omega_cavity must be > 0 for the tau = omega_cavity*t axis")
-        for name in self.observables:
+        for i, name in enumerate(self.observables):
             if name not in OBSERVABLE_NAMES:
                 raise ConfigError(
                     f"observables: unknown name {name!r}; valid names are {', '.join(OBSERVABLE_NAMES)}"
                 )
+            if name in self.observables[:i]:
+                raise ConfigError(f"observables: {name!r} is listed more than once")
+        _check_output_budget(self.csv_cells(), "the run")
+
+    def csv_cells(self) -> int:
+        """CSV cells the run writes: samples x (tau + one column per series)
+        per series observable, plus x, y, q per Husimi grid point."""
+        cells = sum(self.samples * (1 + len(SERIES[name][0])) for name in self.observables if name in SERIES)
+        if "husimi" in self.observables:
+            cells += 3 * self.husimi_resolution**2
+        return cells
 
     def check_intensity_observables(self) -> None:
         """Reject g2 and mandel_q where they are undefined from the first
@@ -151,6 +173,7 @@ class SweepConfig:
             size *= len(values)
         if size > MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep produces {size} points, above the limit of {MAX_SWEEP_POINTS}")
+        _check_output_budget(size * self.base.csv_cells(), f"the sweep's {size} points")
 
     def expand(self) -> list[tuple[str, RunConfig]]:
         """(label, RunConfig) per sweep point, in deterministic axis order;
@@ -261,6 +284,7 @@ def check_husimi_grid(
     tau and n_max, in that order, for the error message."""
     if resolution < 2:
         raise ConfigError(f"{names[0]} must be >= 2, got {resolution}")
+    _check_output_budget(3 * resolution**2, f"{names[0]} {resolution}")
     if not (math.isfinite(half_width) and half_width > 0):
         raise ConfigError(f"{names[1]} must be finite and > 0, got {half_width}")
     if tau is not None and not (math.isfinite(tau) and tau >= 0):

@@ -19,6 +19,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "InitialCondition",
     "EXCITED",
     "Trajectory",
+    "propagate",
+    "propagator_errors",
     "analytic_trajectory",
     "amplitudes_ode",
     "solve_sector",
@@ -118,6 +121,32 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
     return grid
 
 
+def propagate(generators: np.ndarray, x0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted amplitudes x(t) = V exp(-i Lambda t) V^T x0 of a stack of sectors.
+
+    generators is an (N, 3, 3) stack of real symmetric generators K = V Lambda V^T
+    (spectrum.sector_generator), x0 the common initial triple and times a 1-D
+    grid.  Returns the ascending eigenvalues, shape (N, 3), and x, shape
+    (N, 3, T): the residue expansion of the Laplace inversion, with projector
+    residues over the poles alpha_j = -i lambda_j.  Every sector of the stack
+    gets the same bits as a stack of one.
+    """
+    lam, vec = np.linalg.eigh(generators)
+    weights = x0 @ vec
+    return lam, vec @ (weights[..., None] * np.exp(-1j * (lam[..., None] * times)))
+
+
+@contextmanager
+def propagator_errors(label: str):
+    """Turn floating-point overflow or an invalid operation inside the block
+    into FloatingPointError('<label> propagator: ...')."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{label} propagator: {exc}") from exc
+
+
 def analytic_trajectory(
     coeffs: SectorCoefficients,
     omega_e: float,
@@ -127,20 +156,17 @@ def analytic_trajectory(
 ) -> Trajectory:
     """Closed-form trajectory over a strictly increasing time grid.
 
-    x(t) = V exp(-i Lambda t) V^T x0 from the eigendecomposition K = V Lambda V^T:
-    the residue expansion of the Laplace inversion, with projector residues
-    over the poles alpha_j = -i lambda_j.  Raises an ArithmeticError when the
-    spectrum or a phase lambda_j * t leaves the floating-point range.
+    The shifted amplitudes come from propagate with a stack of one; the
+    rotating phases are restored on the second and third amplitudes.
+    Raises an ArithmeticError when the spectrum or a phase lambda_j * t
+    leaves the floating-point range.
     """
     grid = _as_grid(times, require_zero_start=False)
     x0 = ic.as_array()
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            lam, vec = np.linalg.eigh(sector_generator(coeffs, omega_e))
-            roots = cubic_roots(theta_poly(coeffs, omega_e), lam)
-            shifted = vec @ ((vec.T @ x0)[:, None] * np.exp(-1j * np.outer(lam, grid)))
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"sector {coeffs.n} propagator: {exc}") from exc
+    with propagator_errors(f"sector {coeffs.n}"):
+        lam, shifted = propagate(sector_generator(coeffs, omega_e)[None], x0, grid)
+        roots = cubic_roots(theta_poly(coeffs, omega_e), lam[0])
+    shifted = shifted[0]
     amps = np.empty((grid.size, 3), dtype=np.complex128)
     amps[:, 0] = shifted[0]
     amps[:, 1] = np.exp(-1j * coeffs.s * grid) * shifted[1]

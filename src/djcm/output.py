@@ -7,12 +7,13 @@ command with the same inputs reproduces every output byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 import numpy as np
 
-__all__ = ["write_text", "write_csv", "write_json"]
+__all__ = ["write_text", "format_cells", "write_csv", "write_json"]
 
 
 def write_text(path, text: str) -> None:
@@ -21,19 +22,34 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Comma-separated file with a header row; one array per column.
+def format_cells(values) -> list[str]:
+    """``%.17g`` of every float64 value, in order; each distinct bit pattern
+    is formatted once (so -0.0 and 0.0 stay distinct), which pays off on
+    columns that repeat a few values many times."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
 
-    Every cell is the float64 value of its column entry printed as
-    ``%.17g``; the whole body is formatted by one ``%`` call.
+
+def write_csv(path, header: list[str], columns: list) -> None:
+    """Comma-separated file with a header row; one entry per column.
+
+    An array column prints the float64 value of each entry as ``%.17g``;
+    a list column holds the cell texts themselves (format_cells).  The
+    whole body is formatted by one ``%`` call.
     """
     if len(header) != len(columns):
         raise ValueError("header and columns must have equal length")
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("all columns must have equal length")
-    cells = np.column_stack(columns).astype(np.float64, copy=False).ravel().tolist()
-    row_template = ",".join(["%.17g"] * len(columns)) + "\n"
+    if any(isinstance(col, list) for col in columns):
+        lists = [col if isinstance(col, list) else np.asarray(col, dtype=np.float64).tolist() for col in columns]
+        cells = list(itertools.chain.from_iterable(zip(*lists)))
+    else:
+        cells = np.column_stack(columns).astype(np.float64, copy=False).ravel().tolist()
+    row_template = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\n"
     write_text(path, ",".join(header) + "\n" + (row_template * n) % tuple(cells))
 
 

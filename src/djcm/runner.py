@@ -13,7 +13,7 @@ from .config import RunConfig
 from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
-from .output import write_csv, write_json, write_text
+from .output import format_cells, write_csv, write_json, write_text
 from .svgplot import heatmap_svg, line_plot_svg
 
 __all__ = [
@@ -121,8 +121,10 @@ def write_husimi(
     )
     ny, nx = grid.values.shape
     files = [f"{name}.csv"]
-    xs, ys = np.tile(grid.x_axis, ny), np.repeat(grid.y_axis, nx)
-    write_csv(os.path.join(out_dir, files[0]), ["x", "y", "q"], [xs, ys, grid.values.reshape(-1)])
+    # y-major rows: x cycles through its axis, y repeats each entry nx times
+    xs = format_cells(grid.x_axis) * ny
+    ys = [cell for cell in format_cells(grid.y_axis) for _ in range(nx)]
+    write_csv(os.path.join(out_dir, files[0]), ["x", "y", "q"], [xs, ys, format_cells(grid.values)])
     if svg:
         files.append(f"{name}.svg")
         write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.x_axis, grid.y_axis, grid.values, title=title))

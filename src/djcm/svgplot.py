@@ -186,13 +186,13 @@ def heatmap_svg(
         idx = np.zeros((ny, nx), dtype=int)
     else:
         idx = np.clip(((values - vmin) / span * 255.0).astype(int), 0, 255)
-    for iy in range(ny):
-        py = _MARGIN_T + plot_h - (iy + 1) * cell_px
-        for ix in range(nx):
-            parts.append(
-                f'<rect x="{_MARGIN_L + ix * cell_px:.2f}" y="{py:.2f}" '
-                f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{COLORMAP[idx[iy, ix]]}"/>'
-            )
+    # each column's x and each row's y are formatted once, and a row's
+    # rects are joined into one string as soon as they are built
+    heads = [f'<rect x="{_MARGIN_L + ix * cell_px:.2f}" y="' for ix in range(nx)]
+    size = f'" width="{cell_px:.2f}" height="{cell_px:.2f}" fill="'
+    for iy, row in enumerate(idx.tolist()):
+        middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell_px:.2f}{size}"
+        parts.append("\n".join([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row)]))
     parts.append(
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'

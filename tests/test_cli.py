@@ -167,6 +167,28 @@ def test_simulate_invalid_observable_exits_2(tmp_path, capsys):
     assert "observables" in err and "wigner" in err
 
 
+def test_simulate_duplicate_observable_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, observables=["inversion", "populations", "inversion"])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: observables: 'inversion' is listed more than once\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--config", "{cfg}"], "output budget: the run would write 1700000000 CSV cells, above the limit"),
+        (["husimi", "--t", "1", "--resolution", "100000"], "output budget: --resolution 100000 would write"),
+    ],
+)
+def test_output_budget_exits_2_before_solving(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, samples=100_000_000)
+    out = tmp_path / "x"
+    assert main([a.replace("{cfg}", cfg) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
 def test_simulate_bad_husimi_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, observables=["husimi"], husimi={"n_max": -1})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from djcm.config import (
+    MAX_CSV_CELLS,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -69,6 +70,12 @@ def test_ic_norm_validation():
 def test_unknown_observable_is_named():
     with pytest.raises(ConfigError, match="observables"):
         run_config_from_dict(doc(observables=["populations", "wigner"]))
+
+
+@pytest.mark.parametrize("observables", (["inversion", "inversion"], ["populations", "husimi", "g2", "husimi"]))
+def test_duplicate_observable_is_named(observables):
+    with pytest.raises(ConfigError, match=f"observables: '{observables[-1]}' is listed more than once"):
+        run_config_from_dict(doc(observables=observables))
 
 
 def test_tau_max_and_samples_bounds():
@@ -218,3 +225,29 @@ def test_sweep_through_vacuum_sector_fails_in_expand():
     vacuum_base = run_config_from_dict(doc(params=dict(BASE_DOC["params"], sector_n=0)))
     sweep = sweep_from_dict(doc(sweep={"axes": [["sector_n", [1, 2]]]}), vacuum_base)
     assert [label for label, _ in sweep.expand()] == ["sector_n=1", "sector_n=2"]
+
+
+def test_output_budget_estimate():
+    # samples x (tau + the series columns) per series file, x, y, q per Husimi point
+    cfg = run_config_from_dict(doc())
+    assert cfg.csv_cells() == 2000 * (4 + 2 + 2 + 2 + 2 + 5)
+    cfg = run_config_from_dict(doc(samples=10, observables=["inversion", "husimi"], husimi={"resolution": 11}))
+    assert cfg.csv_cells() == 10 * 2 + 3 * 11 * 11
+    # the estimate alone rejects a run; nothing of that size is allocated
+    with pytest.raises(ConfigError, match="output budget: the run would write 1700000000 CSV cells"):
+        run_config_from_dict(doc(samples=100_000_000))
+    limit = MAX_CSV_CELLS // 2
+    assert run_config_from_dict(doc(samples=limit, observables=["inversion"])).csv_cells() == MAX_CSV_CELLS
+    with pytest.raises(ConfigError, match="output budget"):
+        run_config_from_dict(doc(samples=limit + 1, observables=["inversion"]))
+    with pytest.raises(ConfigError, match="output budget: husimi.resolution 5000 would write 75000000"):
+        run_config_from_dict(doc(husimi={"resolution": 5000}))
+
+
+def test_output_budget_counts_sweep_points():
+    base = run_config_from_dict(doc(samples=2000))  # 34 000 cells per point
+    axes = [["g1", [0.01 * k for k in range(1, 37)]], ["g2", [0.01 * k for k in range(1, 41)]]]
+    assert len(sweep_from_dict(doc(sweep={"axes": axes}), base).expand()) == 1440  # 48 960 000 cells
+    axes[0][1] = [0.001 * k for k in range(1, 61)]
+    with pytest.raises(ConfigError, match="output budget: the sweep's 2400 points would write 81600000"):
+        sweep_from_dict(doc(sweep={"axes": axes}), base)

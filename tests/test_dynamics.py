@@ -11,6 +11,7 @@ from djcm.dynamics import (
     StepSizeUnderflowError,
     amplitudes_ode,
     analytic_trajectory,
+    propagate,
     solve_sector,
 )
 from djcm.model import Identity, Kerr, ModelParams, SectorCoefficients, sector_coefficients
@@ -337,3 +338,33 @@ def test_ode_step_counts_recorded():
     assert traj.steps_accepted > 0
     assert traj.steps_rejected >= 0
 
+
+
+def test_stacked_propagator_rows_equal_one_sector_route():
+    # one propagate call over all 343 sectors of figure row 2 gives each
+    # sector the same bits as analytic_trajectory's stack of one, on a grid
+    # that starts past t = 0 (where analytic_trajectory pins the sample)
+    base = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    coeffs = [sector_coefficients(replace(base, sector_n=n)) for n in range(343)]
+    generators = np.array([sector_generator(c, base.omega_e) for c in coeffs])
+    times = np.linspace(0.5, 50.0 / base.omega_cavity, 40)
+    for ic in (EXCITED, InitialCondition(0.6, 0.8j, 0.0)):
+        lam, shifted = propagate(generators, ic.as_array(), times)
+        assert lam.shape == (343, 3) and shifted.shape == (343, 3, times.size)
+        for c, x in zip(coeffs, shifted):
+            amps = analytic_trajectory(c, base.omega_e, ic, times).amplitudes
+            assert np.array_equal(amps[:, 0], x[0])
+            assert np.array_equal(amps[:, 1], np.exp(-1j * c.s * times) * x[1])
+            assert np.array_equal(amps[:, 2], np.exp(-1j * c.h * times) * x[2])
+
+
+def test_stacked_propagator_random_stack_matches_stacks_of_one():
+    rng = np.random.default_rng(11)
+    params = [random_params(rng) for _ in range(40)]
+    generators = np.array([sector_generator(sector_coefficients(p), p.omega_e) for p in params])
+    x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    times = np.sort(rng.uniform(0.0, 300.0, 25))
+    lam, shifted = propagate(generators, x0 / np.linalg.norm(x0), times)
+    for k in range(len(params)):
+        lam_k, shifted_k = propagate(generators[k : k + 1], x0 / np.linalg.norm(x0), times)
+        assert np.array_equal(lam[k], lam_k[0]) and np.array_equal(shifted[k], shifted_k[0])

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djcm.dynamics import solve_sector
 from djcm.model import Identity, Kerr, ModelParams
@@ -347,3 +350,67 @@ def test_husimi_argument_validation():
         husimi_q(p, 0.0, mode="both")
     with pytest.raises(ValueError):
         husimi_q(p, 0.0, x_range=(0.0, math.inf))
+
+
+# |alpha|^2 reaches 800 at the corners of [-20, 20]^2 and the default
+# truncation there is n_max = ceil(800 + 10 sqrt(800)) = 1083: Poisson
+# weights seeded with exp(-|alpha|^2) underflow to 0 beyond |alpha|^2 ~ 745
+
+
+def test_husimi_all_sectors_flat_at_t0_at_range_20():
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    grid = husimi_q(p, 0.0, x_range=(-20, 20), y_range=(-20, 20), resolution=41, mode="all")
+    assert grid.n_max == 1083
+    assert np.max(np.abs(grid.values - 1.0 / math.pi)) <= 1e-9
+
+
+def test_husimi_all_sectors_corner_survives_at_range_20():
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    grid = husimi_q(p, 25.0 / 0.2, x_range=(-20, 20), y_range=(-20, 20), resolution=41, mode="all")
+    for corner in (grid.values[0, 0], grid.values[0, -1], grid.values[-1, 0], grid.values[-1, -1]):
+        assert corner == pytest.approx(1.0 / math.pi, rel=1e-3)
+
+
+def test_husimi_single_sector_800_normalization():
+    # the number-state ring of sector 800 sits at |alpha|^2 ~ 800
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2, n=800)
+    grid = husimi_q(p, 25.0 / 0.2, x_range=(-40, 40), y_range=(-40, 40), resolution=401)
+    w = np.full(401, grid.x_axis[1] - grid.x_axis[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    assert abs(float(w @ grid.values @ w) - 1.0) <= 1e-6
+
+
+def log_space_husimi(params, t, axis, n_max):
+    """All-sector sum from one solve_sector run per sector, each Poisson
+    weight exponentiated from n ln r2 - r2 - ln n!."""
+    r2 = axis[None, :] ** 2 + axis[:, None] ** 2
+    with np.errstate(divide="ignore"):
+        log_r2 = np.log(r2)
+    grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
+    acc = np.zeros_like(r2)
+    for n in range(n_max + 1):
+        p1, p2, p3 = populations(solve_sector(replace(params, sector_n=n), grid).amplitudes[-1])
+        log_w = -r2 - math.lgamma(n + 1.0)
+        if n:
+            log_w = log_w + n * log_r2
+        acc += np.exp(log_w) * ((r2 / (n + 1.0)) * p1 + p2 + p3)
+    return acc / math.pi
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    g1=st.floats(0.0, 0.2),
+    g2=st.floats(0.0, 0.2),
+    omega_e=st.floats(0.0, 0.2),
+    chi=st.sampled_from((0.0, 0.05, 0.2, 0.5)),
+    n_max=st.integers(0, 60),
+    tau=st.one_of(st.just(0.0), st.floats(1e-3, 200.0)),
+    half_width=st.floats(0.5, 12.0),
+)
+def test_husimi_all_sectors_matches_per_sector_log_space_sum(g1, g2, omega_e, chi, n_max, tau, half_width):
+    p = fig_params(omega_e=omega_e, g1=g1, g2=g2, chi=chi)
+    t = tau / p.omega_cavity
+    grid = husimi_q(p, t, x_range=(-half_width, half_width), y_range=(-half_width, half_width), resolution=17, mode="all", n_max=n_max)
+    ref = log_space_husimi(p, t, grid.x_axis, n_max)
+    assert np.all(np.abs(grid.values - ref) <= 1e-12 * np.abs(ref))

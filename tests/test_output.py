@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from djcm.output import write_csv, write_json
-from djcm.svgplot import COLORMAP, heatmap_svg, line_plot_svg
+from djcm.output import format_cells, write_csv, write_json
+from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_svg, line_plot_svg
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 1e300, 2.0**-52]
 
 
 def test_write_csv_layout(tmp_path):
@@ -73,3 +75,77 @@ def test_heatmap_svg_structure():
     # constant field renders without error
     svg_const = heatmap_svg(x, y, np.ones((4, 5)))
     assert "<rect" in svg_const
+
+
+def test_format_cells_matches_per_cell_17g():
+    values = np.array(EDGE_VALUES * 3 + [0.1, 0.1, -0.0, 0.0])
+    assert format_cells(values) == [f"{v:.17g}" for v in values.tolist()]
+    assert format_cells(values[:2]) == ["-0", "0"]
+    # any shape is taken in C order, and integers as float64
+    grid = values[:12].reshape(3, 4)
+    assert format_cells(grid) == [f"{v:.17g}" for v in grid.ravel().tolist()]
+    assert format_cells(np.array([2**53 + 1, -3])) == ["9007199254740992", "-3"]
+    assert format_cells(np.array([])) == []
+
+
+def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
+    floats = np.array(EDGE_VALUES * 2)
+    repeated = np.repeat(np.array([-0.0, 0.0, 0.25]), len(floats) // 3)
+    ints = np.arange(len(floats), dtype=np.int64) * -(2**40)
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), ["a", "b", "c"], [format_cells(floats), repeated, ints])
+    reference = "a,b,c\n" + "".join(
+        f"{float(a):.17g},{float(b):.17g},{float(c):.17g}\n" for a, b, c in zip(floats, repeated, ints)
+    )
+    assert path.read_bytes() == reference.encode()
+    # every column a list: the same bytes again
+    write_csv(str(path), ["a", "b", "c"], [format_cells(floats), format_cells(repeated), format_cells(ints)])
+    assert path.read_bytes() == reference.encode()
+    with pytest.raises(ValueError):
+        write_csv(str(path), ["a", "b"], [format_cells(floats), floats[:-1]])
+
+
+def reference_heatmap_cells(values, cell_px=None):
+    """The heatmap's cell rects as one f-string per cell (the layout reference)."""
+    ny, nx = values.shape
+    if cell_px is None:
+        cell_px = max(1.0, min(4.0, 480.0 / max(nx, ny)))
+    plot_h = ny * cell_px
+    vmin = float(np.min(values))
+    span = float(np.max(values)) - vmin
+    if span == 0.0:
+        idx = np.zeros((ny, nx), dtype=int)
+    else:
+        idx = np.clip(((values - vmin) / span * 255.0).astype(int), 0, 255)
+    lines = []
+    for iy in range(ny):
+        py = _MARGIN_T + plot_h - (iy + 1) * cell_px
+        for ix in range(nx):
+            lines.append(
+                f'<rect x="{_MARGIN_L + ix * cell_px:.2f}" y="{py:.2f}" '
+                f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{COLORMAP[idx[iy, ix]]}"/>'
+            )
+    return lines
+
+
+@pytest.mark.parametrize(
+    "ny, nx, cell_px, seed",
+    [(7, 11, None, 0), (201, 201, None, 1), (3, 5, 2.5, 2), (130, 90, None, 3), (4, 4, None, None)],
+)
+def test_heatmap_cells_match_per_cell_reference(ny, nx, cell_px, seed):
+    if seed is None:
+        values = np.full((ny, nx), 0.25)  # constant field: every cell takes colour 0
+    else:
+        rng = np.random.default_rng(seed)
+        # values on the colour bins' edges and repeats among random ones
+        values = rng.uniform(-1.0, 2.0, (ny, nx))
+        values.flat[:: 3] = np.round(values.flat[:: 3] * 255.0) / 255.0
+    x = np.linspace(-2.0, 2.0, nx)
+    y = np.linspace(-1.0, 3.0, ny)
+    svg = heatmap_svg(x, y, values, title="t", cell_px=cell_px)
+    lines = svg.splitlines()
+    cells = reference_heatmap_cells(values, cell_px)
+    start = lines.index(cells[0])
+    assert lines[start : start + len(cells)] == cells
+    assert start == 3  # after the svg tag, the background and the title
+    assert svg.count("<rect") == 1 + nx * ny + 1 + 256
