@@ -12,16 +12,7 @@ from .dynamics import (
     analytic_trajectory,
     solve_sector,
 )
-from .model import (
-    Deformation,
-    Identity,
-    Kerr,
-    ModelParams,
-    SectorCoefficients,
-    f_value,
-    k_value,
-    sector_coefficients,
-)
+from .model import Kerr, ModelParams, SectorCoefficients, k_value, sector_coefficients
 from .observables import (
     HusimiGrid,
     ObservableSeries,

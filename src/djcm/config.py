@@ -19,7 +19,7 @@ A config document looks like:
       "sweep": {"axes": [["chi", [0.0, 0.2]]]}       // optional
     }
 
-chi = 0 selects the undeformed operators; chi > 0 the Kerr profile.
+chi >= 0 is the Kerr constant; chi = 0 gives the undeformed operators.
 CLI flags override file fields.
 """
 
@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .model import Identity, Kerr, ModelParams
+from .model import Kerr, ModelParams
 from .dynamics import EXCITED, InitialCondition
 from .observables import OBSERVABLE_NAMES, SERIES
 
@@ -61,14 +61,13 @@ class ConfigError(ValueError):
 
 def params_echo(params: ModelParams) -> dict:
     """The model parameters in the config file's "params" form (embedded in manifests)."""
-    d = params.deformation
     return {
         "omega_cavity": params.omega_cavity,
         "omega_levels": list(params.omega_levels),
         "g1": params.g1,
         "g2": params.g2,
         "omega_e": params.omega_e,
-        "chi": d.chi if isinstance(d, Kerr) else 0.0,
+        "chi": params.deformation.chi,
         "sector_n": params.sector_n,
     }
 
@@ -185,8 +184,7 @@ class SweepConfig:
             label_bits = []
             for name, value in zip(names, combo):
                 if name == "chi":
-                    deformation = Identity() if value == 0 else Kerr(float(value))
-                    params = replace(params, deformation=deformation)
+                    params = replace(params, deformation=Kerr(value))
                 elif name == "sector_n":
                     params = replace(params, sector_n=int(value))
                 else:
@@ -241,7 +239,6 @@ def _params_from_dict(doc, where: str = "params") -> ModelParams:
     chi = _number(doc.get("chi", 0.0), f"{where}.chi")
     if chi < 0:
         raise ConfigError(f"{where}.chi must be >= 0, got {chi}")
-    deformation = Identity() if chi == 0.0 else Kerr(chi)
     sector_n = doc.get("sector_n", 1)
     if isinstance(sector_n, bool) or not isinstance(sector_n, int):
         raise ConfigError(f"{where}.sector_n: expected an integer, got {sector_n!r}")
@@ -252,7 +249,7 @@ def _params_from_dict(doc, where: str = "params") -> ModelParams:
             g1=_number(_require(doc, "g1", where), f"{where}.g1"),
             g2=_number(_require(doc, "g2", where), f"{where}.g2"),
             omega_e=_number(_require(doc, "omega_e", where), f"{where}.omega_e"),
-            deformation=deformation,
+            deformation=Kerr(chi),
             sector_n=sector_n,
         )
     except ValueError as exc:

@@ -252,14 +252,12 @@ def solve_sector(
     times,
     ic: InitialCondition = EXCITED,
     method: str = "analytic",
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
     backend: str | None = None,
 ) -> Trajectory:
     """Evolve params.sector_n over a grid starting at t = 0.
 
     method 'analytic' (the default) takes the eigendecomposition route,
-    'oracle' the ODE integrator.
+    'oracle' the ODE integrator at amplitudes_ode's default tolerances.
     """
     if method not in ("analytic", "oracle"):
         raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")
@@ -267,6 +265,4 @@ def solve_sector(
     coeffs = sector_coefficients(params)
     if method == "analytic":
         return analytic_trajectory(coeffs, params.omega_e, ic, grid, params=params)
-    return amplitudes_ode(
-        coeffs, params.omega_e, ic, grid, rtol=rtol, atol=atol, backend=backend, params=params
-    )
+    return amplitudes_ode(coeffs, params.omega_e, ic, grid, backend=backend, params=params)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import solve_sector
-from .model import Identity, Kerr, ModelParams
+from .model import Kerr, ModelParams
 from .observables import trajectory_series
 from .output import write_json
 from .runner import manifest_header, trajectory_quality, write_husimi, write_series_panel
@@ -47,6 +47,9 @@ ROWS = (
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
+# the series figures' time axis (recorded in the manifest)
+FIG_TAU_MAX = 50.0
+FIG_SAMPLES = 2000
 # evaluation time of the Husimi panels (fixed; recorded in the manifest)
 FIG7_TAU = 25.0
 FIG7_RANGE = 3.0
@@ -78,14 +81,13 @@ _SERIES_FIGURES = {
 
 
 def row_params(row: FigureRow, sector_n: int = 1) -> ModelParams:
-    deformation = Identity() if row.chi == 0.0 else Kerr(row.chi)
     return ModelParams(
         omega_cavity=0.2,
         omega_levels=(0.3, 0.4, 0.5),
         g1=row.g1,
         g2=row.g2,
         omega_e=row.omega_e,
-        deformation=deformation,
+        deformation=Kerr(row.chi),
         sector_n=sector_n,
     )
 
@@ -94,21 +96,14 @@ def _row_echo(row: FigureRow) -> dict:
     return {"row": row.label, "omega_e": row.omega_e, "g1": row.g1, "g2": row.g2, "chi": row.chi}
 
 
-def run_figure(
-    fig_id: str,
-    out_dir: str,
-    tau_max: float = 50.0,
-    samples: int = 2000,
-    svg: bool = True,
-    method: str = "analytic",
-) -> dict:
-    """Compute one built-in figure and write its panel files into out_dir.
+def run_figure(fig_id: str, out_dir: str) -> dict:
+    """Compute one built-in figure and write its CSV and SVG panel files into out_dir.
 
     Returns the manifest (also written as <fig_id>_manifest.json).
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
-    tau = np.linspace(0.0, tau_max, samples)
+    tau = np.linspace(0.0, FIG_TAU_MAX, FIG_SAMPLES)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":
@@ -116,28 +111,28 @@ def run_figure(
         for row in ROWS[:2]:
             name = fig_id + next(letters)
             title = f"Husimi Q, chi={row.chi:g}, tau={FIG7_TAU:g}"
-            files, record = write_husimi(
-                out_dir, name, title, row_params(row), FIG7_TAU, FIG7_RANGE, FIG7_RESOLUTION, method=method, svg=svg
-            )
+            files, record = write_husimi(out_dir, name, title, row_params(row), FIG7_TAU, FIG7_RANGE, FIG7_RESOLUTION)
             del record["mode"]  # both panels are single-sector
             panels.append({"name": name, "observable": "husimi", **_row_echo(row), "files": files, **record})
     else:
         rows, observable, row_panels = _SERIES_FIGURES[fig_id]
         for row in rows:
             params = row_params(row)
-            traj = solve_sector(params, tau / params.omega_cavity, method=method)
+            traj = solve_sector(params, tau / params.omega_cavity)
             series = trajectory_series(traj, observable, params)
             quality = trajectory_quality(traj)
             for label, columns, title in row_panels:
                 name = fig_id + next(letters)
-                files = write_series_panel(out_dir, name, tau, series[columns], svg, f"{title} ({row.label})")
+                files = write_series_panel(
+                    out_dir, name, tau, series[columns], svg=True, title=f"{title} ({row.label})"
+                )
                 panels.append({"name": name, "observable": label, **_row_echo(row), "files": files, **quality})
 
     manifest = {
         **manifest_header("figures"),
         "figure": fig_id,
-        "tau_max": tau_max,
-        "samples": samples,
+        "tau_max": FIG_TAU_MAX,
+        "samples": FIG_SAMPLES,
         "panels": panels,
     }
     write_json(os.path.join(out_dir, f"{fig_id}_manifest.json"), manifest)

@@ -1,9 +1,9 @@
 """Physical parameters and the deformed-oscillator algebra.
 
 The cavity mode uses nonlinear ladder operators A = a f(n), A+ = f(n) a+,
-where f is a positive deformation profile of the photon number.  Two
-profiles are supported: the undeformed limit f(n) = 1 and the Kerr-type
-intensity dependence f(n) = sqrt(1 + chi * n**2).
+where f is the Kerr-type intensity dependence f(n) = sqrt(1 + chi * n**2)
+of the photon number; chi = 0 gives f(n) = 1 exactly, the undeformed
+operators.
 
 All frequencies are dimensionless angular frequencies.  The engine works
 with raw time t internally; the scaled time tau = omega_cavity * t is an
@@ -14,63 +14,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 __all__ = [
-    "Identity",
     "Kerr",
-    "Deformation",
     "ModelParams",
     "SectorCoefficients",
-    "f_value",
     "k_value",
     "sector_coefficients",
 ]
 
 
 @dataclass(frozen=True)
-class Identity:
-    """Undeformed ladder operators: f(n) = 1 for every n."""
-
-    def f(self, n: int) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
 class Kerr:
     """Kerr-type intensity-dependent deformation f(n) = sqrt(1 + chi*n^2).
 
-    chi >= 0; chi = 0 reproduces the undeformed operators.
+    chi >= 0, stored as a float with -0.0 folded to 0.0; chi = 0 gives
+    f(n) = sqrt(1.0) = 1.0 exactly, the undeformed operators.
     """
 
     chi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.chi) and self.chi >= 0.0):
+        chi = float(self.chi)
+        if not (math.isfinite(chi) and chi >= 0.0):
             raise ValueError(f"Kerr constant chi must be finite and >= 0, got {self.chi!r}")
+        object.__setattr__(self, "chi", chi + 0.0)  # -0.0 + 0.0 is 0.0
 
     def f(self, n: int) -> float:
+        """The profile at photon number n >= 0."""
+        if n < 0:
+            raise ValueError(f"photon number must be >= 0, got {n}")
         return math.sqrt(1.0 + self.chi * n * n)
 
 
-Deformation = Union[Identity, Kerr]
-
-
-def f_value(deformation: Deformation, n: int) -> float:
-    """Deformation profile f(n) evaluated at photon number n >= 0."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    return deformation.f(n)
-
-
-def k_value(deformation: Deformation, n: int) -> float:
+def k_value(deformation: Kerr, n: int) -> float:
     """Deformed commutator [A, A+] on the n-photon state.
 
-    Equals (n+1) f^2(n+1) - n f^2(n); identically 1 in the undeformed
-    limit and >= 1 for any Kerr deformation.
+    Equals (n+1) f^2(n+1) - n f^2(n); exactly 1 at chi = 0 and >= 1 for
+    any chi.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
     f_up = deformation.f(n + 1)
     f_dn = deformation.f(n)
     return (n + 1) * f_up * f_up - n * f_dn * f_dn
@@ -95,7 +77,7 @@ class ModelParams:
     g1: float
     g2: float
     omega_e: float
-    deformation: Deformation
+    deformation: Kerr
     sector_n: int
 
     def __post_init__(self):
@@ -143,5 +125,5 @@ def sector_coefficients(params: ModelParams) -> SectorCoefficients:
     nu = w3 - w2
     # h is built as s - nu so the identity holds at the bit level.
     h = s - nu
-    scale = f_value(params.deformation, n + 1) * math.sqrt(n + 1.0)
+    scale = params.deformation.f(n + 1) * math.sqrt(n + 1.0)
     return SectorCoefficients(h=h, s=s, nu=nu, v1=params.g1 * scale, v2=params.g2 * scale, n=n)

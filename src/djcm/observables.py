@@ -10,10 +10,11 @@ use the deformed ladder operators restricted to the sector's three
 basis kets; the entanglement entropy of the reduced atomic state
 reduces to the binary entropy of P1.
 
-The ladder-moment engine (`annihilation_moment`, `number_moment`) builds
-matrix elements generically from the basis kets instead of hand-reduced
-formulas, so structural facts (for instance that every <A^k> with k >= 1
-vanishes in a single-sector state) are computed, not assumed.
+`field_moments` is the one route to <A+A> and <(A+A)^2>: g2, Mandel Q
+and the squeezing parameters all take their moments from it.
+`annihilation_moment` builds <A^k> generically from the basis kets
+instead of a hand-reduced formula, so the fact that every <A^k> with
+k >= 1 vanishes in a single-sector state is computed, not assumed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import EXCITED, InitialCondition, Trajectory, propagate, propagator_errors, solve_sector
-from .model import ModelParams, f_value, sector_coefficients
+from .model import ModelParams, sector_coefficients
 from .spectrum import sector_generator
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "von_neumann_entropy",
     "squeezing_params",
     "annihilation_moment",
-    "number_moment",
     "trajectory_series",
     "husimi_q",
 ]
@@ -83,7 +83,7 @@ class HusimiGrid:
 
 
 # ---------------------------------------------------------------------------
-# ladder-moment engine
+# anomalous ladder moments
 # ---------------------------------------------------------------------------
 
 def _sector_basis(n: int) -> tuple[tuple[int, int], ...]:
@@ -98,7 +98,7 @@ def _lowering_weight(deformation, m: int, k: int) -> float:
     for _ in range(k):
         if mm == 0:
             return 0.0
-        w *= f_value(deformation, mm) * math.sqrt(mm)
+        w *= deformation.f(mm) * math.sqrt(mm)
         mm -= 1
     return w
 
@@ -120,18 +120,6 @@ def annihilation_moment(amps: np.ndarray, params: ModelParams, k: int):
     return total
 
 
-def number_moment(amps: np.ndarray, params: ModelParams, k: int):
-    """<(A+A)^k> for a sector state; amps has shape (..., 3)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    probs = populations(amps)
-    total = np.zeros(probs.shape[:-1], dtype=np.float64)
-    for i, (_, photons) in enumerate(_sector_basis(params.sector_n)):
-        eigen = photons * f_value(params.deformation, photons) ** 2
-        total = total + probs[..., i] * eigen**k
-    return total
-
-
 # ---------------------------------------------------------------------------
 # observables over (..., 3) amplitude arrays
 # ---------------------------------------------------------------------------
@@ -150,10 +138,10 @@ def inversion(amps: np.ndarray) -> np.ndarray:
 def _moment_weights(params: ModelParams) -> tuple[float, float, float]:
     n = params.sector_n
     d = params.deformation
-    w_up = (n + 1) * f_value(d, n + 1) ** 2
-    w_dn = n * f_value(d, n) ** 2
+    w_up = (n + 1) * d.f(n + 1) ** 2
+    w_dn = n * d.f(n) ** 2
     # the two-photon weight (n-1) f^2(n-1) is 0 by definition at n = 0
-    w_two = (n - 1) * f_value(d, n - 1) ** 2 if n >= 1 else 0.0
+    w_two = (n - 1) * d.f(n - 1) ** 2 if n >= 1 else 0.0
     return w_up, w_dn, w_two
 
 
@@ -167,13 +155,12 @@ def field_moments(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np
 
 def g2_zero(amps: np.ndarray, params: ModelParams) -> np.ndarray:
     """Zero-delay second-order intensity correlation g2(0)."""
-    probs = populations(amps)
-    p1, p23 = probs[..., 0], probs[..., 1] + probs[..., 2]
-    w_up, w_dn, w_two = _moment_weights(params)
-    m1 = w_up * p1 + w_dn * p23
+    m1, _ = field_moments(amps, params)
     if np.any(m1 == 0.0):
         raise UndefinedObservableError("g2 is undefined where <A+A> = 0")
-    return (w_up * w_dn * p1 + w_two * w_dn * p23) / (m1 * m1)
+    probs = populations(amps)
+    w_up, w_dn, w_two = _moment_weights(params)
+    return (w_up * w_dn * probs[..., 0] + w_two * w_dn * (probs[..., 1] + probs[..., 2])) / (m1 * m1)
 
 
 def mandel_q(amps: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -224,9 +211,8 @@ def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
 
 def squeezing_params(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, ...]:
     """First- and second-order quadrature squeezing parameters
-    (s1_x, s1_p, s2_x, s2_p), assembled from the generic moment engine."""
-    m1 = number_moment(amps, params, 1)
-    m2 = number_moment(amps, params, 2)
+    (s1_x, s1_p, s2_x, s2_p), from field_moments and annihilation_moment."""
+    m1, m2 = field_moments(amps, params)
     a1 = annihilation_moment(amps, params, 1)
     a2 = annihilation_moment(amps, params, 2)
     a4 = annihilation_moment(amps, params, 4)
@@ -326,6 +312,12 @@ def husimi_q(
         raise ValueError("y_range must be finite")
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    half_x = max(abs(x_range[0]), abs(x_range[1]))
+    half_y = max(abs(y_range[0]), abs(y_range[1]))
+    if not math.isfinite(half_x * half_x + half_y * half_y):
+        raise OverflowError(
+            f"the Husimi range x {x_range}, y {y_range} overflows: |beta|^2 at the grid corner is not finite"
+        )
     x = np.linspace(x_range[0], x_range[1], resolution)
     y = np.linspace(y_range[0], y_range[1], resolution)
     r2 = x[None, :] ** 2 + y[:, None] ** 2

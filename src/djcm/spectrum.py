@@ -47,9 +47,6 @@ class CubicPoly:
     def __call__(self, z: complex) -> complex:
         return ((z + self.a2) * z + self.a1) * z + self.a0
 
-    def deriv(self, z: complex) -> complex:
-        return (3.0 * z + 2.0 * self.a2) * z + self.a1
-
 
 @dataclass(frozen=True)
 class CubicRoots:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LINE_COLORS", "COLORMAP", "line_plot_svg", "heatmap_svg"]
+__all__ = ["LINE_COLORS", "COLORMAP", "FLAT_SPAN", "line_plot_svg", "heatmap_svg"]
 
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -47,6 +47,10 @@ def _build_colormap() -> tuple[str, ...]:
 COLORMAP = _build_colormap()
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
+_LINE_WIDTH, _LINE_HEIGHT = 640, 420
+# a heatmap whose values span at most this fraction of their magnitude is
+# drawn flat, in one colour: round-off would otherwise colour a constant field
+FLAT_SPAN = 1e-12
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
@@ -69,12 +73,10 @@ def line_plot_svg(
     times: np.ndarray,
     series: list[tuple[str, np.ndarray]],
     title: str = "",
-    xlabel: str = "tau",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """SVG document with one polyline per (label, values) pair."""
+    """SVG document with one polyline per (label, values) pair over the tau axis."""
+    width, height = _LINE_WIDTH, _LINE_HEIGHT
     x_lo, x_hi = float(times[0]), float(times[-1])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -122,7 +124,7 @@ def line_plot_svg(
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="12">tau</text>'
     )
     if ylabel:
         parts.append(
@@ -154,11 +156,10 @@ def heatmap_svg(
     y_axis: np.ndarray,
     values: np.ndarray,
     title: str = "",
-    xlabel: str = "Re beta",
-    ylabel: str = "Im beta",
     cell_px: float | None = None,
 ) -> str:
-    """SVG heatmap: one rect per grid cell, colored by the fixed 256-step table."""
+    """SVG heatmap over the coherent-state plane (axes Re beta, Im beta): one
+    rect per grid cell, colored by the fixed 256-step table."""
     ny, nx = values.shape
     if cell_px is None:
         cell_px = max(1.0, min(4.0, 480.0 / max(nx, ny)))
@@ -170,6 +171,8 @@ def heatmap_svg(
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     span = vmax - vmin
+    if span <= FLAT_SPAN * max(abs(vmin), abs(vmax)):
+        span = 0.0
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -212,11 +215,11 @@ def heatmap_svg(
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="12">Re beta</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
+        f'font-size="12" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">Im beta</text>'
     )
     # colorbar
     bar_x = _MARGIN_L + plot_w + 30

@@ -38,7 +38,7 @@ from .observables import (
 )
 from .spectrum import CubicPoly, root_residual, sector_generator, theta_poly
 
-__all__ = ["CriterionResult", "DEFAULT_SEED", "DEFAULT_TUPLES", "run_all", "format_report", "run_validate"]
+__all__ = ["CriterionResult", "DEFAULT_SEED", "DEFAULT_TUPLES", "run_all", "format_report"]
 
 DEFAULT_SEED = 20250810
 DEFAULT_TUPLES = 1000
@@ -350,10 +350,3 @@ def format_report(results: list[CriterionResult], seed: int, tuples: int) -> str
     overall = "PASS" if n_pass == len(results) else "FAIL"
     lines += ["", f"result: {overall} ({n_pass}/{len(results)})"]
     return "\n".join(lines) + "\n"
-
-
-def run_validate(seed: int = DEFAULT_SEED, tuples: int = DEFAULT_TUPLES):
-    """Returns (report text, all passed, results)."""
-    results = run_all(seed, tuples)
-    report = format_report(results, seed, tuples)
-    return report, all(r.passed for r in results), results

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -335,7 +336,7 @@ FIGURE_PANELS = {
 
 @pytest.mark.parametrize("fig_id", FIGURE_IDS)
 def test_figure_panels_labels_and_headers(tmp_path, fig_id):
-    manifest = run_figure(fig_id, str(tmp_path), samples=50)
+    manifest = run_figure(fig_id, str(tmp_path))
     panels = manifest["panels"]
     assert [(p["name"], p["observable"]) for p in panels] == [(n, label) for n, label, _ in FIGURE_PANELS[fig_id]]
     for panel, (name, _, header) in zip(panels, FIGURE_PANELS[fig_id]):
@@ -371,6 +372,42 @@ def test_husimi_all_sectors(tmp_path):
     _, cols = read_csv_columns(out / "husimi.csv")
     # the literal all-sector sum at t = 0 is flat at 1/pi
     assert np.max(np.abs(cols["q"] - 1.0 / math.pi)) <= 1e-10
+    # ... up to round-off, which the heatmap draws in one colour
+    assert cols["q"].max() > cols["q"].min()
+    cell_fills = re.findall(r'width="4.00" height="4.00" fill="(#[0-9a-f]{6})"', (out / "husimi.svg").read_text())
+    assert len(cell_fills) == 21 * 21
+    assert set(cell_fills) == {"#440154"}
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-sectors", "2"]])
+def test_husimi_range_that_overflows_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["husimi", "--t", "1", "--range", "1e200", "--resolution", "3", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical range error: the Husimi range x (-1e+200, 1e+200)")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("chi_text", ["0", "-0.0"])
+def test_manifest_echoes_undeformed_chi_as_zero(tmp_path, chi_text):
+    path = tmp_path / "run.json"
+    cfg = dict(BASE_CONFIG, samples=2, observables=["populations"], svg=False)
+    path.write_text(json.dumps(cfg).replace('"chi": 0.0', f'"chi": {chi_text}'))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert '"chi": 0.0,' in (out / "manifest.json").read_text()
+
+
+def test_sweep_manifests_echo_negative_zero_chi_as_zero(tmp_path):
+    path = tmp_path / "run.json"
+    cfg = dict(BASE_CONFIG, samples=2, observables=["populations"], svg=False, sweep={"axes": [["chi", [-0.0, 0.1]]]})
+    path.write_text(json.dumps(cfg))
+    assert "-0.0" in path.read_text()
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert '"chi": 0.0,' in (out / "chi=-0" / "manifest.json").read_text()
+    assert '"chi": 0.1,' in (out / "chi=0.1" / "manifest.json").read_text()
 
 
 def test_husimi_validation_errors(tmp_path):

@@ -11,7 +11,7 @@ from djcm.config import (
     run_config_from_dict,
     sweep_from_dict,
 )
-from djcm.model import Identity, Kerr
+from djcm.model import Kerr
 
 BASE_DOC = {
     "params": {
@@ -36,7 +36,7 @@ def doc(**overrides):
 
 def test_minimal_config_defaults():
     cfg = run_config_from_dict(doc())
-    assert isinstance(cfg.params.deformation, Identity)
+    assert cfg.params.deformation == Kerr(0.0)
     assert cfg.samples == 2000
     assert cfg.method == "analytic"
     assert "populations" in cfg.observables

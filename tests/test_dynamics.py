@@ -14,7 +14,7 @@ from djcm.dynamics import (
     propagate,
     solve_sector,
 )
-from djcm.model import Identity, Kerr, ModelParams, SectorCoefficients, sector_coefficients
+from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
 from djcm.spectrum import sector_generator, theta_poly
 
 from test_model import fig_params
@@ -124,7 +124,7 @@ def test_closed_form_two_coupling_limit():
 
 
 def test_fully_decoupled_sector_is_constant():
-    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Identity(), 1)
+    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Kerr(0.0), 1)
     ic = InitialCondition(*(complex(1 / math.sqrt(3)),) * 3)
     traj = solve_sector(p, tau_grid(20.0, 200), ic=ic)
     # the degenerate spectrum (double root at 0) takes the analytic route too
@@ -137,7 +137,7 @@ def test_fully_decoupled_sector_is_constant():
 
 def test_level2_decouples_without_its_couplings():
     # g2 = 0 and omega_e = 0 freeze c2 at 1
-    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.0, 0.0, Identity(), 1)
+    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.0, 0.0, Kerr(0.0), 1)
     t = tau_grid(30.0, 300)
     for method in ("analytic", "oracle"):
         traj = solve_sector(p, t, method=method)
@@ -243,7 +243,7 @@ def test_solve_sector_defaults_to_analytic():
 def test_solve_sector_forced_analytic_solves_degenerate():
     # all couplings zero: double root at 0; the forced analytic route solves
     # it and agrees with the ODE oracle for a phased initial condition
-    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Identity(), 1)
+    p = ModelParams(0.2, (0.3, 0.4, 0.5), 0.0, 0.0, 0.0, Kerr(0.0), 1)
     ic = InitialCondition(complex(0.6, 0.0), complex(0.0, 0.48), complex(0.384, 0.512))
     t = tau_grid(10.0, 50)
     ana = solve_sector(p, t, ic=ic, method="analytic")

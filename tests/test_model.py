@@ -3,40 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from djcm.model import Identity, Kerr, ModelParams, f_value, k_value, sector_coefficients
+from djcm.model import Kerr, ModelParams, k_value, sector_coefficients
 
 
 def fig_params(omega_e=0.04, g1=0.04, g2=0.06, chi=0.0, n=1):
-    deformation = Identity() if chi == 0.0 else Kerr(chi)
     return ModelParams(
         omega_cavity=0.2,
         omega_levels=(0.3, 0.4, 0.5),
         g1=g1,
         g2=g2,
         omega_e=omega_e,
-        deformation=deformation,
+        deformation=Kerr(chi),
         sector_n=n,
     )
 
 
-def test_f_value_identity():
-    assert f_value(Identity(), 5) == 1.0
-    assert f_value(Identity(), 0) == 1.0
+def test_kerr_f():
+    assert Kerr(0.2).f(1) == pytest.approx(math.sqrt(1.2), abs=1e-15)
 
 
-def test_f_value_kerr():
-    assert f_value(Kerr(0.2), 1) == pytest.approx(math.sqrt(1.2), abs=1e-15)
-    assert f_value(Kerr(0.0), 7) == 1.0
+def test_kerr_f_rejects_negative_n():
+    with pytest.raises(ValueError, match="photon number must be >= 0"):
+        Kerr(0.2).f(-1)
+    with pytest.raises(ValueError, match="photon number must be >= 0"):
+        k_value(Kerr(0.2), -1)
 
 
-def test_f_value_rejects_negative_n():
-    with pytest.raises(ValueError):
-        f_value(Identity(), -1)
+def test_kerr_stores_chi_as_float_with_negative_zero_folded():
+    for chi in (0, 0.0, -0.0):
+        d = Kerr(chi)
+        assert type(d.chi) is float and math.copysign(1.0, d.chi) == 1.0 and d.chi == 0.0
+        assert d == Kerr(0.0)
+    assert type(Kerr(1).chi) is float and Kerr(1).chi == 1.0
 
 
 def test_k_value_identity_is_one():
     for n in range(20):
-        assert k_value(Identity(), n) == 1.0
+        assert k_value(Kerr(0.0), n) == 1.0
+
+
+def test_kerr_zero_is_undeformed():
+    # f = 1 exactly at chi = 0: k = 1, v_i = g_i sqrt(n+1), bit for bit
+    for n in (0, 1, 2, 3, 7, 10, 342, 10**3, 123_457, 10**6):
+        assert Kerr(0.0).f(n) == 1.0
+        assert k_value(Kerr(0.0), n) == 1.0
+        c = sector_coefficients(fig_params(g1=0.04, g2=0.06, chi=0.0, n=n))
+        assert c.v1 == 0.04 * math.sqrt(n + 1)
+        assert c.v2 == 0.06 * math.sqrt(n + 1)
+        assert c.s == 0.2 * 1.0 - (0.4 - 0.3)
+        assert c.h == c.s - c.nu
 
 
 def test_k_value_kerr():
@@ -51,12 +66,12 @@ def test_k_value_lower_bound():
         chi = rng.uniform(0.0, 5.0)
         n = int(rng.integers(0, 50))
         assert k_value(Kerr(chi), n) >= 1.0
-        assert f_value(Kerr(chi), n) >= 1.0
+        assert Kerr(chi).f(n) >= 1.0
 
 
 def test_kerr_f_strictly_increasing():
     d = Kerr(0.3)
-    values = [f_value(d, n) for n in range(30)]
+    values = [d.f(n) for n in range(30)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -112,16 +127,16 @@ def test_params_validation():
             g1=0.04,
             g2=0.06,
             omega_e=0.04,
-            deformation=Identity(),
+            deformation=Kerr(0.0),
             sector_n=1,
         )
     with pytest.raises(ValueError):
-        ModelParams(0.2, (0.3, 0.4, 0.5), -0.1, 0.06, 0.04, Identity(), 1)
+        ModelParams(0.2, (0.3, 0.4, 0.5), -0.1, 0.06, 0.04, Kerr(0.0), 1)
     with pytest.raises(ValueError):
-        ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.06, 0.04, Identity(), -1)
+        ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.06, 0.04, Kerr(0.0), -1)
     with pytest.raises(ValueError):
-        ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.06, 0.04, Identity(), 1.5)
+        ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.06, 0.04, Kerr(0.0), 1.5)
     with pytest.raises(ValueError):
         Kerr(-0.1)
     with pytest.raises(ValueError):
-        ModelParams(0.2, (0.3, 0.4, float("inf")), 0.04, 0.06, 0.04, Identity(), 1)
+        ModelParams(0.2, (0.3, 0.4, float("inf")), 0.04, 0.06, 0.04, Kerr(0.0), 1)

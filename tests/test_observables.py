@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from djcm.dynamics import solve_sector
-from djcm.model import Identity, Kerr, ModelParams
+from djcm.model import Kerr, ModelParams
 from djcm.observables import (
     ObservableSeries,
     SERIES,
@@ -19,7 +19,6 @@ from djcm.observables import (
     husimi_q,
     inversion,
     mandel_q,
-    number_moment,
     populations,
     reduced_density,
     squeezing_params,
@@ -37,6 +36,18 @@ def amps_at_tau(params, tau):
     t = tau / params.omega_cavity
     traj = solve_sector(params, np.array([0.0, t]) if t > 0 else np.array([0.0]))
     return traj.amplitudes[-1]
+
+
+def reference_number_moments(amps, params):
+    """<A+A> and <(A+A)^2> summed ket by ket from the closed form
+    f^2(m) = 1 + chi m^2: A+A has the eigenvalue (n+1) f^2(n+1) on |1,n+1>
+    and n f^2(n) on |2,n> and |3,n>."""
+    n, chi = params.sector_n, params.deformation.chi
+    eigen = ((n + 1) * (1.0 + chi * (n + 1) ** 2), n * (1.0 + chi * n * n), n * (1.0 + chi * n * n))
+    probs = np.abs(amps) ** 2
+    m1 = sum(probs[..., i] * eigen[i] for i in range(3))
+    m2 = sum(probs[..., i] * eigen[i] ** 2 for i in range(3))
+    return m1, m2
 
 
 def row_trajectory(tau_max=50.0, samples=800, **kwargs):
@@ -60,7 +71,7 @@ def test_populations_sum_to_one_along_trajectory():
 def test_inversion_zero_at_t0_and_decoupled():
     p = fig_params()
     assert inversion(amps_at_tau(p, 0.0)) == 0.0
-    dec = ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.0, 0.0, Identity(), 1)
+    dec = ModelParams(0.2, (0.3, 0.4, 0.5), 0.04, 0.0, 0.0, Kerr(0.0), 1)
     traj = solve_sector(dec, np.linspace(0.0, 100.0, 101))
     assert np.max(np.abs(inversion(traj.amplitudes))) <= 1e-20
 
@@ -89,8 +100,9 @@ def test_field_moments_bounds_and_engine_cross_check():
     m1, m2 = field_moments(amps, p)
     assert np.all(m1 >= 0.0) and np.all(m2 >= 0.0)
     assert np.all(m1 <= max(f2_up, f2_dn) + 1e-12)
-    assert np.max(np.abs(number_moment(amps, p, 1) - m1)) <= 1e-14
-    assert np.max(np.abs(number_moment(amps, p, 2) - m2)) <= 1e-14
+    ref_m1, ref_m2 = reference_number_moments(amps, p)
+    np.testing.assert_allclose(m1, ref_m1, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(m2, ref_m2, rtol=1e-14, atol=0.0)
 
 
 def test_g2_zero_fock_sector_is_zero():
@@ -180,9 +192,9 @@ def test_mandel_q_undeformed_envelope():
 
 
 def test_lowering_weight_matrix_elements():
-    assert _lowering_weight(Identity(), 3, 1) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert _lowering_weight(Identity(), 3, 3) == pytest.approx(math.sqrt(6.0), abs=1e-15)
-    assert _lowering_weight(Identity(), 2, 3) == 0.0
+    assert _lowering_weight(Kerr(0.0), 3, 1) == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert _lowering_weight(Kerr(0.0), 3, 3) == pytest.approx(math.sqrt(6.0), abs=1e-15)
+    assert _lowering_weight(Kerr(0.0), 2, 3) == 0.0
     d = Kerr(0.2)
     expected = math.sqrt(1 + 0.2 * 4) * math.sqrt(2.0) * math.sqrt(1.2) * 1.0
     assert _lowering_weight(d, 2, 2) == pytest.approx(expected, abs=1e-15)
@@ -209,8 +221,7 @@ def test_squeezing_identities_along_trajectory():
     p, traj = row_trajectory(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2, samples=400)
     s1x, s1p, s2x, s2p = (s.values for s in trajectory_series(traj, "squeezing", p))
     probs = np.abs(traj.amplitudes) ** 2
-    m1 = number_moment(traj.amplitudes, p, 1)
-    m2 = number_moment(traj.amplitudes, p, 2)
+    m1, m2 = reference_number_moments(traj.amplitudes, p)
     np.testing.assert_array_equal(s1x, s1p)
     np.testing.assert_array_equal(s2x, s2p)
     assert np.max(np.abs(s1x - 2.0 * m1)) <= 1e-13
@@ -233,7 +244,6 @@ ARRAY_FUNCTIONS = {
     "reduced_density": lambda amps, p: reduced_density(amps),
     "von_neumann_entropy": lambda amps, p: von_neumann_entropy(reduced_density(amps)),
     "squeezing_params": squeezing_params,
-    "number_moment": lambda amps, p: (number_moment(amps, p, 1), number_moment(amps, p, 2)),
 }
 
 
@@ -251,6 +261,8 @@ def test_array_functions_rows_match_stack_and_bounds():
             assert by_row[0].shape == whole.shape[1:], name
             assert np.array_equal(whole, np.stack(by_row)), name
         assert np.ndim(g2_zero(amps[0], p)) == 0
+        for got, want in zip(field_moments(amps, p), reference_number_moments(amps, p)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         probs = populations(amps)
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
         s = entropy(amps)
@@ -350,6 +362,17 @@ def test_husimi_argument_validation():
         husimi_q(p, 0.0, mode="both")
     with pytest.raises(ValueError):
         husimi_q(p, 0.0, x_range=(0.0, math.inf))
+
+
+@pytest.mark.parametrize("mode", ["single", "all"])
+def test_husimi_range_whose_corner_overflows_raises(mode):
+    # |beta|^2 = 2e400 at the corner: the grid used to fill with nan
+    p = fig_params()
+    with pytest.raises(OverflowError, match=r"Husimi range .*1e\+200"):
+        husimi_q(p, 1.0, x_range=(-1e200, 1e200), y_range=(-1e200, 1e200), resolution=3, mode=mode, n_max=2)
+    # the largest range whose corner stays finite still gives finite values
+    grid = husimi_q(p, 1.0, x_range=(-9e153, 9e153), y_range=(-9e153, 9e153), resolution=3, mode=mode, n_max=2)
+    assert np.all(np.isfinite(grid.values))
 
 
 # |alpha|^2 reaches 800 at the corners of [-20, 20]^2 and the default

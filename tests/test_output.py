@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from djcm.figures import run_figure
+
 from djcm.output import format_cells, write_csv, write_json
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_svg, line_plot_svg
 
@@ -149,3 +151,15 @@ def test_heatmap_cells_match_per_cell_reference(ny, nx, cell_px, seed):
     assert lines[start : start + len(cells)] == cells
     assert start == 3  # after the svg tag, the background and the title
     assert svg.count("<rect") == 1 + nx * ny + 1 + 256
+
+
+def test_fig7_heatmaps_keep_the_full_colour_scale(tmp_path):
+    # Husimi Q spans far more than FLAT_SPAN of its magnitude here, so the
+    # flat-field rule leaves every fig7 cell as the layout reference draws it
+    run_figure("fig7", str(tmp_path))
+    for name in ("fig7a", "fig7b"):
+        q = np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1)[:, 2].reshape(121, 121)
+        lines = (tmp_path / f"{name}.svg").read_text().splitlines()
+        cells = reference_heatmap_cells(q)
+        assert lines[3 : 3 + len(cells)] == cells
+        assert len({cell.rsplit('fill="', 1)[1] for cell in cells}) > 200

@@ -196,4 +196,3 @@ def test_cubic_poly_evaluation_and_derivative():
     poly = CubicPoly(a2=1.0 + 0j, a1=-2.0 + 0j, a0=0.5 + 0j)
     z = 0.7 - 0.3j
     assert poly(z) == pytest.approx(z**3 + z**2 - 2 * z + 0.5, abs=1e-15)
-    assert poly.deriv(z) == pytest.approx(3 * z**2 + 2 * z - 2, abs=1e-15)
