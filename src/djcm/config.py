@@ -176,8 +176,11 @@ class SweepConfig:
 
     def expand(self) -> list[tuple[str, RunConfig]]:
         """(label, RunConfig) per sweep point, in deterministic axis order;
-        every point passes RunConfig.check_intensity_observables."""
+        every point passes RunConfig.check_intensity_observables.  A label
+        prints each value with %g, and two points with one label (one
+        output directory) are a ConfigError."""
         points = []
+        labels = set()
         names = [name for name, _ in self.axes]
         for combo in itertools.product(*(values for _, values in self.axes)):
             params = self.base.params
@@ -190,9 +193,15 @@ class SweepConfig:
                 else:
                     params = replace(params, **{name: float(value)})
                 label_bits.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
+            label = "_".join(label_bits)
+            if label in labels:
+                raise ConfigError(
+                    f"sweep.axes: two points share the label {label!r}; labels print each value to 6 significant digits"
+                )
+            labels.add(label)
             point = replace(self.base, params=params)
             point.check_intensity_observables()
-            points.append(("_".join(label_bits), point))
+            points.append((label, point))
         return points
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .model import ModelParams, SectorCoefficients, sector_coefficients
-from .spectrum import CubicRoots, check_sector_constants, cubic_roots, sector_generator, theta_poly
+from .spectrum import CubicRoots, cubic_roots, sector_generator, theta_poly
 
 __all__ = [
     "METHOD_ANALYTIC",
@@ -80,23 +80,20 @@ EXCITED = InitialCondition()
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled sector evolution.
+    """Sampled sector evolution at raw times t.
 
     amplitudes has shape (len(times), 3): row i holds the amplitudes of
     |1,n+1>, |2,n>, |3,n> at times[i], and every observable in
-    djcm.observables takes the whole array or any row of it.  method
-    records which route produced it.  params is present when the run
-    came from a full ModelParams (solve_sector), None for
-    coefficient-level runs.  roots is set on the analytic route, the
-    integrator's accepted and rejected step counts on the oracle route.
+    djcm.observables takes the whole array or any row of it.  The record
+    holds no model constants: the caller keeps the ModelParams it solved.
+    method records which route produced it.  roots is set on the analytic
+    route, the integrator's accepted and rejected step counts on the
+    oracle route.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
-    coeffs: SectorCoefficients
-    omega_e: float
     method: str
-    params: ModelParams | None = None
     roots: CubicRoots | None = None
     steps_accepted: int | None = None
     steps_rejected: int | None = None
@@ -147,13 +144,7 @@ def propagator_errors(label: str):
         raise FloatingPointError(f"{label} propagator: {exc}") from exc
 
 
-def analytic_trajectory(
-    coeffs: SectorCoefficients,
-    omega_e: float,
-    ic: InitialCondition,
-    times,
-    params: ModelParams | None = None,
-) -> Trajectory:
+def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times) -> Trajectory:
     """Closed-form trajectory over a strictly increasing time grid.
 
     The shifted amplitudes come from propagate with a stack of one; the
@@ -164,8 +155,8 @@ def analytic_trajectory(
     grid = _as_grid(times, require_zero_start=False)
     x0 = ic.as_array()
     with propagator_errors(f"sector {coeffs.n}"):
-        lam, shifted = propagate(sector_generator(coeffs, omega_e)[None], x0, grid)
-        roots = cubic_roots(theta_poly(coeffs, omega_e), lam[0])
+        lam, shifted = propagate(sector_generator(coeffs)[None], x0, grid)
+        roots = cubic_roots(theta_poly(coeffs), lam[0])
     shifted = shifted[0]
     amps = np.empty((grid.size, 3), dtype=np.complex128)
     amps[:, 0] = shifted[0]
@@ -175,36 +166,25 @@ def analytic_trajectory(
     # pin it to keep the round-off (~1e-16) out of observables that are
     # identically zero there.
     amps[grid == 0.0] = x0
-    return Trajectory(
-        times=grid,
-        amplitudes=amps,
-        coeffs=coeffs,
-        omega_e=omega_e,
-        method=METHOD_ANALYTIC,
-        params=params,
-        roots=roots,
-    )
+    return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, roots=roots)
 
 
 def amplitudes_ode(
     coeffs: SectorCoefficients,
-    omega_e: float,
     ic: InitialCondition,
     times,
     rtol: float = 1e-10,
     atol: float = 1e-10,
     backend: str | None = None,
-    params: ModelParams | None = None,
 ) -> Trajectory:
     """Integrate the coupled amplitude ODEs over a grid starting at t = 0.
 
-    Raises OverflowError when a sector constant, or a rotating phase at
-    the last grid point, is not finite, StepSizeUnderflowError when no
-    representable step meets the tolerances, and StepBudgetError when
-    the grid needs more than _kernels.MAX_STEPS steps.
+    Raises OverflowError when a rotating phase at the last grid point is
+    not finite, StepSizeUnderflowError when no representable step meets
+    the tolerances, and StepBudgetError when the grid needs more than
+    _kernels.MAX_STEPS steps.
     """
     grid = _as_grid(times, require_zero_start=True)
-    check_sector_constants(coeffs, omega_e)
     t_end = float(grid[-1])
     if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
         raise OverflowError(
@@ -221,7 +201,7 @@ def amplitudes_ode(
         float(coeffs.nu),
         float(coeffs.v1),
         float(coeffs.v2),
-        float(omega_e),
+        float(coeffs.omega_e),
         float(rtol),
         float(atol),
     )
@@ -236,14 +216,7 @@ def amplitudes_ode(
             "the analytic route solves these parameters"
         )
     return Trajectory(
-        times=grid,
-        amplitudes=out,
-        coeffs=coeffs,
-        omega_e=omega_e,
-        method=METHOD_ORACLE,
-        params=params,
-        steps_accepted=int(accepted),
-        steps_rejected=int(rejected),
+        times=grid, amplitudes=out, method=METHOD_ORACLE, steps_accepted=int(accepted), steps_rejected=int(rejected)
     )
 
 
@@ -264,5 +237,5 @@ def solve_sector(
     grid = _as_grid(times, require_zero_start=True)
     coeffs = sector_coefficients(params)
     if method == "analytic":
-        return analytic_trajectory(coeffs, params.omega_e, ic, grid, params=params)
-    return amplitudes_ode(coeffs, params.omega_e, ic, grid, backend=backend, params=params)
+        return analytic_trajectory(coeffs, ic, grid)
+    return amplitudes_ode(coeffs, ic, grid, backend=backend)

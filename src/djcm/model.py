@@ -103,9 +103,14 @@ class SectorCoefficients:
     """Per-sector constants driving the three-amplitude dynamics.
 
     h and s are the cavity detunings of the |1>-|3> and |1>-|2>
-    transitions, nu = omega_3 - omega_2 is the microwave carrier, and
-    v1, v2 are the sector-enhanced couplings g_i * f(n+1) * sqrt(n+1).
-    h = s - nu holds exactly.
+    transitions, nu = omega_3 - omega_2 is the microwave carrier, v1, v2
+    are the sector-enhanced couplings g_i * f(n+1) * sqrt(n+1), and
+    omega_e is the microwave Rabi frequency.  h = s - nu holds exactly.
+
+    Building the record raises OverflowError when a constant has left the
+    floating-point range (huge couplings, sector numbers or chi): the
+    eigendecomposition cannot take a non-finite generator, and the ODE
+    oracle would step on NaN derivatives.
     """
 
     h: float
@@ -113,11 +118,16 @@ class SectorCoefficients:
     nu: float
     v1: float
     v2: float
+    omega_e: float
     n: int
+
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.h, self.s, self.nu, self.v1, self.v2, self.omega_e)):
+            raise OverflowError(f"the constants of sector {self.n} overflow the floating-point range")
 
 
 def sector_coefficients(params: ModelParams) -> SectorCoefficients:
-    """Derive the sector constants (h, s, nu, v1, v2) for params.sector_n."""
+    """Derive the sector constants (h, s, nu, v1, v2, omega_e) for params.sector_n."""
     n = params.sector_n
     w1, w2, w3 = params.omega_levels
     shift = params.omega_cavity * k_value(params.deformation, n)
@@ -126,4 +136,4 @@ def sector_coefficients(params: ModelParams) -> SectorCoefficients:
     # h is built as s - nu so the identity holds at the bit level.
     h = s - nu
     scale = params.deformation.f(n + 1) * math.sqrt(n + 1.0)
-    return SectorCoefficients(h=h, s=s, nu=nu, v1=params.g1 * scale, v2=params.g2 * scale, n=n)
+    return SectorCoefficients(h=h, s=s, nu=nu, v1=params.g1 * scale, v2=params.g2 * scale, omega_e=params.omega_e, n=n)

@@ -55,30 +55,28 @@ class UndefinedObservableError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """One named real-valued series over the scaled time tau."""
+    """One named real-valued series, one value per trajectory sample.
+
+    Values that left the floating-point range raise FloatingPointError.
+    """
 
     name: str
-    times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"series {self.name!r} contains non-finite values")
+            raise FloatingPointError(f"series {self.name!r} contains non-finite values")
 
 
 @dataclass(frozen=True)
 class HusimiGrid:
-    """Husimi values over a rectangular patch of the coherent-state plane.
+    """Husimi values over a square patch of the coherent-state plane.
 
-    values[i, j] = Q(x_axis[j] + 1j * y_axis[i]) at evaluation time t.
+    values[i, j] = Q(axis[j] + 1j * axis[i]); n_max is the last sector summed.
     """
 
-    x_axis: np.ndarray
-    y_axis: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
-    t: float
     n_max: int
 
 
@@ -249,16 +247,18 @@ SERIES = {
 OBSERVABLE_NAMES = (*SERIES, "husimi")
 
 
-def trajectory_series(traj: Trajectory, name: str, params: ModelParams | None = None) -> list[ObservableSeries]:
-    """Named observable series over a trajectory; times are tau = omega_cavity * t."""
-    params = params if params is not None else traj.params
-    if params is None:
-        raise ValueError("trajectory carries no ModelParams; pass params explicitly")
+def trajectory_series(traj: Trajectory, name: str, params: ModelParams) -> list[ObservableSeries]:
+    """Named observable series over a trajectory solved from params.
+
+    NumPy's floating-point warnings are silenced: a value that leaves the
+    double range fails ObservableSeries' finiteness check instead.
+    """
     if name not in SERIES:
         raise ValueError(f"unknown observable {name!r}")
     columns, values = SERIES[name]
-    tau = params.omega_cavity * traj.times
-    return [ObservableSeries(col, tau, v) for col, v in zip(columns, values(traj.amplitudes, params))]
+    with np.errstate(all="ignore"):
+        arrays = values(traj.amplitudes, params)
+    return [ObservableSeries(col, v) for col, v in zip(columns, arrays)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def _sector_populations(params: ModelParams, sectors, t: float, ic: InitialCondi
         return np.array(
             [populations(solve_sector(replace(params, sector_n=n), grid, ic=ic, method=method).amplitudes[-1]) for n in sectors]
         )
-    generators = np.array([sector_generator(sector_coefficients(replace(params, sector_n=n)), params.omega_e) for n in sectors])
+    generators = np.array([sector_generator(sector_coefficients(replace(params, sector_n=n))) for n in sectors])
     label = f"sector {sectors[0]}" if len(sectors) == 1 else f"sectors {sectors[0]}..{sectors[-1]}"
     with propagator_errors(label):
         _, shifted = propagate(generators, ic.as_array(), np.array([t]))
@@ -287,50 +287,33 @@ def _sector_populations(params: ModelParams, sectors, t: float, ic: InitialCondi
 def husimi_q(
     params: ModelParams,
     t: float,
-    x_range: tuple[float, float] = (-3.0, 3.0),
-    y_range: tuple[float, float] = (-3.0, 3.0),
-    resolution: int = 121,
-    mode: str = "single",
+    half_width: float,
+    resolution: int,
     n_max: int | None = None,
     ic: InitialCondition = EXCITED,
     method: str = "analytic",
 ) -> HusimiGrid:
-    """Husimi function over a grid of coherent-state amplitudes.
+    """Husimi function at raw time t over the square [-half_width, half_width]^2
+    of coherent-state amplitudes, resolution points per axis.
 
-    mode 'single' evaluates the term of the populated sector
-    params.sector_n only: that is the Husimi function of the reduced
-    field state and integrates to one.  mode 'all' accumulates the terms
-    of every sector n <= n_max, each evolved from the default entry
-    condition; the result is a diagnostic surface, not a normalized
-    distribution.
+    With n_max None it evaluates the term of the populated sector
+    params.sector_n only: that is the Husimi function of the reduced field
+    state and integrates to one.  With an integer n_max it accumulates the
+    terms of every sector n <= n_max, each evolved from ic; the result is a
+    diagnostic surface, not a normalized distribution.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if not (math.isfinite(x_range[0]) and math.isfinite(x_range[1])):
-        raise ValueError("x_range must be finite")
-    if not (math.isfinite(y_range[0]) and math.isfinite(y_range[1])):
-        raise ValueError("y_range must be finite")
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be finite and > 0, got {half_width!r}")
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    half_x = max(abs(x_range[0]), abs(x_range[1]))
-    half_y = max(abs(y_range[0]), abs(y_range[1]))
-    if not math.isfinite(half_x * half_x + half_y * half_y):
-        raise OverflowError(
-            f"the Husimi range x {x_range}, y {y_range} overflows: |beta|^2 at the grid corner is not finite"
-        )
-    x = np.linspace(x_range[0], x_range[1], resolution)
-    y = np.linspace(y_range[0], y_range[1], resolution)
-    r2 = x[None, :] ** 2 + y[:, None] ** 2
-
-    if mode == "single":
-        sectors = (params.sector_n,)
-    elif mode == "all":
-        if n_max is None:
-            peak = float(np.max(r2))
-            n_max = max(30, math.ceil(peak + 10.0 * math.sqrt(peak)))
-        sectors = range(n_max + 1)
-    else:
-        raise ValueError(f"mode must be 'single' or 'all', got {mode!r}")
+    if not math.isfinite(2.0 * half_width * half_width):
+        span = (-half_width, half_width)
+        raise OverflowError(f"the Husimi range x {span}, y {span} overflows: |beta|^2 at the grid corner is not finite")
+    axis = np.linspace(-half_width, half_width, resolution)
+    r2 = axis[None, :] ** 2 + axis[:, None] ** 2
+    sectors = (params.sector_n,) if n_max is None else range(n_max + 1)
     pops = _sector_populations(params, sectors, float(t), ic, method)
     # Q depends on the grid only through r2: with several sectors, sum on the
     # distinct radii and scatter back.  Each Poisson weight
@@ -356,4 +339,4 @@ def husimi_q(
             acc += weight
     acc /= math.pi
     values = acc if inverse is None else acc[inverse].reshape(r2.shape)
-    return HusimiGrid(x_axis=x, y_axis=y, values=values, t=float(t), n_max=sectors[-1])
+    return HusimiGrid(axis=axis, values=values, n_max=sectors[-1])

@@ -107,27 +107,17 @@ def write_husimi(
     (heatmap).  n_max None sums the populated sector only (mode single),
     an integer the sectors 0..n_max (mode all).  Returns the file names
     and the grid record {tau, range, resolution, n_max, mode}."""
-    mode = "single" if n_max is None else "all"
-    grid = husimi_q(
-        params,
-        tau / params.omega_cavity,
-        x_range=(-half_width, half_width),
-        y_range=(-half_width, half_width),
-        resolution=resolution,
-        mode=mode,
-        n_max=n_max,
-        ic=ic,
-        method=method,
-    )
-    ny, nx = grid.values.shape
+    grid = husimi_q(params, tau / params.omega_cavity, half_width, resolution, n_max, ic=ic, method=method)
     files = [f"{name}.csv"]
-    # y-major rows: x cycles through its axis, y repeats each entry nx times
-    xs = format_cells(grid.x_axis) * ny
-    ys = [cell for cell in format_cells(grid.y_axis) for _ in range(nx)]
+    # y-major rows: x cycles through the axis, y repeats each entry once per x
+    cells = format_cells(grid.axis)
+    xs = cells * resolution
+    ys = [cell for cell in cells for _ in range(resolution)]
     write_csv(os.path.join(out_dir, files[0]), ["x", "y", "q"], [xs, ys, format_cells(grid.values)])
     if svg:
         files.append(f"{name}.svg")
-        write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.x_axis, grid.y_axis, grid.values, title=title))
+        write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
+    mode = "single" if n_max is None else "all"
     record = {"tau": tau, "range": half_width, "resolution": resolution, "n_max": grid.n_max, "mode": mode}
     return files, record
 

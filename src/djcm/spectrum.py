@@ -14,7 +14,6 @@ eigendecomposition of K finds them without any root formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .model import SectorCoefficients
 __all__ = [
     "CubicPoly",
     "CubicRoots",
-    "check_sector_constants",
     "sector_generator",
     "theta_poly",
     "root_residual",
@@ -62,35 +60,18 @@ class CubicRoots:
     max_residual: float
 
 
-def check_sector_constants(coeffs: SectorCoefficients, omega_e: float) -> None:
-    """Raise OverflowError when a sector constant has left the
-    floating-point range (huge couplings, sector numbers or chi).
-
-    Both routes run this check: the eigendecomposition cannot take a
-    non-finite K, and the ODE oracle would step on NaN derivatives.
-    """
-    constants = (coeffs.h, coeffs.s, coeffs.nu, coeffs.v1, coeffs.v2, omega_e)
-    if not all(math.isfinite(c) for c in constants):
-        raise OverflowError(f"the constants of sector {coeffs.n} overflow the floating-point range")
-
-
-def sector_generator(coeffs: SectorCoefficients, omega_e: float) -> np.ndarray:
-    """Real symmetric generator K of the shifted amplitudes, dx/dt = -iKx.
-
-    Raises OverflowError when a sector constant has left the
-    floating-point range (see check_sector_constants).
-    """
-    check_sector_constants(coeffs, omega_e)
+def sector_generator(coeffs: SectorCoefficients) -> np.ndarray:
+    """Real symmetric generator K of the shifted amplitudes, dx/dt = -iKx."""
     return np.array(
         [
             [0.0, coeffs.v2, coeffs.v1],
-            [coeffs.v2, -coeffs.s, omega_e],
-            [coeffs.v1, omega_e, -coeffs.h],
+            [coeffs.v2, -coeffs.s, coeffs.omega_e],
+            [coeffs.v1, coeffs.omega_e, -coeffs.h],
         ]
     )
 
 
-def theta_poly(coeffs: SectorCoefficients, omega_e: float) -> CubicPoly:
+def theta_poly(coeffs: SectorCoefficients) -> CubicPoly:
     """Characteristic cubic det(zI + iK) of the sector's Laplace matrix.
 
     a2 = -i(h + s) and a0 are purely imaginary, a1 is purely real; under
@@ -98,7 +79,7 @@ def theta_poly(coeffs: SectorCoefficients, omega_e: float) -> CubicPoly:
     imaginary for physical inputs.
     """
     h, s = coeffs.h, coeffs.s
-    v1, v2 = coeffs.v1, coeffs.v2
+    v1, v2, omega_e = coeffs.v1, coeffs.v2, coeffs.omega_e
     a2 = -1j * (h + s)
     a1 = complex(omega_e * omega_e + v1 * v1 + v2 * v2 - s * h)
     a0 = -1j * (2.0 * omega_e * v1 * v2 + v1 * v1 * s + v2 * v2 * h)

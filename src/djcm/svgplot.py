@@ -151,20 +151,13 @@ def line_plot_svg(
     return "\n".join(parts) + "\n"
 
 
-def heatmap_svg(
-    x_axis: np.ndarray,
-    y_axis: np.ndarray,
-    values: np.ndarray,
-    title: str = "",
-    cell_px: float | None = None,
-) -> str:
-    """SVG heatmap over the coherent-state plane (axes Re beta, Im beta): one
-    rect per grid cell, colored by the fixed 256-step table."""
-    ny, nx = values.shape
-    if cell_px is None:
-        cell_px = max(1.0, min(4.0, 480.0 / max(nx, ny)))
-    plot_w = nx * cell_px
-    plot_h = ny * cell_px
+def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
+    """SVG heatmap over the square coherent-state patch whose Re beta and
+    Im beta run along axis, values of shape (len(axis), len(axis)): one rect
+    per grid cell, colored by the fixed 256-step table."""
+    n = len(axis)
+    cell = max(1.0, min(4.0, 480.0 / n))
+    plot_w = plot_h = n * cell
     bar_w = 18.0
     width = _MARGIN_L + plot_w + 70 + bar_w
     height = _MARGIN_T + plot_h + _MARGIN_B
@@ -186,32 +179,31 @@ def heatmap_svg(
         )
     # cells (row 0 of values is the smallest y, drawn at the bottom)
     if span == 0.0:
-        idx = np.zeros((ny, nx), dtype=int)
+        idx = np.zeros((n, n), dtype=int)
     else:
         idx = np.clip(((values - vmin) / span * 255.0).astype(int), 0, 255)
     # each column's x and each row's y are formatted once, and a row's
     # rects are joined into one string as soon as they are built
-    heads = [f'<rect x="{_MARGIN_L + ix * cell_px:.2f}" y="' for ix in range(nx)]
-    size = f'" width="{cell_px:.2f}" height="{cell_px:.2f}" fill="'
+    heads = [f'<rect x="{_MARGIN_L + ix * cell:.2f}" y="' for ix in range(n)]
+    size = f'" width="{cell:.2f}" height="{cell:.2f}" fill="'
     for iy, row in enumerate(idx.tolist()):
-        middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell_px:.2f}{size}"
+        middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell:.2f}{size}"
         parts.append("\n".join([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row)]))
     parts.append(
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = float(x_axis[0]) + frac * (float(x_axis[-1]) - float(x_axis[0]))
+        tick = float(axis[0]) + frac * (float(axis[-1]) - float(axis[0]))
         px = _MARGIN_L + frac * plot_w
         parts.append(
             f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:.4g}</text>'
+            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
         )
-        yv = float(y_axis[0]) + frac * (float(y_axis[-1]) - float(y_axis[0]))
         py = _MARGIN_T + plot_h - frac * plot_h
         parts.append(
             f'<text x="{_MARGIN_L - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
+            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '

@@ -117,8 +117,8 @@ def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
             sector_n=int(rng.integers(0, 6)),
         )
         coeffs = sector_coefficients(params)
-        generators.append(sector_generator(coeffs, params.omega_e))
-        polys.append(theta_poly(coeffs, params.omega_e))
+        generators.append(sector_generator(coeffs))
+        polys.append(theta_poly(coeffs))
     a2, a1, a0 = (np.array([[getattr(p, name)] for p in polys]) for name in ("a2", "a1", "a0"))
     poly = CubicPoly(a2=a2, a1=a1, a0=a0)
     # the propagator's spectrum alpha = -i lambda against Theta
@@ -151,11 +151,11 @@ def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
 def _c4_closed_form_limit() -> CriterionResult:
     t0 = time.perf_counter()
     coeffs = SectorCoefficients(
-        h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2.0), v2=0.06 * math.sqrt(2.0), n=1
+        h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2.0), v2=0.06 * math.sqrt(2.0), omega_e=0.0, n=1
     )
     tau = np.linspace(0.0, 40.0, 2000)
     t = tau / 0.2
-    traj = analytic_trajectory(coeffs, 0.0, EXCITED, t)
+    traj = analytic_trajectory(coeffs, EXCITED, t)
     big_v = math.hypot(coeffs.v1, coeffs.v2)
     ref = np.stack(
         [
@@ -208,14 +208,11 @@ def _c6_fock_statistics() -> CriterionResult:
     return CriterionResult(6, "Fock-sector statistics at t=0", passed, details, time.perf_counter() - t0)
 
 
-def _trapezoid_2d(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    wx = np.full(x.size, x[1] - x[0])
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    wy = np.full(y.size, y[1] - y[0])
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    return float(wy @ values @ wx)
+def _trapezoid_2d(values: np.ndarray, axis: np.ndarray) -> float:
+    w = np.full(axis.size, axis[1] - axis[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return float(w @ values @ w)
 
 
 def _c7_husimi_normalization() -> CriterionResult:
@@ -227,15 +224,9 @@ def _c7_husimi_normalization() -> CriterionResult:
         params = row_params(row)
         for tau in (0.0, 10.0, 25.0):
             g0 = time.perf_counter()
-            grid = husimi_q(
-                params,
-                tau / params.omega_cavity,
-                x_range=(-6.0, 6.0),
-                y_range=(-6.0, 6.0),
-                resolution=241,
-            )
+            grid = husimi_q(params, tau / params.omega_cavity, 6.0, 241)
             grid_seconds.append(time.perf_counter() - g0)
-            integrals.append(_trapezoid_2d(grid.values, grid.x_axis, grid.y_axis))
+            integrals.append(_trapezoid_2d(grid.values, grid.axis))
             min_value = min(min_value, float(np.min(grid.values)))
     passed = all(abs(v - 1.0) <= 0.01 for v in integrals) and min_value >= 0.0
     details = "integrals {} (tol 1 +- 0.01), min value = {:.1e}".format(

@@ -219,6 +219,27 @@ def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+def test_sweep_label_collision_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": [["chi", [0, 0.0, 0.1, 0.1000001]]]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: sweep.axes: two points share the label 'chi=0'; "
+        "labels print each value to 6 significant digits\n"
+    )
+    assert not out.exists()
+
+
+def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, capsys):
+    # sector 0 with ic[0] = 1e-160: <A+A> = 1e-320 passes the vacuum check, and
+    # its square underflows to 0, so g2 is 0/0 at tau = 0
+    cfg = write_config(tmp_path, params=VACUUM, ic=[1e-160, 1, 0], samples=50, observables=["g2"])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical range error: series 'g2' contains non-finite values\n"
+    assert not out.exists()
+
+
 def test_husimi_runs_the_vacuum_sector(tmp_path):
     # the husimi command reads only params and ic from a config file
     cfg = write_config(tmp_path, params=VACUUM)

@@ -170,6 +170,22 @@ def test_sweep_expansion():
     assert points[1][1].params.omega_e == 0.08
 
 
+@pytest.mark.parametrize(
+    "axes, label",
+    [
+        ([["chi", [0, 0.0, 0.1, 0.1000001]]], "chi=0"),
+        ([["chi", [0.1, 0.1000001]]], "chi=0.1"),
+        ([["g1", [0.04]], ["sector_n", [1, 2, 1]]], "g1=0.04_sector_n=1"),
+    ],
+)
+def test_sweep_points_that_share_a_label_are_rejected(axes, label):
+    # a label prints each value with %g, so these points would share an output directory
+    base = run_config_from_dict(doc())
+    sweep = sweep_from_dict(doc(sweep={"axes": axes}), base)
+    with pytest.raises(ConfigError, match=f"two points share the label '{label}'"):
+        sweep.expand()
+
+
 def test_sweep_axis_validation():
     base = run_config_from_dict(doc())
     with pytest.raises(ConfigError, match="sweep.axes"):

@@ -31,12 +31,12 @@ def tau_grid(tau_max=50.0, samples=500, omega=0.2):
     return np.linspace(0.0, tau_max, samples) / omega
 
 
-def bisection_roots(coeffs, omega_e):
+def bisection_roots(coeffs):
     """Roots alpha = i*lambda of Theta from the bisection oracle on the real cubic."""
-    return [1j * lam for lam in real_cubic_roots_bisection(*lambda_cubic(coeffs, omega_e))]
+    return [1j * lam for lam in real_cubic_roots_bisection(*lambda_cubic(coeffs))]
 
 
-def explicit_excited_amplitudes(coeffs, omega_e, roots, t):
+def explicit_excited_amplitudes(coeffs, roots, t):
     """Explicit three-pole formulas for the default entry condition (0,1,0).
 
     Hand-written expansion of the second column of the inverted sector
@@ -44,7 +44,7 @@ def explicit_excited_amplitudes(coeffs, omega_e, roots, t):
     eigendecomposition route is checked against term for term.
     """
     al1, al2, al3 = roots
-    h, s, v1, v2 = coeffs.h, coeffs.s, coeffs.v1, coeffs.v2
+    h, s, v1, v2, omega_e = coeffs.h, coeffs.s, coeffs.v1, coeffs.v2, coeffs.omega_e
     d1 = (al1 - al2) * (al1 - al3)
     d2 = (al2 - al1) * (al2 - al3)
     d3 = (al3 - al1) * (al3 - al2)
@@ -79,9 +79,9 @@ def test_initial_condition_norm_check():
 def test_sector_matrix_determinant_matches_theta():
     # the Laplace matrix M(z) = zI + iK has determinant Theta(z)
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
-    poly = theta_poly(c, 0.04)
+    poly = theta_poly(c)
     for z in (0.3 + 0.1j, -0.2j, 1.0):
-        m = z * np.eye(3) + 1j * sector_generator(c, 0.04)
+        m = z * np.eye(3) + 1j * sector_generator(c)
         assert np.linalg.det(m) == pytest.approx(poly(z), abs=1e-14)
 
 
@@ -100,13 +100,15 @@ def test_residue_weights_sum_to_initial_condition():
     # reproduces the initial condition at t -> 0 without the t = 0 pin
     c = sector_coefficients(fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2))
     ic = InitialCondition(0.5, 0.5, complex(0.5, 0.5))
-    traj = analytic_trajectory(c, 0.08, ic, np.array([1e-300]))
+    traj = analytic_trajectory(c, ic, np.array([1e-300]))
     assert np.allclose(traj.amplitudes[0], ic.as_array(), rtol=0.0, atol=1e-13)
 
 
 def test_closed_form_two_coupling_limit():
     # omega_e = 0 and h = s = 0: hand-integrable Rabi problem
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2), v2=0.06 * math.sqrt(2), n=1)
+    coeffs = SectorCoefficients(
+        h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2), v2=0.06 * math.sqrt(2), omega_e=0.0, n=1
+    )
     t = tau_grid(40.0, 1200)
     big_v = math.hypot(coeffs.v1, coeffs.v2)
     expected = np.stack(
@@ -117,9 +119,9 @@ def test_closed_form_two_coupling_limit():
         ],
         axis=1,
     )
-    ana = analytic_trajectory(coeffs, 0.0, EXCITED, t)
+    ana = analytic_trajectory(coeffs, EXCITED, t)
     assert np.max(np.abs(ana.amplitudes - expected)) <= 1e-9
-    ode = amplitudes_ode(coeffs, 0.0, EXCITED, t)
+    ode = amplitudes_ode(coeffs, EXCITED, t)
     assert np.max(np.abs(ode.amplitudes - expected)) <= 1e-8
 
 
@@ -171,8 +173,8 @@ def test_ode_tolerance_convergence():
     p = fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
     t = tau_grid(60.0, 400)
-    loose = amplitudes_ode(c, p.omega_e, EXCITED, t, rtol=1e-6, atol=1e-6).norm_error()
-    tight = amplitudes_ode(c, p.omega_e, EXCITED, t, rtol=1e-12, atol=1e-12).norm_error()
+    loose = amplitudes_ode(c, EXCITED, t, rtol=1e-6, atol=1e-6).norm_error()
+    tight = amplitudes_ode(c, EXCITED, t, rtol=1e-12, atol=1e-12).norm_error()
     assert tight < loose
     assert tight <= 1e-10
 
@@ -196,11 +198,11 @@ def test_phase_convention_pinned_by_oracle():
 def test_explicit_formulas_match_residue_construction(kwargs):
     p = fig_params(**kwargs)
     c = sector_coefficients(p)
-    roots = bisection_roots(c, p.omega_e)
+    roots = bisection_roots(c)
     t = np.linspace(0.0, 250.0, 41)
-    traj = analytic_trajectory(c, p.omega_e, EXCITED, t)
+    traj = analytic_trajectory(c, EXCITED, t)
     for ti, amps in zip(t, traj.amplitudes):
-        explicit = explicit_excited_amplitudes(c, p.omega_e, roots, ti)
+        explicit = explicit_excited_amplitudes(c, roots, ti)
         assert np.max(np.abs(amps - np.array(explicit))) <= 1e-12
 
 
@@ -208,7 +210,7 @@ def test_explicit_formulas_entry_values():
     # the three-pole expansion must honor the entry condition on its own
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
-    c1, c2, c3 = explicit_excited_amplitudes(c, p.omega_e, bisection_roots(c, p.omega_e), 0.0)
+    c1, c2, c3 = explicit_excited_amplitudes(c, bisection_roots(c), 0.0)
     assert abs(c1) <= 1e-13
     assert abs(c2 - 1.0) <= 1e-13
     assert abs(c3) <= 1e-13
@@ -223,12 +225,12 @@ def test_explicit_formulas_random_coefficients():
             nu=0.0,  # nu enters the explicit/eigendecomposition paths only through h, s
             v1=float(rng.uniform(0.01, 0.3)),
             v2=float(rng.uniform(0.01, 0.3)),
+            omega_e=float(rng.uniform(0.0, 0.2)),
             n=1,
         )
-        omega_e = float(rng.uniform(0.0, 0.2))
         t = float(rng.uniform(0.0, 100.0))
-        amps = analytic_trajectory(coeffs, omega_e, EXCITED, np.array([t])).amplitudes[0]
-        explicit = explicit_excited_amplitudes(coeffs, omega_e, bisection_roots(coeffs, omega_e), t)
+        amps = analytic_trajectory(coeffs, EXCITED, np.array([t])).amplitudes[0]
+        explicit = explicit_excited_amplitudes(coeffs, bisection_roots(coeffs), t)
         assert np.max(np.abs(amps - np.array(explicit))) <= 1e-12
 
 
@@ -236,7 +238,6 @@ def test_solve_sector_defaults_to_analytic():
     traj = solve_sector(fig_params(), tau_grid(10.0, 50))
     assert traj.method == "Analytic"
     assert traj.roots is not None
-    assert traj.params is not None
     assert traj.steps_accepted is None and traj.steps_rejected is None
 
 
@@ -279,9 +280,9 @@ def test_trajectory_accessors():
 
 
 def test_step_size_underflow():
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=1e15, v2=1e15, n=0)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=1e15, v2=1e15, omega_e=0.0, n=0)
     with pytest.raises(StepSizeUnderflowError):
-        amplitudes_ode(coeffs, 0.0, EXCITED, np.array([0.0, 1.0]))
+        amplitudes_ode(coeffs, EXCITED, np.array([0.0, 1.0]))
 
 
 def test_general_initial_condition_cross_method():
@@ -297,11 +298,11 @@ def test_general_initial_condition_cross_method():
     assert ana.norm_error() <= 1e-9
 
 
-def shifted_propagator(coeffs, omega_e, times):
+def shifted_propagator(coeffs, times):
     """U(t) of the shifted amplitudes at each time: the trajectories of the
     three basis states with the rotating phases e^{-ist}, e^{-iht} removed."""
     basis = (InitialCondition(1, 0, 0), InitialCondition(0, 1, 0), InitialCondition(0, 0, 1))
-    cols = [analytic_trajectory(coeffs, omega_e, ic, times).amplitudes for ic in basis]
+    cols = [analytic_trajectory(coeffs, ic, times).amplitudes for ic in basis]
     unitary = np.stack(cols, axis=2)  # (T, 3, 3), column j evolves basis state j
     phases = np.stack([np.ones_like(times), np.exp(1j * coeffs.s * times), np.exp(1j * coeffs.h * times)], axis=1)
     return phases[:, :, None] * unitary
@@ -318,7 +319,7 @@ def test_propagator_group_property():
             p = replace(p, g2=0.0, omega_e=0.0)
         c = sector_coefficients(p)
         t1, t2 = np.sort(rng.uniform(0.0, 100.0, 2))
-        u1, u2, u12 = shifted_propagator(c, p.omega_e, np.array([t1, t2, t1 + t2]))
+        u1, u2, u12 = shifted_propagator(c, np.array([t1, t2, t1 + t2]))
         assert np.max(np.abs(u12 - u1 @ u2)) <= 1e-12
 
 
@@ -346,13 +347,13 @@ def test_stacked_propagator_rows_equal_one_sector_route():
     # that starts past t = 0 (where analytic_trajectory pins the sample)
     base = fig_params(g1=0.06, g2=0.08, chi=0.2)
     coeffs = [sector_coefficients(replace(base, sector_n=n)) for n in range(343)]
-    generators = np.array([sector_generator(c, base.omega_e) for c in coeffs])
+    generators = np.array([sector_generator(c) for c in coeffs])
     times = np.linspace(0.5, 50.0 / base.omega_cavity, 40)
     for ic in (EXCITED, InitialCondition(0.6, 0.8j, 0.0)):
         lam, shifted = propagate(generators, ic.as_array(), times)
         assert lam.shape == (343, 3) and shifted.shape == (343, 3, times.size)
         for c, x in zip(coeffs, shifted):
-            amps = analytic_trajectory(c, base.omega_e, ic, times).amplitudes
+            amps = analytic_trajectory(c, ic, times).amplitudes
             assert np.array_equal(amps[:, 0], x[0])
             assert np.array_equal(amps[:, 1], np.exp(-1j * c.s * times) * x[1])
             assert np.array_equal(amps[:, 2], np.exp(-1j * c.h * times) * x[2])
@@ -361,7 +362,7 @@ def test_stacked_propagator_rows_equal_one_sector_route():
 def test_stacked_propagator_random_stack_matches_stacks_of_one():
     rng = np.random.default_rng(11)
     params = [random_params(rng) for _ in range(40)]
-    generators = np.array([sector_generator(sector_coefficients(p), p.omega_e) for p in params])
+    generators = np.array([sector_generator(sector_coefficients(p)) for p in params])
     x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     times = np.sort(rng.uniform(0.0, 300.0, 25))
     lam, shifted = propagate(generators, x0 / np.linalg.norm(x0), times)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from djcm.model import Kerr, ModelParams, k_value, sector_coefficients
+from djcm.model import Kerr, ModelParams, SectorCoefficients, k_value, sector_coefficients
 
 
 def fig_params(omega_e=0.04, g1=0.04, g2=0.06, chi=0.0, n=1):
@@ -82,6 +82,16 @@ def test_sector_coefficients_identity_row():
     assert c.nu == pytest.approx(0.1, abs=1e-15)
     assert c.v1 == pytest.approx(0.04 * math.sqrt(2.0), abs=1e-15)
     assert c.v2 == pytest.approx(0.06 * math.sqrt(2.0), abs=1e-15)
+    assert c.omega_e == 0.04
+
+
+@pytest.mark.parametrize("name", ["h", "s", "nu", "v1", "v2", "omega_e"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sector_coefficients_reject_non_finite_constants(name, bad):
+    constants = dict(h=0.0, s=0.1, nu=0.1, v1=0.05, v2=0.07, omega_e=0.04, n=5)
+    SectorCoefficients(**constants)
+    with pytest.raises(OverflowError, match=r"^the constants of sector 5 overflow the floating-point range$"):
+        SectorCoefficients(**dict(constants, **{name: bad}))
 
 
 def test_sector_coefficients_kerr_row():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djcm.dynamics import solve_sector
+from djcm.config import RunConfig
+from djcm.dynamics import InitialCondition, solve_sector
 from djcm.model import Kerr, ModelParams
 from djcm.observables import (
     ObservableSeries,
@@ -26,6 +27,7 @@ from djcm.observables import (
     von_neumann_entropy,
 )
 from djcm.observables import _lowering_weight
+from djcm.runner import run_simulation
 
 from test_model import fig_params
 
@@ -287,25 +289,36 @@ def test_series_table_matches_array_functions():
     assert np.array_equal(trajectory_series(traj, "entropy", p)[0].values, entropy(amps))
 
 
-def test_series_times_are_scaled():
+def test_series_times_are_scaled(tmp_path):
+    # a series holds values only; run_simulation writes it against
+    # tau = omega_cavity * t, the grid the trajectory was solved on
     p, traj = row_trajectory(samples=100, tau_max=10.0)
-    s = trajectory_series(traj, "inversion", p)[0]
-    assert s.times[0] == 0.0
-    assert s.times[-1] == pytest.approx(10.0)
+    run_simulation(RunConfig(params=p, tau_max=10.0, samples=100, observables=("inversion",), svg=False), str(tmp_path))
+    table = np.loadtxt(tmp_path / "inversion.csv", delimiter=",", skiprows=1)
+    assert table[0, 0] == 0.0
+    assert table[-1, 0] == pytest.approx(10.0)
+    assert np.array_equal(table[:, 1], trajectory_series(traj, "inversion", p)[0].values)
 
 
 def test_observable_series_validation():
+    with pytest.raises(FloatingPointError, match="series 'x' contains non-finite values"):
+        ObservableSeries("x", np.array([1.0, np.nan]))
+    p, traj = row_trajectory(samples=10)
     with pytest.raises(ValueError):
-        ObservableSeries("x", np.arange(3.0), np.arange(4.0))
-    with pytest.raises(ValueError):
-        ObservableSeries("x", np.arange(2.0), np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        trajectory_series(row_trajectory(samples=10)[1], "wigner")
+        trajectory_series(traj, "wigner", p)
+
+
+def test_g2_series_whose_intensity_underflows_is_a_range_error():
+    # <A+A> = 1e-320 is not 0, but its square underflows to 0 and g2 to 0/0
+    p = fig_params(n=0)
+    traj = solve_sector(p, np.array([0.0]), ic=InitialCondition(1e-160, 1.0, 0.0))
+    with pytest.raises(FloatingPointError, match="series 'g2' contains non-finite values"):
+        trajectory_series(traj, "g2", p)
 
 
 def test_husimi_center_vanishes_for_populated_sector():
     p = fig_params()
-    grid = husimi_q(p, 0.0, resolution=41)
+    grid = husimi_q(p, 0.0, 3.0, 41)
     center = grid.values[20, 20]  # beta = 0
     assert center == 0.0
     assert grid.n_max == 1
@@ -314,11 +327,11 @@ def test_husimi_center_vanishes_for_populated_sector():
 def test_husimi_single_sector_normalization():
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     for tau in (0.0, 10.0, 25.0):
-        grid = husimi_q(p, tau / 0.2, x_range=(-6, 6), y_range=(-6, 6), resolution=241)
-        wx = np.full(241, grid.x_axis[1] - grid.x_axis[0])
-        wx[0] *= 0.5
-        wx[-1] *= 0.5
-        integral = float(wx @ grid.values @ wx)
+        grid = husimi_q(p, tau / 0.2, 6.0, 241)
+        w = np.full(241, grid.axis[1] - grid.axis[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        integral = float(w @ grid.values @ w)
         assert integral == pytest.approx(1.0, abs=0.01)
         assert grid.values.min() >= 0.0
 
@@ -326,9 +339,9 @@ def test_husimi_single_sector_normalization():
 def test_husimi_ring_shape():
     # the populated-sector distribution peaks on a circle around the origin
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
-    grid = husimi_q(p, 25.0 / 0.2, resolution=121)
+    grid = husimi_q(p, 25.0 / 0.2, 3.0, 121)
     iy, ix = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-    radius = math.hypot(grid.x_axis[ix], grid.y_axis[iy])
+    radius = math.hypot(grid.axis[ix], grid.axis[iy])
     assert 0.5 <= radius <= 2.5
     assert grid.values[60, 60] < grid.values.max() / 10.0
     # rotational symmetry: mirror images coincide on the symmetric grid
@@ -340,56 +353,48 @@ def test_husimi_all_sectors_initial_time_is_flat():
     # at t = 0 every sector contributes |c2|^2 = 1, so the literal sum
     # telescopes to exp(-|b|^2) * sum |b|^{2n}/n! / pi = 1/pi
     p = fig_params()
-    grid = husimi_q(p, 0.0, x_range=(-2, 2), y_range=(-2, 2), resolution=31, mode="all", n_max=60)
+    grid = husimi_q(p, 0.0, 2.0, 31, n_max=60)
     assert np.max(np.abs(grid.values - 1.0 / math.pi)) <= 1e-10
     assert grid.n_max == 60
-
-
-def test_husimi_all_sectors_default_truncation():
-    p = fig_params()
-    grid = husimi_q(p, 1.0, x_range=(-2, 2), y_range=(-2, 2), resolution=11, mode="all")
-    # default n_max = max(30, ceil(peak + 10 sqrt(peak))), peak = 8
-    assert grid.n_max == max(30, math.ceil(8 + 10 * math.sqrt(8.0)))
 
 
 def test_husimi_argument_validation():
     p = fig_params()
     with pytest.raises(ValueError):
-        husimi_q(p, 0.0, resolution=1)
+        husimi_q(p, 0.0, 3.0, 1)
     with pytest.raises(ValueError):
-        husimi_q(p, -1.0)
-    with pytest.raises(ValueError):
-        husimi_q(p, 0.0, mode="both")
-    with pytest.raises(ValueError):
-        husimi_q(p, 0.0, x_range=(0.0, math.inf))
+        husimi_q(p, -1.0, 3.0, 11)
+    for half_width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_width must be finite and > 0"):
+            husimi_q(p, 0.0, half_width, 11)
 
 
-@pytest.mark.parametrize("mode", ["single", "all"])
-def test_husimi_range_whose_corner_overflows_raises(mode):
+@pytest.mark.parametrize("n_max", [None, 2], ids=["single", "all"])
+def test_husimi_range_whose_corner_overflows_raises(n_max):
     # |beta|^2 = 2e400 at the corner: the grid used to fill with nan
     p = fig_params()
     with pytest.raises(OverflowError, match=r"Husimi range .*1e\+200"):
-        husimi_q(p, 1.0, x_range=(-1e200, 1e200), y_range=(-1e200, 1e200), resolution=3, mode=mode, n_max=2)
+        husimi_q(p, 1.0, 1e200, 3, n_max)
     # the largest range whose corner stays finite still gives finite values
-    grid = husimi_q(p, 1.0, x_range=(-9e153, 9e153), y_range=(-9e153, 9e153), resolution=3, mode=mode, n_max=2)
+    grid = husimi_q(p, 1.0, 9e153, 3, n_max)
     assert np.all(np.isfinite(grid.values))
 
 
-# |alpha|^2 reaches 800 at the corners of [-20, 20]^2 and the default
-# truncation there is n_max = ceil(800 + 10 sqrt(800)) = 1083: Poisson
-# weights seeded with exp(-|alpha|^2) underflow to 0 beyond |alpha|^2 ~ 745
+# |alpha|^2 reaches 800 at the corners of [-20, 20]^2, summed up to
+# n_max = ceil(800 + 10 sqrt(800)) = 1083: Poisson weights seeded with
+# exp(-|alpha|^2) underflow to 0 beyond |alpha|^2 ~ 745
 
 
 def test_husimi_all_sectors_flat_at_t0_at_range_20():
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
-    grid = husimi_q(p, 0.0, x_range=(-20, 20), y_range=(-20, 20), resolution=41, mode="all")
+    grid = husimi_q(p, 0.0, 20.0, 41, n_max=1083)
     assert grid.n_max == 1083
     assert np.max(np.abs(grid.values - 1.0 / math.pi)) <= 1e-9
 
 
 def test_husimi_all_sectors_corner_survives_at_range_20():
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
-    grid = husimi_q(p, 25.0 / 0.2, x_range=(-20, 20), y_range=(-20, 20), resolution=41, mode="all")
+    grid = husimi_q(p, 25.0 / 0.2, 20.0, 41, n_max=1083)
     for corner in (grid.values[0, 0], grid.values[0, -1], grid.values[-1, 0], grid.values[-1, -1]):
         assert corner == pytest.approx(1.0 / math.pi, rel=1e-3)
 
@@ -397,8 +402,8 @@ def test_husimi_all_sectors_corner_survives_at_range_20():
 def test_husimi_single_sector_800_normalization():
     # the number-state ring of sector 800 sits at |alpha|^2 ~ 800
     p = fig_params(g1=0.06, g2=0.08, chi=0.2, n=800)
-    grid = husimi_q(p, 25.0 / 0.2, x_range=(-40, 40), y_range=(-40, 40), resolution=401)
-    w = np.full(401, grid.x_axis[1] - grid.x_axis[0])
+    grid = husimi_q(p, 25.0 / 0.2, 40.0, 401)
+    w = np.full(401, grid.axis[1] - grid.axis[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     assert abs(float(w @ grid.values @ w) - 1.0) <= 1e-6
@@ -434,6 +439,6 @@ def log_space_husimi(params, t, axis, n_max):
 def test_husimi_all_sectors_matches_per_sector_log_space_sum(g1, g2, omega_e, chi, n_max, tau, half_width):
     p = fig_params(omega_e=omega_e, g1=g1, g2=g2, chi=chi)
     t = tau / p.omega_cavity
-    grid = husimi_q(p, t, x_range=(-half_width, half_width), y_range=(-half_width, half_width), resolution=17, mode="all", n_max=n_max)
-    ref = log_space_husimi(p, t, grid.x_axis, n_max)
+    grid = husimi_q(p, t, half_width, 17, n_max)
+    ref = log_space_husimi(p, t, grid.axis, n_max)
     assert np.all(np.abs(grid.values - ref) <= 1e-12 * np.abs(ref))

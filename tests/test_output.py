@@ -68,14 +68,15 @@ def test_line_plot_svg_structure():
 
 
 def test_heatmap_svg_structure():
-    x = np.linspace(-1, 1, 5)
-    y = np.linspace(-1, 1, 4)
-    values = np.outer(np.arange(4.0), np.arange(5.0))
-    svg = heatmap_svg(x, y, values, title="grid")
-    assert svg.count("<rect") >= 4 * 5
+    axis = np.linspace(-1, 1, 5)
+    values = np.outer(np.arange(5.0), np.arange(5.0))
+    svg = heatmap_svg(axis, values, title="grid")
+    assert svg.count("<rect") >= 5 * 5
     assert "grid" in svg
+    # both axes carry the same tick labels
+    assert svg.count(">-0.5</text>") == 2
     # constant field renders without error
-    svg_const = heatmap_svg(x, y, np.ones((4, 5)))
+    svg_const = heatmap_svg(axis, np.ones((5, 5)))
     assert "<rect" in svg_const
 
 
@@ -107,11 +108,10 @@ def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
         write_csv(str(path), ["a", "b"], [format_cells(floats), floats[:-1]])
 
 
-def reference_heatmap_cells(values, cell_px=None):
+def reference_heatmap_cells(values):
     """The heatmap's cell rects as one f-string per cell (the layout reference)."""
     ny, nx = values.shape
-    if cell_px is None:
-        cell_px = max(1.0, min(4.0, 480.0 / max(nx, ny)))
+    cell_px = max(1.0, min(4.0, 480.0 / max(nx, ny)))
     plot_h = ny * cell_px
     vmin = float(np.min(values))
     span = float(np.max(values)) - vmin
@@ -130,27 +130,22 @@ def reference_heatmap_cells(values, cell_px=None):
     return lines
 
 
-@pytest.mark.parametrize(
-    "ny, nx, cell_px, seed",
-    [(7, 11, None, 0), (201, 201, None, 1), (3, 5, 2.5, 2), (130, 90, None, 3), (4, 4, None, None)],
-)
-def test_heatmap_cells_match_per_cell_reference(ny, nx, cell_px, seed):
+@pytest.mark.parametrize("n, seed", [(7, 0), (201, 1), (3, 2), (130, 3), (4, None)])
+def test_heatmap_cells_match_per_cell_reference(n, seed):
     if seed is None:
-        values = np.full((ny, nx), 0.25)  # constant field: every cell takes colour 0
+        values = np.full((n, n), 0.25)  # constant field: every cell takes colour 0
     else:
         rng = np.random.default_rng(seed)
         # values on the colour bins' edges and repeats among random ones
-        values = rng.uniform(-1.0, 2.0, (ny, nx))
+        values = rng.uniform(-1.0, 2.0, (n, n))
         values.flat[:: 3] = np.round(values.flat[:: 3] * 255.0) / 255.0
-    x = np.linspace(-2.0, 2.0, nx)
-    y = np.linspace(-1.0, 3.0, ny)
-    svg = heatmap_svg(x, y, values, title="t", cell_px=cell_px)
+    svg = heatmap_svg(np.linspace(-2.0, 2.0, n), values, title="t")
     lines = svg.splitlines()
-    cells = reference_heatmap_cells(values, cell_px)
+    cells = reference_heatmap_cells(values)
     start = lines.index(cells[0])
     assert lines[start : start + len(cells)] == cells
     assert start == 3  # after the svg tag, the background and the title
-    assert svg.count("<rect") == 1 + nx * ny + 1 + 256
+    assert svg.count("<rect") == 1 + n * n + 1 + 256
 
 
 def test_fig7_heatmaps_keep_the_full_colour_scale(tmp_path):

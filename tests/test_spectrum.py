@@ -44,19 +44,19 @@ def real_cubic_roots_bisection(b2, b1, b0):
     return sorted(roots)
 
 
-def lambda_cubic(coeffs, omega_e):
+def lambda_cubic(coeffs):
     """Coefficients of the real cubic in lambda obtained from z -> i*lambda."""
-    poly = theta_poly(coeffs, omega_e)
+    poly = theta_poly(coeffs)
     # Theta(i*lambda) = i * (-(lambda^3) + (h+s) lambda^2 + a1 lambda - g0)
     b2 = -(coeffs.h + coeffs.s)
     b1 = -poly.a1.real
-    b0 = 2.0 * omega_e * coeffs.v1 * coeffs.v2 + coeffs.v1**2 * coeffs.s + coeffs.v2**2 * coeffs.h
+    b0 = 2.0 * coeffs.omega_e * coeffs.v1 * coeffs.v2 + coeffs.v1**2 * coeffs.s + coeffs.v2**2 * coeffs.h
     return b2, b1, b0
 
 
-def propagator_roots(coeffs, omega_e):
+def propagator_roots(coeffs):
     """Roots of Theta recorded by the analytic route (-i times K's eigenvalues)."""
-    return analytic_trajectory(coeffs, omega_e, EXCITED, np.array([0.0])).roots
+    return analytic_trajectory(coeffs, EXCITED, np.array([0.0])).roots
 
 
 def random_params(rng):
@@ -76,8 +76,8 @@ def random_params(rng):
 
 
 def test_theta_poly_no_drive_no_detuning():
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.03, v2=0.05, n=0)
-    poly = theta_poly(coeffs, 0.0)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.03, v2=0.05, omega_e=0.0, n=0)
+    poly = theta_poly(coeffs)
     assert poly.a2 == 0.0
     assert poly.a1 == pytest.approx(0.03**2 + 0.05**2, abs=1e-18)
     assert poly.a0 == 0.0
@@ -85,7 +85,7 @@ def test_theta_poly_no_drive_no_detuning():
 
 def test_theta_poly_fig_row_coefficients():
     c = sector_coefficients(fig_params())
-    poly = theta_poly(c, 0.04)
+    poly = theta_poly(c)
     assert poly.a2 == pytest.approx(-0.1j, abs=1e-15)
     # 0.04^2 + (0.04*sqrt2)^2 + (0.06*sqrt2)^2 - 0.1*0 = 0.0016+0.0032+0.0072
     assert poly.a1 == pytest.approx(0.0016 + 0.0032 + 0.0072, abs=1e-15)
@@ -99,7 +99,7 @@ def test_theta_structure_purely_imaginary_even_coefficients():
     rng = np.random.default_rng(3)
     for _ in range(100):
         p = random_params(rng)
-        poly = theta_poly(sector_coefficients(p), p.omega_e)
+        poly = theta_poly(sector_coefficients(p))
         assert poly.a2.real == 0.0
         assert poly.a1.imag == 0.0
         assert poly.a0.real == 0.0
@@ -110,8 +110,8 @@ def test_theta_structure_purely_imaginary_even_coefficients():
 
 def test_solve_cubic_factorable():
     # h = s = omega_e = 0: Theta = z (z^2 + v1^2 + v2^2) = z (z^2 + 0.1^2)
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, n=0)
-    roots = propagator_roots(coeffs, 0.0)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, omega_e=0.0, n=0)
+    roots = propagator_roots(coeffs)
     expected = (-0.1j, 0.0, 0.1j)
     for got, want in zip(roots.roots, expected):
         assert got == pytest.approx(want, abs=1e-15)
@@ -120,14 +120,14 @@ def test_solve_cubic_factorable():
 
 def test_solve_cubic_orders_by_imaginary_part():
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
-    roots = propagator_roots(c, 0.04).roots
+    roots = propagator_roots(c).roots
     assert roots[0].imag < roots[1].imag < roots[2].imag
 
 
 def test_solve_cubic_vieta_fig_row():
     c = sector_coefficients(fig_params())
-    poly = theta_poly(c, 0.04)
-    r = propagator_roots(c, 0.04)
+    poly = theta_poly(c)
+    r = propagator_roots(c)
     a, b, cc = r.roots
     assert abs((a + b + cc) - (-poly.a2)) <= 1e-12 * max(1.0, abs(poly.a2))
     assert abs(a * b * cc - (-poly.a0)) <= 1e-12 * max(1.0, abs(poly.a0))
@@ -142,8 +142,8 @@ def test_solve_cubic_against_bisection_oracle_fig_rows():
     ):
         c = sector_coefficients(fig_params(**kwargs))
         p = fig_params(**kwargs)
-        roots = propagator_roots(c, p.omega_e)
-        oracle = real_cubic_roots_bisection(*lambda_cubic(c, p.omega_e))
+        roots = propagator_roots(c)
+        oracle = real_cubic_roots_bisection(*lambda_cubic(c))
         assert len(oracle) == 3
         for got, lam in zip(roots.roots, oracle):
             assert got.imag == pytest.approx(lam, abs=1e-12)
@@ -157,11 +157,11 @@ def test_property_sweep_roots_purely_imaginary():
     for _ in range(1000):
         p = random_params(rng)
         c = sector_coefficients(p)
-        roots = propagator_roots(c, p.omega_e)
+        roots = propagator_roots(c)
         scale = max(1.0, max(abs(z.imag) for z in roots.roots))
         assert all(abs(z.real) <= 1e-10 * scale for z in roots.roots)
         assert roots.max_residual <= 1e-12
-        b2, b1, b0 = lambda_cubic(c, p.omega_e)
+        b2, b1, b0 = lambda_cubic(c)
         oracle = real_cubic_roots_bisection(b2, b1, b0)
         assert len(oracle) == 3
         for got, lam in zip(roots.roots, oracle):
@@ -174,22 +174,23 @@ def test_property_sweep_roots_purely_imaginary():
 
 def test_degenerate_roots_are_solved():
     # all couplings zero: Theta = z^2 (z - i s), double root at 0
-    coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.0, v2=0.0, n=1)
-    roots = propagator_roots(coeffs, 0.0)
+    coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.0, v2=0.0, omega_e=0.0, n=1)
+    roots = propagator_roots(coeffs)
     assert roots.roots == (0.0, 0.0, 0.1j)
     assert roots.min_pairwise_gap == 0.0
     assert roots.max_residual == 0.0
     # fully trivial sector: triple root at 0
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.0, v2=0.0, n=0)
-    roots = propagator_roots(coeffs, 0.0)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.0, v2=0.0, omega_e=0.0, n=0)
+    roots = propagator_roots(coeffs)
     assert roots.roots == (0.0, 0.0, 0.0)
     assert roots.min_pairwise_gap == 0.0
 
 
 def test_sector_generator_rejects_overflowed_constants():
-    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=math.inf, v2=0.1, n=7)
+    # the sector record refuses the constant when it is built, so no
+    # generator is ever made from it
     with pytest.raises(OverflowError, match="sector 7"):
-        sector_generator(coeffs, 0.0)
+        sector_generator(SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=math.inf, v2=0.1, omega_e=0.0, n=7))
 
 
 def test_cubic_poly_evaluation_and_derivative():
