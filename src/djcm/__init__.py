@@ -1,7 +1,6 @@
 """djcm: per-photon-sector dynamics of a microwave-driven V-type atom in a
 Kerr-deformed cavity, with the full set of derived quantum observables."""
 
-from .backend import ACTIVE as active_backend
 from .dynamics import (
     EXCITED,
     InitialCondition,

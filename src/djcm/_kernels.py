@@ -12,9 +12,9 @@ the fifth-order solution is propagated.  A step that is NaN or below
 has attempted MAX_STEPS steps without reaching the last grid point ends
 with STATUS_BUDGET.
 
-The same source is used for both backends: `integrate_sector_numba` is
-the numba-compiled version (when numba is importable) and
-`integrate_sector_numpy` is the plain-Python fallback.
+The same source serves both backends: `integrate_sector_numpy` runs it
+as plain Python, and `integrate_sector_numba` is its numba compile,
+present whenever numba imports and then the default (djcm.backend).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .backend import ACTIVE, HAVE_NUMBA, njit_kernel
+from .backend import ACTIVE, HAVE_NUMBA
 
 __all__ = [
     "STATUS_OK",
@@ -266,7 +266,11 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
 
 
 integrate_sector_numpy = _integrate_sector
-integrate_sector_numba = njit_kernel(_integrate_sector) if HAVE_NUMBA else None
+integrate_sector_numba = None
+if HAVE_NUMBA:
+    from numba import njit
+
+    integrate_sector_numba = njit(cache=True, nogil=True)(_integrate_sector)
 
 
 def select_integrator(name: str | None = None):

@@ -1,48 +1,20 @@
-"""Kernel backend selection.
+"""Kernel backend probe.
 
-Hot numeric kernels are compiled with numba when it is importable.  The
-environment variable DJCM_BACKEND overrides the choice:
-
-    DJCM_BACKEND=numba   require the compiled kernels (error if unavailable)
-    DJCM_BACKEND=numpy   force the pure-Python/NumPy fallback
-    DJCM_BACKEND=auto    compiled if numba imports, fallback otherwise (default)
-
-Both implementations stay importable so benchmarks can time them side by
-side regardless of the active default.
+The ODE oracle's kernel is compiled with numba whenever numba imports
+(ACTIVE = "numba"); otherwise the plain-Python kernel runs (ACTIVE =
+"numpy").  Both implementations stay importable so benchmarks can time
+them side by side regardless of the active default.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["HAVE_NUMBA", "USING_NUMBA", "ACTIVE", "njit_kernel"]
+__all__ = ["HAVE_NUMBA", "ACTIVE"]
 
 try:
-    from numba import njit as _njit
+    import numba  # noqa: F401
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
-    _njit = None
     HAVE_NUMBA = False
 
-
-def _env_choice() -> str:
-    raw = os.environ.get("DJCM_BACKEND", "auto").strip().lower()
-    if raw not in ("auto", "numba", "numpy"):
-        raise ValueError(f"DJCM_BACKEND must be 'auto', 'numba' or 'numpy', got {raw!r}")
-    return raw
-
-
-_CHOICE = _env_choice()
-if _CHOICE == "numba" and not HAVE_NUMBA:
-    raise ImportError("DJCM_BACKEND=numba but numba is not importable")
-
-USING_NUMBA = _CHOICE == "numba" or (_CHOICE == "auto" and HAVE_NUMBA)
-ACTIVE = "numba" if USING_NUMBA else "numpy"
-
-
-def njit_kernel(func):
-    """Compile func with numba if available; otherwise return it unchanged."""
-    if HAVE_NUMBA:
-        return _njit(cache=True, nogil=True)(func)
-    return func
+ACTIVE = "numba" if HAVE_NUMBA else "numpy"

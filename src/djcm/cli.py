@@ -6,11 +6,12 @@
                   [--config run.json] [--out DIR]
     djcm validate [--seed SEED] [--tuples N]
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error or
-parameters outside the numerical range (integrator step-size underflow
-or step budget, floating-point overflow), 3 I/O error.  DJCM_THREADS
-caps the worker processes of a simulate sweep (figures run serially);
-DJCM_BACKEND selects the numba or numpy kernels.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (a
+ValueError) or parameters outside the numerical range (an
+ArithmeticError: integrator step-size underflow or step budget,
+floating-point overflow), 3 I/O error.  DJCM_THREADS caps the worker
+processes of a simulate sweep (figures run serially).  The ODE oracle
+runs numba's compile of its kernel whenever numba imports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, check_husimi_grid, load_config_file, params_echo, run_config_from_dict, sweep_from_dict
-from .dynamics import EXCITED, StepBudgetError, StepSizeUnderflowError, solve_sector
+from .dynamics import EXCITED, solve_sector
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
 from .runner import (
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepSizeUnderflowError, StepBudgetError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # the integrator's two errors included
         print(f"numerical range error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

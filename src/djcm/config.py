@@ -102,6 +102,11 @@ class RunConfig:
             raise ConfigError(f"samples must be >= 2, got {self.samples!r}")
         if self.params.omega_cavity <= 0.0:
             raise ConfigError("params.omega_cavity must be > 0 for the tau = omega_cavity*t axis")
+        if not math.isfinite(self.tau_max / self.params.omega_cavity):
+            raise ConfigError(
+                f"tau_max / params.omega_cavity = {self.tau_max!r} / {self.params.omega_cavity!r} "
+                "overflows the raw time t = tau / omega_cavity"
+            )
         for i, name in enumerate(self.observables):
             if name not in OBSERVABLE_NAMES:
                 raise ConfigError(

@@ -31,6 +31,7 @@ from .spectrum import CubicRoots, cubic_roots, sector_generator, theta_poly
 __all__ = [
     "METHOD_ANALYTIC",
     "METHOD_ORACLE",
+    "ODE_TOLERANCE",
     "StepSizeUnderflowError",
     "StepBudgetError",
     "InitialCondition",
@@ -46,13 +47,16 @@ __all__ = [
 METHOD_ANALYTIC = "Analytic"
 METHOD_ORACLE = "Oracle"
 
+# the oracle's relative and absolute error tolerance per step
+ODE_TOLERANCE = 1e-10
 
-class StepSizeUnderflowError(RuntimeError):
+
+class StepSizeUnderflowError(ArithmeticError):
     """The adaptive integrator could not meet its tolerance with any
     representable step size (pathological parameters)."""
 
 
-class StepBudgetError(RuntimeError):
+class StepBudgetError(ArithmeticError):
     """The adaptive integrator used up its fixed step budget
     (_kernels.MAX_STEPS) before the end of the grid."""
 
@@ -173,11 +177,10 @@ def amplitudes_ode(
     coeffs: SectorCoefficients,
     ic: InitialCondition,
     times,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
     backend: str | None = None,
 ) -> Trajectory:
-    """Integrate the coupled amplitude ODEs over a grid starting at t = 0.
+    """Integrate the coupled amplitude ODEs over a grid starting at t = 0,
+    with relative and absolute tolerance ODE_TOLERANCE.
 
     Raises OverflowError when a rotating phase at the last grid point is
     not finite, StepSizeUnderflowError when no representable step meets
@@ -202,8 +205,8 @@ def amplitudes_ode(
         float(coeffs.v1),
         float(coeffs.v2),
         float(coeffs.omega_e),
-        float(rtol),
-        float(atol),
+        ODE_TOLERANCE,
+        ODE_TOLERANCE,
     )
     if status == _kernels.STATUS_UNDERFLOW:
         raise StepSizeUnderflowError(
@@ -230,7 +233,7 @@ def solve_sector(
     """Evolve params.sector_n over a grid starting at t = 0.
 
     method 'analytic' (the default) takes the eigendecomposition route,
-    'oracle' the ODE integrator at amplitudes_ode's default tolerances.
+    'oracle' the ODE integrator (amplitudes_ode).
     """
     if method not in ("analytic", "oracle"):
         raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")

@@ -11,10 +11,12 @@ basis kets; the entanglement entropy of the reduced atomic state
 reduces to the binary entropy of P1.
 
 `field_moments` is the one route to <A+A> and <(A+A)^2>: g2, Mandel Q
-and the squeezing parameters all take their moments from it.
-`annihilation_moment` builds <A^k> generically from the basis kets
-instead of a hand-reduced formula, so the fact that every <A^k> with
-k >= 1 vanishes in a single-sector state is computed, not assumed.
+and the squeezing parameters all take their moments from it.  The
+squeezing parameters drop the anomalous moments <A^k>, k >= 1: the
+three basis kets pair distinct atomic levels with distinct photon
+numbers, so every <A^k> vanishes in a single-sector state.
+`annihilation_moment` builds <A^k> generically from the basis kets, and
+validate criterion 8 checks that it comes out zero.
 """
 
 from __future__ import annotations
@@ -209,25 +211,15 @@ def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
 
 def squeezing_params(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, ...]:
     """First- and second-order quadrature squeezing parameters
-    (s1_x, s1_p, s2_x, s2_p), from field_moments and annihilation_moment."""
+    (s1_x, s1_p, s2_x, s2_p), from field_moments alone.
+
+    With every anomalous moment <A^k> zero (see the module docstring), both
+    quadratures give s1 = 2<A+A> and s2 = 2<(A+A)^2> - 2<A+A>.
+    """
     m1, m2 = field_moments(amps, params)
-    a1 = annihilation_moment(amps, params, 1)
-    a2 = annihilation_moment(amps, params, 2)
-    a4 = annihilation_moment(amps, params, 4)
-    # single-sector states pair distinct levels with distinct photon
-    # numbers, so every <A^k> with k >= 1 must come out identically zero
-    for label, moment in (("<A>", a1), ("<A^2>", a2), ("<A^4>", a4)):
-        worst = float(np.max(np.abs(moment))) if np.size(moment) else 0.0
-        if worst > 1e-14:
-            raise RuntimeError(f"anomalous moment {label} = {worst:.3e} did not vanish")
-    ad1 = np.conj(a1)
-    ad2 = np.conj(a2)
-    ad4 = np.conj(a4)
-    s1x = 2.0 * m1 + (a2 + ad2 - a1**2 - ad1**2 - 2.0 * a1 * ad1).real
-    s1p = 2.0 * m1 + (-a2 - ad2 + a1**2 + ad1**2 - 2.0 * a1 * ad1).real
-    s2x = 2.0 * m2 - 2.0 * m1 + (a4 + ad4 - a2**2 - ad2**2 - 2.0 * a2 * ad2).real
-    s2p = 2.0 * m2 - 2.0 * m1 + (-a4 - ad4 + a2**2 + ad2**2 - 2.0 * a2 * ad2).real
-    return s1x, s1p, s2x, s2p
+    s1 = 2.0 * m1
+    s2 = 2.0 * m2 - 2.0 * m1
+    return s1, s1, s2, s2
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import djcm
 from djcm import _kernels
 from djcm.cli import main
 from djcm.figures import FIGURE_IDS, run_figure
+from djcm.observables import OBSERVABLE_NAMES
 from djcm.runner import QUALITY_KEYS, worker_count
 
 BASE_CONFIG = {
@@ -238,6 +245,84 @@ def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, caps
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "numerical range error: series 'g2' contains non-finite values\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"params": dict(BASE_CONFIG["params"], omega_cavity=1e-320)},
+        {"params": dict(BASE_CONFIG["params"], omega_cavity=1e-300), "tau_max": 1e300},
+        {"sweep": {"axes": [["omega_cavity", [0.2, 1e-320]]]}},
+    ],
+    ids=["subnormal-omega", "huge-tau", "sweep-point"],
+)
+def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
+    # tau_max / omega_cavity is the last raw time; an infinite one used to
+    # reach the solver and print NumPy's overflow warnings first
+    cfg = write_config(tmp_path, samples=50, svg=False, **overrides)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: tau_max / params.omega_cavity = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# the reference value first: hypothesis shrinks each draw towards it
+MAGNITUDES = (0.2, 0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1e-6, 0.01, 0.04, 1.0, 7.0, 1e6, 1e20, 1e150, 1e300)
+
+
+@st.composite
+def single_run_documents(draw):
+    """Analytic single-run config documents over extreme magnitudes."""
+    magnitude = st.sampled_from(MAGNITUDES)
+    gap1, gap2 = draw(magnitude), draw(magnitude)
+    params = {
+        "omega_cavity": draw(magnitude),
+        "omega_levels": [0.0, gap1, gap1 + gap2],
+        "g1": draw(magnitude),
+        "g2": draw(magnitude),
+        "omega_e": draw(magnitude),
+        "chi": draw(st.sampled_from((0.2, 0.0, 1e-300, 1e10, 1e300))),
+        "sector_n": draw(st.sampled_from((1, 0, 3, 300, 10**6, 10**12))),
+    }
+    husimi = {"resolution": draw(st.sampled_from((2, 5))), "range": draw(st.sampled_from((0.5, 3.0, 1e100)))}
+    n_max = draw(st.sampled_from((None, 0, 5)))
+    if n_max is not None:
+        husimi["n_max"] = n_max
+    return {
+        "params": params,
+        "tau_max": draw(magnitude),
+        "samples": draw(st.sampled_from((2, 3, 17))),
+        "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES), unique=True)),
+        "husimi": husimi,
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=single_run_documents())
+def test_single_run_exit_contract(doc):
+    # exit 0 with finite CSV cells, or exit 2 with one message line and no
+    # output; never a traceback (an exception out of main) or a warning
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", cfg, "--out", out])
+        assert [str(w.message) for w in caught] == []
+        err = stderr.getvalue()
+        if code == 2:
+            assert err.startswith(("configuration error: ", "numerical range error: ")) and err.count("\n") == 1
+            assert not os.path.exists(out)
+            return
+        assert code == 0 and err == ""
+        for name in os.listdir(out):
+            if name.endswith(".csv"):
+                _, cols = read_csv_columns(os.path.join(out, name))
+                assert all(np.all(np.isfinite(col)) for col in cols.values()), name
 
 
 def test_husimi_runs_the_vacuum_sector(tmp_path):

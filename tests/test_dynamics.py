@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from djcm import _kernels
 from djcm.dynamics import (
     EXCITED,
+    ODE_TOLERANCE,
     InitialCondition,
     StepSizeUnderflowError,
     amplitudes_ode,
@@ -170,13 +172,28 @@ def test_norm_conservation_fig_rows(kwargs):
 
 
 def test_ode_tolerance_convergence():
+    # amplitudes_ode fixes both tolerances at ODE_TOLERANCE; the kernel
+    # still takes them as arguments
     p = fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
     t = tau_grid(60.0, 400)
-    loose = amplitudes_ode(c, EXCITED, t, rtol=1e-6, atol=1e-6).norm_error()
-    tight = amplitudes_ode(c, EXCITED, t, rtol=1e-12, atol=1e-12).norm_error()
+
+    def kernel_amplitudes(tol):
+        out, status, _, _ = _kernels.integrate_sector_numpy(
+            t, 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, tol, tol
+        )
+        assert status == _kernels.STATUS_OK
+        return out
+
+    def norm_error(amps):
+        return float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
+
+    loose = norm_error(kernel_amplitudes(1e-6))
+    tight = norm_error(kernel_amplitudes(1e-12))
     assert tight < loose
     assert tight <= 1e-10
+    oracle = amplitudes_ode(c, EXCITED, t, backend="numpy").amplitudes
+    assert np.array_equal(oracle, kernel_amplitudes(ODE_TOLERANCE))
 
 
 def test_phase_convention_pinned_by_oracle():
