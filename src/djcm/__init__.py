@@ -4,11 +4,13 @@ Kerr-deformed cavity, with the full set of derived quantum observables."""
 from .dynamics import (
     EXCITED,
     InitialCondition,
+    PhaseAccuracyError,
     StepBudgetError,
     StepSizeUnderflowError,
     Trajectory,
     amplitudes_ode,
     analytic_trajectory,
+    sector_generator,
     solve_sector,
 )
 from .model import Kerr, ModelParams, SectorCoefficients, k_value, sector_coefficients
@@ -28,6 +30,5 @@ from .observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from .spectrum import CubicPoly, CubicRoots, sector_generator, theta_poly
 
 __version__ = "0.1.0"

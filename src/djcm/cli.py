@@ -8,10 +8,11 @@
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error (a
 ValueError) or parameters outside the numerical range (an
-ArithmeticError: integrator step-size underflow or step budget,
-floating-point overflow), 3 I/O error.  DJCM_THREADS caps the worker
-processes of a simulate sweep (figures run serially).  The ODE oracle
-runs numba's compile of its kernel whenever numba imports.
+ArithmeticError: integrator step-size underflow or step budget, a phase
+error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
+3 I/O error.  DJCM_THREADS caps the worker processes of a simulate sweep
+(figures run serially).  The ODE oracle runs numba's compile of its
+kernel whenever numba imports.
 """
 
 from __future__ import annotations
@@ -20,11 +21,18 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .config import ConfigError, check_husimi_grid, load_config_file, params_echo, run_config_from_dict, sweep_from_dict
-from .dynamics import EXCITED, solve_sector
+from .config import (
+    ConfigError,
+    check_husimi_grid,
+    check_time_axis,
+    load_config_file,
+    model_from_dict,
+    params_echo,
+    run_config_from_dict,
+    sweep_from_dict,
+)
+from .dynamics import EXCITED, METHOD_ANALYTIC
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
 from .runner import (
@@ -32,7 +40,6 @@ from .runner import (
     manifest_header,
     run_simulation,
     run_simulations,
-    trajectory_quality,
     worker_count,
     write_husimi,
 )
@@ -114,18 +121,12 @@ def _cmd_figures(args) -> int:
 
 def _cmd_husimi(args) -> int:
     if args.config is not None:
-        cfg = run_config_from_dict(load_config_file(args.config))
-        params = cfg.params
-        ic = cfg.ic
+        params, ic = model_from_dict(load_config_file(args.config))
     else:
-        params = row_params(ROWS[1])  # chi = 0.2 reference row
-        ic = EXCITED
+        params, ic = row_params(ROWS[1]), EXCITED  # chi = 0.2 reference row
     flags = ("--resolution", "--range", "--t", "--all-sectors")
     check_husimi_grid(args.resolution, args.range, args.t, args.all_sectors, flags)
-    # quality metrics of the underlying state solve (populated sector)
-    t_raw = args.t / params.omega_cavity
-    grid_times = np.array([0.0, t_raw]) if t_raw > 0 else np.array([0.0])
-    quality = trajectory_quality(solve_sector(params, grid_times, ic=ic))
+    check_time_axis(args.t, params.omega_cavity, "--t")
     title = f"Husimi Q at tau={args.t:g}"
     files, record = write_husimi(
         args.out, "husimi", title, params, args.t, args.range, args.resolution, args.all_sectors, ic=ic
@@ -134,7 +135,7 @@ def _cmd_husimi(args) -> int:
         os.path.join(args.out, "husimi_manifest.json"),
         {
             **manifest_header("husimi"),
-            **quality,
+            "method": METHOD_ANALYTIC,
             **record,
             "params": params_echo(params),
             "outputs": sorted(files),

@@ -39,9 +39,11 @@ __all__ = [
     "MAX_CSV_CELLS",
     "RunConfig",
     "params_echo",
+    "check_time_axis",
     "check_husimi_grid",
     "SweepConfig",
     "load_config_file",
+    "model_from_dict",
     "run_config_from_dict",
     "sweep_from_dict",
 ]
@@ -100,13 +102,7 @@ class RunConfig:
             raise ConfigError(f"tau_max must be > 0, got {self.tau_max!r}")
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples!r}")
-        if self.params.omega_cavity <= 0.0:
-            raise ConfigError("params.omega_cavity must be > 0 for the tau = omega_cavity*t axis")
-        if not math.isfinite(self.tau_max / self.params.omega_cavity):
-            raise ConfigError(
-                f"tau_max / params.omega_cavity = {self.tau_max!r} / {self.params.omega_cavity!r} "
-                "overflows the raw time t = tau / omega_cavity"
-            )
+        check_time_axis(self.tau_max, self.params.omega_cavity, "tau_max")
         for i, name in enumerate(self.observables):
             if name not in OBSERVABLE_NAMES:
                 raise ConfigError(
@@ -287,6 +283,17 @@ def _ic_from_list(values, where: str = "ic") -> InitialCondition:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def check_time_axis(tau: float, omega_cavity: float, name: str) -> None:
+    """The scaled time tau = omega_cavity * t needs omega_cavity > 0 and a
+    finite raw time tau / omega_cavity; name is tau's field or flag."""
+    if omega_cavity <= 0.0:
+        raise ConfigError("params.omega_cavity must be > 0 for the tau = omega_cavity*t axis")
+    if not math.isfinite(tau / omega_cavity):
+        raise ConfigError(
+            f"{name} / params.omega_cavity = {tau!r} / {omega_cavity!r} overflows the raw time t = tau / omega_cavity"
+        )
+
+
 def check_husimi_grid(
     resolution: int, half_width: float, tau: float | None, n_max: int | None, names: tuple[str, ...]
 ) -> None:
@@ -304,10 +311,15 @@ def check_husimi_grid(
         raise ConfigError(f"{names[3]} must be >= 0, got {n_max}")
 
 
+def model_from_dict(doc: dict) -> tuple[ModelParams, InitialCondition]:
+    """The model of a parsed JSON document: its params and ic, and no other field."""
+    params = _params_from_dict(_require(doc, "params", "config"))
+    return params, (_ic_from_list(doc["ic"]) if "ic" in doc else EXCITED)
+
+
 def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
-    params = _params_from_dict(_require(doc, "params", "config"))
-    ic = _ic_from_list(doc["ic"]) if "ic" in doc else EXCITED
+    params, ic = model_from_dict(doc)
 
     observables = doc.get("observables", list(DEFAULT_OBSERVABLES))
     if not (isinstance(observables, list) and all(isinstance(x, str) for x in observables)):

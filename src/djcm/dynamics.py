@@ -1,18 +1,25 @@
 """Time evolution of the three amplitudes of one photon sector.
 
-Two independent routes produce the same trajectory:
+The shifted amplitude triple of one photon sector obeys dx/dt = -iKx
+with the real symmetric generator
 
-* the analytic path diagonalises the sector's real symmetric generator K
-  (spectrum.sector_generator) and evolves the shifted amplitudes as
+    K = [[0, v2, v1], [v2, -s, omega_e], [v1, omega_e, -h]].
+
+Its Laplace-domain matrix is M(z) = zI + iK, whose determinant Theta(z)
+is a monic cubic with roots alpha_j = -i lambda_j, lambda_j the
+eigenvalues of K.  Two independent routes produce the same trajectory:
+
+* the analytic path diagonalises K and evolves the shifted amplitudes as
   V exp(-i Lambda t) V^T x0, which is the residue expansion of the
-  Laplace inversion over the roots alpha_j = -i lambda_j of the
-  characteristic cubic; it then restores the rotating phases on the
-  second and third amplitudes;
+  Laplace inversion over the roots of Theta; it then restores the
+  rotating phases on the second and third amplitudes;
 * the oracle path integrates the coupled amplitude ODEs directly with
   an adaptive Dormand-Prince 5(4) scheme.
 
-The analytic path is exact up to round-off on every parameter set,
-degenerate spectra included, and is the default; the ODE path is the
+The analytic path is the default, degenerate spectra included.  eigh
+finds each lambda_j to about u max|lambda| (u = 2^-53), so each phase
+lambda_j t is off by up to u max|lambda| max|t|: propagate refuses a
+solve whose bound exceeds PHASE_ERROR_LIMIT.  The ODE path is the
 independent cross-check.
 """
 
@@ -26,17 +33,19 @@ import numpy as np
 
 from . import _kernels
 from .model import ModelParams, SectorCoefficients, sector_coefficients
-from .spectrum import CubicRoots, cubic_roots, sector_generator, theta_poly
 
 __all__ = [
     "METHOD_ANALYTIC",
     "METHOD_ORACLE",
     "ODE_TOLERANCE",
+    "PHASE_ERROR_LIMIT",
+    "PhaseAccuracyError",
     "StepSizeUnderflowError",
     "StepBudgetError",
     "InitialCondition",
     "EXCITED",
     "Trajectory",
+    "sector_generator",
     "propagate",
     "propagator_errors",
     "analytic_trajectory",
@@ -49,6 +58,15 @@ METHOD_ORACLE = "Oracle"
 
 # the oracle's relative and absolute error tolerance per step
 ODE_TOLERANCE = 1e-10
+
+# the largest phase error the analytic route vouches for: validate's
+# cross-method tolerance
+PHASE_ERROR_LIMIT = 1e-6
+
+
+class PhaseAccuracyError(ArithmeticError):
+    """The analytic route's phase error bound exceeds PHASE_ERROR_LIMIT:
+    double precision cannot resolve the phases lambda_j t."""
 
 
 class StepSizeUnderflowError(ArithmeticError):
@@ -90,15 +108,15 @@ class Trajectory:
     |1,n+1>, |2,n>, |3,n> at times[i], and every observable in
     djcm.observables takes the whole array or any row of it.  The record
     holds no model constants: the caller keeps the ModelParams it solved.
-    method records which route produced it.  roots is set on the analytic
-    route, the integrator's accepted and rejected step counts on the
-    oracle route.
+    method records which route produced it.  phase_error_bound is set on
+    the analytic route (see propagate), the integrator's accepted and
+    rejected step counts on the oracle route.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
     method: str
-    roots: CubicRoots | None = None
+    phase_error_bound: float | None = None
     steps_accepted: int | None = None
     steps_rejected: int | None = None
 
@@ -122,30 +140,42 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
     return grid
 
 
-def propagate(generators: np.ndarray, x0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sector_generator(coeffs: SectorCoefficients) -> np.ndarray:
+    """Real symmetric generator K of the shifted amplitudes, dx/dt = -iKx."""
+    c = coeffs
+    return np.array([[0.0, c.v2, c.v1], [c.v2, -c.s, c.omega_e], [c.v1, c.omega_e, -c.h]])
+
+
+def propagate(generators: np.ndarray, x0: np.ndarray, times: np.ndarray) -> tuple[float, np.ndarray]:
     """Shifted amplitudes x(t) = V exp(-i Lambda t) V^T x0 of a stack of sectors.
 
     generators is an (N, 3, 3) stack of real symmetric generators K = V Lambda V^T
-    (spectrum.sector_generator), x0 the common initial triple and times a 1-D
-    grid.  Returns the ascending eigenvalues, shape (N, 3), and x, shape
-    (N, 3, T): the residue expansion of the Laplace inversion, with projector
-    residues over the poles alpha_j = -i lambda_j.  Every sector of the stack
-    gets the same bits as a stack of one.
+    (sector_generator), x0 the common initial triple and times a 1-D grid.
+    Returns the phase error bound u max|lambda| max|t| over the whole stack,
+    u = 2^-53, and x, shape (N, 3, T): the residue expansion of the Laplace
+    inversion, with projector residues over the poles alpha_j = -i lambda_j.
+    Every sector of the stack gets the same bits as a stack of one.  Raises
+    PhaseAccuracyError, before any phase is evaluated, when the bound is not
+    at most PHASE_ERROR_LIMIT.
     """
     lam, vec = np.linalg.eigh(generators)
+    bound = 2.0**-53 * float(np.max(np.abs(lam))) * float(np.max(np.abs(times)))
+    if not bound <= PHASE_ERROR_LIMIT:
+        raise PhaseAccuracyError(f"phase error bound {bound:.3g} exceeds {PHASE_ERROR_LIMIT:g}")
     weights = x0 @ vec
-    return lam, vec @ (weights[..., None] * np.exp(-1j * (lam[..., None] * times)))
+    return bound, vec @ (weights[..., None] * np.exp(-1j * (lam[..., None] * times)))
 
 
 @contextmanager
 def propagator_errors(label: str):
-    """Turn floating-point overflow or an invalid operation inside the block
-    into FloatingPointError('<label> propagator: ...')."""
+    """Prefix '<label> propagator: ' to a PhaseAccuracyError raised inside the
+    block, and turn floating-point overflow or an invalid operation there into
+    a FloatingPointError with the same prefix."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{label} propagator: {exc}") from exc
+    except (FloatingPointError, PhaseAccuracyError) as exc:
+        raise type(exc)(f"{label} propagator: {exc}") from exc
 
 
 def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times) -> Trajectory:
@@ -153,14 +183,14 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
 
     The shifted amplitudes come from propagate with a stack of one; the
     rotating phases are restored on the second and third amplitudes.
-    Raises an ArithmeticError when the spectrum or a phase lambda_j * t
-    leaves the floating-point range.
+    Raises PhaseAccuracyError when the phases are not resolved to
+    PHASE_ERROR_LIMIT (see propagate); since max|lambda| >= |s|, |h|, that
+    also covers the rotating phases.
     """
     grid = _as_grid(times, require_zero_start=False)
     x0 = ic.as_array()
     with propagator_errors(f"sector {coeffs.n}"):
-        lam, shifted = propagate(sector_generator(coeffs)[None], x0, grid)
-        roots = cubic_roots(theta_poly(coeffs), lam[0])
+        bound, shifted = propagate(sector_generator(coeffs)[None], x0, grid)
     shifted = shifted[0]
     amps = np.empty((grid.size, 3), dtype=np.complex128)
     amps[:, 0] = shifted[0]
@@ -170,7 +200,7 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     # pin it to keep the round-off (~1e-16) out of observables that are
     # identically zero there.
     amps[grid == 0.0] = x0
-    return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, roots=roots)
+    return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, phase_error_bound=bound)
 
 
 def amplitudes_ode(

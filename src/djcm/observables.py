@@ -26,9 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import EXCITED, InitialCondition, Trajectory, propagate, propagator_errors, solve_sector
+from .dynamics import (
+    EXCITED,
+    InitialCondition,
+    Trajectory,
+    propagate,
+    propagator_errors,
+    sector_generator,
+    solve_sector,
+)
 from .model import ModelParams, sector_coefficients
-from .spectrum import sector_generator
 
 __all__ = [
     "UndefinedObservableError",
@@ -75,11 +82,17 @@ class HusimiGrid:
     """Husimi values over a square patch of the coherent-state plane.
 
     values[i, j] = Q(axis[j] + 1j * axis[i]); n_max is the last sector summed.
+    norm_drift_max is max|P1 + P2 + P3 - 1| over the summed sectors.
+    phase_error_bound is the one bound the analytic route gated all summed
+    sectors on (see dynamics.propagate): the largest of their bounds.  It is
+    None on the oracle route.
     """
 
     axis: np.ndarray
     values: np.ndarray
     n_max: int
+    norm_drift_max: float
+    phase_error_bound: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +270,28 @@ def trajectory_series(traj: Trajectory, name: str, params: ModelParams) -> list[
 # Husimi function
 # ---------------------------------------------------------------------------
 
-def _sector_populations(params: ModelParams, sectors, t: float, ic: InitialCondition, method: str) -> np.ndarray:
+def _sector_populations(
+    params: ModelParams, sectors, t: float, ic: InitialCondition, method: str
+) -> tuple[np.ndarray, float | None]:
     """Populations of each listed sector at time t, shape (len(sectors), 3),
-    every sector evolved from ic.  The analytic route solves all of them
-    with one stacked propagate call, the oracle route one ODE run each."""
+    every sector evolved from ic, and the phase error bound (None on the
+    oracle route).  The analytic route solves all of them with one stacked
+    propagate call, gated on the stack's bound, the oracle route one ODE
+    run each."""
+    analytic = method == "analytic"
     if t == 0.0:
-        return np.tile(populations(ic.as_array()), (len(sectors), 1))
-    if method != "analytic":  # the oracle, or a method that solve_sector rejects
+        return np.tile(populations(ic.as_array()), (len(sectors), 1)), 0.0 if analytic else None
+    if not analytic:  # the oracle, or a method that solve_sector rejects
         grid = np.array([0.0, t])
         return np.array(
             [populations(solve_sector(replace(params, sector_n=n), grid, ic=ic, method=method).amplitudes[-1]) for n in sectors]
-        )
+        ), None
     generators = np.array([sector_generator(sector_coefficients(replace(params, sector_n=n))) for n in sectors])
     label = f"sector {sectors[0]}" if len(sectors) == 1 else f"sectors {sectors[0]}..{sectors[-1]}"
     with propagator_errors(label):
-        _, shifted = propagate(generators, ic.as_array(), np.array([t]))
+        bound, shifted = propagate(generators, ic.as_array(), np.array([t]))
     # the rotating phases of the second and third amplitudes drop out of |c|^2
-    return populations(shifted[..., 0])
+    return populations(shifted[..., 0]), bound
 
 
 def husimi_q(
@@ -292,7 +310,8 @@ def husimi_q(
     params.sector_n only: that is the Husimi function of the reduced field
     state and integrates to one.  With an integer n_max it accumulates the
     terms of every sector n <= n_max, each evolved from ic; the result is a
-    diagnostic surface, not a normalized distribution.
+    diagnostic surface, not a normalized distribution.  The analytic route
+    gates all summed sectors on the largest of their phase error bounds.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -306,7 +325,7 @@ def husimi_q(
     axis = np.linspace(-half_width, half_width, resolution)
     r2 = axis[None, :] ** 2 + axis[:, None] ** 2
     sectors = (params.sector_n,) if n_max is None else range(n_max + 1)
-    pops = _sector_populations(params, sectors, float(t), ic, method)
+    pops, bound = _sector_populations(params, sectors, float(t), ic, method)
     # Q depends on the grid only through r2: with several sectors, sum on the
     # distinct radii and scatter back.  Each Poisson weight
     # r2^n exp(-r2) / n! is exponentiated from its logarithm, so no weight
@@ -331,4 +350,5 @@ def husimi_q(
             acc += weight
     acc /= math.pi
     values = acc if inverse is None else acc[inverse].reshape(r2.shape)
-    return HusimiGrid(axis=axis, values=values, n_max=sectors[-1])
+    drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
+    return HusimiGrid(axis=axis, values=values, n_max=sectors[-1], norm_drift_max=drift, phase_error_bound=bound)

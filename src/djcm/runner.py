@@ -30,8 +30,7 @@ __all__ = [
 QUALITY_KEYS = (
     "method",
     "norm_drift_max",
-    "root_max_residual",
-    "root_min_gap",
+    "phase_error_bound",
     "ode_steps_accepted",
     "ode_steps_rejected",
 )
@@ -54,17 +53,9 @@ def worker_count() -> int:
 
 def trajectory_quality(traj: Trajectory) -> dict:
     """Per-run route and accuracy, embedded in every manifest: the route,
-    the norm drift, the spectrum's residual and gap (analytic route) and
-    the integrator's step counts (oracle route); null where not taken."""
-    roots = traj.roots
-    values = (
-        traj.method,
-        traj.norm_error(),
-        None if roots is None else roots.max_residual,
-        None if roots is None else roots.min_pairwise_gap,
-        traj.steps_accepted,
-        traj.steps_rejected,
-    )
+    the norm drift, the phase error bound (analytic route) and the
+    integrator's step counts (oracle route); null where not taken."""
+    values = (traj.method, traj.norm_error(), traj.phase_error_bound, traj.steps_accepted, traj.steps_rejected)
     return dict(zip(QUALITY_KEYS, values))
 
 
@@ -106,7 +97,8 @@ def write_husimi(
     <name>.csv (columns x, y, q; y-major order) and, with svg, <name>.svg
     (heatmap).  n_max None sums the populated sector only (mode single),
     an integer the sectors 0..n_max (mode all).  Returns the file names
-    and the grid record {tau, range, resolution, n_max, mode}."""
+    and the grid record {tau, range, resolution, n_max, mode} with the
+    grid's norm_drift_max and phase_error_bound (observables.HusimiGrid)."""
     grid = husimi_q(params, tau / params.omega_cavity, half_width, resolution, n_max, ic=ic, method=method)
     files = [f"{name}.csv"]
     # y-major rows: x cycles through the axis, y repeats each entry once per x
@@ -119,6 +111,7 @@ def write_husimi(
         write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
     mode = "single" if n_max is None else "all"
     record = {"tau": tau, "range": half_width, "resolution": resolution, "n_max": grid.n_max, "mode": mode}
+    record.update(norm_drift_max=grid.norm_drift_max, phase_error_bound=grid.phase_error_bound)
     return files, record
 
 

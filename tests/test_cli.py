@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import djcm
 from djcm import _kernels
 from djcm.cli import main
+from djcm.dynamics import PHASE_ERROR_LIMIT
 from djcm.figures import FIGURE_IDS, run_figure
 from djcm.observables import OBSERVABLE_NAMES
 from djcm.runner import QUALITY_KEYS, worker_count
@@ -79,7 +80,7 @@ def test_simulate_fig_row_outputs(tmp_path):
     assert manifest["version"]
     assert manifest["backend"] in ("numba", "numpy")
     assert manifest["norm_drift_max"] <= 1e-9
-    assert manifest["root_max_residual"] <= 1e-12
+    assert 0.0 < manifest["phase_error_bound"] <= 1e-12
     assert manifest["config"]["params"]["omega_levels"] == [0.3, 0.4, 0.5]
     assert "populations.csv" in manifest["outputs"]
 
@@ -101,7 +102,7 @@ def test_simulate_force_oracle(tmp_path):
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "Oracle"
-    assert manifest["root_max_residual"] is None
+    assert manifest["phase_error_bound"] is None
     assert manifest["ode_steps_accepted"] > 0
     assert manifest["ode_steps_rejected"] >= 0
 
@@ -113,14 +114,14 @@ def test_simulate_degenerate_spectrum_runs_analytic(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "Analytic"
-    assert manifest["root_min_gap"] == 0.0
-    assert manifest["root_max_residual"] is not None
+    # K = diag(0, -s, 0) with s = 0.1: the bound is u * s * t_max, t_max = 50 / 0.2
+    assert manifest["phase_error_bound"] == pytest.approx(2.0**-53 * 0.1 * 250.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "params, flags",
     [
-        (dict(omega_cavity=1e-300, g1=1e150), []),  # |alpha|^3 overflows
+        (dict(omega_cavity=1e-300, g1=1e150), []),  # the phase error bound overflows
         (dict(g1=1e15, g2=1e15), ["--force-oracle"]),  # integrator step size underflows
     ],
 )
@@ -319,6 +320,8 @@ def test_single_run_exit_contract(doc):
             assert not os.path.exists(out)
             return
         assert code == 0 and err == ""
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["phase_error_bound"] <= PHASE_ERROR_LIMIT
         for name in os.listdir(out):
             if name.endswith(".csv"):
                 _, cols = read_csv_columns(os.path.join(out, name))
@@ -326,12 +329,28 @@ def test_single_run_exit_contract(doc):
 
 
 def test_husimi_runs_the_vacuum_sector(tmp_path):
-    # the husimi command reads only params and ic from a config file
-    cfg = write_config(tmp_path, params=VACUUM)
+    # the husimi command reads only params and ic from a config file, so a
+    # run field that simulate would reject does not matter to it
+    cfg = write_config(tmp_path, params=VACUUM, samples=1)
     out = tmp_path / "h"
     assert main(["husimi", "--t", "5", "--resolution", "21", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "husimi_manifest.json").read_text())
     assert manifest["params"]["sector_n"] == 0 and manifest["n_max"] == 0
+
+
+@pytest.mark.parametrize(
+    "omega_cavity, message",
+    [
+        (0.0, "params.omega_cavity must be > 0 for the tau = omega_cavity*t axis"),
+        (1e-320, "--t / params.omega_cavity = 5.0 / 1e-320 overflows the raw time t = tau / omega_cavity"),
+    ],
+)
+def test_husimi_config_needs_a_finite_raw_time(tmp_path, capsys, omega_cavity, message):
+    cfg = write_config(tmp_path, params=dict(BASE_CONFIG["params"], omega_cavity=omega_cavity))
+    out = tmp_path / "h"
+    assert main(["husimi", "--t", "5", "--resolution", "3", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_simulate_missing_config_exits_2(tmp_path):
@@ -372,7 +391,7 @@ def test_simulate_sweep(tmp_path):
         point_manifest = json.loads((out / label / "manifest.json").read_text())
         # every point carries its run's full route and accuracy record
         assert point == {"label": label, **{key: point_manifest[key] for key in QUALITY_KEYS}}
-        assert point["method"] == "Analytic" and point["root_max_residual"] is not None
+        assert point["method"] == "Analytic" and point["phase_error_bound"] <= PHASE_ERROR_LIMIT
 
 
 def test_figures_fig2_panels(tmp_path):
@@ -626,4 +645,4 @@ def test_husimi_manifest_quality_metrics(tmp_path):
     manifest = json.loads((out / "husimi_manifest.json").read_text())
     assert manifest["method"] == "Analytic"
     assert manifest["norm_drift_max"] <= 1e-9
-    assert manifest["root_max_residual"] is not None
+    assert 0.0 < manifest["phase_error_bound"] <= PHASE_ERROR_LIMIT

@@ -9,15 +9,17 @@ from djcm import _kernels
 from djcm.dynamics import (
     EXCITED,
     ODE_TOLERANCE,
+    PHASE_ERROR_LIMIT,
     InitialCondition,
     StepSizeUnderflowError,
     amplitudes_ode,
     analytic_trajectory,
     propagate,
+    sector_generator,
     solve_sector,
 )
 from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
-from djcm.spectrum import sector_generator, theta_poly
+from djcm.validate import theta_poly
 
 from test_model import fig_params
 from test_spectrum import lambda_cubic, random_params, real_cubic_roots_bisection
@@ -133,9 +135,10 @@ def test_fully_decoupled_sector_is_constant():
     traj = solve_sector(p, tau_grid(20.0, 200), ic=ic)
     # the degenerate spectrum (double root at 0) takes the analytic route too
     assert traj.method == "Analytic"
-    assert traj.roots is not None
-    assert traj.roots.min_pairwise_gap == 0.0
-    assert traj.roots.max_residual <= 1e-12
+    c = sector_coefficients(p)
+    assert np.array_equal(np.linalg.eigvalsh(sector_generator(c)), [-c.s, 0.0, 0.0])
+    # K = diag(0, -s, 0): the largest |lambda| is s exactly
+    assert traj.phase_error_bound == 2.0**-53 * c.s * traj.times[-1]
     assert np.max(np.abs(traj.amplitudes - ic.as_array())) <= 1e-12
 
 
@@ -254,7 +257,7 @@ def test_explicit_formulas_random_coefficients():
 def test_solve_sector_defaults_to_analytic():
     traj = solve_sector(fig_params(), tau_grid(10.0, 50))
     assert traj.method == "Analytic"
-    assert traj.roots is not None
+    assert 0.0 < traj.phase_error_bound <= PHASE_ERROR_LIMIT
     assert traj.steps_accepted is None and traj.steps_rejected is None
 
 
@@ -267,8 +270,8 @@ def test_solve_sector_forced_analytic_solves_degenerate():
     ana = solve_sector(p, t, ic=ic, method="analytic")
     orc = solve_sector(p, t, ic=ic, method="oracle")
     assert ana.method == "Analytic"
-    assert ana.roots is not None
-    assert ana.roots.min_pairwise_gap == 0.0
+    assert ana.phase_error_bound <= PHASE_ERROR_LIMIT
+    assert np.min(np.diff(np.linalg.eigvalsh(sector_generator(sector_coefficients(p))))) == 0.0
     assert np.max(np.abs(ana.amplitudes - orc.amplitudes)) <= 1e-6
     assert ana.norm_error() <= 1e-12
 
@@ -352,7 +355,7 @@ def test_norm_drift_large_sectors(tau):
 def test_ode_step_counts_recorded():
     p = fig_params()
     traj = solve_sector(p, tau_grid(20.0, 200), method="oracle")
-    assert traj.roots is None
+    assert traj.phase_error_bound is None
     assert traj.steps_accepted > 0
     assert traj.steps_rejected >= 0
 
@@ -367,10 +370,13 @@ def test_stacked_propagator_rows_equal_one_sector_route():
     generators = np.array([sector_generator(c) for c in coeffs])
     times = np.linspace(0.5, 50.0 / base.omega_cavity, 40)
     for ic in (EXCITED, InitialCondition(0.6, 0.8j, 0.0)):
-        lam, shifted = propagate(generators, ic.as_array(), times)
-        assert lam.shape == (343, 3) and shifted.shape == (343, 3, times.size)
-        for c, x in zip(coeffs, shifted):
-            amps = analytic_trajectory(c, ic, times).amplitudes
+        bound, shifted = propagate(generators, ic.as_array(), times)
+        assert shifted.shape == (343, 3, times.size)
+        trajectories = [analytic_trajectory(c, ic, times) for c in coeffs]
+        # the stack's bound is the largest of the sectors' bounds
+        assert bound == max(traj.phase_error_bound for traj in trajectories)
+        for c, x, traj in zip(coeffs, shifted, trajectories):
+            amps = traj.amplitudes
             assert np.array_equal(amps[:, 0], x[0])
             assert np.array_equal(amps[:, 1], np.exp(-1j * c.s * times) * x[1])
             assert np.array_equal(amps[:, 2], np.exp(-1j * c.h * times) * x[2])
@@ -382,7 +388,12 @@ def test_stacked_propagator_random_stack_matches_stacks_of_one():
     generators = np.array([sector_generator(sector_coefficients(p)) for p in params])
     x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     times = np.sort(rng.uniform(0.0, 300.0, 25))
-    lam, shifted = propagate(generators, x0 / np.linalg.norm(x0), times)
+    bound, shifted = propagate(generators, x0 / np.linalg.norm(x0), times)
+    bounds = []
     for k in range(len(params)):
-        lam_k, shifted_k = propagate(generators[k : k + 1], x0 / np.linalg.norm(x0), times)
-        assert np.array_equal(lam[k], lam_k[0]) and np.array_equal(shifted[k], shifted_k[0])
+        bound_k, shifted_k = propagate(generators[k : k + 1], x0 / np.linalg.norm(x0), times)
+        assert np.array_equal(shifted[k], shifted_k[0])
+        bounds.append(bound_k)
+    assert bound == max(bounds)
+    lam = np.linalg.eigh(generators)[0]  # the decomposition propagate makes
+    assert bound == 2.0**-53 * float(np.max(np.abs(lam))) * times[-1]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from djcm.dynamics import EXCITED, analytic_trajectory
+from djcm.dynamics import sector_generator
 from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
-from djcm.spectrum import CubicPoly, sector_generator, theta_poly
+from djcm.validate import CubicPoly, theta_poly
 
 from test_model import fig_params
 
@@ -55,8 +55,20 @@ def lambda_cubic(coeffs):
 
 
 def propagator_roots(coeffs):
-    """Roots of Theta recorded by the analytic route (-i times K's eigenvalues)."""
-    return analytic_trajectory(coeffs, EXCITED, np.array([0.0])).roots
+    """Roots alpha_j = -i lambda_j of Theta from the eigenvalues of the
+    generator that the analytic route diagonalises, ordered by ascending
+    imaginary part."""
+    return tuple(complex(z) for z in -1j * np.linalg.eigvalsh(sector_generator(coeffs))[::-1])
+
+
+def min_gap(roots):
+    return min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :])
+
+
+def theta_residual(coeffs, roots):
+    """max |Theta(alpha)| / max(1, |alpha|^3) over the roots."""
+    poly = theta_poly(coeffs)
+    return max(abs(poly(z)) / max(1.0, abs(z) ** 3) for z in roots)
 
 
 def random_params(rng):
@@ -113,22 +125,21 @@ def test_solve_cubic_factorable():
     coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, omega_e=0.0, n=0)
     roots = propagator_roots(coeffs)
     expected = (-0.1j, 0.0, 0.1j)
-    for got, want in zip(roots.roots, expected):
+    for got, want in zip(roots, expected):
         assert got == pytest.approx(want, abs=1e-15)
-    assert roots.min_pairwise_gap == pytest.approx(0.1, abs=1e-12)
+    assert min_gap(roots) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_solve_cubic_orders_by_imaginary_part():
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
-    roots = propagator_roots(c).roots
+    roots = propagator_roots(c)
     assert roots[0].imag < roots[1].imag < roots[2].imag
 
 
 def test_solve_cubic_vieta_fig_row():
     c = sector_coefficients(fig_params())
     poly = theta_poly(c)
-    r = propagator_roots(c)
-    a, b, cc = r.roots
+    a, b, cc = propagator_roots(c)
     assert abs((a + b + cc) - (-poly.a2)) <= 1e-12 * max(1.0, abs(poly.a2))
     assert abs(a * b * cc - (-poly.a0)) <= 1e-12 * max(1.0, abs(poly.a0))
     assert abs(a * b + a * cc + b * cc - poly.a1) <= 1e-12 * max(1.0, abs(poly.a1))
@@ -145,7 +156,7 @@ def test_solve_cubic_against_bisection_oracle_fig_rows():
         roots = propagator_roots(c)
         oracle = real_cubic_roots_bisection(*lambda_cubic(c))
         assert len(oracle) == 3
-        for got, lam in zip(roots.roots, oracle):
+        for got, lam in zip(roots, oracle):
             assert got.imag == pytest.approx(lam, abs=1e-12)
             assert abs(got.real) <= 1e-12
 
@@ -158,13 +169,13 @@ def test_property_sweep_roots_purely_imaginary():
         p = random_params(rng)
         c = sector_coefficients(p)
         roots = propagator_roots(c)
-        scale = max(1.0, max(abs(z.imag) for z in roots.roots))
-        assert all(abs(z.real) <= 1e-10 * scale for z in roots.roots)
-        assert roots.max_residual <= 1e-12
+        scale = max(1.0, max(abs(z.imag) for z in roots))
+        assert all(abs(z.real) <= 1e-10 * scale for z in roots)
+        assert theta_residual(c, roots) <= 1e-12
         b2, b1, b0 = lambda_cubic(c)
         oracle = real_cubic_roots_bisection(b2, b1, b0)
         assert len(oracle) == 3
-        for got, lam in zip(roots.roots, oracle):
+        for got, lam in zip(roots, oracle):
             # both routes stop at the double-precision floor: polynomial
             # evaluation noise divided by the root's derivative magnitude
             slope = abs(np.prod([lam - other for other in oracle if other != lam])) or 1.0
@@ -176,14 +187,14 @@ def test_degenerate_roots_are_solved():
     # all couplings zero: Theta = z^2 (z - i s), double root at 0
     coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.0, v2=0.0, omega_e=0.0, n=1)
     roots = propagator_roots(coeffs)
-    assert roots.roots == (0.0, 0.0, 0.1j)
-    assert roots.min_pairwise_gap == 0.0
-    assert roots.max_residual == 0.0
+    assert roots == (0.0, 0.0, 0.1j)
+    assert min_gap(roots) == 0.0
+    assert theta_residual(coeffs, roots) == 0.0
     # fully trivial sector: triple root at 0
     coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.0, v2=0.0, omega_e=0.0, n=0)
     roots = propagator_roots(coeffs)
-    assert roots.roots == (0.0, 0.0, 0.0)
-    assert roots.min_pairwise_gap == 0.0
+    assert roots == (0.0, 0.0, 0.0)
+    assert min_gap(roots) == 0.0
 
 
 def test_sector_generator_rejects_overflowed_constants():
