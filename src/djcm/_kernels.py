@@ -1,16 +1,17 @@
 """Adaptive Dormand-Prince 5(4) kernel for the three-amplitude sector ODE.
 
-The right-hand side is inlined for speed: the system is only three
-complex amplitudes, so the step loop works on Python float/complex
-scalars, with the rotating phases from cmath.exp.  The output array is
-the only NumPy object it touches: NumPy scalars (NumPy's exp of a
-number, an element read from an array) would send every operation
-through NumPy's far slower scalar arithmetic.  Error control uses the
-standard mixed absolute/relative norm with a PI step-size controller;
-the fifth-order solution is propagated.  A step that is NaN or below
-1e-14 * max(1, |t|) ends the run with STATUS_UNDERFLOW, and a run that
-has attempted MAX_STEPS steps without reaching the last grid point ends
-with STATUS_BUDGET.
+The sector's right-hand side and the weighted RMS error norm are each
+written once, as inner functions called by the initial-step probe and
+every stage.  The system is only three complex amplitudes, so the step
+loop works on Python float/complex scalars, with the rotating phases
+from cmath.exp.  The output array is the only NumPy object it touches:
+NumPy scalars (NumPy's exp of a number, an element read from an array)
+would send every operation through NumPy's far slower scalar arithmetic.
+Error control uses the mixed absolute/relative norm with one tolerance
+for both parts and a PI step-size controller; the fifth-order solution
+is propagated.  A step that is NaN or below 1e-14 * max(1, |t|) ends the
+run with STATUS_UNDERFLOW, and a run that has attempted MAX_STEPS steps
+without reaching the last grid point ends with STATUS_BUDGET.
 
 The same source serves both backends: `integrate_sector_numpy` runs it
 as plain Python, and `integrate_sector_numba` is its numba compile,
@@ -48,12 +49,35 @@ STATUS_BUDGET = 2
 MAX_STEPS = 100_000
 
 
-def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, atol):
+def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, tol):
     """Integrate the sector amplitudes over `times` (strictly increasing).
 
-    Returns (out[T,3] complex128, status, n_accepted, n_rejected).  Grid
-    points are hit exactly by clipping the step; no dense interpolation.
+    `tol` is both the relative and the absolute tolerance.  Returns
+    (out[T,3] complex128, status, n_accepted, n_rejected).  Grid points are
+    hit exactly by clipping the step; no dense interpolation.
     """
+    # the phases' rates i h, i s, i nu, formed once per call
+    ihh, iss, inu = 1j * hh, 1j * ss, 1j * nu
+
+    # inner functions, so that numba compiles them with the kernel (it
+    # cannot call a module-level Python function)
+    def rhs(tt, w1, w2, w3):
+        ph = cmath.exp(ihh * tt)
+        ps = cmath.exp(iss * tt)
+        pn = cmath.exp(inu * tt)
+        return (
+            -1j * (v1 * ph * w3 + v2 * ps * w2),
+            -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3),
+            -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2),
+        )
+
+    def wrms(a1, a2, a3, m1, m2, m3):
+        # component j is scaled by tol + tol * m_j, m_j an amplitude magnitude
+        r1 = abs(a1) / (tol + tol * m1)
+        r2 = abs(a2) / (tol + tol * m2)
+        r3 = abs(a3) / (tol + tol * m3)
+        return math.sqrt((r1**2 + r2**2 + r3**2) / 3.0)
+
     n_out = times.shape[0]
     out = np.empty((n_out, 3), np.complex128)
     y1 = c1_0 + 0j
@@ -71,37 +95,19 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
     nrej = 0
 
     # first derivative (also the FSAL carry)
-    ph = cmath.exp(1j * hh * t)
-    ps = cmath.exp(1j * ss * t)
-    pn = cmath.exp(1j * nu * t)
-    k11 = -1j * (v1 * ph * y3 + v2 * ps * y2)
-    k12 = -1j * (v2 * ps.conjugate() * y1 + ome * pn.conjugate() * y3)
-    k13 = -1j * (v1 * ph.conjugate() * y1 + ome * pn * y2)
+    k11, k12, k13 = rhs(t, y1, y2, y3)
 
     # initial step size: standard two-probe heuristic
-    sc1 = atol + rtol * abs(y1)
-    sc2 = atol + rtol * abs(y2)
-    sc3 = atol + rtol * abs(y3)
-    d0 = math.sqrt(((abs(y1) / sc1) ** 2 + (abs(y2) / sc2) ** 2 + (abs(y3) / sc3) ** 2) / 3.0)
-    d1 = math.sqrt(((abs(k11) / sc1) ** 2 + (abs(k12) / sc2) ** 2 + (abs(k13) / sc3) ** 2) / 3.0)
+    m1, m2, m3 = abs(y1), abs(y2), abs(y3)
+    d0 = wrms(y1, y2, y3, m1, m2, m3)
+    d1 = wrms(k11, k12, k13, m1, m2, m3)
     if d0 < 1e-5 or d1 < 1e-5:
         h = 1e-6
     else:
         h = 0.01 * d0 / d1
     h = min(h, t_end - t)
-    u1 = y1 + h * k11
-    u2 = y2 + h * k12
-    u3 = y3 + h * k13
-    tp = t + h
-    ph = cmath.exp(1j * hh * tp)
-    ps = cmath.exp(1j * ss * tp)
-    pn = cmath.exp(1j * nu * tp)
-    f11 = -1j * (v1 * ph * u3 + v2 * ps * u2)
-    f12 = -1j * (v2 * ps.conjugate() * u1 + ome * pn.conjugate() * u3)
-    f13 = -1j * (v1 * ph.conjugate() * u1 + ome * pn * u2)
-    d2 = math.sqrt(
-        ((abs(f11 - k11) / sc1) ** 2 + (abs(f12 - k12) / sc2) ** 2 + (abs(f13 - k13) / sc3) ** 2) / 3.0
-    ) / h
+    f11, f12, f13 = rhs(t + h, y1 + h * k11, y2 + h * k12, y3 + h * k13)
+    d2 = wrms(f11 - k11, f12 - k12, f13 - k13, m1, m2, m3) / h
     der = max(d1, d2)
     if der > 1e-15:
         h1 = (0.01 / der) ** 0.2
@@ -127,110 +133,46 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
             ht = target - t if clipped else h
 
             # Dormand-Prince stages (k1 carried over, FSAL)
-            tt = t + ht * 0.2
-            w1 = y1 + ht * 0.2 * k11
-            w2 = y2 + ht * 0.2 * k12
-            w3 = y3 + ht * 0.2 * k13
-            ph = cmath.exp(1j * hh * tt)
-            ps = cmath.exp(1j * ss * tt)
-            pn = cmath.exp(1j * nu * tt)
-            k21 = -1j * (v1 * ph * w3 + v2 * ps * w2)
-            k22 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
-            k23 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
-
-            tt = t + ht * 0.3
+            k21, k22, k23 = rhs(t + ht * 0.2, y1 + ht * 0.2 * k11, y2 + ht * 0.2 * k12, y3 + ht * 0.2 * k13)
             w1 = y1 + ht * (3.0 / 40.0 * k11 + 9.0 / 40.0 * k21)
             w2 = y2 + ht * (3.0 / 40.0 * k12 + 9.0 / 40.0 * k22)
             w3 = y3 + ht * (3.0 / 40.0 * k13 + 9.0 / 40.0 * k23)
-            ph = cmath.exp(1j * hh * tt)
-            ps = cmath.exp(1j * ss * tt)
-            pn = cmath.exp(1j * nu * tt)
-            k31 = -1j * (v1 * ph * w3 + v2 * ps * w2)
-            k32 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
-            k33 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
-
-            tt = t + ht * 0.8
+            k31, k32, k33 = rhs(t + ht * 0.3, w1, w2, w3)
             w1 = y1 + ht * (44.0 / 45.0 * k11 - 56.0 / 15.0 * k21 + 32.0 / 9.0 * k31)
             w2 = y2 + ht * (44.0 / 45.0 * k12 - 56.0 / 15.0 * k22 + 32.0 / 9.0 * k32)
             w3 = y3 + ht * (44.0 / 45.0 * k13 - 56.0 / 15.0 * k23 + 32.0 / 9.0 * k33)
-            ph = cmath.exp(1j * hh * tt)
-            ps = cmath.exp(1j * ss * tt)
-            pn = cmath.exp(1j * nu * tt)
-            k41 = -1j * (v1 * ph * w3 + v2 * ps * w2)
-            k42 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
-            k43 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
+            k41, k42, k43 = rhs(t + ht * 0.8, w1, w2, w3)
+            w1 = y1 + ht * (19372.0 / 6561.0 * k11 - 25360.0 / 2187.0 * k21
+                            + 64448.0 / 6561.0 * k31 - 212.0 / 729.0 * k41)
+            w2 = y2 + ht * (19372.0 / 6561.0 * k12 - 25360.0 / 2187.0 * k22
+                            + 64448.0 / 6561.0 * k32 - 212.0 / 729.0 * k42)
+            w3 = y3 + ht * (19372.0 / 6561.0 * k13 - 25360.0 / 2187.0 * k23
+                            + 64448.0 / 6561.0 * k33 - 212.0 / 729.0 * k43)
+            k51, k52, k53 = rhs(t + ht * (8.0 / 9.0), w1, w2, w3)
+            w1 = y1 + ht * (9017.0 / 3168.0 * k11 - 355.0 / 33.0 * k21 + 46732.0 / 5247.0 * k31
+                            + 49.0 / 176.0 * k41 - 5103.0 / 18656.0 * k51)
+            w2 = y2 + ht * (9017.0 / 3168.0 * k12 - 355.0 / 33.0 * k22 + 46732.0 / 5247.0 * k32
+                            + 49.0 / 176.0 * k42 - 5103.0 / 18656.0 * k52)
+            w3 = y3 + ht * (9017.0 / 3168.0 * k13 - 355.0 / 33.0 * k23 + 46732.0 / 5247.0 * k33
+                            + 49.0 / 176.0 * k43 - 5103.0 / 18656.0 * k53)
+            k61, k62, k63 = rhs(t + ht, w1, w2, w3)
+            z1 = y1 + ht * (35.0 / 384.0 * k11 + 500.0 / 1113.0 * k31 + 125.0 / 192.0 * k41
+                            - 2187.0 / 6784.0 * k51 + 11.0 / 84.0 * k61)
+            z2 = y2 + ht * (35.0 / 384.0 * k12 + 500.0 / 1113.0 * k32 + 125.0 / 192.0 * k42
+                            - 2187.0 / 6784.0 * k52 + 11.0 / 84.0 * k62)
+            z3 = y3 + ht * (35.0 / 384.0 * k13 + 500.0 / 1113.0 * k33 + 125.0 / 192.0 * k43
+                            - 2187.0 / 6784.0 * k53 + 11.0 / 84.0 * k63)
+            # FSAL stage: the derivative at the propagated solution
+            k71, k72, k73 = rhs(t + ht, z1, z2, z3)
 
-            tt = t + ht * (8.0 / 9.0)
-            w1 = y1 + ht * (
-                19372.0 / 6561.0 * k11 - 25360.0 / 2187.0 * k21 + 64448.0 / 6561.0 * k31 - 212.0 / 729.0 * k41
-            )
-            w2 = y2 + ht * (
-                19372.0 / 6561.0 * k12 - 25360.0 / 2187.0 * k22 + 64448.0 / 6561.0 * k32 - 212.0 / 729.0 * k42
-            )
-            w3 = y3 + ht * (
-                19372.0 / 6561.0 * k13 - 25360.0 / 2187.0 * k23 + 64448.0 / 6561.0 * k33 - 212.0 / 729.0 * k43
-            )
-            ph = cmath.exp(1j * hh * tt)
-            ps = cmath.exp(1j * ss * tt)
-            pn = cmath.exp(1j * nu * tt)
-            k51 = -1j * (v1 * ph * w3 + v2 * ps * w2)
-            k52 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
-            k53 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
-
-            tt = t + ht
-            w1 = y1 + ht * (
-                9017.0 / 3168.0 * k11 - 355.0 / 33.0 * k21 + 46732.0 / 5247.0 * k31
-                + 49.0 / 176.0 * k41 - 5103.0 / 18656.0 * k51
-            )
-            w2 = y2 + ht * (
-                9017.0 / 3168.0 * k12 - 355.0 / 33.0 * k22 + 46732.0 / 5247.0 * k32
-                + 49.0 / 176.0 * k42 - 5103.0 / 18656.0 * k52
-            )
-            w3 = y3 + ht * (
-                9017.0 / 3168.0 * k13 - 355.0 / 33.0 * k23 + 46732.0 / 5247.0 * k33
-                + 49.0 / 176.0 * k43 - 5103.0 / 18656.0 * k53
-            )
-            ph = cmath.exp(1j * hh * tt)
-            ps = cmath.exp(1j * ss * tt)
-            pn = cmath.exp(1j * nu * tt)
-            k61 = -1j * (v1 * ph * w3 + v2 * ps * w2)
-            k62 = -1j * (v2 * ps.conjugate() * w1 + ome * pn.conjugate() * w3)
-            k63 = -1j * (v1 * ph.conjugate() * w1 + ome * pn * w2)
-
-            z1 = y1 + ht * (
-                35.0 / 384.0 * k11 + 500.0 / 1113.0 * k31 + 125.0 / 192.0 * k41
-                - 2187.0 / 6784.0 * k51 + 11.0 / 84.0 * k61
-            )
-            z2 = y2 + ht * (
-                35.0 / 384.0 * k12 + 500.0 / 1113.0 * k32 + 125.0 / 192.0 * k42
-                - 2187.0 / 6784.0 * k52 + 11.0 / 84.0 * k62
-            )
-            z3 = y3 + ht * (
-                35.0 / 384.0 * k13 + 500.0 / 1113.0 * k33 + 125.0 / 192.0 * k43
-                - 2187.0 / 6784.0 * k53 + 11.0 / 84.0 * k63
-            )
-            # FSAL stage: same tt = t + ht as stage 6, so ph/ps/pn carry over
-            k71 = -1j * (v1 * ph * z3 + v2 * ps * z2)
-            k72 = -1j * (v2 * ps.conjugate() * z1 + ome * pn.conjugate() * z3)
-            k73 = -1j * (v1 * ph.conjugate() * z1 + ome * pn * z2)
-
-            e1 = ht * (
-                71.0 / 57600.0 * k11 - 71.0 / 16695.0 * k31 + 71.0 / 1920.0 * k41
-                - 17253.0 / 339200.0 * k51 + 22.0 / 525.0 * k61 - 1.0 / 40.0 * k71
-            )
-            e2 = ht * (
-                71.0 / 57600.0 * k12 - 71.0 / 16695.0 * k32 + 71.0 / 1920.0 * k42
-                - 17253.0 / 339200.0 * k52 + 22.0 / 525.0 * k62 - 1.0 / 40.0 * k72
-            )
-            e3 = ht * (
-                71.0 / 57600.0 * k13 - 71.0 / 16695.0 * k33 + 71.0 / 1920.0 * k43
-                - 17253.0 / 339200.0 * k53 + 22.0 / 525.0 * k63 - 1.0 / 40.0 * k73
-            )
-
-            sc1 = atol + rtol * max(abs(y1), abs(z1))
-            sc2 = atol + rtol * max(abs(y2), abs(z2))
-            sc3 = atol + rtol * max(abs(y3), abs(z3))
-            err = math.sqrt(((abs(e1) / sc1) ** 2 + (abs(e2) / sc2) ** 2 + (abs(e3) / sc3) ** 2) / 3.0)
+            # error estimate: the fifth- minus the fourth-order solution
+            e1 = ht * (71.0 / 57600.0 * k11 - 71.0 / 16695.0 * k31 + 71.0 / 1920.0 * k41
+                       - 17253.0 / 339200.0 * k51 + 22.0 / 525.0 * k61 - 1.0 / 40.0 * k71)
+            e2 = ht * (71.0 / 57600.0 * k12 - 71.0 / 16695.0 * k32 + 71.0 / 1920.0 * k42
+                       - 17253.0 / 339200.0 * k52 + 22.0 / 525.0 * k62 - 1.0 / 40.0 * k72)
+            e3 = ht * (71.0 / 57600.0 * k13 - 71.0 / 16695.0 * k33 + 71.0 / 1920.0 * k43
+                       - 17253.0 / 339200.0 * k53 + 22.0 / 525.0 * k63 - 1.0 / 40.0 * k73)
+            err = wrms(e1, e2, e3, max(abs(y1), abs(z1)), max(abs(y2), abs(z2)), max(abs(y3), abs(z3)))
 
             if not math.isfinite(err):
                 nrej += 1
@@ -238,23 +180,21 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, rtol, at
                 rejected = True
                 continue
 
+            fac11 = err ** expo1
             if err <= 1.0:
                 nacc += 1
                 t = target if clipped else t + ht
                 y1, y2, y3 = z1, z2, z3
                 k11, k12, k13 = k71, k72, k73
-                fac11 = err ** expo1
                 fac = fac11 / facold ** beta
                 fac = max(1.0 / 10.0, min(1.0 / 0.2, fac / safe))
-                hnew = ht / fac
+                h = ht / fac
                 if rejected:
-                    hnew = min(hnew, ht)
+                    h = min(h, ht)
                 facold = max(err, 1e-4)
                 rejected = False
-                h = hnew
             else:
                 nrej += 1
-                fac11 = err ** expo1
                 h = ht / min(1.0 / 0.2, fac11 / safe)
                 rejected = True
 

@@ -37,6 +37,7 @@ from .observables import OBSERVABLE_NAMES, SERIES
 __all__ = [
     "ConfigError",
     "MAX_CSV_CELLS",
+    "MAX_HUSIMI_N_MAX",
     "RunConfig",
     "params_echo",
     "check_time_axis",
@@ -55,6 +56,9 @@ MAX_SWEEP_POINTS = 10_000
 # CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text);
 # a run formats each file in memory, so the limit also bounds its memory
 MAX_CSV_CELLS = 50_000_000
+# largest last sector n_max of an all-sector Husimi sum; each sector costs
+# about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s
+MAX_HUSIMI_N_MAX = 10_000
 
 
 class ConfigError(ValueError):
@@ -309,6 +313,8 @@ def check_husimi_grid(
         raise ConfigError(f"{names[2]} must be finite and >= 0, got {tau}")
     if n_max is not None and n_max < 0:
         raise ConfigError(f"{names[3]} must be >= 0, got {n_max}")
+    if n_max is not None and n_max > MAX_HUSIMI_N_MAX:
+        raise ConfigError(f"{names[3]} must be <= {MAX_HUSIMI_N_MAX}, got {n_max}")
 
 
 def model_from_dict(doc: dict) -> tuple[ModelParams, InitialCondition]:

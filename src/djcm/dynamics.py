@@ -236,7 +236,6 @@ def amplitudes_ode(
         float(coeffs.v2),
         float(coeffs.omega_e),
         ODE_TOLERANCE,
-        ODE_TOLERANCE,
     )
     if status == _kernels.STATUS_UNDERFLOW:
         raise StepSizeUnderflowError(

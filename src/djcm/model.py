@@ -50,12 +50,16 @@ class Kerr:
 def k_value(deformation: Kerr, n: int) -> float:
     """Deformed commutator [A, A+] on the n-photon state.
 
-    Equals (n+1) f^2(n+1) - n f^2(n); exactly 1 at chi = 0 and >= 1 for
-    any chi.
+    (n+1) f^2(n+1) - n f^2(n) = 1 + chi (3n^2 + 3n + 1), evaluated in the
+    right-hand form: the left-hand one cancels and loses about u chi n^3.
+    3n^2 + 3n + 1 is exact in doubles below 2^53 (n < 5.4e7), so the
+    result carries two roundings there.  It is in floating point so that
+    an overflow gives inf, which SectorCoefficients refuses.  Exactly 1 at
+    chi = 0 (while 3n^2 is finite) and >= 1 for any chi.
     """
-    f_up = deformation.f(n + 1)
-    f_dn = deformation.f(n)
-    return (n + 1) * f_up * f_up - n * f_dn * f_dn
+    if n < 0:
+        raise ValueError(f"photon number must be >= 0, got {n}")
+    return 1.0 + deformation.chi * (3.0 * n * n + 3.0 * n + 1.0)
 
 
 @dataclass(frozen=True)

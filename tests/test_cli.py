@@ -205,6 +205,13 @@ def test_simulate_bad_husimi_field_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_simulate_husimi_sector_limit_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, observables=["husimi"], husimi={"n_max": 200_000})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: husimi.n_max must be <= 10000, got 200000\n"
+    assert not (tmp_path / "x").exists()
+
+
 VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
 
 
@@ -548,6 +555,7 @@ def test_husimi_validation_errors(tmp_path):
         (["--t", "inf"], "--t must be finite and >= 0, got inf"),
         (["--t", "1", "--range", "nan"], "--range must be finite and > 0, got nan"),
         (["--t", "1", "--all-sectors", "-1"], "--all-sectors must be >= 0, got -1"),
+        (["--t", "1", "--all-sectors", "200000"], "--all-sectors must be <= 10000, got 200000"),
     ],
 )
 def test_husimi_rejects_bad_flags(tmp_path, capsys, flags, message):

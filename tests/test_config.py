@@ -4,6 +4,7 @@ import pytest
 
 from djcm.config import (
     MAX_CSV_CELLS,
+    MAX_HUSIMI_N_MAX,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -134,12 +135,18 @@ def test_husimi_section_validation():
         ({"range": -2}, "husimi.range must be finite and > 0, got -2.0"),
         ({"tau": -1}, "husimi.tau must be finite and >= 0, got -1.0"),
         ({"resolution": 1}, "husimi.resolution must be >= 2, got 1"),
+        ({"n_max": MAX_HUSIMI_N_MAX + 1}, "husimi.n_max must be <= 10000, got 10001"),
     ],
 )
 def test_husimi_fields_follow_the_flag_rules(husimi, message):
     with pytest.raises(ConfigError) as info:
         run_config_from_dict(doc(husimi=husimi))
     assert str(info.value) == message
+
+
+def test_husimi_sector_limit_is_inclusive():
+    # the benchmark's all-sector sum (n_max 342) sits far inside the limit
+    assert run_config_from_dict(doc(husimi={"n_max": MAX_HUSIMI_N_MAX})).husimi_n_max == MAX_HUSIMI_N_MAX
 
 
 def test_json_syntax_error_reports_line(tmp_path):

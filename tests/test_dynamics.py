@@ -175,15 +175,15 @@ def test_norm_conservation_fig_rows(kwargs):
 
 
 def test_ode_tolerance_convergence():
-    # amplitudes_ode fixes both tolerances at ODE_TOLERANCE; the kernel
-    # still takes them as arguments
+    # amplitudes_ode fixes the tolerance at ODE_TOLERANCE; the kernel
+    # still takes it as an argument
     p = fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
     t = tau_grid(60.0, 400)
 
     def kernel_amplitudes(tol):
         out, status, _, _ = _kernels.integrate_sector_numpy(
-            t, 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, tol, tol
+            t, 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, tol
         )
         assert status == _kernels.STATUS_OK
         return out

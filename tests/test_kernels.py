@@ -5,6 +5,7 @@ import pytest
 
 from djcm import _kernels, backend
 from djcm.dynamics import EXCITED, InitialCondition, StepBudgetError, amplitudes_ode, analytic_trajectory
+from djcm.figures import ROWS, row_params
 from djcm.model import SectorCoefficients, sector_coefficients
 
 from test_model import fig_params
@@ -29,6 +30,17 @@ def test_numba_and_numpy_backends_agree():
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
 
 
+@pytest.mark.parametrize("row, steps", zip(ROWS, (823, 1817, 1786)), ids=[row.label for row in ROWS])
+def test_step_count_pins_the_order(row, steps):
+    # with only the end point tau = 60 requested, no grid point caps the
+    # step, so the attempted steps measure the method's order: a wrong
+    # stage coefficient lowers it and multiplies the count (6-80x for the
+    # one-digit slips tried)
+    p = row_params(row)
+    traj = amplitudes_ode(sector_coefficients(p), EXCITED, np.array([0.0, 60.0]) / p.omega_cavity, backend="numpy")
+    assert abs(traj.steps_accepted + traj.steps_rejected - steps) <= 0.05 * steps
+
+
 def test_grid_density_does_not_change_the_solution():
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     coeffs = sector_coefficients(p)
@@ -47,7 +59,7 @@ def test_single_point_grid():
 def test_kernel_status_underflow_direct():
     kernel = _kernels.select_integrator("numpy")
     times = np.array([0.0, 1.0])
-    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, 0.0, 0.0, 0.0, 1e15, 1e15, 0.0, 1e-10, 1e-10)
+    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, 0.0, 0.0, 0.0, 1e15, 1e15, 0.0, 1e-10)
     assert status == _kernels.STATUS_UNDERFLOW
 
 
@@ -55,7 +67,7 @@ def test_kernel_counts_steps():
     kernel = _kernels.select_integrator("numpy")
     times = np.linspace(0.0, 100.0, 11)
     out, status, nacc, nrej = kernel(
-        times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10, 1e-10
+        times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10
     )
     assert status == _kernels.STATUS_OK
     assert nacc >= 10
@@ -66,14 +78,14 @@ def test_kernel_nan_step_ends_as_underflow():
     # a NaN constant makes the first step NaN; the guard must end the loop
     kernel = _kernels.select_integrator("numpy")
     times = np.array([0.0, 1.0])
-    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, math.nan, 0.0, 0.0, 0.05, 0.05, 0.0, 1e-10, 1e-10)
+    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, math.nan, 0.0, 0.0, 0.05, 0.05, 0.0, 1e-10)
     assert status == _kernels.STATUS_UNDERFLOW
 
 
 def test_kernel_repeated_calls_are_identical():
     kernel = _kernels.select_integrator("numpy")
     times = np.linspace(0.0, 100.0, 201)
-    args = (times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10, 1e-10)
+    args = (times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10)
     first, second = kernel(*args), kernel(*args)
     assert np.array_equal(first[0], second[0])
     assert first[1:] == second[1:]

@@ -116,12 +116,12 @@ def test_all_sector_husimi_is_gated_on_its_largest_sector():
 
 
 def test_all_sector_husimi_beyond_the_limit_exits_2(tmp_path, capsys):
-    # at tau = 25 the bound of row 2 passes 1e-6 near n = 2.5e4
+    # at the sector limit n = 10^4 the bound of row 2 passes 1e-6 from tau = 151 on
     out = tmp_path / "out"
-    argv = ["husimi", "--t", "25", "--resolution", "3", "--all-sectors", "30000", "--out", str(out)]
+    argv = ["husimi", "--t", "151", "--resolution", "3", "--all-sectors", "10000", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"numerical range error: sectors 0\.\.30000 propagator: phase error bound \S+ exceeds 1e-06\n", err)
+    assert re.fullmatch(r"numerical range error: sectors 0\.\.10000 propagator: phase error bound \S+ exceeds 1e-06\n", err)
     assert not out.exists()
 
 
