@@ -10,9 +10,12 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error (a
 ValueError) or parameters outside the numerical range (an
 ArithmeticError: integrator step-size underflow or step budget, a phase
 error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
-3 I/O error.  DJCM_THREADS caps the worker processes of a simulate sweep
-(figures run serially).  The ODE oracle runs numba's compile of its
-kernel whenever numba imports.
+3 I/O error.  --force-oracle sends every series through the ODE oracle;
+Husimi grids always come from the analytic route.  A simulate sweep runs
+its points on one worker process per CPU the process may run on (limit
+them with taskset); figures run serially.  djcm reads no environment
+variable.  The ODE oracle runs numba's compile of its kernel whenever
+numba imports.
 """
 
 from __future__ import annotations
@@ -32,17 +35,10 @@ from .config import (
     run_config_from_dict,
     sweep_from_dict,
 )
-from .dynamics import EXCITED, METHOD_ANALYTIC
+from .dynamics import EXCITED
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
-from .runner import (
-    QUALITY_KEYS,
-    manifest_header,
-    run_simulation,
-    run_simulations,
-    worker_count,
-    write_husimi,
-)
+from .runner import QUALITY_KEYS, manifest_header, run_simulation, run_simulations, write_husimi
 
 __all__ = ["main", "build_parser"]
 
@@ -104,7 +100,6 @@ def _cmd_simulate(args) -> int:
         os.path.join(args.out, "sweep_manifest.json"),
         {
             **manifest_header("simulate-sweep"),
-            "workers": worker_count(),
             "points": [
                 {"label": label, **{key: manifest[key] for key in QUALITY_KEYS}}
                 for (label, _), manifest in zip(points, manifests)
@@ -135,7 +130,6 @@ def _cmd_husimi(args) -> int:
         os.path.join(args.out, "husimi_manifest.json"),
         {
             **manifest_header("husimi"),
-            "method": METHOD_ANALYTIC,
             **record,
             "params": params_echo(params),
             "outputs": sorted(files),

@@ -244,6 +244,14 @@ def _number(value, where: str) -> float:
     return number
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer that is also a finite double, as the engine computes with it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    _number(value, where)
+    return value
+
+
 def _params_from_dict(doc, where: str = "params") -> ModelParams:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -253,9 +261,7 @@ def _params_from_dict(doc, where: str = "params") -> ModelParams:
     chi = _number(doc.get("chi", 0.0), f"{where}.chi")
     if chi < 0:
         raise ConfigError(f"{where}.chi must be >= 0, got {chi}")
-    sector_n = doc.get("sector_n", 1)
-    if isinstance(sector_n, bool) or not isinstance(sector_n, int):
-        raise ConfigError(f"{where}.sector_n: expected an integer, got {sector_n!r}")
+    sector_n = _integer(doc.get("sector_n", 1), f"{where}.sector_n")
     try:
         return ModelParams(
             omega_cavity=_number(_require(doc, "omega_cavity", where), f"{where}.omega_cavity"),
@@ -331,9 +337,7 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     if not (isinstance(observables, list) and all(isinstance(x, str) for x in observables)):
         raise ConfigError("observables: expected a list of observable names")
 
-    samples = doc.get("samples", 2000)
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ConfigError(f"samples: expected an integer, got {samples!r}")
+    samples = _integer(doc.get("samples", 2000), "samples")
 
     svg = doc.get("svg", True)
     if not isinstance(svg, bool):
@@ -342,12 +346,8 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     husimi = doc.get("husimi", {})
     if not isinstance(husimi, dict):
         raise ConfigError("husimi: expected an object")
-    husimi_n_max = husimi.get("n_max")
-    if husimi_n_max is not None and (isinstance(husimi_n_max, bool) or not isinstance(husimi_n_max, int)):
-        raise ConfigError(f"husimi.n_max: expected an integer, got {husimi_n_max!r}")
-    resolution = husimi.get("resolution", 121)
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        raise ConfigError(f"husimi.resolution: expected an integer, got {resolution!r}")
+    husimi_n_max = None if husimi.get("n_max") is None else _integer(husimi["n_max"], "husimi.n_max")
+    resolution = _integer(husimi.get("resolution", 121), "husimi.resolution")
     husimi_range = _number(husimi.get("range", 3.0), "husimi.range")
     husimi_tau = None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau")
     fields = ("husimi.resolution", "husimi.range", "husimi.tau", "husimi.n_max")
@@ -385,11 +385,6 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> SweepConfig | None:
         name, values = entry
         if not isinstance(values, list):
             raise ConfigError(f"sweep.axes[{i}]: values must be a list")
-        if name == "sector_n":
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigError(f"sweep.axes[{i}]: sector_n values must be integers")
-            axes.append((name, tuple(values)))
-        else:
-            axes.append((name, tuple(_number(v, f"sweep.axes[{i}]") for v in values)))
+        parse = _integer if name == "sector_n" else _number
+        axes.append((name, tuple(parse(v, f"sweep.axes[{i}]") for v in values)))
     return SweepConfig(base=base, axes=tuple(axes))

@@ -33,7 +33,6 @@ from .dynamics import (
     propagate,
     propagator_errors,
     sector_generator,
-    solve_sector,
 )
 from .model import ModelParams, sector_coefficients
 
@@ -58,8 +57,11 @@ __all__ = [
 ]
 
 
-class UndefinedObservableError(ZeroDivisionError):
-    """An intensity-normalized observable was requested where <A+A> = 0."""
+class UndefinedObservableError(ValueError):
+    """An intensity-normalized observable was requested where <A+A> = 0.
+
+    The library twin of config's check_intensity_observables: a ValueError,
+    so the CLI reports it as a configuration error."""
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,15 @@ class HusimiGrid:
 
     values[i, j] = Q(axis[j] + 1j * axis[i]); n_max is the last sector summed.
     norm_drift_max is max|P1 + P2 + P3 - 1| over the summed sectors.
-    phase_error_bound is the one bound the analytic route gated all summed
-    sectors on (see dynamics.propagate): the largest of their bounds.  It is
-    None on the oracle route.
+    phase_error_bound is the one bound all summed sectors were gated on (see
+    dynamics.propagate): the largest of their bounds.
     """
 
     axis: np.ndarray
     values: np.ndarray
     n_max: int
     norm_drift_max: float
-    phase_error_bound: float | None
+    phase_error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +271,12 @@ def trajectory_series(traj: Trajectory, name: str, params: ModelParams) -> list[
 # Husimi function
 # ---------------------------------------------------------------------------
 
-def _sector_populations(
-    params: ModelParams, sectors, t: float, ic: InitialCondition, method: str
-) -> tuple[np.ndarray, float | None]:
+def _sector_populations(params: ModelParams, sectors, t: float, ic: InitialCondition) -> tuple[np.ndarray, float]:
     """Populations of each listed sector at time t, shape (len(sectors), 3),
-    every sector evolved from ic, and the phase error bound (None on the
-    oracle route).  The analytic route solves all of them with one stacked
-    propagate call, gated on the stack's bound, the oracle route one ODE
-    run each."""
-    analytic = method == "analytic"
+    every sector evolved from ic, and the phase error bound: one stacked
+    propagate call solves all of them, gated on the stack's bound."""
     if t == 0.0:
-        return np.tile(populations(ic.as_array()), (len(sectors), 1)), 0.0 if analytic else None
-    if not analytic:  # the oracle, or a method that solve_sector rejects
-        grid = np.array([0.0, t])
-        return np.array(
-            [populations(solve_sector(replace(params, sector_n=n), grid, ic=ic, method=method).amplitudes[-1]) for n in sectors]
-        ), None
+        return np.tile(populations(ic.as_array()), (len(sectors), 1)), 0.0
     generators = np.array([sector_generator(sector_coefficients(replace(params, sector_n=n))) for n in sectors])
     label = f"sector {sectors[0]}" if len(sectors) == 1 else f"sectors {sectors[0]}..{sectors[-1]}"
     with propagator_errors(label):
@@ -301,7 +292,6 @@ def husimi_q(
     resolution: int,
     n_max: int | None = None,
     ic: InitialCondition = EXCITED,
-    method: str = "analytic",
 ) -> HusimiGrid:
     """Husimi function at raw time t over the square [-half_width, half_width]^2
     of coherent-state amplitudes, resolution points per axis.
@@ -310,8 +300,9 @@ def husimi_q(
     params.sector_n only: that is the Husimi function of the reduced field
     state and integrates to one.  With an integer n_max it accumulates the
     terms of every sector n <= n_max, each evolved from ic; the result is a
-    diagnostic surface, not a normalized distribution.  The analytic route
-    gates all summed sectors on the largest of their phase error bounds.
+    diagnostic surface, not a normalized distribution.  All summed sectors
+    come from the analytic route, gated on the largest of their phase error
+    bounds.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -325,7 +316,7 @@ def husimi_q(
     axis = np.linspace(-half_width, half_width, resolution)
     r2 = axis[None, :] ** 2 + axis[:, None] ** 2
     sectors = (params.sector_n,) if n_max is None else range(n_max + 1)
-    pops, bound = _sector_populations(params, sectors, float(t), ic, method)
+    pops, bound = _sector_populations(params, sectors, float(t), ic)
     # Q depends on the grid only through r2: with several sectors, sum on the
     # distinct radii and scatter back.  Each Poisson weight
     # r2^n exp(-r2) / n! is exponentiated from its logarithm, so no weight

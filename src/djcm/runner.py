@@ -1,5 +1,5 @@
 """Shared machinery for CLI runs: trajectory execution, file emission,
-manifest assembly and the sweep's worker processes (capped by DJCM_THREADS)."""
+manifest assembly and the sweep's worker processes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__
 from .backend import ACTIVE
 from .config import RunConfig
-from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
+from .dynamics import EXCITED, METHOD_ANALYTIC, InitialCondition, Trajectory, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
 from .output import format_cells, write_csv, write_json, write_text
@@ -37,18 +37,10 @@ QUALITY_KEYS = (
 
 
 def worker_count() -> int:
-    """Sweep worker processes: the CPUs this process may run on, capped by DJCM_THREADS."""
+    """Sweep worker processes: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
-    cap = os.environ.get("DJCM_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError as exc:
-            raise ValueError(f"DJCM_THREADS must be an integer, got {cap!r}") from exc
-    return n
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def trajectory_quality(traj: Trajectory) -> dict:
@@ -90,16 +82,16 @@ def write_husimi(
     n_max: int | None = None,
     *,
     ic: InitialCondition = EXCITED,
-    method: str = "analytic",
     svg: bool = True,
 ) -> tuple[list[str], dict]:
     """Husimi Q at scaled time tau over [-half_width, half_width]^2 ->
     <name>.csv (columns x, y, q; y-major order) and, with svg, <name>.svg
     (heatmap).  n_max None sums the populated sector only (mode single),
-    an integer the sectors 0..n_max (mode all).  Returns the file names
-    and the grid record {tau, range, resolution, n_max, mode} with the
-    grid's norm_drift_max and phase_error_bound (observables.HusimiGrid)."""
-    grid = husimi_q(params, tau / params.omega_cavity, half_width, resolution, n_max, ic=ic, method=method)
+    an integer the sectors 0..n_max (mode all).  The grid always comes
+    from the analytic route.  Returns the file names and the grid record
+    {method, tau, range, resolution, n_max, mode} with the grid's
+    norm_drift_max and phase_error_bound (observables.HusimiGrid)."""
+    grid = husimi_q(params, tau / params.omega_cavity, half_width, resolution, n_max, ic=ic)
     files = [f"{name}.csv"]
     # y-major rows: x cycles through the axis, y repeats each entry once per x
     cells = format_cells(grid.axis)
@@ -111,7 +103,7 @@ def write_husimi(
         write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
     mode = "single" if n_max is None else "all"
     record = {"tau": tau, "range": half_width, "resolution": resolution, "n_max": grid.n_max, "mode": mode}
-    record.update(norm_drift_max=grid.norm_drift_max, phase_error_bound=grid.phase_error_bound)
+    record.update(method=METHOD_ANALYTIC, norm_drift_max=grid.norm_drift_max, phase_error_bound=grid.phase_error_bound)
     return files, record
 
 
@@ -138,7 +130,6 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
             cfg.husimi_resolution,
             cfg.husimi_n_max,
             ic=cfg.ic,
-            method=cfg.method,
             svg=cfg.svg,
         )
     for name, series in panels:

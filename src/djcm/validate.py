@@ -109,7 +109,6 @@ def _row_pair(params: ModelParams, tau_max: float, samples: int):
 
 
 def _c1_cross_method() -> CriterionResult:
-    t0 = time.perf_counter()
     diffs = []
     for params in _fig_rows_params():
         ana, orc = _row_pair(params, 50.0, 2000)
@@ -118,21 +117,19 @@ def _c1_cross_method() -> CriterionResult:
     details = "max|analytic-oracle| = {:.3e} (tol 1e-06; rows {})".format(
         worst, "/".join(f"{d:.3e}" for d in diffs)
     )
-    return CriterionResult(1, "cross-method equivalence", worst <= 1e-6, details, time.perf_counter() - t0)
+    return CriterionResult(1, "cross-method equivalence", worst <= 1e-6, details)
 
 
 def _c2_norm_conservation() -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     for params in _fig_rows_params():
         ana, orc = _row_pair(params, 60.0, 2000)
         worst = max(worst, ana.norm_error(), orc.norm_error())
     details = f"max||c|^2 - 1| = {worst:.3e} (tol 1e-09, both methods, tau <= 60)"
-    return CriterionResult(2, "norm conservation", worst <= 1e-9, details, time.perf_counter() - t0)
+    return CriterionResult(2, "norm conservation", worst <= 1e-9, details)
 
 
 def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     generators, polys = [], []
     for _ in range(tuples):
@@ -178,11 +175,10 @@ def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
         f"max|Re alpha|/scale = {max_reality:.3e}, vieta = {max_vieta:.3e}, "
         f"|Theta(alpha)|/scale = {max_residual:.3e}, over {tuples} tuples"
     )
-    return CriterionResult(3, "spectral structure", passed, details, time.perf_counter() - t0)
+    return CriterionResult(3, "spectral structure", passed, details)
 
 
 def _c4_closed_form_limit() -> CriterionResult:
-    t0 = time.perf_counter()
     coeffs = SectorCoefficients(
         h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2.0), v2=0.06 * math.sqrt(2.0), omega_e=0.0, n=1
     )
@@ -200,11 +196,10 @@ def _c4_closed_form_limit() -> CriterionResult:
     )
     worst = float(np.max(np.abs(traj.amplitudes - ref)))
     details = f"max|analytic - two-coupling closed form| = {worst:.3e} (tol 1e-09, tau <= 40)"
-    return CriterionResult(4, "closed-form limit", worst <= 1e-9, details, time.perf_counter() - t0)
+    return CriterionResult(4, "closed-form limit", worst <= 1e-9, details)
 
 
 def _c5_entropy_identity() -> CriterionResult:
-    t0 = time.perf_counter()
     worst_dev = 0.0
     s_min, s_max = math.inf, -math.inf
     for params in _fig_rows_params():
@@ -220,11 +215,10 @@ def _c5_entropy_identity() -> CriterionResult:
     details = (
         f"max|S - h2(P1)| = {worst_dev:.3e} (tol 1e-10), range [{s_min:.3e}, {s_max:.6f}] in [0, ln 2]"
     )
-    return CriterionResult(5, "entropy identity", passed, details, time.perf_counter() - t0)
+    return CriterionResult(5, "entropy identity", passed, details)
 
 
 def _c6_fock_statistics() -> CriterionResult:
-    t0 = time.perf_counter()
     worst_q = 0.0
     g2_values = []
     for row in (ROWS[0], ROWS[1]):  # chi = 0 and chi = 0.2
@@ -238,7 +232,7 @@ def _c6_fock_statistics() -> CriterionResult:
         f"g2(0) = {'/'.join(str(v) for v in g2_values)} (exact 0 required), "
         f"max|Q + 1| = {worst_q:.3e} (tol 1e-12)"
     )
-    return CriterionResult(6, "Fock-sector statistics at t=0", passed, details, time.perf_counter() - t0)
+    return CriterionResult(6, "Fock-sector statistics at t=0", passed, details)
 
 
 def _trapezoid_2d(values: np.ndarray, axis: np.ndarray) -> float:
@@ -249,7 +243,6 @@ def _trapezoid_2d(values: np.ndarray, axis: np.ndarray) -> float:
 
 
 def _c7_husimi_normalization() -> CriterionResult:
-    t0 = time.perf_counter()
     integrals = []
     min_value = math.inf
     grid_seconds = []
@@ -265,13 +258,12 @@ def _c7_husimi_normalization() -> CriterionResult:
     details = "integrals {} (tol 1 +- 0.01), min value = {:.1e}".format(
         "/".join(f"{v:.6f}" for v in integrals), min_value
     )
-    result = CriterionResult(7, "Husimi normalization", passed, details, time.perf_counter() - t0)
+    result = CriterionResult(7, "Husimi normalization", passed, details)
     result.grid_seconds = max(grid_seconds)  # type: ignore[attr-defined]
     return result
 
 
 def _c8_moment_vanishing() -> CriterionResult:
-    t0 = time.perf_counter()
     worst_moment = 0.0
     worst_pair = 0.0
     for params in _fig_rows_params():
@@ -285,7 +277,7 @@ def _c8_moment_vanishing() -> CriterionResult:
     details = (
         f"max|<A^k>| = {worst_moment:.1e} (tol 1e-14), max|s_x - s_p| = {worst_pair:.1e} (tol 1e-13)"
     )
-    return CriterionResult(8, "anomalous-moment vanishing", passed, details, time.perf_counter() - t0)
+    return CriterionResult(8, "anomalous-moment vanishing", passed, details)
 
 
 def _read_csv_column(path: str, column: str) -> np.ndarray:
@@ -295,7 +287,6 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
 
 
 def _c9_figure_shape() -> CriterionResult:
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run_figure("fig2", tmp)
         names = [p["name"] for p in manifest["panels"]]
@@ -322,20 +313,28 @@ def _c9_figure_shape() -> CriterionResult:
         f"row2 minP2/maxP3 = {p2_row2.min():.4f}/{p3_row2.max():.4f}, "
         f"row3 = {p2_row3.min():.4f}/{p3_row3.max():.4f}"
     )
-    return CriterionResult(9, "figure-shape reproduction", passed, details, time.perf_counter() - t0)
+    return CriterionResult(9, "figure-shape reproduction", passed, details)
+
+
+def _timed(criterion, *args) -> CriterionResult:
+    """Run one criterion and set its elapsed wall-clock time."""
+    t0 = time.perf_counter()
+    result = criterion(*args)
+    result.elapsed = time.perf_counter() - t0
+    return result
 
 
 def _run_core(seed: int, tuples: int) -> list[CriterionResult]:
     return [
-        _c1_cross_method(),
-        _c2_norm_conservation(),
-        _c3_spectral_structure(seed, tuples),
-        _c4_closed_form_limit(),
-        _c5_entropy_identity(),
-        _c6_fock_statistics(),
-        _c7_husimi_normalization(),
-        _c8_moment_vanishing(),
-        _c9_figure_shape(),
+        _timed(_c1_cross_method),
+        _timed(_c2_norm_conservation),
+        _timed(_c3_spectral_structure, seed, tuples),
+        _timed(_c4_closed_form_limit),
+        _timed(_c5_entropy_identity),
+        _timed(_c6_fock_statistics),
+        _timed(_c7_husimi_normalization),
+        _timed(_c8_moment_vanishing),
+        _timed(_c9_figure_shape),
     ]
 
 

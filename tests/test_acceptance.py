@@ -22,6 +22,7 @@ from djcm.validate import (
     _c8_moment_vanishing,
     _c9_figure_shape,
     _format_line,
+    _timed,
     run_all,
 )
 
@@ -31,7 +32,7 @@ def report(result):
 
 
 def test_criterion_01_cross_method_equivalence():
-    result = _c1_cross_method()
+    result = _timed(_c1_cross_method)
     report(result)
     assert result.passed, result.details
     assert result.elapsed < 5.0  # stated runtime budget
@@ -44,7 +45,7 @@ def test_criterion_02_norm_conservation():
 
 
 def test_criterion_03_spectral_structure():
-    result = _c3_spectral_structure(DEFAULT_SEED, 1000)
+    result = _timed(_c3_spectral_structure, DEFAULT_SEED, 1000)
     report(result)
     assert result.passed, result.details
     assert result.elapsed < 2.0  # stated runtime budget

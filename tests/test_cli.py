@@ -21,7 +21,8 @@ from djcm.cli import main
 from djcm.dynamics import PHASE_ERROR_LIMIT
 from djcm.figures import FIGURE_IDS, run_figure
 from djcm.observables import OBSERVABLE_NAMES
-from djcm.runner import QUALITY_KEYS, worker_count
+from djcm import runner
+from djcm.runner import QUALITY_KEYS
 
 BASE_CONFIG = {
     "params": {
@@ -223,6 +224,12 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
         ({"sweep": {"axes": [["sector_n", [1, 0]]]}}, "configuration error: observables: g2 is undefined"),
         # the series are computed, then the Husimi solve at tau = 1e308 overflows
         ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e308}}, "numerical range error: sector 1"),
+        # a sector number the engine cannot hold in a double, named before any point runs
+        (
+            {"params": dict(BASE_CONFIG["params"], sector_n=10**400)},
+            "configuration error: params.sector_n: expected a finite number, got 1000",
+        ),
+        ({"sweep": {"axes": [["sector_n", [1, 10**400]]]}}, "configuration error: sweep.axes[0]: expected a finite number"),
     ],
 )
 def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
@@ -611,36 +618,43 @@ def test_worker_cap_does_not_change_output(tmp_path, monkeypatch):
     cfg = _three_point_sweep(tmp_path)
     out_serial = tmp_path / "serial"
     out_pooled = tmp_path / "pooled"
-    monkeypatch.setenv("DJCM_THREADS", "1")
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
     assert main(["simulate", "--config", cfg, "--out", str(out_serial)]) == 0
-    monkeypatch.setenv("DJCM_THREADS", "2")
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
     assert main(["simulate", "--config", cfg, "--out", str(out_pooled)]) == 0
-    serial, pooled = tree_bytes(out_serial), tree_bytes(out_pooled)
+    serial = tree_bytes(out_serial)
     assert len(serial) == 3 * 3 + 1
-    # the sweep manifest records the worker count; every other byte matches
-    for tree in (serial, pooled):
-        tree["sweep_manifest.json"] = json.loads(tree["sweep_manifest.json"])
-    assert serial["sweep_manifest.json"].pop("workers") == 1
-    assert pooled["sweep_manifest.json"].pop("workers") == worker_count()
-    assert serial == pooled
-
-
-def test_worker_cap_validation(monkeypatch, tmp_path, capsys):
-    cfg = _three_point_sweep(tmp_path)
-    monkeypatch.setenv("DJCM_THREADS", "many")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "DJCM_THREADS" in capsys.readouterr().err
+    assert serial == tree_bytes(out_pooled)
 
 
 def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):
     cfg = _three_point_sweep(tmp_path)
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
-    monkeypatch.setenv("DJCM_THREADS", "2")
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
     assert main(["simulate", "--config", cfg, "--out", str(blocker / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error:")
     assert "Traceback" not in err
+
+
+def test_force_oracle_husimi_takes_the_analytic_route(tmp_path):
+    # --force-oracle applies to the series; the all-sector grid is the same
+    # stacked propagation either way, so the same bytes and the same record
+    cfg = write_config(
+        tmp_path, samples=50, observables=["husimi"], husimi={"resolution": 21, "tau": 25.0, "n_max": 300}
+    )
+    out_analytic, out_oracle = tmp_path / "analytic", tmp_path / "oracle"
+    assert main(["simulate", "--config", cfg, "--out", str(out_analytic)]) == 0
+    assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(out_oracle)]) == 0
+    for name in ("husimi.csv", "husimi.svg"):
+        assert (out_oracle / name).read_bytes() == (out_analytic / name).read_bytes()
+    analytic = json.loads((out_analytic / "manifest.json").read_text())
+    oracle = json.loads((out_oracle / "manifest.json").read_text())
+    assert oracle["method"] == "Oracle"
+    assert oracle["husimi"] == analytic["husimi"]
+    assert oracle["husimi"]["method"] == "Analytic"
+    assert 0.0 < oracle["husimi"]["phase_error_bound"] <= PHASE_ERROR_LIMIT
 
 
 def test_io_error_exit_code(monkeypatch):

@@ -127,6 +127,8 @@ def test_g2_undefined_on_empty_intensity():
         g2_zero(amps, p)
     with pytest.raises(UndefinedObservableError):
         mandel_q(amps, p)
+    # a configuration error to the CLI (exit 2), like the config-level check
+    assert issubclass(UndefinedObservableError, ValueError)
 
 
 def test_g2_series_nonnegative_and_sub_poissonian():

@@ -112,7 +112,6 @@ def test_all_sector_husimi_is_gated_on_its_largest_sector():
     grid = husimi_q(row2(), t, 3.0, 5, n_max=40)
     bounds = [solve_sector(row2(n), np.array([0.0, t])).phase_error_bound for n in range(41)]
     assert grid.phase_error_bound == max(bounds) == bounds[-1]
-    assert husimi_q(row2(), t, 3.0, 5, method="oracle").phase_error_bound is None
 
 
 def test_all_sector_husimi_beyond_the_limit_exits_2(tmp_path, capsys):
