@@ -12,10 +12,6 @@ for both parts and a PI step-size controller; the fifth-order solution
 is propagated.  A step that is NaN or below 1e-14 * max(1, |t|) ends the
 run with STATUS_UNDERFLOW, and a run that has attempted MAX_STEPS steps
 without reaching the last grid point ends with STATUS_BUDGET.
-
-The same source serves both backends: `integrate_sector_numpy` runs it
-as plain Python, and `integrate_sector_numba` is its numba compile,
-present whenever numba imports and then the default (djcm.backend).
 """
 
 from __future__ import annotations
@@ -25,16 +21,12 @@ import math
 
 import numpy as np
 
-from .backend import ACTIVE, HAVE_NUMBA
-
 __all__ = [
     "STATUS_OK",
     "STATUS_UNDERFLOW",
     "STATUS_BUDGET",
     "MAX_STEPS",
-    "integrate_sector_numpy",
-    "integrate_sector_numba",
-    "select_integrator",
+    "integrate_sector",
 ]
 
 STATUS_OK = 0
@@ -43,13 +35,13 @@ STATUS_BUDGET = 2
 
 # Attempted (accepted + rejected) steps per call.  The cost of a run grows
 # with |h| t, |s| t and the couplings times t, so a fast-rotating sector
-# would otherwise step for hours.  The NumPy kernel takes ~23 us per step
+# would otherwise step for hours.  The kernel takes ~23 us per step
 # on a 2-vCPU VM, so the budget ends such a run after ~2.3 s; validate's
 # longest oracle rows take 3999 steps, 25x below it.
 MAX_STEPS = 100_000
 
 
-def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, tol):
+def integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, tol):
     """Integrate the sector amplitudes over `times` (strictly increasing).
 
     `tol` is both the relative and the absolute tolerance.  Returns
@@ -59,8 +51,7 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, tol):
     # the phases' rates i h, i s, i nu, formed once per call
     ihh, iss, inu = 1j * hh, 1j * ss, 1j * nu
 
-    # inner functions, so that numba compiles them with the kernel (it
-    # cannot call a module-level Python function)
+    # inner functions: they read the call's constants from the closure
     def rhs(tt, w1, w2, w3):
         ph = cmath.exp(ihh * tt)
         ps = cmath.exp(iss * tt)
@@ -204,25 +195,3 @@ def _integrate_sector(times, c1_0, c2_0, c3_0, hh, ss, nu, v1, v2, ome, tol):
 
     return out, STATUS_OK, nacc, nrej
 
-
-integrate_sector_numpy = _integrate_sector
-integrate_sector_numba = None
-if HAVE_NUMBA:
-    from numba import njit
-
-    integrate_sector_numba = njit(cache=True, nogil=True)(_integrate_sector)
-
-
-def select_integrator(name: str | None = None):
-    """Return the integrator implementation for backend `name`.
-
-    None picks the active default (see djcm.backend).
-    """
-    choice = ACTIVE if name is None else name
-    if choice == "numba":
-        if integrate_sector_numba is None:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return integrate_sector_numba
-    if choice == "numpy":
-        return integrate_sector_numpy
-    raise ValueError(f"unknown backend {choice!r}")

@@ -13,9 +13,8 @@ error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
 3 I/O error.  --force-oracle sends every series through the ODE oracle;
 Husimi grids always come from the analytic route.  A simulate sweep runs
 its points on one worker process per CPU the process may run on (limit
-them with taskset); figures run serially.  djcm reads no environment
-variable.  The ODE oracle runs numba's compile of its kernel whenever
-numba imports.
+them with taskset); figures run serially.  A sweep writes all its points
+or nothing.  djcm reads no environment variable.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .config import (
 from .dynamics import EXCITED
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
-from .runner import QUALITY_KEYS, manifest_header, run_simulation, run_simulations, write_husimi
+from .runner import manifest_header, run_simulation, run_sweep, write_husimi
 
 __all__ = ["main", "build_parser"]
 
@@ -94,18 +93,7 @@ def _cmd_simulate(args) -> int:
         cfg.check_intensity_observables()
         run_simulation(cfg, args.out)
         return EXIT_OK
-    points = sweep.expand()
-    manifests = run_simulations([(pt, os.path.join(args.out, label)) for label, pt in points])
-    write_json(
-        os.path.join(args.out, "sweep_manifest.json"),
-        {
-            **manifest_header("simulate-sweep"),
-            "points": [
-                {"label": label, **{key: manifest[key] for key in QUALITY_KEYS}}
-                for (label, _), manifest in zip(points, manifests)
-            ],
-        },
-    )
+    run_sweep(sweep.expand(), args.out)
     return EXIT_OK
 
 

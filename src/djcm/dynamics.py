@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .backend import ACTIVE
 from .model import ModelParams, SectorCoefficients, sector_coefficients
 
 __all__ = [
@@ -203,12 +204,7 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, phase_error_bound=bound)
 
 
-def amplitudes_ode(
-    coeffs: SectorCoefficients,
-    ic: InitialCondition,
-    times,
-    backend: str | None = None,
-) -> Trajectory:
+def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> Trajectory:
     """Integrate the coupled amplitude ODEs over a grid starting at t = 0,
     with relative and absolute tolerance ODE_TOLERANCE.
 
@@ -223,8 +219,7 @@ def amplitudes_ode(
         raise OverflowError(
             f"the phases of sector {coeffs.n} overflow the floating-point range by t = {t_end!r}"
         )
-    kernel = _kernels.select_integrator(backend)
-    out, status, accepted, rejected = kernel(
+    out, status, accepted, rejected = _kernels.integrate_sector(
         grid,
         complex(ic.c1),
         complex(ic.c2),
@@ -262,12 +257,15 @@ def solve_sector(
     """Evolve params.sector_n over a grid starting at t = 0.
 
     method 'analytic' (the default) takes the eigendecomposition route,
-    'oracle' the ODE integrator (amplitudes_ode).
+    'oracle' the ODE integrator (amplitudes_ode).  backend names the
+    oracle's kernel: None or 'numpy', the only one (djcm.backend.ACTIVE).
     """
     if method not in ("analytic", "oracle"):
         raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")
+    if backend not in (None, ACTIVE):
+        raise ValueError(f"backend must be None or {ACTIVE!r}, got {backend!r}")
     grid = _as_grid(times, require_zero_start=True)
     coeffs = sector_coefficients(params)
     if method == "analytic":
         return analytic_trajectory(coeffs, ic, grid)
-    return amplitudes_ode(coeffs, ic, grid, backend=backend)
+    return amplitudes_ode(coeffs, ic, grid)

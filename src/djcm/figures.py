@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import solve_sector
 from .model import Kerr, ModelParams
 from .observables import trajectory_series
-from .output import write_json
+from .output import format_cells, write_json
 from .runner import manifest_header, trajectory_quality, write_husimi, write_series_panel
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7_TAU", "row_params", "run_figure"]
@@ -104,6 +104,7 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
     tau = np.linspace(0.0, FIG_TAU_MAX, FIG_SAMPLES)
+    tau_cells = format_cells(tau)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":
@@ -124,7 +125,7 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
             for label, columns, title in row_panels:
                 name = fig_id + next(letters)
                 files = write_series_panel(
-                    out_dir, name, tau, series[columns], svg=True, title=f"{title} ({row.label})"
+                    out_dir, name, tau, tau_cells, series[columns], svg=True, title=f"{title} ({row.label})"
                 )
                 panels.append({"name": name, "observable": label, **_row_echo(row), "files": files, **quality})
 

@@ -44,11 +44,8 @@ def write_csv(path, header: list[str], columns: list) -> None:
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("all columns must have equal length")
-    if any(isinstance(col, list) for col in columns):
-        lists = [col if isinstance(col, list) else np.asarray(col, dtype=np.float64).tolist() for col in columns]
-        cells = list(itertools.chain.from_iterable(zip(*lists)))
-    else:
-        cells = np.column_stack(columns).astype(np.float64, copy=False).ravel().tolist()
+    lists = [col if isinstance(col, list) else np.asarray(col, dtype=np.float64).tolist() for col in columns]
+    cells = list(itertools.chain.from_iterable(zip(*lists)))
     row_template = ",".join("%s" if isinstance(col, list) else "%.17g" for col in columns) + "\n"
     write_text(path, ",".join(header) + "\n" + (row_template * n) % tuple(cells))
 

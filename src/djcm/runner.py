@@ -4,6 +4,8 @@ manifest assembly and the sweep's worker processes."""
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "write_husimi",
     "run_simulation",
     "run_simulations",
+    "run_sweep",
 ]
 
 QUALITY_KEYS = (
@@ -58,12 +61,22 @@ def manifest_header(command: str) -> dict:
 
 
 def write_series_panel(
-    out_dir: str, name: str, tau: np.ndarray, series: list[ObservableSeries], svg: bool, title: str, ylabel: str = ""
+    out_dir: str,
+    name: str,
+    tau: np.ndarray,
+    tau_cells: list[str],
+    series: list[ObservableSeries],
+    svg: bool,
+    title: str,
+    ylabel: str = "",
 ) -> list[str]:
     """One panel: <name>.csv (columns tau and one per series) and, with svg,
-    <name>.svg (line plot); returns the file names."""
+    <name>.svg (line plot); returns the file names.  tau_cells is
+    format_cells(tau), formatted once for all of a run's panels."""
     files = [f"{name}.csv"]
-    write_csv(os.path.join(out_dir, files[0]), ["tau"] + [s.name for s in series], [tau] + [s.values for s in series])
+    write_csv(
+        os.path.join(out_dir, files[0]), ["tau"] + [s.name for s in series], [tau_cells] + [s.values for s in series]
+    )
     if svg:
         files.append(f"{name}.svg")
         svg_text = line_plot_svg(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
@@ -118,6 +131,7 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     panels = [(name, trajectory_series(traj, name, cfg.params)) for name in cfg.observables if name != "husimi"]
     manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
     outputs = []
+    tau_cells = format_cells(tau)
     if "husimi" in cfg.observables:
         tau_h = cfg.tau_max if cfg.husimi_tau is None else cfg.husimi_tau
         outputs, manifest["husimi"] = write_husimi(
@@ -133,7 +147,7 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
             svg=cfg.svg,
         )
     for name, series in panels:
-        outputs += write_series_panel(out_dir, name, tau, series, cfg.svg, title=name, ylabel=name)
+        outputs += write_series_panel(out_dir, name, tau, tau_cells, series, cfg.svg, title=name, ylabel=name)
     manifest["outputs"] = sorted(outputs)
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -161,4 +175,41 @@ def run_simulations(jobs: list[tuple[RunConfig, str]]) -> list[dict]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_simulate_job, jobs))
+        try:
+            return list(pool.map(_simulate_job, jobs))
+        except BaseException:
+            # the first failed job ends the run: drop the jobs not yet started
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _existing_parent(path: str) -> str:
+    """The nearest existing directory above path."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    return parent
+
+
+def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
+    """Run every (label, RunConfig) sweep point and write out_dir/<label>/
+    per point plus out_dir/sweep_manifest.json, all or nothing.
+
+    The points run into a staging directory beside out_dir, on the same
+    filesystem.  Only when every point has succeeded is each point
+    directory moved into out_dir, replacing an existing one whole, and the
+    sweep manifest written.  The staging directory is always removed.
+    """
+    staging = tempfile.mkdtemp(prefix=".djcm-sweep-", dir=_existing_parent(out_dir))
+    try:
+        manifests = run_simulations([(cfg, os.path.join(staging, label)) for label, cfg in points])
+        os.makedirs(out_dir, exist_ok=True)
+        for label, _ in points:
+            target = os.path.join(out_dir, label)
+            if os.path.isdir(target):
+                shutil.rmtree(target)
+            os.replace(os.path.join(staging, label), target)
+        rows = [{"label": label, **{key: m[key] for key in QUALITY_KEYS}} for (label, _), m in zip(points, manifests)]
+        write_json(os.path.join(out_dir, "sweep_manifest.json"), {**manifest_header("simulate-sweep"), "points": rows})
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)

@@ -10,8 +10,8 @@ and byte-level determinism of this very report.
 theta_poly, the characteristic cubic det(zI + iK) of a sector, serves
 criterion 3 only: the engine takes its roots from the eigenvalues of K.
 
-The formatted report contains only deterministic numbers (same seed,
-same backend => identical bytes); wall-clock timings are carried on the
+The formatted report contains only deterministic numbers (same seed =>
+identical bytes); wall-clock timings are carried on the
 result objects and printed to stderr by the CLI, never into the report.
 """
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_simulate_fig_row_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "Analytic"
     assert manifest["version"]
-    assert manifest["backend"] in ("numba", "numpy")
+    assert manifest["backend"] == "numpy"
     assert manifest["norm_drift_max"] <= 1e-9
     assert 0.0 < manifest["phase_error_bound"] <= 1e-12
     assert manifest["config"]["params"]["omega_levels"] == [0.3, 0.4, 0.5]
@@ -241,6 +242,16 @@ def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+def test_long_config_integer_names_its_file(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(BASE_CONFIG).replace('"sector_n": 1', '"sector_n": ' + "7" * 5000))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: invalid JSON: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
 def test_sweep_label_collision_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": [["chi", [0, 0.0, 0.1, 0.1000001]]]})
     out = tmp_path / "out"
@@ -288,7 +299,8 @@ MAGNITUDES = (0.2, 0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1e-6, 0.01, 0.04, 1.0, 7.
 
 @st.composite
 def single_run_documents(draw):
-    """Analytic single-run config documents over extreme magnitudes."""
+    """Analytic single-run and two-point sweep config documents over extreme
+    magnitudes."""
     magnitude = st.sampled_from(MAGNITUDES)
     gap1, gap2 = draw(magnitude), draw(magnitude)
     params = {
@@ -304,21 +316,26 @@ def single_run_documents(draw):
     n_max = draw(st.sampled_from((None, 0, 5)))
     if n_max is not None:
         husimi["n_max"] = n_max
-    return {
+    doc = {
         "params": params,
         "tau_max": draw(magnitude),
         "samples": draw(st.sampled_from((2, 3, 17))),
         "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES), unique=True)),
         "husimi": husimi,
     }
+    axis = draw(st.sampled_from((None, "chi", "omega_cavity")))
+    if axis is not None:
+        doc["sweep"] = {"axes": [[axis, draw(st.lists(magnitude, min_size=2, max_size=2, unique=True))]]}
+    return doc
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(doc=single_run_documents())
 def test_single_run_exit_contract(doc):
     # exit 0 with finite CSV cells, or exit 2 with one message line and no
-    # output; never a traceback (an exception out of main) or a warning
-    with tempfile.TemporaryDirectory() as tmp:
+    # output; never a traceback (an exception out of main) or a warning.
+    # Sweep points run in this process, so their warnings are caught too.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "worker_count", lambda: 1):
         cfg = os.path.join(tmp, "run.json")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
@@ -331,15 +348,21 @@ def test_single_run_exit_contract(doc):
         err = stderr.getvalue()
         if code == 2:
             assert err.startswith(("configuration error: ", "numerical range error: ")) and err.count("\n") == 1
-            assert not os.path.exists(out)
+            assert os.listdir(tmp) == ["run.json"]
             return
         assert code == 0 and err == ""
-        with open(os.path.join(out, "manifest.json")) as fh:
-            assert json.load(fh)["phase_error_bound"] <= PHASE_ERROR_LIMIT
-        for name in os.listdir(out):
-            if name.endswith(".csv"):
-                _, cols = read_csv_columns(os.path.join(out, name))
-                assert all(np.all(np.isfinite(col)) for col in cols.values()), name
+        manifests = 0
+        for dirpath, _, names in os.walk(out):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                if name == "manifest.json":
+                    manifests += 1
+                    with open(path) as fh:
+                        assert json.load(fh)["phase_error_bound"] <= PHASE_ERROR_LIMIT
+                elif name.endswith(".csv"):
+                    _, cols = read_csv_columns(path)
+                    assert all(np.all(np.isfinite(col)) for col in cols.values()), path
+        assert manifests == (2 if "sweep" in doc else 1)
 
 
 def test_husimi_runs_the_vacuum_sector(tmp_path):
@@ -625,6 +648,41 @@ def test_worker_cap_does_not_change_output(tmp_path, monkeypatch):
     serial = tree_bytes(out_serial)
     assert len(serial) == 3 * 3 + 1
     assert serial == tree_bytes(out_pooled)
+
+
+# the third point's phase error bound is ~1e285: it fails after the first two
+FAILING_SWEEP = {"axes": [["chi", [0.0, 0.1, 1e300, 0.3]]]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setattr(runner, "worker_count", lambda: workers)
+    cfg = write_config(tmp_path, samples=50, svg=False, sweep=FAILING_SWEEP)
+    fresh = tmp_path / "fresh"
+    assert main(["simulate", "--config", cfg, "--out", str(fresh)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical range error: sector 1 propagator: phase error bound") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+    # an earlier sweep's tree is left as it was, point directories included
+    existing = tmp_path / "existing"
+    ok = write_config(tmp_path, "ok.json", samples=50, svg=False, sweep={"axes": [["chi", [0.0, 0.2]]]})
+    assert main(["simulate", "--config", ok, "--out", str(existing)]) == 0
+    before = tree_bytes(existing)
+    assert main(["simulate", "--config", cfg, "--out", str(existing)]) == 2
+    assert tree_bytes(existing) == before
+    assert sorted(os.listdir(tmp_path)) == ["existing", "ok.json", "run.json"]
+
+
+def test_sweep_rerun_replaces_point_directories(tmp_path):
+    cfg = _three_point_sweep(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    first = tree_bytes(out)
+    (out / "chi=0.1" / "stale.csv").write_text("left by an earlier run\n")
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert tree_bytes(out) == {**first, "notes.txt": b"kept\n"}
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.json"]
 
 
 def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):

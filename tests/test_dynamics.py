@@ -182,7 +182,7 @@ def test_ode_tolerance_convergence():
     t = tau_grid(60.0, 400)
 
     def kernel_amplitudes(tol):
-        out, status, _, _ = _kernels.integrate_sector_numpy(
+        out, status, _, _ = _kernels.integrate_sector(
             t, 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, tol
         )
         assert status == _kernels.STATUS_OK
@@ -195,7 +195,7 @@ def test_ode_tolerance_convergence():
     tight = norm_error(kernel_amplitudes(1e-12))
     assert tight < loose
     assert tight <= 1e-10
-    oracle = amplitudes_ode(c, EXCITED, t, backend="numpy").amplitudes
+    oracle = amplitudes_ode(c, EXCITED, t).amplitudes
     assert np.array_equal(oracle, kernel_amplitudes(ODE_TOLERANCE))
 
 
@@ -281,6 +281,13 @@ def test_solve_sector_rejects_bad_method_and_grid():
     for method in ("magic", "auto"):
         with pytest.raises(ValueError):
             solve_sector(p, tau_grid(10.0, 50), method=method)
+    # "numpy" names the one ODE kernel; any other backend is refused
+    grid = tau_grid(10.0, 50)
+    oracle = solve_sector(p, grid, method="oracle").amplitudes
+    assert np.array_equal(solve_sector(p, grid, method="oracle", backend="numpy").amplitudes, oracle)
+    for backend in ("fortran", ""):
+        with pytest.raises(ValueError, match="backend must be None or 'numpy'"):
+            solve_sector(p, grid, method="oracle", backend=backend)
     with pytest.raises(ValueError):
         solve_sector(p, np.array([1.0, 2.0]))  # must start at 0
     with pytest.raises(ValueError):

@@ -3,31 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from djcm import _kernels, backend
+from djcm import _kernels
 from djcm.dynamics import EXCITED, InitialCondition, StepBudgetError, amplitudes_ode, analytic_trajectory
 from djcm.figures import ROWS, row_params
 from djcm.model import SectorCoefficients, sector_coefficients
 
 from test_model import fig_params
-
-
-def test_select_integrator_names():
-    assert _kernels.select_integrator("numpy") is _kernels.integrate_sector_numpy
-    with pytest.raises(ValueError):
-        _kernels.select_integrator("fortran")
-    if backend.HAVE_NUMBA:
-        assert _kernels.select_integrator("numba") is _kernels.integrate_sector_numba
-    assert _kernels.select_integrator(None) is _kernels.select_integrator(backend.ACTIVE)
-
-
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not importable")
-def test_numba_and_numpy_backends_agree():
-    p = fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2)
-    coeffs = sector_coefficients(p)
-    t = np.linspace(0.0, 200.0, 500)
-    a = amplitudes_ode(coeffs, EXCITED, t, backend="numba")
-    b = amplitudes_ode(coeffs, EXCITED, t, backend="numpy")
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
 
 
 @pytest.mark.parametrize("row, steps", zip(ROWS, (823, 1817, 1786)), ids=[row.label for row in ROWS])
@@ -37,7 +18,7 @@ def test_step_count_pins_the_order(row, steps):
     # stage coefficient lowers it and multiplies the count (6-80x for the
     # one-digit slips tried)
     p = row_params(row)
-    traj = amplitudes_ode(sector_coefficients(p), EXCITED, np.array([0.0, 60.0]) / p.omega_cavity, backend="numpy")
+    traj = amplitudes_ode(sector_coefficients(p), EXCITED, np.array([0.0, 60.0]) / p.omega_cavity)
     assert abs(traj.steps_accepted + traj.steps_rejected - steps) <= 0.05 * steps
 
 
@@ -57,14 +38,14 @@ def test_single_point_grid():
 
 
 def test_kernel_status_underflow_direct():
-    kernel = _kernels.select_integrator("numpy")
+    kernel = _kernels.integrate_sector
     times = np.array([0.0, 1.0])
     _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, 0.0, 0.0, 0.0, 1e15, 1e15, 0.0, 1e-10)
     assert status == _kernels.STATUS_UNDERFLOW
 
 
 def test_kernel_counts_steps():
-    kernel = _kernels.select_integrator("numpy")
+    kernel = _kernels.integrate_sector
     times = np.linspace(0.0, 100.0, 11)
     out, status, nacc, nrej = kernel(
         times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10
@@ -74,16 +55,29 @@ def test_kernel_counts_steps():
     assert np.all(np.isfinite(out))
 
 
+def test_kernel_rejects_steps_at_a_loose_tolerance():
+    # at ODE_TOLERANCE the reference rows never reject a step; at 1e-2 the
+    # first step overshoots, so the controller's reject branch runs
+    c = sector_coefficients(row_params(ROWS[0]))
+    args = (np.array([0.0, 250.0]), 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, 1e-2)
+    out, status, nacc, nrej = _kernels.integrate_sector(*args)
+    assert status == _kernels.STATUS_OK
+    assert nacc >= 1 and nrej >= 1
+    assert np.all(np.isfinite(out))
+    again = _kernels.integrate_sector(*args)
+    assert np.array_equal(out, again[0]) and (status, nacc, nrej) == again[1:]
+
+
 def test_kernel_nan_step_ends_as_underflow():
     # a NaN constant makes the first step NaN; the guard must end the loop
-    kernel = _kernels.select_integrator("numpy")
+    kernel = _kernels.integrate_sector
     times = np.array([0.0, 1.0])
     _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, math.nan, 0.0, 0.0, 0.05, 0.05, 0.0, 1e-10)
     assert status == _kernels.STATUS_UNDERFLOW
 
 
 def test_kernel_repeated_calls_are_identical():
-    kernel = _kernels.select_integrator("numpy")
+    kernel = _kernels.integrate_sector
     times = np.linspace(0.0, 100.0, 201)
     args = (times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10)
     first, second = kernel(*args), kernel(*args)
@@ -133,13 +127,13 @@ def test_step_budget_ends_the_run(monkeypatch):
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     coeffs = sector_coefficients(p)
     t = np.linspace(0.0, 60.0, 400) / p.omega_cavity
-    full = amplitudes_ode(coeffs, EXCITED, t, backend="numpy")
+    full = amplitudes_ode(coeffs, EXCITED, t)
     steps = full.steps_accepted + full.steps_rejected
     assert steps < _kernels.MAX_STEPS
     monkeypatch.setattr(_kernels, "MAX_STEPS", steps)
-    exact = amplitudes_ode(coeffs, EXCITED, t, backend="numpy")
+    exact = amplitudes_ode(coeffs, EXCITED, t)
     assert np.array_equal(exact.amplitudes, full.amplitudes)
     assert (exact.steps_accepted, exact.steps_rejected) == (full.steps_accepted, full.steps_rejected)
     monkeypatch.setattr(_kernels, "MAX_STEPS", steps - 1)
     with pytest.raises(StepBudgetError, match=f"budget of {steps - 1} steps"):
-        amplitudes_ode(coeffs, EXCITED, t, backend="numpy")
+        amplitudes_ode(coeffs, EXCITED, t)
