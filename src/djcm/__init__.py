@@ -1,5 +1,16 @@
 """djcm: per-photon-sector dynamics of a microwave-driven V-type atom in a
-Kerr-deformed cavity, with the full set of derived quantum observables."""
+Kerr-deformed cavity, with the full set of derived quantum observables.
+
+Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1 unless it is
+already set: every djcm array is a stack of 3x3 matrices or an
+elementwise grid, which OpenBLAS's worker threads never speed up, while
+starting them costs each process start-up time and CPU.  A program that
+imported NumPy first keeps its thread pool.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dynamics import (
     EXCITED,

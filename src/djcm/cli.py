@@ -14,7 +14,9 @@ error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
 Husimi grids always come from the analytic route.  A simulate sweep runs
 its points on one worker process per CPU the process may run on (limit
 them with taskset); figures run serially.  A sweep writes all its points
-or nothing.  djcm reads no environment variable.
+or nothing.  Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1
+unless it is already set; a program that imported NumPy first keeps its
+BLAS thread pool.  djcm reads no other environment variable.
 """
 
 from __future__ import annotations

@@ -163,9 +163,11 @@ def run_simulations(jobs: list[tuple[RunConfig, str]]) -> list[dict]:
 
     Several jobs run on worker_count() worker processes: CSV formatting
     holds the interpreter lock, so threads would not overlap it.  Workers
-    are forked, not spawned, so they start without re-importing NumPy;
-    the CLI has started no thread of its own when it forks.  Where fork
-    does not exist the jobs run one after another.
+    are forked, not spawned, so they start without re-importing NumPy.
+    The CLI starts no thread of its own, and importing djcm sets
+    OPENBLAS_NUM_THREADS=1 unless it is set, so the parent forks with its
+    main thread alone.  Where fork does not exist the jobs run one after
+    another.
     """
     workers = min(worker_count(), len(jobs))
     if workers <= 1 or not hasattr(os, "fork"):

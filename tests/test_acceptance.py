@@ -2,8 +2,7 @@
 
 The criteria are implemented in djcm.validate (the `djcm validate`
 command runs the same code); the tests here assert the verdicts at the
-stated tolerances and enforce the runtime budgets after a session-level
-warm-up (see conftest).
+stated tolerances and enforce the runtime budgets.
 """
 
 import numpy as np

@@ -295,55 +295,73 @@ def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, override
 
 # the reference value first: hypothesis shrinks each draw towards it
 MAGNITUDES = (0.2, 0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1e-6, 0.01, 0.04, 1.0, 7.0, 1e6, 1e20, 1e150, 1e300)
+FIELD_CHOICES = {
+    **{name: MAGNITUDES for name in ("omega_cavity", "gap1", "gap2", "g1", "g2", "omega_e", "tau_max")},
+    "chi": (0.2, 0.0, 1e-300, 1e10, 1e300),
+    "sector_n": (1, 0, 3, 300, 10**6, 10**12),
+    "samples": (2, 3, 17),
+    "resolution": (2, 5),
+    "range": (0.5, 3.0, 1e100),
+    "n_max": (None, 0, 5),
+}
 
 
 @st.composite
 def single_run_documents(draw):
-    """Analytic single-run and two-point sweep config documents over extreme
-    magnitudes."""
-    magnitude = st.sampled_from(MAGNITUDES)
-    gap1, gap2 = draw(magnitude), draw(magnitude)
+    """Single-run and two-point sweep config documents.  Each field keeps
+    its reference value unless it is one of the (at most three) drawn to
+    range over extreme magnitudes, so that most documents run."""
+    varied = draw(st.sets(st.sampled_from(sorted(FIELD_CHOICES)), max_size=3))
+
+    def field(name):
+        choices = FIELD_CHOICES[name]
+        return draw(st.sampled_from(choices)) if name in varied else choices[0]
+
+    gap1, gap2 = field("gap1"), field("gap2")
     params = {
-        "omega_cavity": draw(magnitude),
+        "omega_cavity": field("omega_cavity"),
         "omega_levels": [0.0, gap1, gap1 + gap2],
-        "g1": draw(magnitude),
-        "g2": draw(magnitude),
-        "omega_e": draw(magnitude),
-        "chi": draw(st.sampled_from((0.2, 0.0, 1e-300, 1e10, 1e300))),
-        "sector_n": draw(st.sampled_from((1, 0, 3, 300, 10**6, 10**12))),
+        **{name: field(name) for name in ("g1", "g2", "omega_e", "chi", "sector_n")},
     }
-    husimi = {"resolution": draw(st.sampled_from((2, 5))), "range": draw(st.sampled_from((0.5, 3.0, 1e100)))}
-    n_max = draw(st.sampled_from((None, 0, 5)))
+    husimi = {"resolution": field("resolution"), "range": field("range")}
+    n_max = field("n_max")
     if n_max is not None:
         husimi["n_max"] = n_max
     doc = {
         "params": params,
-        "tau_max": draw(magnitude),
-        "samples": draw(st.sampled_from((2, 3, 17))),
+        "tau_max": field("tau_max"),
+        "samples": field("samples"),
         "observables": draw(st.lists(st.sampled_from(OBSERVABLE_NAMES), unique=True)),
         "husimi": husimi,
     }
     axis = draw(st.sampled_from((None, "chi", "omega_cavity")))
     if axis is not None:
-        doc["sweep"] = {"axes": [[axis, draw(st.lists(magnitude, min_size=2, max_size=2, unique=True))]]}
+        values = st.lists(st.sampled_from(FIELD_CHOICES[axis]), min_size=2, max_size=2, unique=True)
+        doc["sweep"] = {"axes": [[axis, draw(values)]]}
     return doc
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(doc=single_run_documents())
-def test_single_run_exit_contract(doc):
+@given(doc=single_run_documents(), force_oracle=st.booleans())
+def test_single_run_exit_contract(doc, force_oracle):
     # exit 0 with finite CSV cells, or exit 2 with one message line and no
     # output; never a traceback (an exception out of main) or a warning.
     # Sweep points run in this process, so their warnings are caught too.
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "worker_count", lambda: 1):
+    # A low step budget keeps the oracle runs short: past it they exit 2.
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(runner, "worker_count", lambda: 1),
+        mock.patch.object(_kernels, "MAX_STEPS", 2000),
+    ):
         cfg = os.path.join(tmp, "run.json")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
         out = os.path.join(tmp, "out")
+        flags = ["--force-oracle"] if force_oracle else []
         stderr = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = main(["simulate", "--config", cfg, "--out", out])
+            code = main(["simulate", "--config", cfg, *flags, "--out", out])
         assert [str(w.message) for w in caught] == []
         err = stderr.getvalue()
         if code == 2:
@@ -358,7 +376,13 @@ def test_single_run_exit_contract(doc):
                 if name == "manifest.json":
                     manifests += 1
                     with open(path) as fh:
-                        assert json.load(fh)["phase_error_bound"] <= PHASE_ERROR_LIMIT
+                        manifest = json.load(fh)
+                    if force_oracle:
+                        assert manifest["method"] == "Oracle" and manifest["phase_error_bound"] is None
+                    else:
+                        assert manifest["phase_error_bound"] <= PHASE_ERROR_LIMIT
+                    if "husimi" in manifest:
+                        assert manifest["husimi"]["phase_error_bound"] <= PHASE_ERROR_LIMIT
                 elif name.endswith(".csv"):
                     _, cols = read_csv_columns(path)
                     assert all(np.all(np.isfinite(col)) for col in cols.values()), path
@@ -726,3 +750,18 @@ def test_husimi_manifest_quality_metrics(tmp_path):
     assert manifest["method"] == "Analytic"
     assert manifest["norm_drift_max"] <= 1e-9
     assert 0.0 < manifest["phase_error_bound"] <= PHASE_ERROR_LIMIT
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count the threads")
+def test_import_starts_one_blas_thread():
+    # importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1, so the
+    # process holds its main thread only; a value already set is kept
+    probe = "import os, djcm; print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(djcm.__file__))
+    for preset, expected in ((None, ["1", "1"]), ("2", ["2"])):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[: len(expected)] == expected

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from djcm.figures import run_figure
 
 from djcm.output import format_cells, write_csv, write_json
+from djcm import svgplot
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_svg, line_plot_svg
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 1e300, 2.0**-52]
@@ -65,6 +68,58 @@ def test_line_plot_svg_structure():
     # flat series must not divide by zero
     flat = line_plot_svg(t, [("c", np.zeros_like(t))])
     assert "<polyline" in flat
+
+
+def reference_polyline_points(times, series):
+    """The per-point expression line_plot_svg formatted with before it built
+    the pixel coordinates as arrays, over Python floats."""
+    x_lo, x_hi = float(times[0]), float(times[-1])
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    y_lo, y_hi = svgplot._span(np.concatenate([np.asarray(v, dtype=float) for _, v in series]))
+    plot_w = svgplot._LINE_WIDTH - _MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._LINE_HEIGHT - _MARGIN_T - svgplot._MARGIN_B
+
+    def sx(x):
+        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [
+        " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times.tolist(), np.asarray(values, dtype=float).tolist()))
+        for _, values in series
+    ]
+
+
+def polyline_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        times = np.sort(rng.uniform(-1.0, 1.0, n)) * 10.0 ** rng.uniform(-5.0, 5.0)
+        series = [
+            (f"s{i}", 10.0 ** rng.uniform(-5.0, 5.0) * rng.standard_normal(n) + 10.0 ** rng.uniform(-5.0, 5.0))
+            for i in range(int(rng.integers(1, 4)))
+        ]
+        yield times, series
+    yield np.linspace(0.0, 60.0, 2000), [(name, np.full(2000, 0.25)) for name in ("a", "b")]  # constant
+    yield np.array([0.0, 1e-5]), [("two", np.array([3e4, -7e-3]))]  # two samples
+    yield np.zeros(3), [("same t", np.array([1.0, 2.0, 3.0]))]  # one time repeated
+    tau = np.linspace(0.0, 60.0, 2000)
+    yield tau, [(f"P{k}", np.sin((k + 1) * tau) ** 2 * 10.0 ** (2 * k - 5)) for k in range(6)]  # several
+    # x pixels within an ulp or two of 64 + j/8, half of them on a rounding
+    # tie of %.2f: these bytes change with the order of sx's operations
+    ties = 0.3 + 1.4 * np.arange(4481) / 4480
+    yield ties, [("ties", np.cos(ties))]
+    # the same for the y pixels, 34 + k/8: the values span [0, 1], padded to [-0.05, 1.05]
+    values = np.concatenate([[0.0, 1.0], 1.05 - 1.1 * np.arange(200, 2500) / 2720])
+    yield np.arange(len(values), dtype=float), [("y ties", values)]
+
+
+def test_polyline_points_match_the_per_point_reference():
+    for times, series in polyline_cases():
+        svg = line_plot_svg(times, series)
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polyline_points(times, series)
 
 
 def test_heatmap_svg_structure():
