@@ -5,7 +5,8 @@ Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1 unless it is
 already set: every djcm array is a stack of 3x3 matrices or an
 elementwise grid, which OpenBLAS's worker threads never speed up, while
 starting them costs each process start-up time and CPU.  A program that
-imported NumPy first keeps its thread pool.
+imported NumPy first keeps its thread pool.  The variable stays set, so
+child processes started afterwards inherit it.
 """
 
 import os

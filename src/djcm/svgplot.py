@@ -132,15 +132,9 @@ def line_plot_svg(
             f'font-family="sans-serif" font-size="12" '
             f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
         )
-    # sx and sy map whole arrays; (x, y) pixel pairs are interleaved for
-    # one format call per polyline
-    xy = np.empty(2 * len(times))
-    xy[0::2] = sx(np.asarray(times, dtype=float))
-    point_format = " ".join(["%.2f,%.2f"] * len(times))
     for idx, (label, values) in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
-        xy[1::2] = sy(np.asarray(values, dtype=float))
-        pts = point_format % tuple(xy.tolist())
+        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, values))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1:
             lx = _MARGIN_L + plot_w - 70

@@ -310,7 +310,8 @@ FIELD_CHOICES = {
 def single_run_documents(draw):
     """Single-run and two-point sweep config documents.  Each field keeps
     its reference value unless it is one of the (at most three) drawn to
-    range over extreme magnitudes, so that most documents run."""
+    range over extreme magnitudes, so that most documents run; a sweep
+    axis draws its two values from all of MAGNITUDES."""
     varied = draw(st.sets(st.sampled_from(sorted(FIELD_CHOICES)), max_size=3))
 
     def field(name):
@@ -336,7 +337,7 @@ def single_run_documents(draw):
     }
     axis = draw(st.sampled_from((None, "chi", "omega_cavity")))
     if axis is not None:
-        values = st.lists(st.sampled_from(FIELD_CHOICES[axis]), min_size=2, max_size=2, unique=True)
+        values = st.lists(st.sampled_from(MAGNITUDES), min_size=2, max_size=2, unique=True)
         doc["sweep"] = {"axes": [[axis, draw(values)]]}
     return doc
 

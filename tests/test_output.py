@@ -71,8 +71,8 @@ def test_line_plot_svg_structure():
 
 
 def reference_polyline_points(times, series):
-    """The per-point expression line_plot_svg formatted with before it built
-    the pixel coordinates as arrays, over Python floats."""
+    """line_plot_svg's per-point expression, over Python floats in place of
+    NumPy scalars."""
     x_lo, x_hi = float(times[0]), float(times[-1])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
