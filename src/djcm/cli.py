@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error (a
 ValueError) or parameters outside the numerical range (an
 ArithmeticError: integrator step-size underflow or step budget, a phase
 error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
-3 I/O error.  --force-oracle sends every series through the ODE oracle;
-Husimi grids always come from the analytic route.  A simulate sweep runs
+3 I/O error; a numerical range error names the sector and the route it
+came from.  --force-oracle sends every series through the ODE oracle;
+Husimi grids always come from the analytic route.  The husimi flags make
+one config.HusimiRequest, checked by the rules of simulate's "husimi"
+section, so a rejected flag exits 2 with a message that names it.  A simulate sweep runs
 its points on one worker process per CPU the process may run on (limit
 them with taskset); figures run serially.  A sweep writes all its points
 or nothing.  Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1
@@ -28,8 +31,7 @@ import sys
 from . import __version__
 from .config import (
     ConfigError,
-    check_husimi_grid,
-    check_time_axis,
+    HusimiRequest,
     load_config_file,
     model_from_dict,
     params_echo,
@@ -69,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     hus = sub.add_parser("husimi", help="Husimi distribution over the coherent-state plane")
     hus.add_argument("--t", type=float, required=True, metavar="TAU", help="evaluation time tau")
-    hus.add_argument("--range", type=float, default=3.0, help="half-width of the square grid")
-    hus.add_argument("--resolution", type=int, default=121, help="grid points per axis")
+    hus.add_argument("--range", type=float, default=HusimiRequest.range, help="half-width of the square grid")
+    hus.add_argument("--resolution", type=int, default=HusimiRequest.resolution, help="grid points per axis")
     hus.add_argument(
         "--all-sectors",
         type=int,
@@ -90,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     doc = load_config_file(args.config)
     cfg = run_config_from_dict(doc, force_oracle=args.force_oracle)
-    sweep = sweep_from_dict(doc, cfg)
-    if sweep is None:
+    points = sweep_from_dict(doc, cfg)
+    if points is None:
         cfg.check_intensity_observables()
         run_simulation(cfg, args.out)
-        return EXIT_OK
-    run_sweep(sweep.expand(), args.out)
+    else:
+        run_sweep(points, args.out)
     return EXIT_OK
 
 
@@ -109,13 +111,9 @@ def _cmd_husimi(args) -> int:
         params, ic = model_from_dict(load_config_file(args.config))
     else:
         params, ic = row_params(ROWS[1]), EXCITED  # chi = 0.2 reference row
-    flags = ("--resolution", "--range", "--t", "--all-sectors")
-    check_husimi_grid(args.resolution, args.range, args.t, args.all_sectors, flags)
-    check_time_axis(args.t, params.omega_cavity, "--t")
-    title = f"Husimi Q at tau={args.t:g}"
-    files, record = write_husimi(
-        args.out, "husimi", title, params, args.t, args.range, args.resolution, args.all_sectors, ic=ic
-    )
+    request = HusimiRequest(tau=args.t, range=args.range, resolution=args.resolution, n_max=args.all_sectors)
+    request.check(params.omega_cavity, ("--t", "--range", "--resolution", "--all-sectors"))
+    files, record = write_husimi(args.out, "husimi", f"Husimi Q at tau={args.t:g}", params, request, ic=ic)
     write_json(
         os.path.join(args.out, "husimi_manifest.json"),
         {

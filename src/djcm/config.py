@@ -20,7 +20,11 @@ A config document looks like:
     }
 
 chi >= 0 is the Kerr constant; chi = 0 gives the undeformed operators.
-CLI flags override file fields.
+CLI flags override file fields.  The "husimi" section is one
+HusimiRequest, the same request the husimi command builds from its flags
+and fig7 fixes; RunConfig resolves a missing husimi.tau to tau_max.
+sweep_from_dict turns the "sweep" section into its (label, RunConfig)
+points.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .model import Kerr, ModelParams
 from .dynamics import EXCITED, InitialCondition
@@ -38,11 +42,10 @@ __all__ = [
     "ConfigError",
     "MAX_CSV_CELLS",
     "MAX_HUSIMI_N_MAX",
+    "HusimiRequest",
     "RunConfig",
     "params_echo",
     "check_time_axis",
-    "check_husimi_grid",
-    "SweepConfig",
     "load_config_file",
     "model_from_dict",
     "run_config_from_dict",
@@ -86,8 +89,42 @@ def _check_output_budget(cells: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class HusimiRequest:
+    """One Husimi Q grid: scaled time tau over [-range, range]^2, resolution
+    points per axis; n_max None sums the populated sector only, an integer
+    the sectors 0..n_max.  tau None stands for a run's tau_max."""
+
+    tau: float | None = None
+    range: float = 3.0
+    resolution: int = 121
+    n_max: int | None = None
+
+    def check(self, omega_cavity: float, names: tuple[str, str, str, str]) -> None:
+        """The grid rules shared by the config's husimi fields and the husimi
+        command's flags, a finite raw time tau / omega_cavity included
+        (check_time_axis).  tau must be set.  names gives the field or flag
+        of tau, range, resolution and n_max, in that order, for the error
+        message."""
+        tau_name, range_name, resolution_name, n_max_name = names
+        if self.resolution < 2:
+            raise ConfigError(f"{resolution_name} must be >= 2, got {self.resolution}")
+        _check_output_budget(3 * self.resolution**2, f"{resolution_name} {self.resolution}")
+        if not (math.isfinite(self.range) and self.range > 0):
+            raise ConfigError(f"{range_name} must be finite and > 0, got {self.range}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ConfigError(f"{tau_name} must be finite and >= 0, got {self.tau}")
+        if self.n_max is not None and self.n_max < 0:
+            raise ConfigError(f"{n_max_name} must be >= 0, got {self.n_max}")
+        if self.n_max is not None and self.n_max > MAX_HUSIMI_N_MAX:
+            raise ConfigError(f"{n_max_name} must be <= {MAX_HUSIMI_N_MAX}, got {self.n_max}")
+        check_time_axis(self.tau, omega_cavity, tau_name)
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated single-run configuration."""
+    """Validated single-run configuration.  Construction resolves a husimi
+    request without tau to tau_max and checks it after tau_max, so a
+    document without husimi.tau never gets an error that names it."""
 
     params: ModelParams
     ic: InitialCondition = EXCITED
@@ -96,10 +133,7 @@ class RunConfig:
     observables: tuple[str, ...] = DEFAULT_OBSERVABLES
     svg: bool = True
     method: str = "analytic"
-    husimi_range: float = 3.0
-    husimi_resolution: int = 121
-    husimi_tau: float | None = None
-    husimi_n_max: int | None = None
+    husimi: HusimiRequest = HusimiRequest()
 
     def __post_init__(self):
         if not (self.tau_max > 0.0):
@@ -107,6 +141,9 @@ class RunConfig:
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples!r}")
         check_time_axis(self.tau_max, self.params.omega_cavity, "tau_max")
+        if self.husimi.tau is None:
+            object.__setattr__(self, "husimi", replace(self.husimi, tau=self.tau_max))
+        self.husimi.check(self.params.omega_cavity, ("husimi.tau", "husimi.range", "husimi.resolution", "husimi.n_max"))
         for i, name in enumerate(self.observables):
             if name not in OBSERVABLE_NAMES:
                 raise ConfigError(
@@ -121,7 +158,7 @@ class RunConfig:
         per series observable, plus x, y, q per Husimi grid point."""
         cells = sum(self.samples * (1 + len(SERIES[name][0])) for name in self.observables if name in SERIES)
         if "husimi" in self.observables:
-            cells += 3 * self.husimi_resolution**2
+            cells += 3 * self.husimi.resolution**2
         return cells
 
     def check_intensity_observables(self) -> None:
@@ -149,65 +186,8 @@ class RunConfig:
             "method": self.method,
         }
         if "husimi" in self.observables:
-            doc["husimi"] = {
-                "range": self.husimi_range,
-                "resolution": self.husimi_resolution,
-                "tau": self.tau_max if self.husimi_tau is None else self.husimi_tau,
-                "n_max": self.husimi_n_max,
-            }
+            doc["husimi"] = asdict(self.husimi)
         return doc
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Cartesian sweep over named parameter axes on top of a base run."""
-
-    base: RunConfig
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
-
-    def __post_init__(self):
-        size = 1
-        for name, values in self.axes:
-            if name not in SWEEP_AXIS_NAMES:
-                raise ConfigError(
-                    f"sweep.axes: unknown parameter {name!r}; valid axes are {', '.join(SWEEP_AXIS_NAMES)}"
-                )
-            if len(values) == 0:
-                raise ConfigError(f"sweep.axes: axis {name!r} has no values")
-            size *= len(values)
-        if size > MAX_SWEEP_POINTS:
-            raise ConfigError(f"sweep produces {size} points, above the limit of {MAX_SWEEP_POINTS}")
-        _check_output_budget(size * self.base.csv_cells(), f"the sweep's {size} points")
-
-    def expand(self) -> list[tuple[str, RunConfig]]:
-        """(label, RunConfig) per sweep point, in deterministic axis order;
-        every point passes RunConfig.check_intensity_observables.  A label
-        prints each value with %g, and two points with one label (one
-        output directory) are a ConfigError."""
-        points = []
-        labels = set()
-        names = [name for name, _ in self.axes]
-        for combo in itertools.product(*(values for _, values in self.axes)):
-            params = self.base.params
-            label_bits = []
-            for name, value in zip(names, combo):
-                if name == "chi":
-                    params = replace(params, deformation=Kerr(value))
-                elif name == "sector_n":
-                    params = replace(params, sector_n=int(value))
-                else:
-                    params = replace(params, **{name: float(value)})
-                label_bits.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-            label = "_".join(label_bits)
-            if label in labels:
-                raise ConfigError(
-                    f"sweep.axes: two points share the label {label!r}; labels print each value to 6 significant digits"
-                )
-            labels.add(label)
-            point = replace(self.base, params=params)
-            point.check_intensity_observables()
-            points.append((label, point))
-        return points
 
 
 def load_config_file(path: str) -> dict:
@@ -306,25 +286,6 @@ def check_time_axis(tau: float, omega_cavity: float, name: str) -> None:
         )
 
 
-def check_husimi_grid(
-    resolution: int, half_width: float, tau: float | None, n_max: int | None, names: tuple[str, ...]
-) -> None:
-    """Husimi grid rules shared by the config's husimi fields and the husimi
-    command's flags; names gives the field or flag for resolution, range,
-    tau and n_max, in that order, for the error message."""
-    if resolution < 2:
-        raise ConfigError(f"{names[0]} must be >= 2, got {resolution}")
-    _check_output_budget(3 * resolution**2, f"{names[0]} {resolution}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ConfigError(f"{names[1]} must be finite and > 0, got {half_width}")
-    if tau is not None and not (math.isfinite(tau) and tau >= 0):
-        raise ConfigError(f"{names[2]} must be finite and >= 0, got {tau}")
-    if n_max is not None and n_max < 0:
-        raise ConfigError(f"{names[3]} must be >= 0, got {n_max}")
-    if n_max is not None and n_max > MAX_HUSIMI_N_MAX:
-        raise ConfigError(f"{names[3]} must be <= {MAX_HUSIMI_N_MAX}, got {n_max}")
-
-
 def model_from_dict(doc: dict) -> tuple[ModelParams, InitialCondition]:
     """The model of a parsed JSON document: its params and ic, and no other field."""
     params = _params_from_dict(_require(doc, "params", "config"))
@@ -348,12 +309,12 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     husimi = doc.get("husimi", {})
     if not isinstance(husimi, dict):
         raise ConfigError("husimi: expected an object")
-    husimi_n_max = None if husimi.get("n_max") is None else _integer(husimi["n_max"], "husimi.n_max")
-    resolution = _integer(husimi.get("resolution", 121), "husimi.resolution")
-    husimi_range = _number(husimi.get("range", 3.0), "husimi.range")
-    husimi_tau = None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau")
-    fields = ("husimi.resolution", "husimi.range", "husimi.tau", "husimi.n_max")
-    check_husimi_grid(resolution, husimi_range, husimi_tau, husimi_n_max, fields)
+    request = HusimiRequest(
+        n_max=None if husimi.get("n_max") is None else _integer(husimi["n_max"], "husimi.n_max"),
+        resolution=_integer(husimi.get("resolution", HusimiRequest.resolution), "husimi.resolution"),
+        range=_number(husimi.get("range", HusimiRequest.range), "husimi.range"),
+        tau=None if "tau" not in husimi else _number(husimi["tau"], "husimi.tau"),
+    )
 
     return RunConfig(
         params=params,
@@ -363,15 +324,18 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
         observables=tuple(observables),
         svg=svg,
         method="oracle" if force_oracle else "analytic",
-        husimi_range=husimi_range,
-        husimi_resolution=resolution,
-        husimi_tau=husimi_tau,
-        husimi_n_max=husimi_n_max,
+        husimi=request,
     )
 
 
-def sweep_from_dict(doc: dict, base: RunConfig) -> SweepConfig | None:
-    """Build the optional sweep section; None when absent."""
+def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] | None:
+    """The points of the optional sweep section, None when it is absent:
+    (label, RunConfig) per point of the Cartesian product over named
+    parameter axes on top of base, in deterministic axis order.  Every point
+    passes construction, the Husimi rules included, and
+    RunConfig.check_intensity_observables.  A label prints each value with
+    %g, and two points with one label (one output directory) are a
+    ConfigError."""
     if "sweep" not in doc:
         return None
     sweep = doc["sweep"]
@@ -381,12 +345,44 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> SweepConfig | None:
     if not isinstance(axes_doc, list):
         raise ConfigError("sweep.axes: expected a list of [name, values] pairs")
     axes = []
+    size = 1
     for i, entry in enumerate(axes_doc):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ConfigError(f"sweep.axes[{i}]: expected [name, values]")
         name, values = entry
         if not isinstance(values, list):
             raise ConfigError(f"sweep.axes[{i}]: values must be a list")
+        if name not in SWEEP_AXIS_NAMES:
+            raise ConfigError(f"sweep.axes: unknown parameter {name!r}; valid axes are {', '.join(SWEEP_AXIS_NAMES)}")
+        if not values:
+            raise ConfigError(f"sweep.axes: axis {name!r} has no values")
         parse = _integer if name == "sector_n" else _number
-        axes.append((name, tuple(parse(v, f"sweep.axes[{i}]") for v in values)))
-    return SweepConfig(base=base, axes=tuple(axes))
+        axes.append((name, [parse(v, f"sweep.axes[{i}]") for v in values]))
+        size *= len(values)
+    if size > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep produces {size} points, above the limit of {MAX_SWEEP_POINTS}")
+    _check_output_budget(size * base.csv_cells(), f"the sweep's {size} points")
+
+    points = []
+    labels = set()
+    for combo in itertools.product(*(values for _, values in axes)):
+        params = base.params
+        label_bits = []
+        for (name, _), value in zip(axes, combo):
+            if name == "chi":
+                params = replace(params, deformation=Kerr(value))
+            elif name == "sector_n":
+                params = replace(params, sector_n=int(value))
+            else:
+                params = replace(params, **{name: float(value)})
+            label_bits.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
+        label = "_".join(label_bits)
+        if label in labels:
+            raise ConfigError(
+                f"sweep.axes: two points share the label {label!r}; labels print each value to 6 significant digits"
+            )
+        labels.add(label)
+        point = replace(base, params=params)
+        point.check_intensity_observables()
+        points.append((label, point))
+    return points

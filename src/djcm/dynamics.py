@@ -169,14 +169,15 @@ def propagate(generators: np.ndarray, x0: np.ndarray, times: np.ndarray) -> tupl
 
 @contextmanager
 def propagator_errors(label: str):
-    """Prefix '<label> propagator: ' to a PhaseAccuracyError raised inside the
-    block, and turn floating-point overflow or an invalid operation there into
-    a FloatingPointError with the same prefix."""
+    """Prefix '<label>: ' to any ArithmeticError raised inside the block, so
+    every numerical range error names the solve it came from; NumPy
+    floating-point overflow or an invalid operation there raises a
+    FloatingPointError."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, PhaseAccuracyError) as exc:
-        raise type(exc)(f"{label} propagator: {exc}") from exc
+    except ArithmeticError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times) -> Trajectory:
@@ -190,7 +191,7 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     """
     grid = _as_grid(times, require_zero_start=False)
     x0 = ic.as_array()
-    with propagator_errors(f"sector {coeffs.n}"):
+    with propagator_errors(f"sector {coeffs.n} propagator"):
         bound, shifted = propagate(sector_generator(coeffs)[None], x0, grid)
     shifted = shifted[0]
     amps = np.empty((grid.size, 3), dtype=np.complex128)
@@ -211,37 +212,37 @@ def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> T
     Raises OverflowError when a rotating phase at the last grid point is
     not finite, StepSizeUnderflowError when no representable step meets
     the tolerances, and StepBudgetError when the grid needs more than
-    _kernels.MAX_STEPS steps.
+    _kernels.MAX_STEPS steps; these and any arithmetic error of the kernel
+    name the sector and the ODE oracle (propagator_errors).
     """
     grid = _as_grid(times, require_zero_start=True)
     t_end = float(grid[-1])
-    if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
-        raise OverflowError(
-            f"the phases of sector {coeffs.n} overflow the floating-point range by t = {t_end!r}"
+    with propagator_errors(f"sector {coeffs.n} ODE oracle"):
+        if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
+            raise OverflowError(f"the phases overflow the floating-point range by t = {t_end!r}")
+        out, status, accepted, rejected = _kernels.integrate_sector(
+            grid,
+            complex(ic.c1),
+            complex(ic.c2),
+            complex(ic.c3),
+            float(coeffs.h),
+            float(coeffs.s),
+            float(coeffs.nu),
+            float(coeffs.v1),
+            float(coeffs.v2),
+            float(coeffs.omega_e),
+            ODE_TOLERANCE,
         )
-    out, status, accepted, rejected = _kernels.integrate_sector(
-        grid,
-        complex(ic.c1),
-        complex(ic.c2),
-        complex(ic.c3),
-        float(coeffs.h),
-        float(coeffs.s),
-        float(coeffs.nu),
-        float(coeffs.v1),
-        float(coeffs.v2),
-        float(coeffs.omega_e),
-        ODE_TOLERANCE,
-    )
-    if status == _kernels.STATUS_UNDERFLOW:
-        raise StepSizeUnderflowError(
-            f"step size underflow while integrating to t = {t_end!r}; "
-            "tolerances unreachable for these parameters"
-        )
-    if status == _kernels.STATUS_BUDGET:
-        raise StepBudgetError(
-            f"the ODE oracle used up its budget of {_kernels.MAX_STEPS} steps before t = {t_end!r}; "
-            "the analytic route solves these parameters"
-        )
+        if status == _kernels.STATUS_UNDERFLOW:
+            raise StepSizeUnderflowError(
+                f"step size underflow while integrating to t = {t_end!r}; "
+                "tolerances unreachable for these parameters"
+            )
+        if status == _kernels.STATUS_BUDGET:
+            raise StepBudgetError(
+                f"used up its budget of {_kernels.MAX_STEPS} steps before t = {t_end!r}; "
+                "the analytic route solves these parameters"
+            )
     return Trajectory(
         times=grid, amplitudes=out, method=METHOD_ORACLE, steps_accepted=int(accepted), steps_rejected=int(rejected)
     )

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import HusimiRequest
 from .dynamics import solve_sector
 from .model import Kerr, ModelParams
 from .observables import trajectory_series
 from .output import format_cells, write_json
 from .runner import manifest_header, trajectory_quality, write_husimi, write_series_panel
 
-__all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7_TAU", "row_params", "run_figure"]
+__all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7", "row_params", "run_figure"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,8 @@ FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 # the series figures' time axis (recorded in the manifest)
 FIG_TAU_MAX = 50.0
 FIG_SAMPLES = 2000
-# evaluation time of the Husimi panels (fixed; recorded in the manifest)
-FIG7_TAU = 25.0
-FIG7_RANGE = 3.0
-FIG7_RESOLUTION = 121
+# the grid of both Husimi panels (recorded in the manifest)
+FIG7 = HusimiRequest(tau=25.0, range=3.0, resolution=121)
 
 
 def _whole(observable: str) -> tuple:
@@ -111,8 +110,8 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
         # chi = 0 panel from row1, chi = 0.2 panel from row2
         for row in ROWS[:2]:
             name = fig_id + next(letters)
-            title = f"Husimi Q, chi={row.chi:g}, tau={FIG7_TAU:g}"
-            files, record = write_husimi(out_dir, name, title, row_params(row), FIG7_TAU, FIG7_RANGE, FIG7_RESOLUTION)
+            title = f"Husimi Q, chi={row.chi:g}, tau={FIG7.tau:g}"
+            files, record = write_husimi(out_dir, name, title, row_params(row), FIG7)
             del record["mode"]  # both panels are single-sector
             panels.append({"name": name, "observable": "husimi", **_row_echo(row), "files": files, **record})
     else:

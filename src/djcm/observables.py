@@ -279,7 +279,7 @@ def _sector_populations(params: ModelParams, sectors, t: float, ic: InitialCondi
         return np.tile(populations(ic.as_array()), (len(sectors), 1)), 0.0
     generators = np.array([sector_generator(sector_coefficients(replace(params, sector_n=n))) for n in sectors])
     label = f"sector {sectors[0]}" if len(sectors) == 1 else f"sectors {sectors[0]}..{sectors[-1]}"
-    with propagator_errors(label):
+    with propagator_errors(label + " propagator"):
         bound, shifted = propagate(generators, ic.as_array(), np.array([t]))
     # the rotating phases of the second and third amplitudes drop out of |c|^2
     return populations(shifted[..., 0]), bound

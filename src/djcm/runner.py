@@ -6,12 +6,13 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .backend import ACTIVE
-from .config import RunConfig
+from .config import HusimiRequest, RunConfig
 from .dynamics import EXCITED, METHOD_ANALYTIC, InitialCondition, Trajectory, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
@@ -89,22 +90,19 @@ def write_husimi(
     name: str,
     title: str,
     params: ModelParams,
-    tau: float,
-    half_width: float,
-    resolution: int,
-    n_max: int | None = None,
+    request: HusimiRequest,
     *,
     ic: InitialCondition = EXCITED,
     svg: bool = True,
 ) -> tuple[list[str], dict]:
-    """Husimi Q at scaled time tau over [-half_width, half_width]^2 ->
-    <name>.csv (columns x, y, q; y-major order) and, with svg, <name>.svg
-    (heatmap).  n_max None sums the populated sector only (mode single),
-    an integer the sectors 0..n_max (mode all).  The grid always comes
-    from the analytic route.  Returns the file names and the grid record
-    {method, tau, range, resolution, n_max, mode} with the grid's
+    """The Husimi Q grid of request (tau set) -> <name>.csv (columns x, y,
+    q; y-major order) and, with svg, <name>.svg (heatmap).  The grid always
+    comes from the analytic route.  Returns the file names and the grid
+    record: the request's fields, n_max the last sector summed, mode single
+    (populated sector) or all (sectors 0..n_max), method, and the grid's
     norm_drift_max and phase_error_bound (observables.HusimiGrid)."""
-    grid = husimi_q(params, tau / params.omega_cavity, half_width, resolution, n_max, ic=ic)
+    resolution = request.resolution
+    grid = husimi_q(params, request.tau / params.omega_cavity, request.range, resolution, request.n_max, ic=ic)
     files = [f"{name}.csv"]
     # y-major rows: x cycles through the axis, y repeats each entry once per x
     cells = format_cells(grid.axis)
@@ -114,8 +112,7 @@ def write_husimi(
     if svg:
         files.append(f"{name}.svg")
         write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
-    mode = "single" if n_max is None else "all"
-    record = {"tau": tau, "range": half_width, "resolution": resolution, "n_max": grid.n_max, "mode": mode}
+    record = {**asdict(request), "n_max": grid.n_max, "mode": "single" if request.n_max is None else "all"}
     record.update(method=METHOD_ANALYTIC, norm_drift_max=grid.norm_drift_max, phase_error_bound=grid.phase_error_bound)
     return files, record
 
@@ -133,18 +130,9 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     outputs = []
     tau_cells = format_cells(tau)
     if "husimi" in cfg.observables:
-        tau_h = cfg.tau_max if cfg.husimi_tau is None else cfg.husimi_tau
+        title = f"Husimi Q at tau={cfg.husimi.tau:g}"
         outputs, manifest["husimi"] = write_husimi(
-            out_dir,
-            "husimi",
-            f"Husimi Q at tau={tau_h:g}",
-            cfg.params,
-            tau_h,
-            cfg.husimi_range,
-            cfg.husimi_resolution,
-            cfg.husimi_n_max,
-            ic=cfg.ic,
-            svg=cfg.svg,
+            out_dir, "husimi", title, cfg.params, cfg.husimi, ic=cfg.ic, svg=cfg.svg
         )
     for name, series in panels:
         outputs += write_series_panel(out_dir, name, tau, tau_cells, series, cfg.svg, title=name, ylabel=name)

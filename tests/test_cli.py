@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import djcm
 from djcm import _kernels
 from djcm.cli import main
+from djcm.config import MAX_HUSIMI_N_MAX
 from djcm.dynamics import PHASE_ERROR_LIMIT
 from djcm.figures import FIGURE_IDS, run_figure
 from djcm.observables import OBSERVABLE_NAMES
@@ -159,8 +160,29 @@ def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical range error: the ODE oracle used up its budget of")
+    assert err.startswith("numerical range error: sector 1 ODE oracle: used up its budget of")
     assert err.count("\n") == 1
+
+
+# the fuzz test's reference document: every frequency 0.2, sector 1
+ORACLE_REFERENCE = {
+    "omega_cavity": 0.2,
+    "omega_levels": [0.0, 0.2, 0.4],
+    **{name: 0.2 for name in ("g1", "g2", "omega_e", "chi")},
+    "sector_n": 1,
+}
+
+
+@pytest.mark.parametrize("field, value", [("g1", 1e150), ("chi", 1e300), ("omega_e", 1e150), ("omega_e", 1e300)])
+def test_oracle_range_errors_name_the_oracle_and_sector(tmp_path, capsys, field, value):
+    # the kernel's initial-step probe overflows (r1**2) or divides by a zero step
+    params = dict(ORACLE_REFERENCE, **{field: value})
+    cfg = write_config(tmp_path, params=params, tau_max=0.2, samples=2)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical range error: sector 1 ODE oracle: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_infinite_tau_max_exits_2(tmp_path, capsys):
@@ -223,8 +245,9 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
         # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
         ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with ic[0] = 0"),
         ({"sweep": {"axes": [["sector_n", [1, 0]]]}}, "configuration error: observables: g2 is undefined"),
-        # the series are computed, then the Husimi solve at tau = 1e308 overflows
-        ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e308}}, "numerical range error: sector 1"),
+        # the series are computed, then the Husimi solve at tau = 1e300 (a finite
+        # raw time) exceeds the phase error bound
+        ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e300}}, "numerical range error: sector 1"),
         # a sector number the engine cannot hold in a double, named before any point runs
         (
             {"params": dict(BASE_CONFIG["params"], sector_n=10**400)},
@@ -303,7 +326,14 @@ FIELD_CHOICES = {
     "resolution": (2, 5),
     "range": (0.5, 3.0, 1e100),
     "n_max": (None, 0, 5),
+    "tau": (None, 0.0, 7.0, 1e-300, 1e10, 1e300),
 }
+
+
+def assert_one_error_line(err):
+    # every numerical range error names what failed, never Python's bare text
+    assert err.startswith(("configuration error: ", "numerical range error: ")) and err.count("\n") == 1
+    assert not err.startswith(("numerical range error: (34, ", "numerical range error: float division by zero"))
 
 
 @st.composite
@@ -325,9 +355,10 @@ def single_run_documents(draw):
         **{name: field(name) for name in ("g1", "g2", "omega_e", "chi", "sector_n")},
     }
     husimi = {"resolution": field("resolution"), "range": field("range")}
-    n_max = field("n_max")
-    if n_max is not None:
-        husimi["n_max"] = n_max
+    for name in ("n_max", "tau"):
+        value = field(name)
+        if value is not None:
+            husimi[name] = value
     doc = {
         "params": params,
         "tau_max": field("tau_max"),
@@ -366,7 +397,7 @@ def test_single_run_exit_contract(doc, force_oracle):
         assert [str(w.message) for w in caught] == []
         err = stderr.getvalue()
         if code == 2:
-            assert err.startswith(("configuration error: ", "numerical range error: ")) and err.count("\n") == 1
+            assert_one_error_line(err)
             assert os.listdir(tmp) == ["run.json"]
             return
         assert code == 0 and err == ""
@@ -388,6 +419,61 @@ def test_single_run_exit_contract(doc, force_oracle):
                     _, cols = read_csv_columns(path)
                     assert all(np.all(np.isfinite(col)) for col in cols.values()), path
         assert manifests == (2 if "sweep" in doc else 1)
+
+
+HUSIMI_FLAG_CHOICES = {
+    "--t": ("25", "0", "1e-300", "7", "1e10", "1e300", "-1", "nan", "inf", "-inf"),
+    "--range": (None, "0.5", "1e100", "1e200", "0", "-2", "nan", "inf"),
+    "--resolution": ("5", "2", "1", "0", "-3"),
+    "--all-sectors": (None, "0", "5", "-1", "10001"),
+}
+
+
+@st.composite
+def husimi_argvs(draw):
+    """husimi command lines and an optional config document for the model
+    (single_run_documents).  Each flag keeps its reference value (None: not
+    given) unless it is one of the (at most two) drawn to range over valid
+    and invalid values, nan, inf and negative ones included.  A flag is
+    given as --flag=value, so a value that starts with '-' is not read as a
+    flag."""
+    varied = draw(st.sets(st.sampled_from(sorted(HUSIMI_FLAG_CHOICES)), max_size=2))
+    argv = ["husimi"]
+    for flag, choices in HUSIMI_FLAG_CHOICES.items():
+        value = draw(st.sampled_from(choices)) if flag in varied else choices[0]
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv += ["--config", draw(single_run_documents())]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(argv=husimi_argvs())
+def test_husimi_exit_contract(argv):
+    # exit 0 with a finite husimi.csv, or exit 2 with one message line and
+    # no output; never a traceback (an exception out of main) or a warning
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--config" in argv:
+            cfg = os.path.join(tmp, "run.json")
+            with open(cfg, "w") as fh:
+                json.dump(argv[-1], fh)
+            argv = argv[:-1] + [cfg]
+        out = os.path.join(tmp, "out")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", out])
+        assert [str(w.message) for w in caught] == []
+        err = stderr.getvalue()
+        if code == 2:
+            assert_one_error_line(err)
+            assert not os.path.exists(out)
+            return
+        assert code == 0 and err == ""
+        assert sorted(os.listdir(out)) == ["husimi.csv", "husimi.svg", "husimi_manifest.json"]
+        _, cols = read_csv_columns(os.path.join(out, "husimi.csv"))
+        assert all(np.all(np.isfinite(col)) for col in cols.values())
 
 
 def test_husimi_runs_the_vacuum_sector(tmp_path):
@@ -618,6 +704,41 @@ def test_husimi_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert main(["husimi", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
+
+
+HUSIMI_FLAGS = {"tau": "--t", "range": "--range", "resolution": "--resolution", "n_max": "--all-sectors"}
+
+
+@pytest.mark.parametrize(
+    "field, value, overrides",
+    [
+        ("tau", -1.0, {}),
+        # a finite tau whose raw time tau / omega_cavity overflows
+        ("tau", 1e10, {"params": dict(BASE_CONFIG["params"], omega_cavity=1e-300), "tau_max": 1e-295}),
+        ("range", 0.0, {}),
+        ("range", -2.0, {}),
+        ("range", 1e200, {}),  # |beta|^2 at the grid corner overflows: a numerical range error
+        ("resolution", 1, {}),
+        ("resolution", 100_000, {}),
+        ("n_max", -1, {}),
+        ("n_max", MAX_HUSIMI_N_MAX + 1, {}),
+    ],
+)
+def test_husimi_rules_are_one_table_for_fields_and_flags(tmp_path, capsys, field, value, overrides):
+    # the config's husimi section through simulate and the husimi command's
+    # flags follow one set of rules; the messages differ only in the name
+    husimi = {"tau": 5.0, field: value}
+    cfg = write_config(tmp_path, samples=50, observables=["populations", "husimi"], husimi=husimi, **overrides)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    from_field = capsys.readouterr().err
+    assert not out.exists()
+    flags = [f"{HUSIMI_FLAGS[name]}={husimi[name]}" for name in husimi]
+    assert main(["husimi", *flags, "--config", cfg, "--out", str(out)]) == 2
+    from_flag = capsys.readouterr().err
+    assert not out.exists()
+    assert from_field.count("\n") == 1
+    assert from_field.replace(f"husimi.{field}", HUSIMI_FLAGS[field]) == from_flag
 
 
 def test_validate_deterministic_and_passing(capsys):

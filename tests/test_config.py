@@ -6,8 +6,8 @@ from djcm.config import (
     MAX_CSV_CELLS,
     MAX_HUSIMI_N_MAX,
     ConfigError,
+    HusimiRequest,
     RunConfig,
-    SweepConfig,
     load_config_file,
     run_config_from_dict,
     sweep_from_dict,
@@ -121,8 +121,9 @@ def test_non_finite_numbers_are_rejected():
 
 def test_husimi_section_validation():
     cfg = run_config_from_dict(doc(husimi={"range": 4.0, "resolution": 61, "tau": 10.0}))
-    assert cfg.husimi_range == 4.0
-    assert cfg.husimi_tau == 10.0
+    assert cfg.husimi == HusimiRequest(tau=10.0, range=4.0, resolution=61)
+    # a request without tau takes tau_max, once, at construction
+    assert run_config_from_dict(doc(tau_max=20.0)).husimi == HusimiRequest(tau=20.0)
     with pytest.raises(ConfigError, match="resolution"):
         run_config_from_dict(doc(husimi={"resolution": 1}))
 
@@ -146,7 +147,7 @@ def test_husimi_fields_follow_the_flag_rules(husimi, message):
 
 def test_husimi_sector_limit_is_inclusive():
     # the benchmark's all-sector sum (n_max 342) sits far inside the limit
-    assert run_config_from_dict(doc(husimi={"n_max": MAX_HUSIMI_N_MAX})).husimi_n_max == MAX_HUSIMI_N_MAX
+    assert run_config_from_dict(doc(husimi={"n_max": MAX_HUSIMI_N_MAX})).husimi.n_max == MAX_HUSIMI_N_MAX
 
 
 def test_json_syntax_error_reports_line(tmp_path):
@@ -168,8 +169,7 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_sweep_expansion():
     base = run_config_from_dict(doc())
-    sweep = sweep_from_dict(doc(sweep={"axes": [["chi", [0.0, 0.2]], ["omega_e", [0.04, 0.08]]]}), base)
-    points = sweep.expand()
+    points = sweep_from_dict(doc(sweep={"axes": [["chi", [0.0, 0.2]], ["omega_e", [0.04, 0.08]]]}), base)
     assert len(points) == 4
     labels = [label for label, _ in points]
     assert labels == ["chi=0_omega_e=0.04", "chi=0_omega_e=0.08", "chi=0.2_omega_e=0.04", "chi=0.2_omega_e=0.08"]
@@ -188,9 +188,8 @@ def test_sweep_expansion():
 def test_sweep_points_that_share_a_label_are_rejected(axes, label):
     # a label prints each value with %g, so these points would share an output directory
     base = run_config_from_dict(doc())
-    sweep = sweep_from_dict(doc(sweep={"axes": axes}), base)
     with pytest.raises(ConfigError, match=f"two points share the label '{label}'"):
-        sweep.expand()
+        sweep_from_dict(doc(sweep={"axes": axes}), base)
 
 
 def test_sweep_axis_validation():
@@ -241,13 +240,12 @@ def test_intensity_observables_need_photons_at_tau_0(sector_n, ic, observables, 
 
 def test_sweep_through_vacuum_sector_fails_in_expand():
     base = run_config_from_dict(doc())
-    sweep = sweep_from_dict(doc(sweep={"axes": [["chi", [0.0, 0.2]], ["sector_n", [2, 0]]]}), base)
     with pytest.raises(ConfigError, match="observables: g2 is undefined for sector_n 0"):
-        sweep.expand()
+        sweep_from_dict(doc(sweep={"axes": [["chi", [0.0, 0.2]], ["sector_n", [2, 0]]]}), base)
     # a sweep that leaves the vacuum sector out expands from a vacuum base
     vacuum_base = run_config_from_dict(doc(params=dict(BASE_DOC["params"], sector_n=0)))
-    sweep = sweep_from_dict(doc(sweep={"axes": [["sector_n", [1, 2]]]}), vacuum_base)
-    assert [label for label, _ in sweep.expand()] == ["sector_n=1", "sector_n=2"]
+    points = sweep_from_dict(doc(sweep={"axes": [["sector_n", [1, 2]]]}), vacuum_base)
+    assert [label for label, _ in points] == ["sector_n=1", "sector_n=2"]
 
 
 def test_output_budget_estimate():
@@ -270,7 +268,7 @@ def test_output_budget_estimate():
 def test_output_budget_counts_sweep_points():
     base = run_config_from_dict(doc(samples=2000))  # 34 000 cells per point
     axes = [["g1", [0.01 * k for k in range(1, 37)]], ["g2", [0.01 * k for k in range(1, 41)]]]
-    assert len(sweep_from_dict(doc(sweep={"axes": axes}), base).expand()) == 1440  # 48 960 000 cells
+    assert len(sweep_from_dict(doc(sweep={"axes": axes}), base)) == 1440  # 48 960 000 cells
     axes[0][1] = [0.001 * k for k in range(1, 61)]
     with pytest.raises(ConfigError, match="output budget: the sweep's 2400 points would write 81600000"):
         sweep_from_dict(doc(sweep={"axes": axes}), base)
