@@ -10,16 +10,21 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error (a
 ValueError) or parameters outside the numerical range (an
 ArithmeticError: integrator step-size underflow or step budget, a phase
 error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
-3 I/O error; a numerical range error names the sector and the route it
-came from.  --force-oracle sends every series through the ODE oracle;
-Husimi grids always come from the analytic route.  The husimi flags make
-one config.HusimiRequest, checked by the rules of simulate's "husimi"
-section, so a rejected flag exits 2 with a message that names it.  A simulate sweep runs
-its points on one worker process per CPU the process may run on (limit
-them with taskset); figures run serially.  A sweep writes all its points
-or nothing.  Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1
-unless it is already set; a program that imported NumPy first keeps its
-BLAS thread pool.  djcm reads no other environment variable.
+3 I/O error or a worker process that ended abruptly (killed by a signal
+or the OOM killer: runner.WorkerDiedError); a numerical range error
+names the sector and the route it came from.  --force-oracle sends
+every series through the ODE oracle; Husimi grids always come from the
+analytic route.  The husimi flags make one config.HusimiRequest, checked
+by the rules of simulate's "husimi" section, so a rejected flag exits 2
+with a message that names it.  A simulate sweep runs its points, and
+validate each pass of criteria 1-9, on one worker process per CPU the
+process may run on (taskset -c 0 runs them serially; no output depends
+on the count); validate's stderr times are measured inside the worker
+that ran each criterion.  figures run serially.  A sweep writes all its
+points or nothing.  Importing djcm before NumPy sets
+OPENBLAS_NUM_THREADS=1 unless it is already set; a program that
+imported NumPy first keeps its BLAS thread pool.  djcm reads no other
+environment variable.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .config import (
 from .dynamics import EXCITED
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
-from .runner import manifest_header, run_simulation, run_sweep, write_husimi
+from .runner import WorkerDiedError, manifest_header, run_simulation, run_sweep, write_husimi
 
 __all__ = ["main", "build_parser"]
 
@@ -160,6 +165,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except WorkerDiedError as exc:
+        print(f"worker process ended abruptly: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import HusimiRequest
 from .dynamics import solve_sector
 from .model import Kerr, ModelParams
 from .observables import trajectory_series
-from .output import format_cells, write_json
-from .runner import manifest_header, trajectory_quality, write_husimi, write_series_panel
+from .output import write_json
+from .runner import manifest_header, time_axis, trajectory_quality, write_husimi, write_series_panel
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7", "row_params", "run_figure"]
 
@@ -102,8 +100,7 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
-    tau = np.linspace(0.0, FIG_TAU_MAX, FIG_SAMPLES)
-    tau_cells = format_cells(tau)
+    tau, tau_cells = time_axis(FIG_TAU_MAX, FIG_SAMPLES)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":

@@ -1,5 +1,11 @@
 """Shared machinery for CLI runs: trajectory execution, file emission,
-manifest assembly and the sweep's worker processes."""
+manifest assembly and the worker processes that sweeps and validate share.
+
+parallel_map(fn, items) is the one place that forks: it maps fn over items
+on worker_count() worker processes and returns the results in item order.
+A worker that dies without raising (killed by a signal or the OOM killer)
+ends the map with WorkerDiedError.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +28,10 @@ from .svgplot import heatmap_svg, line_plot_svg
 
 __all__ = [
     "QUALITY_KEYS",
+    "WorkerDiedError",
     "worker_count",
+    "parallel_map",
+    "time_axis",
     "trajectory_quality",
     "manifest_header",
     "write_series_panel",
@@ -40,11 +50,57 @@ QUALITY_KEYS = (
 )
 
 
+class WorkerDiedError(RuntimeError):
+    """A worker process of parallel_map ended without returning or raising."""
+
+
 def worker_count() -> int:
-    """Sweep worker processes: the CPUs this process may run on."""
+    """Worker processes of parallel_map: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def parallel_map(fn, items: list) -> list:
+    """[fn(item) for item in items], on worker_count() worker processes.
+
+    fn and the items must pickle (module-level functions, plain data); the
+    results come back in item order, and the first exception that fn
+    raises is raised here with its own type.  Workers are forked, not
+    spawned, so they start without re-importing NumPy and see the parent's
+    module state.  The CLI starts no thread of its own, and importing djcm
+    sets OPENBLAS_NUM_THREADS=1 unless it is set, so the parent forks with
+    its main thread alone.  With one CPU, one item, or no fork on the
+    platform, the items run one after another in this process.
+    """
+    workers = min(worker_count(), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    # imported here: the pool machinery would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            return list(pool.map(fn, items))
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(str(exc)) from exc
+        except BaseException:
+            # the first failed item ends the map: drop the items not yet started
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+@lru_cache(maxsize=1)
+def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, list[str]]:
+    """The dimensionless time grid of a run and its CSV cells
+    (format_cells), shared by every panel of the run and, through the
+    cache, by every point of a sweep.  The grid is read-only; callers must
+    not change the cell list."""
+    tau = np.linspace(0.0, tau_max, samples)
+    tau.flags.writeable = False
+    return tau, format_cells(tau)
 
 
 def trajectory_quality(traj: Trajectory) -> dict:
@@ -73,7 +129,7 @@ def write_series_panel(
 ) -> list[str]:
     """One panel: <name>.csv (columns tau and one per series) and, with svg,
     <name>.svg (line plot); returns the file names.  tau_cells is
-    format_cells(tau), formatted once for all of a run's panels."""
+    format_cells(tau), formatted once for all of a run's panels (time_axis)."""
     files = [f"{name}.csv"]
     write_csv(
         os.path.join(out_dir, files[0]), ["tau"] + [s.name for s in series], [tau_cells] + [s.values for s in series]
@@ -123,12 +179,11 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     Every series and the Husimi grid are computed before the first file
     is written, so a run that fails writes nothing.
     """
-    tau = np.linspace(0.0, cfg.tau_max, cfg.samples)
+    tau, tau_cells = time_axis(cfg.tau_max, cfg.samples)
     traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
     panels = [(name, trajectory_series(traj, name, cfg.params)) for name in cfg.observables if name != "husimi"]
     manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
     outputs = []
-    tau_cells = format_cells(tau)
     if "husimi" in cfg.observables:
         title = f"Husimi Q at tau={cfg.husimi.tau:g}"
         outputs, manifest["husimi"] = write_husimi(
@@ -147,30 +202,14 @@ def _simulate_job(job: tuple[RunConfig, str]) -> dict:
 
 
 def run_simulations(jobs: list[tuple[RunConfig, str]]) -> list[dict]:
-    """run_simulation over (RunConfig, out_dir) pairs; manifests in job order.
-
-    Several jobs run on worker_count() worker processes: CSV formatting
-    holds the interpreter lock, so threads would not overlap it.  Workers
-    are forked, not spawned, so they start without re-importing NumPy.
-    The CLI starts no thread of its own, and importing djcm sets
-    OPENBLAS_NUM_THREADS=1 unless it is set, so the parent forks with its
-    main thread alone.  Where fork does not exist the jobs run one after
-    another.
-    """
-    workers = min(worker_count(), len(jobs))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [run_simulation(cfg, out_dir) for cfg, out_dir in jobs]
-    # imported here: the pool machinery would add to every command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            return list(pool.map(_simulate_job, jobs))
-        except BaseException:
-            # the first failed job ends the run: drop the jobs not yet started
-            pool.shutdown(cancel_futures=True)
-            raise
+    """run_simulation over (RunConfig, out_dir) pairs with parallel_map;
+    manifests in job order.  Worker processes rather than threads: CSV
+    formatting holds the interpreter lock, so threads would not overlap it.
+    The first job's time axis is formatted before the workers fork, so the
+    points of a sweep, which share it, inherit its cells."""
+    if jobs:
+        time_axis(jobs[0][0].tau_max, jobs[0][0].samples)
+    return parallel_map(_simulate_job, jobs)
 
 
 def _existing_parent(path: str) -> str:

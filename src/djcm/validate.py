@@ -10,9 +10,14 @@ and byte-level determinism of this very report.
 theta_poly, the characteristic cubic det(zI + iK) of a sector, serves
 criterion 3 only: the engine takes its roots from the eigenvalues of K.
 
+Criteria 1-9 run on one worker process per CPU (runner.parallel_map;
+`taskset -c 0` runs them serially in this process) and come back in
+index order; criterion 10 repeats that pass once the first has finished.
+
 The formatted report contains only deterministic numbers (same seed =>
-identical bytes); wall-clock timings are carried on the
-result objects and printed to stderr by the CLI, never into the report.
+identical bytes); wall-clock timings, measured inside the process that
+runs each criterion, are carried on the result objects and printed to
+stderr by the CLI, never into the report.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .observables import (
     trajectory_series,
     von_neumann_entropy,
 )
+from .runner import parallel_map
 
 __all__ = ["CubicPoly", "theta_poly", "CriterionResult", "DEFAULT_SEED", "DEFAULT_TUPLES", "run_all", "format_report"]
 
@@ -324,18 +330,25 @@ def _timed(criterion, *args) -> CriterionResult:
     return result
 
 
+def _timed_job(job: tuple) -> CriterionResult:
+    return _timed(*job)
+
+
 def _run_core(seed: int, tuples: int) -> list[CriterionResult]:
-    return [
-        _timed(_c1_cross_method),
-        _timed(_c2_norm_conservation),
-        _timed(_c3_spectral_structure, seed, tuples),
-        _timed(_c4_closed_form_limit),
-        _timed(_c5_entropy_identity),
-        _timed(_c6_fock_statistics),
-        _timed(_c7_husimi_normalization),
-        _timed(_c8_moment_vanishing),
-        _timed(_c9_figure_shape),
+    """Criteria 1-9, in index order, on runner.parallel_map's worker
+    processes; each is timed inside the process that runs it."""
+    jobs = [
+        (_c1_cross_method,),
+        (_c2_norm_conservation,),
+        (_c3_spectral_structure, seed, tuples),
+        (_c4_closed_form_limit,),
+        (_c5_entropy_identity,),
+        (_c6_fock_statistics,),
+        (_c7_husimi_normalization,),
+        (_c8_moment_vanishing,),
+        (_c9_figure_shape,),
     ]
+    return parallel_map(_timed_job, jobs)
 
 
 def _format_line(result: CriterionResult) -> str:

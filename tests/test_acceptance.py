@@ -8,6 +8,7 @@ stated tolerances and enforce the runtime budgets.
 import numpy as np
 import pytest
 
+from djcm import runner, validate
 from djcm.cli import main
 from djcm.validate import (
     DEFAULT_SEED,
@@ -22,6 +23,7 @@ from djcm.validate import (
     _c9_figure_shape,
     _format_line,
     _timed,
+    format_report,
     run_all,
 )
 
@@ -102,3 +104,27 @@ def test_criterion_10_cli_reports_byte_identical(capsys):
     assert main(["validate", "--seed", "123", "--tuples", "200"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_report_independent_of_worker_count(monkeypatch):
+    # one worker runs the criteria in this process, two fork a pool
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(runner, "worker_count", lambda n=workers: n)
+        results = run_all(123, 200)
+        assert [r.index for r in results] == list(range(1, 11))
+        reports.append(format_report(results, 123, 200))
+    assert reports[0] == reports[1]
+    assert reports[0].endswith("\nresult: PASS (10/10)\n")
+
+
+def test_criterion_error_crosses_workers(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("criterion 4 failed on purpose")
+
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
+    monkeypatch.setattr(validate, "analytic_trajectory", fail)
+    with pytest.raises(ValueError, match="criterion 4 failed on purpose") as caught:
+        run_all(123, 200)
+    # raised in a worker: the pool attaches the worker's traceback as the cause
+    assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"

@@ -842,6 +842,43 @@ def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _exit_in_worker(original):
+    """original, except in a forked worker process, which it ends at once
+    without raising, as a signal or the OOM killer would."""
+    parent = os.getpid()
+
+    def wrapper(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capfd):
+    cfg = _three_point_sweep(tmp_path)
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
+    monkeypatch.setattr(runner, "run_simulation", _exit_in_worker(runner.run_simulation))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("worker process ended abruptly: ") and err.count("\n") == 1
+    # no sweep output and no staging directory
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+def test_dead_validate_worker_exits_3(monkeypatch, capfd):
+    from djcm import validate
+
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
+    # criterion 4's propagation
+    monkeypatch.setattr(validate, "analytic_trajectory", _exit_in_worker(validate.analytic_trajectory))
+    assert main(["validate", "--tuples", "10"]) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("worker process ended abruptly: ") and err.count("\n") == 1
+
+
 def test_force_oracle_husimi_takes_the_analytic_route(tmp_path):
     # --force-oracle applies to the series; the all-sector grid is the same
     # stacked propagation either way, so the same bytes and the same record
