@@ -21,7 +21,10 @@ validate each pass of criteria 1-9, on one worker process per CPU the
 process may run on (taskset -c 0 runs them serially; no output depends
 on the count); validate's stderr times are measured inside the worker
 that ran each criterion.  figures run serially.  A sweep writes all its
-points or nothing.  Importing djcm before NumPy sets
+points or nothing.  The djcm console script and python -m djcm.cli enter
+through run(), which freezes the import-time heap (gc.freeze) before
+main(), so exit-time collections skip it; main() called from Python
+freezes nothing.  Importing djcm before NumPy sets
 OPENBLAS_NUM_THREADS=1 unless it is already set; a program that
 imported NumPy first keeps its BLAS thread pool.  djcm reads no other
 environment variable.
@@ -30,6 +33,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -48,7 +52,7 @@ from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
 from .runner import WorkerDiedError, manifest_header, run_simulation, run_sweep, write_husimi
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -171,5 +175,16 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Program entry of the djcm console script and of python -m djcm.cli.
+
+    Freezes the heap that the imports built before running main(), so the
+    collections at interpreter exit, and in the sweep and validate workers
+    forked from this heap, skip those objects.  main() itself changes no
+    process-wide state: tests and benchmarks call it in-process."""
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -9,6 +9,8 @@ heatmaps are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["LINE_COLORS", "COLORMAP", "FLAT_SPAN", "line_plot_svg", "heatmap_svg"]
@@ -48,6 +50,8 @@ COLORMAP = _build_colormap()
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
 _LINE_WIDTH, _LINE_HEIGHT = 640, 420
+_PLOT_W = _LINE_WIDTH - _MARGIN_L - _MARGIN_R
+_PLOT_H = _LINE_HEIGHT - _MARGIN_T - _MARGIN_B
 # a heatmap whose values span at most this fraction of their magnitude is
 # drawn flat, in one colour: round-off would otherwise colour a constant field
 FLAT_SPAN = 1e-12
@@ -69,6 +73,26 @@ def _span(values: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _x_range(times: np.ndarray) -> tuple[float, float]:
+    x_lo, x_hi = float(times[0]), float(times[-1])
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    return x_lo, x_hi
+
+
+@functools.lru_cache(maxsize=1)
+def _polyline_template(times: bytes) -> str:
+    """Polyline points over the float64 tau grid whose bytes are given: each
+    x pixel is formatted once, in the order of operations of line_plot_svg's
+    sx, and each y pixel is left as a %.2f slot for one % per series.  The
+    figures and the points of a sweep share one grid, so one entry serves
+    them all."""
+    t = np.frombuffer(times)
+    x_lo, x_hi = _x_range(t)
+    xs = _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * _PLOT_W
+    return " ".join(["%.2f,%%.2f" % x for x in xs.tolist()])
+
+
 def line_plot_svg(
     times: np.ndarray,
     series: list[tuple[str, np.ndarray]],
@@ -77,12 +101,11 @@ def line_plot_svg(
 ) -> str:
     """SVG document with one polyline per (label, values) pair over the tau axis."""
     width, height = _LINE_WIDTH, _LINE_HEIGHT
-    x_lo, x_hi = float(times[0]), float(times[-1])
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    y_lo, y_hi = _span(np.concatenate([np.asarray(v, dtype=float) for _, v in series]))
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    times = np.asarray(times, dtype=float)
+    x_lo, x_hi = _x_range(times)
+    series = [(label, np.asarray(values, dtype=float)) for label, values in series]
+    y_lo, y_hi = _span(np.concatenate([values for _, values in series]))
+    plot_w, plot_h = _PLOT_W, _PLOT_H
 
     def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -132,9 +155,10 @@ def line_plot_svg(
             f'font-family="sans-serif" font-size="12" '
             f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
         )
+    template = _polyline_template(times.tobytes())
     for idx, (label, values) in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, values))
+        pts = template % tuple(sy(values).tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1:
             lx = _MARGIN_L + plot_w - 70

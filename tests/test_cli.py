@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import djcm
-from djcm import _kernels
+from djcm import _kernels, cli
 from djcm.cli import main
 from djcm.config import MAX_HUSIMI_N_MAX
 from djcm.dynamics import PHASE_ERROR_LIMIT
@@ -924,3 +925,28 @@ def test_import_starts_one_blas_thread():
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[: len(expected)] == expected
+
+
+def test_run_freezes_the_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_frozen_entry_writes_the_in_process_tree(tmp_path):
+    # main() called in-process freezes nothing; python -m djcm.cli enters
+    # through run(), which does, and writes the same figure tree
+    frozen = gc.get_freeze_count()
+    assert main(["figures", "fig8", "--out", str(tmp_path / "in_process")]) == 0
+    assert gc.get_freeze_count() == frozen
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(djcm.__file__)))
+    argv = ["figures", "fig8", "--out", str(tmp_path / "entry")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "djcm.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tree_bytes(tmp_path / "entry") == tree_bytes(tmp_path / "in_process")

@@ -122,6 +122,24 @@ def test_polyline_points_match_the_per_point_reference():
         assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polyline_points(times, series)
 
 
+def test_polyline_template_follows_its_grid():
+    # the template cache holds one grid: it must re-key on grids A, B, A in
+    # turn and on a grid rewritten in place, and serve a one-sample grid
+    def check(times):
+        series = [("sin", np.sin(times)), ("cos", np.cos(3.0 * times) * 1e-3)]
+        svg = line_plot_svg(times, series)
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polyline_points(times, series)
+
+    a, b = np.linspace(0.0, 60.0, 2000), np.geomspace(1e-3, 60.0, 2000)
+    for times in (a, b, a):
+        check(times)
+    grid = np.linspace(0.0, 10.0, 400)
+    check(grid)
+    grid **= 2  # the same array object and length, with new spacing
+    check(grid)
+    check(np.array([2.5]))
+
+
 def test_heatmap_svg_structure():
     axis = np.linspace(-1, 1, 5)
     values = np.outer(np.arange(5.0), np.arange(5.0))
