@@ -140,6 +140,8 @@ def _cmd_validate(args) -> int:
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     tuples = DEFAULT_TUPLES if args.tuples is None else args.tuples
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if tuples < 1:
         raise ConfigError(f"--tuples must be >= 1, got {tuples}")
     results = run_all(seed, tuples)

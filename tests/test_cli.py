@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import djcm
-from djcm import _kernels, cli
+from djcm import cli, dynamics
 from djcm.cli import main
 from djcm.config import MAX_HUSIMI_N_MAX
 from djcm.dynamics import PHASE_ERROR_LIMIT
@@ -156,7 +156,7 @@ def test_overflowed_constants_exit_2_on_both_routes(tmp_path):
 def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     # omega_cavity 1e-6 stretches tau <= 50 to t <= 5e7, far past any step
     # budget of the oracle; the analytic route takes a fraction of a second
-    monkeypatch.setattr(_kernels, "MAX_STEPS", 2000)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
     params = dict(BASE_CONFIG["params"], omega_cavity=1e-6, g1=0.06, g2=0.08, omega_e=0.08, chi=0.2)
     cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "out")]) == 2
@@ -384,7 +384,7 @@ def test_single_run_exit_contract(doc, force_oracle):
     with (
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.object(runner, "worker_count", lambda: 1),
-        mock.patch.object(_kernels, "MAX_STEPS", 2000),
+        mock.patch.object(dynamics, "MAX_STEPS", 2000),
     ):
         cfg = os.path.join(tmp, "run.json")
         with open(cfg, "w") as fh:
@@ -757,6 +757,18 @@ def test_validate_seed_changes_sweep_but_not_verdict(capsys):
     out = capsys.readouterr().out
     assert "seed: 7" in out
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seed", "-1", "--seed must be >= 0, got -1"), ("--tuples", "0", "--tuples must be >= 1, got 0")],
+)
+def test_validate_rejects_out_of_range_flags(capsys, flag, value, message):
+    # checked before the worker pool starts, not by NumPy's seeding
+    assert main(["validate", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
 
 
 def test_cli_usage_error_exit_code():

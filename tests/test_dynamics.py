@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from djcm import _kernels
+from djcm import dynamics
 from djcm.dynamics import (
     EXCITED,
     ODE_TOLERANCE,
@@ -174,29 +174,25 @@ def test_norm_conservation_fig_rows(kwargs):
         assert solve_sector(p, t, method=method).norm_error() <= 1e-9
 
 
-def test_ode_tolerance_convergence():
-    # amplitudes_ode fixes the tolerance at ODE_TOLERANCE; the kernel
-    # still takes it as an argument
+def test_ode_tolerance_convergence(monkeypatch):
+    # amplitudes_ode reads the tolerance from dynamics.ODE_TOLERANCE
     p = fig_params(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2)
     c = sector_coefficients(p)
     t = tau_grid(60.0, 400)
+    oracle = amplitudes_ode(c, EXCITED, t).amplitudes
 
-    def kernel_amplitudes(tol):
-        out, status, _, _ = _kernels.integrate_sector(
-            t, 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, tol
-        )
-        assert status == _kernels.STATUS_OK
-        return out
+    def oracle_amplitudes(tol):
+        monkeypatch.setattr(dynamics, "ODE_TOLERANCE", tol)
+        return amplitudes_ode(c, EXCITED, t).amplitudes
 
     def norm_error(amps):
         return float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
 
-    loose = norm_error(kernel_amplitudes(1e-6))
-    tight = norm_error(kernel_amplitudes(1e-12))
+    loose = norm_error(oracle_amplitudes(1e-6))
+    tight = norm_error(oracle_amplitudes(1e-12))
     assert tight < loose
     assert tight <= 1e-10
-    oracle = amplitudes_ode(c, EXCITED, t).amplitudes
-    assert np.array_equal(oracle, kernel_amplitudes(ODE_TOLERANCE))
+    assert np.array_equal(oracle, oracle_amplitudes(ODE_TOLERANCE))
 
 
 def test_phase_convention_pinned_by_oracle():
@@ -308,7 +304,7 @@ def test_trajectory_accessors():
 
 def test_step_size_underflow():
     coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=1e15, v2=1e15, omega_e=0.0, n=0)
-    with pytest.raises(StepSizeUnderflowError):
+    with pytest.raises(StepSizeUnderflowError, match="^sector 0 ODE oracle: step size underflow"):
         amplitudes_ode(coeffs, EXCITED, np.array([0.0, 1.0]))
 
 

@@ -1,10 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from djcm import _kernels
-from djcm.dynamics import EXCITED, InitialCondition, StepBudgetError, amplitudes_ode, analytic_trajectory
+from djcm import dynamics
+from djcm.dynamics import (
+    EXCITED,
+    InitialCondition,
+    StepBudgetError,
+    StepSizeUnderflowError,
+    amplitudes_ode,
+    analytic_trajectory,
+)
 from djcm.figures import ROWS, row_params
 from djcm.model import SectorCoefficients, sector_coefficients
 
@@ -37,52 +45,42 @@ def test_single_point_grid():
     assert traj.amplitudes[0, 1] == 1.0 + 0j
 
 
-def test_kernel_status_underflow_direct():
-    kernel = _kernels.integrate_sector
-    times = np.array([0.0, 1.0])
-    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, 0.0, 0.0, 0.0, 1e15, 1e15, 0.0, 1e-10)
-    assert status == _kernels.STATUS_UNDERFLOW
+PLAIN_SECTOR = SectorCoefficients(h=0.28, s=0.38, nu=0.1, v1=0.11, v2=0.15, omega_e=0.04, n=1)
 
 
 def test_kernel_counts_steps():
-    kernel = _kernels.integrate_sector
-    times = np.linspace(0.0, 100.0, 11)
-    out, status, nacc, nrej = kernel(
-        times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10
-    )
-    assert status == _kernels.STATUS_OK
-    assert nacc >= 10
-    assert np.all(np.isfinite(out))
+    traj = amplitudes_ode(PLAIN_SECTOR, EXCITED, np.linspace(0.0, 100.0, 11))
+    assert traj.steps_accepted >= 10
+    assert np.all(np.isfinite(traj.amplitudes))
 
 
-def test_kernel_rejects_steps_at_a_loose_tolerance():
+def test_kernel_rejects_steps_at_a_loose_tolerance(monkeypatch):
     # at ODE_TOLERANCE the reference rows never reject a step; at 1e-2 the
     # first step overshoots, so the controller's reject branch runs
+    monkeypatch.setattr(dynamics, "ODE_TOLERANCE", 1e-2)
     c = sector_coefficients(row_params(ROWS[0]))
-    args = (np.array([0.0, 250.0]), 0j, 1 + 0j, 0j, c.h, c.s, c.nu, c.v1, c.v2, c.omega_e, 1e-2)
-    out, status, nacc, nrej = _kernels.integrate_sector(*args)
-    assert status == _kernels.STATUS_OK
-    assert nacc >= 1 and nrej >= 1
-    assert np.all(np.isfinite(out))
-    again = _kernels.integrate_sector(*args)
-    assert np.array_equal(out, again[0]) and (status, nacc, nrej) == again[1:]
+    t = np.array([0.0, 250.0])
+    first = amplitudes_ode(c, EXCITED, t)
+    assert first.steps_accepted >= 1 and first.steps_rejected >= 1
+    assert np.all(np.isfinite(first.amplitudes))
+    again = amplitudes_ode(c, EXCITED, t)
+    assert np.array_equal(first.amplitudes, again.amplitudes)
+    assert (first.steps_accepted, first.steps_rejected) == (again.steps_accepted, again.steps_rejected)
 
 
 def test_kernel_nan_step_ends_as_underflow():
-    # a NaN constant makes the first step NaN; the guard must end the loop
-    kernel = _kernels.integrate_sector
-    times = np.array([0.0, 1.0])
-    _, status, _, _ = kernel(times, 0j, 1 + 0j, 0j, math.nan, 0.0, 0.0, 0.05, 0.05, 0.0, 1e-10)
-    assert status == _kernels.STATUS_UNDERFLOW
+    # a NaN constant makes the first step NaN; the guard must end the loop.
+    # SectorCoefficients refuses NaN, so the loop gets a bare record
+    nan_sector = SimpleNamespace(h=math.nan, s=0.0, nu=0.0, v1=0.05, v2=0.05, omega_e=0.0)
+    with pytest.raises(StepSizeUnderflowError, match="^step size underflow"):
+        dynamics._dormand_prince(np.array([0.0, 1.0]), EXCITED, nan_sector)
 
 
 def test_kernel_repeated_calls_are_identical():
-    kernel = _kernels.integrate_sector
     times = np.linspace(0.0, 100.0, 201)
-    args = (times, 0j, 1 + 0j, 0j, 0.28, 0.38, 0.1, 0.11, 0.15, 0.04, 1e-10)
-    first, second = kernel(*args), kernel(*args)
-    assert np.array_equal(first[0], second[0])
-    assert first[1:] == second[1:]
+    first, second = (amplitudes_ode(PLAIN_SECTOR, EXCITED, times) for _ in range(2))
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert (first.steps_accepted, first.steps_rejected) == (second.steps_accepted, second.steps_rejected)
 
 
 def test_oracle_matches_analytic_on_random_sectors():
@@ -129,11 +127,11 @@ def test_step_budget_ends_the_run(monkeypatch):
     t = np.linspace(0.0, 60.0, 400) / p.omega_cavity
     full = amplitudes_ode(coeffs, EXCITED, t)
     steps = full.steps_accepted + full.steps_rejected
-    assert steps < _kernels.MAX_STEPS
-    monkeypatch.setattr(_kernels, "MAX_STEPS", steps)
+    assert steps < dynamics.MAX_STEPS
+    monkeypatch.setattr(dynamics, "MAX_STEPS", steps)
     exact = amplitudes_ode(coeffs, EXCITED, t)
     assert np.array_equal(exact.amplitudes, full.amplitudes)
     assert (exact.steps_accepted, exact.steps_rejected) == (full.steps_accepted, full.steps_rejected)
-    monkeypatch.setattr(_kernels, "MAX_STEPS", steps - 1)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", steps - 1)
     with pytest.raises(StepBudgetError, match=f"budget of {steps - 1} steps"):
         amplitudes_ode(coeffs, EXCITED, t)
