@@ -1,6 +1,6 @@
-"""Name of the ODE oracle's integrator, recorded in every manifest and in
-the validate report: the plain-Python Dormand-Prince loop of
-djcm.dynamics.amplitudes_ode."""
+"""Name of the ODE oracle's integrator, the plain-Python Dormand-Prince loop
+of djcm.dynamics.amplitudes_ode.  No output records it; it remains for
+solve_sector(backend=...) and the benchmark's machine line, which read it."""
 
 __all__ = ["ACTIVE"]
 

@@ -10,11 +10,12 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error (a
 ValueError) or parameters outside the numerical range (an
 ArithmeticError: integrator step-size underflow or step budget, a phase
 error bound above dynamics.PHASE_ERROR_LIMIT, floating-point overflow),
-3 I/O error or a worker process that ended abruptly (killed by a signal
-or the OOM killer: runner.WorkerDiedError); a numerical range error
-names the sector and the route it came from.  --force-oracle sends
-every series through the ODE oracle; Husimi grids always come from the
-analytic route.  The husimi flags make one config.HusimiRequest, checked
+3 I/O error, out of memory (a MemoryError) or a worker process that
+ended abruptly (killed by a signal or the OOM killer:
+runner.WorkerDiedError); a numerical range error names the sector and
+the route it came from.  --force-oracle sends every series through the
+ODE oracle; Husimi grids always come from the analytic route.  The
+husimi flags make one config.HusimiRequest, checked
 by the rules of simulate's "husimi" section, so a rejected flag exits 2
 with a message that names it.  A simulate sweep runs its points, and
 validate each pass of criteria 1-9, on one worker process per CPU the
@@ -41,6 +42,7 @@ from . import __version__
 from .config import (
     ConfigError,
     HusimiRequest,
+    ic_echo,
     load_config_file,
     model_from_dict,
     params_echo,
@@ -129,6 +131,7 @@ def _cmd_husimi(args) -> int:
             **manifest_header("husimi"),
             **record,
             "params": params_echo(params),
+            "ic": ic_echo(ic),
             "outputs": sorted(files),
         },
     )
@@ -136,7 +139,7 @@ def _cmd_husimi(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .validate import DEFAULT_SEED, DEFAULT_TUPLES, format_report, run_all
+    from .validate import DEFAULT_SEED, DEFAULT_TUPLES, MAX_TUPLES, format_report, run_all
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     tuples = DEFAULT_TUPLES if args.tuples is None else args.tuples
@@ -144,6 +147,8 @@ def _cmd_validate(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if tuples < 1:
         raise ConfigError(f"--tuples must be >= 1, got {tuples}")
+    if tuples > MAX_TUPLES:
+        raise ConfigError(f"--tuples must be <= {MAX_TUPLES}, got {tuples}")
     results = run_all(seed, tuples)
     sys.stdout.write(format_report(results, seed, tuples))
     for r in results:
@@ -171,6 +176,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # NumPy's names the allocation that failed
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_IO
     except WorkerDiedError as exc:
         print(f"worker process ended abruptly: {exc}", file=sys.stderr)

@@ -20,9 +20,11 @@ A config document looks like:
     }
 
 chi >= 0 is the Kerr constant; chi = 0 gives the undeformed operators.
-CLI flags override file fields.  The "husimi" section is one
-HusimiRequest, the same request the husimi command builds from its flags
-and fig7 fixes; RunConfig resolves a missing husimi.tau to tau_max.
+A field outside this list, at the top level or in params, husimi or
+sweep, is a ConfigError that names it.  CLI flags override file fields.
+The "husimi" section is one HusimiRequest, the same request the husimi
+command builds from its flags and fig7 fixes; RunConfig resolves a
+missing husimi.tau to tau_max.
 sweep_from_dict turns the "sweep" section into its (label, RunConfig)
 points.
 """
@@ -45,6 +47,7 @@ __all__ = [
     "HusimiRequest",
     "RunConfig",
     "params_echo",
+    "ic_echo",
     "check_time_axis",
     "load_config_file",
     "model_from_dict",
@@ -62,6 +65,13 @@ MAX_CSV_CELLS = 50_000_000
 # largest last sector n_max of an all-sector Husimi sum; each sector costs
 # about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s
 MAX_HUSIMI_N_MAX = 10_000
+# the fields of a config document, per section (the module docstring)
+FIELDS = {
+    "config": ("params", "ic", "tau_max", "samples", "observables", "svg", "husimi", "sweep"),
+    "params": ("omega_cavity", "omega_levels", "g1", "g2", "omega_e", "chi", "sector_n"),
+    "husimi": ("tau", "range", "resolution", "n_max"),
+    "sweep": ("axes",),
+}
 
 
 class ConfigError(ValueError):
@@ -79,6 +89,11 @@ def params_echo(params: ModelParams) -> dict:
         "chi": params.deformation.chi,
         "sector_n": params.sector_n,
     }
+
+
+def ic_echo(ic: InitialCondition) -> list[list[float]]:
+    """The initial condition in the config file's [[re, im], ...] form (embedded in manifests)."""
+    return [[z.real, z.imag] for z in (ic.c1, ic.c2, ic.c3)]
 
 
 def _check_output_budget(cells: int, what: str) -> None:
@@ -175,15 +190,16 @@ class RunConfig:
                     )
 
     def echo(self) -> dict:
-        """JSON-serializable canonical form (embedded in manifests)."""
+        """JSON-serializable canonical form (embedded in manifests): a config
+        document that run_config_from_dict turns back into this run.  The
+        route (method) is the manifest's own field, set by --force-oracle."""
         doc = {
             "params": params_echo(self.params),
-            "ic": [[z.real, z.imag] for z in (self.ic.c1, self.ic.c2, self.ic.c3)],
+            "ic": ic_echo(self.ic),
             "tau_max": self.tau_max,
             "samples": self.samples,
             "observables": list(self.observables),
             "svg": self.svg,
-            "method": self.method,
         }
         if "husimi" in self.observables:
             doc["husimi"] = asdict(self.husimi)
@@ -287,7 +303,14 @@ def check_time_axis(tau: float, omega_cavity: float, name: str) -> None:
 
 
 def model_from_dict(doc: dict) -> tuple[ModelParams, InitialCondition]:
-    """The model of a parsed JSON document: its params and ic, and no other field."""
+    """The model of a parsed JSON document: its params and ic.  Every
+    section's field names are checked here, so simulate and husimi --config
+    reject the same documents; no other field is read."""
+    for where, fields in FIELDS.items():
+        section = doc if where == "config" else doc.get(where)
+        for key in section if isinstance(section, dict) else ():
+            if key not in fields:
+                raise ConfigError(f"{where}: unknown field {key!r}; valid fields are {', '.join(fields)}")
     params = _params_from_dict(_require(doc, "params", "config"))
     return params, (_ic_from_list(doc["ic"]) if "ic" in doc else EXCITED)
 
@@ -335,7 +358,7 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] |
     passes construction, the Husimi rules included, and
     RunConfig.check_intensity_observables.  A label prints each value with
     %g, and two points with one label (one output directory) are a
-    ConfigError."""
+    ConfigError.  An error in building one point names its label."""
     if "sweep" not in doc:
         return None
     sweep = doc["sweep"]
@@ -366,23 +389,22 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] |
     points = []
     labels = set()
     for combo in itertools.product(*(values for _, values in axes)):
-        params = base.params
-        label_bits = []
-        for (name, _), value in zip(axes, combo):
-            if name == "chi":
-                params = replace(params, deformation=Kerr(value))
-            elif name == "sector_n":
-                params = replace(params, sector_n=int(value))
-            else:
-                params = replace(params, **{name: float(value)})
-            label_bits.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-        label = "_".join(label_bits)
+        label = "_".join(
+            f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}"
+            for (name, _), value in zip(axes, combo)
+        )
         if label in labels:
             raise ConfigError(
                 f"sweep.axes: two points share the label {label!r}; labels print each value to 6 significant digits"
             )
         labels.add(label)
-        point = replace(base, params=params)
-        point.check_intensity_observables()
+        changes = {name: value for (name, _), value in zip(axes, combo)}
+        try:
+            if "chi" in changes:
+                changes["deformation"] = Kerr(changes.pop("chi"))
+            point = replace(base, params=replace(base.params, **changes))
+            point.check_intensity_observables()
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {label}: {exc}") from exc
         points.append((label, point))
     return points

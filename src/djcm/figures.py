@@ -109,7 +109,6 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
             name = fig_id + next(letters)
             title = f"Husimi Q, chi={row.chi:g}, tau={FIG7.tau:g}"
             files, record = write_husimi(out_dir, name, title, row_params(row), FIG7)
-            del record["mode"]  # both panels are single-sector
             panels.append({"name": name, "observable": "husimi", **_row_echo(row), "files": files, **record})
     else:
         rows, observable, row_panels = _SERIES_FIGURES[fig_id]

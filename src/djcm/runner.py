@@ -18,9 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .backend import ACTIVE
 from .config import HusimiRequest, RunConfig
-from .dynamics import EXCITED, METHOD_ANALYTIC, InitialCondition, Trajectory, solve_sector
+from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
 from .output import format_cells, write_csv, write_json, write_text
@@ -37,7 +36,6 @@ __all__ = [
     "write_series_panel",
     "write_husimi",
     "run_simulation",
-    "run_simulations",
     "run_sweep",
 ]
 
@@ -112,9 +110,8 @@ def trajectory_quality(traj: Trajectory) -> dict:
 
 
 def manifest_header(command: str) -> dict:
-    """The fields that open every manifest: the command, the library version
-    and the kernel backend."""
-    return {"command": command, "version": __version__, "backend": ACTIVE}
+    """The fields that open every manifest: the command and the library version."""
+    return {"command": command, "version": __version__}
 
 
 def write_series_panel(
@@ -154,9 +151,9 @@ def write_husimi(
     """The Husimi Q grid of request (tau set) -> <name>.csv (columns x, y,
     q; y-major order) and, with svg, <name>.svg (heatmap).  The grid always
     comes from the analytic route.  Returns the file names and the grid
-    record: the request's fields, n_max the last sector summed, mode single
-    (populated sector) or all (sectors 0..n_max), method, and the grid's
-    norm_drift_max and phase_error_bound (observables.HusimiGrid)."""
+    record: the request's fields (n_max null for the populated sector
+    alone) and the grid's norm_drift_max and phase_error_bound
+    (observables.HusimiGrid)."""
     resolution = request.resolution
     grid = husimi_q(params, request.tau / params.omega_cavity, request.range, resolution, request.n_max, ic=ic)
     files = [f"{name}.csv"]
@@ -168,8 +165,7 @@ def write_husimi(
     if svg:
         files.append(f"{name}.svg")
         write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
-    record = {**asdict(request), "n_max": grid.n_max, "mode": "single" if request.n_max is None else "all"}
-    record.update(method=METHOD_ANALYTIC, norm_drift_max=grid.norm_drift_max, phase_error_bound=grid.phase_error_bound)
+    record = {**asdict(request), "norm_drift_max": grid.norm_drift_max, "phase_error_bound": grid.phase_error_bound}
     return files, record
 
 
@@ -201,25 +197,6 @@ def _simulate_job(job: tuple[RunConfig, str]) -> dict:
     return run_simulation(cfg, out_dir)
 
 
-def run_simulations(jobs: list[tuple[RunConfig, str]]) -> list[dict]:
-    """run_simulation over (RunConfig, out_dir) pairs with parallel_map;
-    manifests in job order.  Worker processes rather than threads: CSV
-    formatting holds the interpreter lock, so threads would not overlap it.
-    The first job's time axis is formatted before the workers fork, so the
-    points of a sweep, which share it, inherit its cells."""
-    if jobs:
-        time_axis(jobs[0][0].tau_max, jobs[0][0].samples)
-    return parallel_map(_simulate_job, jobs)
-
-
-def _existing_parent(path: str) -> str:
-    """The nearest existing directory above path."""
-    parent = os.path.dirname(os.path.abspath(path))
-    while not os.path.isdir(parent):
-        parent = os.path.dirname(parent)
-    return parent
-
-
 def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
     """Run every (label, RunConfig) sweep point and write out_dir/<label>/
     per point plus out_dir/sweep_manifest.json, all or nothing.
@@ -229,9 +206,16 @@ def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
     directory moved into out_dir, replacing an existing one whole, and the
     sweep manifest written.  The staging directory is always removed.
     """
-    staging = tempfile.mkdtemp(prefix=".djcm-sweep-", dir=_existing_parent(out_dir))
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    while not os.path.isdir(parent):  # the nearest existing directory above out_dir
+        parent = os.path.dirname(parent)
+    staging = tempfile.mkdtemp(prefix=".djcm-sweep-", dir=parent)
     try:
-        manifests = run_simulations([(cfg, os.path.join(staging, label)) for label, cfg in points])
+        # the points share one time axis: format its cells before the workers fork
+        time_axis(points[0][1].tau_max, points[0][1].samples)
+        # worker processes rather than threads: CSV formatting holds the
+        # interpreter lock, so threads would not overlap it
+        manifests = parallel_map(_simulate_job, [(cfg, os.path.join(staging, label)) for label, cfg in points])
         os.makedirs(out_dir, exist_ok=True)
         for label, _ in points:
             target = os.path.join(out_dir, label)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import djcm
 from djcm import cli, dynamics
 from djcm.cli import main
-from djcm.config import MAX_HUSIMI_N_MAX
+from djcm.config import MAX_HUSIMI_N_MAX, load_config_file, run_config_from_dict, sweep_from_dict
 from djcm.dynamics import PHASE_ERROR_LIMIT
 from djcm.figures import FIGURE_IDS, run_figure
 from djcm.observables import OBSERVABLE_NAMES
@@ -82,7 +82,7 @@ def test_simulate_fig_row_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "Analytic"
     assert manifest["version"]
-    assert manifest["backend"] == "numpy"
+    assert "backend" not in manifest and "method" not in manifest["config"]
     assert manifest["norm_drift_max"] <= 1e-9
     assert 0.0 < manifest["phase_error_bound"] <= 1e-12
     assert manifest["config"]["params"]["omega_levels"] == [0.3, 0.4, 0.5]
@@ -245,7 +245,10 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
     [
         # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
         ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with ic[0] = 0"),
-        ({"sweep": {"axes": [["sector_n", [1, 0]]]}}, "configuration error: observables: g2 is undefined"),
+        (
+            {"sweep": {"axes": [["sector_n", [1, 0]]]}},
+            "configuration error: sweep point sector_n=0: observables: g2 is undefined",
+        ),
         # the series are computed, then the Husimi solve at tau = 1e300 (a finite
         # raw time) exceeds the phase error bound
         ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e300}}, "numerical range error: sector 1"),
@@ -287,6 +290,68 @@ def test_sweep_label_collision_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        (["chi", [0.1, -1]], "sweep point chi=-1: Kerr constant chi must be finite and >= 0, got -1.0"),
+        (["g1", [0.1, -0.5]], "sweep point g1=-0.5: g1, g2 and omega_e must be >= 0"),
+        (["omega_cavity", [0.2, 0]], "sweep point omega_cavity=0: params.omega_cavity must be > 0 for the tau"),
+        (["sector_n", [1, -2]], "sweep point sector_n=-2: sector_n must be a non-negative integer, got -2"),
+    ],
+    ids=["chi", "g1", "omega_cavity", "sector_n"],
+)
+def test_sweep_point_errors_name_the_point(tmp_path, capsys, axis, message):
+    cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": [axis]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"tau_maxx": 10.0}, "config: unknown field 'tau_maxx'; valid fields are params, ic, tau_max,"),
+        ({"params": dict(BASE_CONFIG["params"], kappa=0.1)}, "params: unknown field 'kappa'; valid fields are"),
+        ({"husimi": {"rnage": 5}}, "husimi: unknown field 'rnage'; valid fields are tau, range, resolution, n_max"),
+        ({"sweep": {"axes": [["chi", [0.0]]], "labels": []}}, "sweep: unknown field 'labels'; valid fields are axes"),
+    ],
+    ids=["top-level", "params", "husimi", "sweep"],
+)
+def test_unknown_config_field_exits_2_naming_it(tmp_path, capsys, overrides, message):
+    # simulate and husimi --config share the parse, so both reject the document
+    cfg = write_config(tmp_path, samples=20, svg=False, **overrides)
+    out = tmp_path / "out"
+    for argv in (["simulate", "--config", cfg], ["husimi", "--t", "1", "--resolution", "3", "--config", cfg]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--force-oracle"]])
+def test_sweep_point_manifest_rebuilds_its_point(tmp_path, flags):
+    # a point's manifest["config"] is a config document for that point alone
+    cfg = write_config(
+        tmp_path,
+        ic=[[0.0, 0.6], 0.8, 0],
+        samples=20,
+        svg=False,
+        observables=["inversion", "husimi"],
+        husimi={"range": 2.0, "resolution": 5, "tau": 3.0},
+        sweep={"axes": [["chi", [0.0, 0.2]], ["sector_n", [1, 3]]]},
+    )
+    doc = load_config_file(cfg)
+    points = sweep_from_dict(doc, run_config_from_dict(doc, force_oracle=bool(flags)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, *flags, "--out", str(out)]) == 0
+    for label, point in points:
+        config = json.loads((out / label / "manifest.json").read_text())["config"]
+        assert "sweep" not in config
+        assert run_config_from_dict(config, force_oracle=bool(flags)) == point
+
+
 def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, capsys):
     # sector 0 with ic[0] = 1e-160: <A+A> = 1e-320 passes the vacuum check, and
     # its square underflows to 0, so g2 is 0/0 at tau = 0
@@ -298,22 +363,22 @@ def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, point",
     [
-        {"params": dict(BASE_CONFIG["params"], omega_cavity=1e-320)},
-        {"params": dict(BASE_CONFIG["params"], omega_cavity=1e-300), "tau_max": 1e300},
-        {"sweep": {"axes": [["omega_cavity", [0.2, 1e-320]]]}},
+        ({"params": dict(BASE_CONFIG["params"], omega_cavity=1e-320)}, ""),
+        ({"params": dict(BASE_CONFIG["params"], omega_cavity=1e-300), "tau_max": 1e300}, ""),
+        ({"sweep": {"axes": [["omega_cavity", [0.2, 1e-320]]]}}, "sweep point omega_cavity=9.99989e-321: "),
     ],
     ids=["subnormal-omega", "huge-tau", "sweep-point"],
 )
-def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
+def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, overrides, point):
     # tau_max / omega_cavity is the last raw time; an infinite one used to
     # reach the solver and print NumPy's overflow warnings first
     cfg = write_config(tmp_path, samples=50, svg=False, **overrides)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: tau_max / params.omega_cavity = ") and err.count("\n") == 1
+    assert err.startswith(f"configuration error: {point}tau_max / params.omega_cavity = ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -484,7 +549,27 @@ def test_husimi_runs_the_vacuum_sector(tmp_path):
     out = tmp_path / "h"
     assert main(["husimi", "--t", "5", "--resolution", "21", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "husimi_manifest.json").read_text())
-    assert manifest["params"]["sector_n"] == 0 and manifest["n_max"] == 0
+    # n_max null: the populated sector alone, here the vacuum sector
+    assert manifest["params"]["sector_n"] == 0 and manifest["n_max"] is None
+
+
+def test_husimi_manifest_records_the_initial_condition(tmp_path):
+    # two configs that differ in ic alone give different grids and manifests
+    runs = {}
+    for name, fields in (("excited", {}), ("lowest", {"ic": [1, 0, 0]})):
+        cfg = write_config(tmp_path, name=f"{name}.json", **fields)
+        out = tmp_path / name
+        assert main(["husimi", "--t", "5", "--resolution", "21", "--config", cfg, "--out", str(out)]) == 0
+        runs[name] = ((out / "husimi.csv").read_bytes(), json.loads((out / "husimi_manifest.json").read_text()))
+    (excited_csv, excited), (lowest_csv, lowest) = runs["excited"], runs["lowest"]
+    assert excited_csv != lowest_csv
+    assert excited["ic"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    assert lowest["ic"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    # the ic field in simulate's config echo has the same form
+    sim_out = tmp_path / "sim"
+    cfg = write_config(tmp_path, name="sim.json", ic=[1, 0, 0], samples=2, observables=["populations"], svg=False)
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    assert json.loads((sim_out / "manifest.json").read_text())["config"]["ic"] == lowest["ic"]
 
 
 @pytest.mark.parametrize(
@@ -631,7 +716,7 @@ def test_husimi_command(tmp_path):
     out = tmp_path / "h"
     assert main(["husimi", "--t", "25", "--range", "3", "--resolution", "41", "--out", str(out)]) == 0
     manifest = json.loads((out / "husimi_manifest.json").read_text())
-    assert manifest["mode"] == "single"
+    assert "mode" not in manifest and manifest["n_max"] is None
     assert manifest["params"]["chi"] == 0.2
     header, cols = read_csv_columns(out / "husimi.csv")
     assert cols["q"].min() >= 0.0
@@ -641,8 +726,7 @@ def test_husimi_all_sectors(tmp_path):
     out = tmp_path / "ha"
     assert main(["husimi", "--t", "0", "--range", "2", "--resolution", "21", "--all-sectors", "60", "--out", str(out)]) == 0
     manifest = json.loads((out / "husimi_manifest.json").read_text())
-    assert manifest["mode"] == "all"
-    assert manifest["n_max"] == 60
+    assert "mode" not in manifest and manifest["n_max"] == 60
     _, cols = read_csv_columns(out / "husimi.csv")
     # the literal all-sector sum at t = 0 is flat at 1/pi
     assert np.max(np.abs(cols["q"] - 1.0 / math.pi)) <= 1e-10
@@ -761,7 +845,11 @@ def test_validate_seed_changes_sweep_but_not_verdict(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--seed", "-1", "--seed must be >= 0, got -1"), ("--tuples", "0", "--tuples must be >= 1, got 0")],
+    [
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--tuples", "0", "--tuples must be >= 1, got 0"),
+        ("--tuples", "100001", "--tuples must be <= 100000, got 100001"),
+    ],
 )
 def test_validate_rejects_out_of_range_flags(capsys, flag, value, message):
     # checked before the worker pool starts, not by NumPy's seeding
@@ -892,6 +980,25 @@ def test_dead_validate_worker_exits_3(monkeypatch, capfd):
     assert err.startswith("worker process ended abruptly: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "out of memory\n"),
+        (MemoryError("Unable to allocate 137. MiB"), "out of memory: Unable to allocate 137. MiB\n"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_exits_3(monkeypatch, capsys, error, message):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "figures", exhausted)
+    assert main(["figures", "fig2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_force_oracle_husimi_takes_the_analytic_route(tmp_path):
     # --force-oracle applies to the series; the all-sector grid is the same
     # stacked propagation either way, so the same bytes and the same record
@@ -907,7 +1014,7 @@ def test_force_oracle_husimi_takes_the_analytic_route(tmp_path):
     oracle = json.loads((out_oracle / "manifest.json").read_text())
     assert oracle["method"] == "Oracle"
     assert oracle["husimi"] == analytic["husimi"]
-    assert oracle["husimi"]["method"] == "Analytic"
+    assert "method" not in oracle["husimi"] and "mode" not in oracle["husimi"]
     assert 0.0 < oracle["husimi"]["phase_error_bound"] <= PHASE_ERROR_LIMIT
 
 
@@ -919,7 +1026,7 @@ def test_husimi_manifest_quality_metrics(tmp_path):
     out = tmp_path / "hq"
     assert main(["husimi", "--t", "10", "--resolution", "21", "--out", str(out)]) == 0
     manifest = json.loads((out / "husimi_manifest.json").read_text())
-    assert manifest["method"] == "Analytic"
+    assert not {"backend", "method", "mode"} & set(manifest)
     assert manifest["norm_drift_max"] <= 1e-9
     assert 0.0 < manifest["phase_error_bound"] <= PHASE_ERROR_LIMIT
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from djcm.dynamics import (
     ODE_TOLERANCE,
     PHASE_ERROR_LIMIT,
     InitialCondition,
+    StepBudgetError,
     StepSizeUnderflowError,
     amplitudes_ode,
     analytic_trajectory,
@@ -18,17 +20,99 @@ from djcm.dynamics import (
     sector_generator,
     solve_sector,
 )
+from djcm.figures import ROWS, row_params
 from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
 from djcm.validate import theta_poly
 
 from test_model import fig_params
-from test_spectrum import lambda_cubic, random_params, real_cubic_roots_bisection
 
 ROW_KWARGS = (
     dict(),
     dict(g1=0.06, g2=0.08, chi=0.2),
     dict(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2),
 )
+
+
+def real_cubic_roots_bisection(b2, b1, b0):
+    """Real roots of x^3 + b2 x^2 + b1 x + b0 by sign-change bracketing.
+
+    The derivative's critical points split the axis into monotonic
+    pieces, so every simple real root sits in exactly one bracket.
+    """
+
+    def val(x):
+        return ((x + b2) * x + b1) * x + b0
+
+    bound = 1.0 + max(abs(b2), abs(b1), abs(b0))
+    nodes = [-bound, bound]
+    disc = b2 * b2 - 3.0 * b1
+    if disc > 0.0:
+        nodes += [(-b2 - math.sqrt(disc)) / 3.0, (-b2 + math.sqrt(disc)) / 3.0]
+    nodes = sorted(nodes)
+    roots = [x for x in nodes if val(x) == 0.0]
+    for lo, hi in zip(nodes, nodes[1:]):
+        flo, fhi = val(lo), val(hi)
+        if flo == 0.0 or fhi == 0.0 or flo * fhi > 0.0:
+            continue
+        a, b = lo, hi
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if val(a) * val(mid) <= 0.0:
+                b = mid
+            else:
+                a = mid
+        roots.append(0.5 * (a + b))
+    return sorted(roots)
+
+
+def lambda_cubic(coeffs):
+    """Coefficients of the real cubic in lambda obtained from z -> i*lambda."""
+    a1 = theta_poly(coeffs)[1]
+    # Theta(i*lambda) = i * (-(lambda^3) + (h+s) lambda^2 + a1 lambda - g0)
+    b2 = -(coeffs.h + coeffs.s)
+    b1 = -a1.real
+    b0 = 2.0 * coeffs.omega_e * coeffs.v1 * coeffs.v2 + coeffs.v1**2 * coeffs.s + coeffs.v2**2 * coeffs.h
+    return b2, b1, b0
+
+
+def propagator_roots(coeffs):
+    """Roots alpha_j = -i lambda_j of Theta from the eigenvalues of the
+    generator that the analytic route diagonalises, ordered by ascending
+    imaginary part."""
+    return tuple(complex(z) for z in -1j * np.linalg.eigvalsh(sector_generator(coeffs))[::-1])
+
+
+def min_gap(roots):
+    return min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :])
+
+
+def theta(coeffs, z):
+    """Theta(z) = z^3 + a2 z^2 + a1 z + a0, coefficients from validate.theta_poly."""
+    a2, a1, a0 = theta_poly(coeffs)
+    return ((z + a2) * z + a1) * z + a0
+
+
+def theta_residual(coeffs, roots):
+    """max |Theta(alpha)| / max(1, |alpha|^3) over the roots."""
+    return max(abs(theta(coeffs, z)) / max(1.0, abs(z) ** 3) for z in roots)
+
+
+def random_params(rng):
+    while True:
+        w = np.sort(rng.uniform(0.0, 1.0, 3))
+        if w[0] < w[1] < w[2]:
+            break
+    return ModelParams(
+        omega_cavity=float(rng.uniform(0.0, 1.0)),
+        omega_levels=tuple(float(x) for x in w),
+        g1=float(rng.uniform(0.0, 0.2)),
+        g2=float(rng.uniform(0.0, 0.2)),
+        omega_e=float(rng.uniform(0.0, 0.2)),
+        deformation=Kerr(float(rng.uniform(0.0, 0.5))),
+        sector_n=int(rng.integers(0, 6)),
+    )
 
 
 def tau_grid(tau_max=50.0, samples=500, omega=0.2):
@@ -83,10 +167,9 @@ def test_initial_condition_norm_check():
 def test_sector_matrix_determinant_matches_theta():
     # the Laplace matrix M(z) = zI + iK has determinant Theta(z)
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
-    poly = theta_poly(c)
     for z in (0.3 + 0.1j, -0.2j, 1.0):
         m = z * np.eye(3) + 1j * sector_generator(c)
-        assert np.linalg.det(m) == pytest.approx(poly(z), abs=1e-14)
+        assert np.linalg.det(m) == pytest.approx(theta(c, z), abs=1e-14)
 
 
 def test_t0_returns_initial_condition_exactly():
@@ -400,3 +483,211 @@ def test_stacked_propagator_random_stack_matches_stacks_of_one():
     assert bound == max(bounds)
     lam = np.linalg.eigh(generators)[0]  # the decomposition propagate makes
     assert bound == 2.0**-53 * float(np.max(np.abs(lam))) * times[-1]
+
+
+# the ODE oracle (amplitudes_ode and its step loop)
+
+
+@pytest.mark.parametrize("row, steps", zip(ROWS, (823, 1817, 1786)), ids=[row.label for row in ROWS])
+def test_step_count_pins_the_order(row, steps):
+    # with only the end point tau = 60 requested, no grid point caps the
+    # step, so the attempted steps measure the method's order: a wrong
+    # stage coefficient lowers it and multiplies the count (6-80x for the
+    # one-digit slips tried)
+    p = row_params(row)
+    traj = amplitudes_ode(sector_coefficients(p), EXCITED, np.array([0.0, 60.0]) / p.omega_cavity)
+    assert abs(traj.steps_accepted + traj.steps_rejected - steps) <= 0.05 * steps
+
+
+def test_grid_density_does_not_change_the_solution():
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    coeffs = sector_coefficients(p)
+    coarse = amplitudes_ode(coeffs, EXCITED, np.array([0.0, 50.0]))
+    fine = amplitudes_ode(coeffs, EXCITED, np.linspace(0.0, 50.0, 101))
+    assert np.max(np.abs(coarse.amplitudes[-1] - fine.amplitudes[-1])) <= 1e-9
+
+
+def test_single_point_grid():
+    coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.05, v2=0.05, omega_e=0.0, n=1)
+    traj = amplitudes_ode(coeffs, EXCITED, np.array([0.0]))
+    assert len(traj) == 1
+    assert traj.amplitudes[0, 1] == 1.0 + 0j
+
+
+PLAIN_SECTOR = SectorCoefficients(h=0.28, s=0.38, nu=0.1, v1=0.11, v2=0.15, omega_e=0.04, n=1)
+
+
+def test_kernel_counts_steps():
+    traj = amplitudes_ode(PLAIN_SECTOR, EXCITED, np.linspace(0.0, 100.0, 11))
+    assert traj.steps_accepted >= 10
+    assert np.all(np.isfinite(traj.amplitudes))
+
+
+def test_kernel_rejects_steps_at_a_loose_tolerance(monkeypatch):
+    # at ODE_TOLERANCE the reference rows never reject a step; at 1e-2 the
+    # first step overshoots, so the controller's reject branch runs
+    monkeypatch.setattr(dynamics, "ODE_TOLERANCE", 1e-2)
+    c = sector_coefficients(row_params(ROWS[0]))
+    t = np.array([0.0, 250.0])
+    first = amplitudes_ode(c, EXCITED, t)
+    assert first.steps_accepted >= 1 and first.steps_rejected >= 1
+    assert np.all(np.isfinite(first.amplitudes))
+    again = amplitudes_ode(c, EXCITED, t)
+    assert np.array_equal(first.amplitudes, again.amplitudes)
+    assert (first.steps_accepted, first.steps_rejected) == (again.steps_accepted, again.steps_rejected)
+
+
+def test_kernel_nan_step_ends_as_underflow():
+    # a NaN constant makes the first step NaN; the guard must end the loop.
+    # SectorCoefficients refuses NaN, so the loop gets a bare record
+    nan_sector = SimpleNamespace(h=math.nan, s=0.0, nu=0.0, v1=0.05, v2=0.05, omega_e=0.0)
+    with pytest.raises(StepSizeUnderflowError, match="^step size underflow"):
+        dynamics._dormand_prince(np.array([0.0, 1.0]), EXCITED, nan_sector)
+
+
+def test_kernel_repeated_calls_are_identical():
+    times = np.linspace(0.0, 100.0, 201)
+    first, second = (amplitudes_ode(PLAIN_SECTOR, EXCITED, times) for _ in range(2))
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert (first.steps_accepted, first.steps_rejected) == (second.steps_accepted, second.steps_rejected)
+
+
+def test_oracle_matches_analytic_on_random_sectors():
+    # detunings up to |h|, |s| = 5 and sectors up to n = 300 (couplings up
+    # to ~3.5), so the phases reach ~200 rad; tolerance of validate criterion 1
+    rng = np.random.default_rng(2024)
+    t = np.linspace(0.0, 40.0, 81)
+    for _ in range(30):
+        n = int(rng.integers(0, 301))
+        h, s = (float(x) for x in rng.uniform(-5.0, 5.0, 2))
+        g1, g2, omega_e = (float(x) for x in rng.uniform(0.0, 0.2, 3))
+        coeffs = SectorCoefficients(
+            h=h, s=s, nu=s - h, v1=g1 * math.sqrt(n + 1), v2=g2 * math.sqrt(n + 1), omega_e=omega_e, n=n
+        )
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ic = InitialCondition(*(complex(c) for c in z / np.linalg.norm(z)))
+        ana = analytic_trajectory(coeffs, ic, t)
+        ode = amplitudes_ode(coeffs, ic, t)
+        assert np.max(np.abs(ana.amplitudes - ode.amplitudes)) <= 1e-6, (n, h, s)
+
+
+def test_oracle_rejects_overflowed_constants():
+    # the sector record refuses the constants when it is built, so the
+    # oracle never steps on them
+    with pytest.raises(OverflowError, match="constants of sector 4"):
+        amplitudes_ode(
+            SectorCoefficients(h=-math.inf, s=math.inf, nu=math.inf, v1=0.05, v2=0.05, omega_e=0.0, n=4),
+            EXCITED,
+            np.array([0.0, 1.0]),
+        )
+
+
+def test_oracle_rejects_overflowed_phases():
+    # finite constants whose phase s * t leaves the floating-point range
+    coeffs = SectorCoefficients(h=0.0, s=1e200, nu=1e200, v1=0.0, v2=0.0, omega_e=0.0, n=2)
+    with pytest.raises(OverflowError, match="^sector 2 ODE oracle: the phases overflow the floating-point range"):
+        amplitudes_ode(coeffs, EXCITED, np.array([0.0, 1e200]))
+
+
+def test_step_budget_ends_the_run(monkeypatch):
+    # a run that needs exactly the budget is unchanged; one step less raises
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    coeffs = sector_coefficients(p)
+    t = np.linspace(0.0, 60.0, 400) / p.omega_cavity
+    full = amplitudes_ode(coeffs, EXCITED, t)
+    steps = full.steps_accepted + full.steps_rejected
+    assert steps < dynamics.MAX_STEPS
+    monkeypatch.setattr(dynamics, "MAX_STEPS", steps)
+    exact = amplitudes_ode(coeffs, EXCITED, t)
+    assert np.array_equal(exact.amplitudes, full.amplitudes)
+    assert (exact.steps_accepted, exact.steps_rejected) == (full.steps_accepted, full.steps_rejected)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", steps - 1)
+    with pytest.raises(StepBudgetError, match=f"budget of {steps - 1} steps"):
+        amplitudes_ode(coeffs, EXCITED, t)
+
+
+# the propagator's roots alpha = -i lambda against Theta and a bisection oracle
+
+
+def test_solve_cubic_factorable():
+    # h = s = omega_e = 0: Theta = z (z^2 + v1^2 + v2^2) = z (z^2 + 0.1^2)
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, omega_e=0.0, n=0)
+    roots = propagator_roots(coeffs)
+    expected = (-0.1j, 0.0, 0.1j)
+    for got, want in zip(roots, expected):
+        assert got == pytest.approx(want, abs=1e-15)
+    assert min_gap(roots) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_solve_cubic_orders_by_imaginary_part():
+    c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
+    roots = propagator_roots(c)
+    assert roots[0].imag < roots[1].imag < roots[2].imag
+
+
+def test_solve_cubic_vieta_fig_row():
+    c = sector_coefficients(fig_params())
+    a2, a1, a0 = theta_poly(c)
+    a, b, cc = propagator_roots(c)
+    assert abs((a + b + cc) - (-a2)) <= 1e-12 * max(1.0, abs(a2))
+    assert abs(a * b * cc - (-a0)) <= 1e-12 * max(1.0, abs(a0))
+    assert abs(a * b + a * cc + b * cc - a1) <= 1e-12 * max(1.0, abs(a1))
+
+
+def test_solve_cubic_against_bisection_oracle_fig_rows():
+    for kwargs in (
+        dict(),
+        dict(g1=0.06, g2=0.08, chi=0.2),
+        dict(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2),
+    ):
+        c = sector_coefficients(fig_params(**kwargs))
+        p = fig_params(**kwargs)
+        roots = propagator_roots(c)
+        oracle = real_cubic_roots_bisection(*lambda_cubic(c))
+        assert len(oracle) == 3
+        for got, lam in zip(roots, oracle):
+            assert got.imag == pytest.approx(lam, abs=1e-12)
+            assert abs(got.real) <= 1e-12
+
+
+def test_property_sweep_roots_purely_imaginary():
+    # 1000 random physical tuples, every one checked; oracle = bisection on the real cubic
+    rng = np.random.default_rng(20250810)
+    eps = np.finfo(float).eps
+    for _ in range(1000):
+        p = random_params(rng)
+        c = sector_coefficients(p)
+        roots = propagator_roots(c)
+        scale = max(1.0, max(abs(z.imag) for z in roots))
+        assert all(abs(z.real) <= 1e-10 * scale for z in roots)
+        assert theta_residual(c, roots) <= 1e-12
+        b2, b1, b0 = lambda_cubic(c)
+        oracle = real_cubic_roots_bisection(b2, b1, b0)
+        assert len(oracle) == 3
+        for got, lam in zip(roots, oracle):
+            # both routes stop at the double-precision floor: polynomial
+            # evaluation noise divided by the root's derivative magnitude
+            slope = abs(np.prod([lam - other for other in oracle if other != lam])) or 1.0
+            noise = 8.0 * eps * (abs(lam) ** 3 + abs(b2) * lam**2 + abs(b1 * lam) + abs(b0))
+            assert abs(got.imag - lam) <= 1e-12 + noise / slope
+
+
+def test_degenerate_roots_are_solved():
+    # all couplings zero: Theta = z^2 (z - i s), double root at 0
+    coeffs = SectorCoefficients(h=0.0, s=0.1, nu=0.1, v1=0.0, v2=0.0, omega_e=0.0, n=1)
+    roots = propagator_roots(coeffs)
+    assert roots == (0.0, 0.0, 0.1j)
+    assert min_gap(roots) == 0.0
+    assert theta_residual(coeffs, roots) == 0.0
+    # fully trivial sector: triple root at 0
+    coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.0, v2=0.0, omega_e=0.0, n=0)
+    roots = propagator_roots(coeffs)
+    assert roots == (0.0, 0.0, 0.0)
+    assert min_gap(roots) == 0.0
+
+
+def test_sector_generator_rejects_overflowed_constants():
+    # the sector record refuses the constant when it is built, so no
+    # generator is ever made from it
+    with pytest.raises(OverflowError, match="sector 7"):
+        sector_generator(SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=math.inf, v2=0.1, omega_e=0.0, n=7))

@@ -140,6 +140,6 @@ def test_husimi_manifest_records_the_grid_it_was_gated_on(tmp_path, monkeypatch)
     assert calls == []
     manifest = json.loads((out / "husimi_manifest.json").read_text())
     grid = husimi_q(row2(), 10.0 / 0.2, 3.0, 5, n_max=5)
-    assert manifest["method"] == "Analytic"
+    assert "method" not in manifest and manifest["n_max"] == grid.n_max == 5
     assert manifest["phase_error_bound"] == grid.phase_error_bound
     assert manifest["norm_drift_max"] == grid.norm_drift_max <= 1e-12
