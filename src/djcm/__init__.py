@@ -22,6 +22,7 @@ from .dynamics import (
     Trajectory,
     amplitudes_ode,
     analytic_trajectory,
+    norm_drift,
     sector_generator,
     solve_sector,
 )

@@ -257,8 +257,6 @@ def _params_from_dict(doc, where: str = "params") -> ModelParams:
     if not (isinstance(levels, list) and len(levels) == 3):
         raise ConfigError(f"{where}.omega_levels: expected a list of three frequencies")
     chi = _number(doc.get("chi", 0.0), f"{where}.chi")
-    if chi < 0:
-        raise ConfigError(f"{where}.chi must be >= 0, got {chi}")
     sector_n = _integer(doc.get("sector_n", 1), f"{where}.sector_n")
     try:
         return ModelParams(
@@ -356,9 +354,10 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] |
     (label, RunConfig) per point of the Cartesian product over named
     parameter axes on top of base, in deterministic axis order.  Every point
     passes construction, the Husimi rules included, and
-    RunConfig.check_intensity_observables.  A label prints each value with
-    %g, and two points with one label (one output directory) are a
-    ConfigError.  An error in building one point names its label."""
+    RunConfig.check_intensity_observables.  An axis named twice is a
+    ConfigError.  A label prints each value with %g, and two points with
+    one label (one output directory) are a ConfigError.  An error in
+    building one point names its label."""
     if "sweep" not in doc:
         return None
     sweep = doc["sweep"]
@@ -377,6 +376,8 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] |
             raise ConfigError(f"sweep.axes[{i}]: values must be a list")
         if name not in SWEEP_AXIS_NAMES:
             raise ConfigError(f"sweep.axes: unknown parameter {name!r}; valid axes are {', '.join(SWEEP_AXIS_NAMES)}")
+        if any(name == prior for prior, _ in axes):
+            raise ConfigError(f"sweep.axes: axis {name!r} is listed more than once")
         if not values:
             raise ConfigError(f"sweep.axes: axis {name!r} has no values")
         parse = _integer if name == "sector_n" else _number

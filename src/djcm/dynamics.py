@@ -47,6 +47,7 @@ __all__ = [
     "InitialCondition",
     "EXCITED",
     "Trajectory",
+    "norm_drift",
     "sector_generator",
     "propagate",
     "propagator_errors",
@@ -132,10 +133,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def norm_error(self) -> float:
-        """max over samples of | |c1|^2+|c2|^2+|c3|^2 - 1 |."""
-        norms = np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-        return float(np.max(np.abs(norms - 1.0)))
+
+def norm_drift(amps: np.ndarray) -> float:
+    """max over samples of | |c1|^2+|c2|^2+|c3|^2 - 1 |, amps of shape (..., 3)."""
+    return float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=-1) - 1.0)))
 
 
 def _as_grid(times, require_zero_start: bool) -> np.ndarray:
@@ -155,26 +156,6 @@ def sector_generator(coeffs: SectorCoefficients) -> np.ndarray:
     return np.array([[0.0, c.v2, c.v1], [c.v2, -c.s, c.omega_e], [c.v1, c.omega_e, -c.h]])
 
 
-def propagate(generators: np.ndarray, x0: np.ndarray, times: np.ndarray) -> tuple[float, np.ndarray]:
-    """Shifted amplitudes x(t) = V exp(-i Lambda t) V^T x0 of a stack of sectors.
-
-    generators is an (N, 3, 3) stack of real symmetric generators K = V Lambda V^T
-    (sector_generator), x0 the common initial triple and times a 1-D grid.
-    Returns the phase error bound u max|lambda| max|t| over the whole stack,
-    u = 2^-53, and x, shape (N, 3, T): the residue expansion of the Laplace
-    inversion, with projector residues over the poles alpha_j = -i lambda_j.
-    Every sector of the stack gets the same bits as a stack of one.  Raises
-    PhaseAccuracyError, before any phase is evaluated, when the bound is not
-    at most PHASE_ERROR_LIMIT.
-    """
-    lam, vec = np.linalg.eigh(generators)
-    bound = 2.0**-53 * float(np.max(np.abs(lam))) * float(np.max(np.abs(times)))
-    if not bound <= PHASE_ERROR_LIMIT:
-        raise PhaseAccuracyError(f"phase error bound {bound:.3g} exceeds {PHASE_ERROR_LIMIT:g}")
-    weights = x0 @ vec
-    return bound, vec @ (weights[..., None] * np.exp(-1j * (lam[..., None] * times)))
-
-
 @contextmanager
 def propagator_errors(label: str):
     """Prefix '<label>: ' to any ArithmeticError raised inside the block, so
@@ -188,6 +169,36 @@ def propagator_errors(label: str):
         raise type(exc)(f"{label}: {exc}") from exc
 
 
+def propagate(sectors: list[SectorCoefficients], ic: InitialCondition, times: np.ndarray) -> tuple[float, np.ndarray]:
+    """Shifted amplitudes x(t) = V exp(-i Lambda t) V^T x0 of a stack of sectors.
+
+    The one solve of the analytic route: each sector's generator
+    K = V Lambda V^T (sector_generator) goes into one (N, 3, 3) stack,
+    evolved from the common initial condition ic over the 1-D grid times.
+    Returns the phase error bound u max|lambda| max|t| over the whole stack,
+    u = 2^-53, and x, shape (N, 3, T): the residue expansion of the Laplace
+    inversion, with projector residues over the poles alpha_j = -i lambda_j.
+    Every sector of the stack gets the same bits as a stack of one.  At
+    t = 0, x = V V^T x0 equals x0 up to round-off; those samples are pinned
+    to ic, keeping the round-off (~1e-16) out of observables that are
+    identically zero there.
+    Raises PhaseAccuracyError, before any phase is evaluated, when the bound
+    is not at most PHASE_ERROR_LIMIT; every arithmetic error opens with
+    'sector <n> propagator: ' or 'sectors <a>..<b> propagator: '.
+    """
+    label = f"sector {sectors[0].n}" if len(sectors) == 1 else f"sectors {sectors[0].n}..{sectors[-1].n}"
+    x0 = ic.as_array()
+    with propagator_errors(label + " propagator"):
+        lam, vec = np.linalg.eigh(np.array([sector_generator(c) for c in sectors]))
+        bound = 2.0**-53 * float(np.max(np.abs(lam))) * float(np.max(np.abs(times)))
+        if not bound <= PHASE_ERROR_LIMIT:
+            raise PhaseAccuracyError(f"phase error bound {bound:.3g} exceeds {PHASE_ERROR_LIMIT:g}")
+        weights = x0 @ vec
+        x = vec @ (weights[..., None] * np.exp(-1j * (lam[..., None] * times)))
+    x[..., times == 0.0] = x0[:, None]
+    return bound, x
+
+
 def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times) -> Trajectory:
     """Closed-form trajectory over a strictly increasing time grid.
 
@@ -198,18 +209,11 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     also covers the rotating phases.
     """
     grid = _as_grid(times, require_zero_start=False)
-    x0 = ic.as_array()
-    with propagator_errors(f"sector {coeffs.n} propagator"):
-        bound, shifted = propagate(sector_generator(coeffs)[None], x0, grid)
-    shifted = shifted[0]
+    bound, (shifted,) = propagate([coeffs], ic, grid)
     amps = np.empty((grid.size, 3), dtype=np.complex128)
     amps[:, 0] = shifted[0]
     amps[:, 1] = np.exp(-1j * coeffs.s * grid) * shifted[1]
     amps[:, 2] = np.exp(-1j * coeffs.h * grid) * shifted[2]
-    # V V^T = I, so the t = 0 sample equals the initial condition exactly;
-    # pin it to keep the round-off (~1e-16) out of observables that are
-    # identically zero there.
-    amps[grid == 0.0] = x0
     return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, phase_error_bound=bound)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import HusimiRequest, RunConfig
-from .dynamics import EXCITED, InitialCondition, Trajectory, solve_sector
+from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
 from .output import format_cells, write_csv, write_json, write_text
@@ -105,7 +105,8 @@ def trajectory_quality(traj: Trajectory) -> dict:
     """Per-run route and accuracy, embedded in every manifest: the route,
     the norm drift, the phase error bound (analytic route) and the
     integrator's step counts (oracle route); null where not taken."""
-    values = (traj.method, traj.norm_error(), traj.phase_error_bound, traj.steps_accepted, traj.steps_rejected)
+    drift = norm_drift(traj.amplitudes)
+    values = (traj.method, drift, traj.phase_error_bound, traj.steps_accepted, traj.steps_rejected)
     return dict(zip(QUALITY_KEYS, values))
 
 
@@ -192,9 +193,14 @@ def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     return manifest
 
 
-def _simulate_job(job: tuple[RunConfig, str]) -> dict:
-    cfg, out_dir = job
-    return run_simulation(cfg, out_dir)
+def _simulate_job(job: tuple[str, RunConfig, str]) -> dict:
+    """run_simulation of one sweep point; a configuration or numerical range
+    error opens with 'sweep point <label>: ', as a build error does."""
+    label, cfg, out_dir = job
+    try:
+        return run_simulation(cfg, out_dir)
+    except (ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"sweep point {label}: {exc}") from exc
 
 
 def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
@@ -215,7 +221,7 @@ def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
         time_axis(points[0][1].tau_max, points[0][1].samples)
         # worker processes rather than threads: CSV formatting holds the
         # interpreter lock, so threads would not overlap it
-        manifests = parallel_map(_simulate_job, [(cfg, os.path.join(staging, label)) for label, cfg in points])
+        manifests = parallel_map(_simulate_job, [(label, cfg, os.path.join(staging, label)) for label, cfg in points])
         os.makedirs(out_dir, exist_ok=True)
         for label, _ in points:
             target = os.path.join(out_dir, label)

@@ -140,17 +140,25 @@ def test_numerical_range_errors_exit_2(tmp_path, capsys, params, flags):
 
 
 def test_overflowed_constants_exit_2_on_both_routes(tmp_path):
-    # the oracle used to step forever on the NaN step these constants give
+    # the oracle used to step forever on the NaN step these constants give;
+    # the Husimi sum at t = 0 used to skip the solve, and with it this check
     params = dict(BASE_CONFIG["params"], omega_cavity=1e300, chi=1e10, sector_n=0)
     cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(djcm.__file__)))
-    for flags in ([], ["--force-oracle"]):
-        argv = ["simulate", "--config", cfg, *flags, "--out", str(tmp_path / "out")]
+    simulate = ["simulate", "--config", cfg]
+    husimi = ["husimi", "--resolution", "3", "--all-sectors", "10", "--config", cfg, "--t"]
+    out = tmp_path / "out"
+    for argv in (simulate, simulate + ["--force-oracle"], husimi + ["0"], husimi + ["1"]):
         proc = subprocess.run(
-            [sys.executable, "-m", "djcm.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "djcm.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stderr == "numerical range error: the constants of sector 0 overflow the floating-point range\n"
+        assert not out.exists()
 
 
 def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -258,6 +266,15 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
             "configuration error: params.sector_n: expected a finite number, got 1000",
         ),
         ({"sweep": {"axes": [["sector_n", [1, 10**400]]]}}, "configuration error: sweep.axes[0]: expected a finite number"),
+        (
+            {"params": dict(BASE_CONFIG["params"], chi=-1.0)},
+            "configuration error: params: Kerr constant chi must be finite and >= 0, got -1.0",
+        ),
+        # a second axis of one name would override the first in every point
+        (
+            {"sweep": {"axes": [["g1", [0.1, 0.3]], ["g1", [0.2]]]}},
+            "configuration error: sweep.axes: axis 'g1' is listed more than once",
+        ),
     ],
 )
 def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
@@ -908,7 +925,8 @@ def test_failed_sweep_writes_nothing(tmp_path, monkeypatch, capsys, workers):
     fresh = tmp_path / "fresh"
     assert main(["simulate", "--config", cfg, "--out", str(fresh)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical range error: sector 1 propagator: phase error bound") and err.count("\n") == 1
+    prefix = "numerical range error: sweep point chi=1e+300: sector 1 propagator: phase error bound"
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["run.json"]
     # an earlier sweep's tree is left as it was, point directories included
     existing = tmp_path / "existing"

@@ -16,6 +16,7 @@ from djcm.dynamics import (
     StepSizeUnderflowError,
     amplitudes_ode,
     analytic_trajectory,
+    norm_drift,
     propagate,
     sector_generator,
     solve_sector,
@@ -254,7 +255,7 @@ def test_norm_conservation_fig_rows(kwargs):
     p = fig_params(**kwargs)
     t = tau_grid(60.0, 2000)
     for method in ("analytic", "oracle"):
-        assert solve_sector(p, t, method=method).norm_error() <= 1e-9
+        assert norm_drift(solve_sector(p, t, method=method).amplitudes) <= 1e-9
 
 
 def test_ode_tolerance_convergence(monkeypatch):
@@ -268,11 +269,8 @@ def test_ode_tolerance_convergence(monkeypatch):
         monkeypatch.setattr(dynamics, "ODE_TOLERANCE", tol)
         return amplitudes_ode(c, EXCITED, t).amplitudes
 
-    def norm_error(amps):
-        return float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
-
-    loose = norm_error(oracle_amplitudes(1e-6))
-    tight = norm_error(oracle_amplitudes(1e-12))
+    loose = norm_drift(oracle_amplitudes(1e-6))
+    tight = norm_drift(oracle_amplitudes(1e-12))
     assert tight < loose
     assert tight <= 1e-10
     assert np.array_equal(oracle, oracle_amplitudes(ODE_TOLERANCE))
@@ -352,7 +350,7 @@ def test_solve_sector_forced_analytic_solves_degenerate():
     assert ana.phase_error_bound <= PHASE_ERROR_LIMIT
     assert np.min(np.diff(np.linalg.eigvalsh(sector_generator(sector_coefficients(p))))) == 0.0
     assert np.max(np.abs(ana.amplitudes - orc.amplitudes)) <= 1e-6
-    assert ana.norm_error() <= 1e-12
+    assert norm_drift(ana.amplitudes) <= 1e-12
 
 
 def test_solve_sector_rejects_bad_method_and_grid():
@@ -401,7 +399,7 @@ def test_general_initial_condition_cross_method():
     ana = solve_sector(p, t, ic=ic, method="analytic")
     orc = solve_sector(p, t, ic=ic, method="oracle")
     assert np.max(np.abs(ana.amplitudes - orc.amplitudes)) <= 1e-6
-    assert ana.norm_error() <= 1e-9
+    assert norm_drift(ana.amplitudes) <= 1e-9
 
 
 def shifted_propagator(coeffs, times):
@@ -434,7 +432,7 @@ def test_norm_drift_large_sectors(tau):
     # every sector of the all-sector Husimi sum at range 10, row 2 of the figures
     base = fig_params(g1=0.06, g2=0.08, chi=0.2)
     t = np.array([0.0, tau / base.omega_cavity])
-    worst = max(solve_sector(replace(base, sector_n=n), t).norm_error() for n in range(343))
+    worst = max(norm_drift(solve_sector(replace(base, sector_n=n), t).amplitudes) for n in range(343))
     assert worst <= 1e-12
 
 
@@ -449,15 +447,15 @@ def test_ode_step_counts_recorded():
 
 def test_stacked_propagator_rows_equal_one_sector_route():
     # one propagate call over all 343 sectors of figure row 2 gives each
-    # sector the same bits as analytic_trajectory's stack of one, on a grid
-    # that starts past t = 0 (where analytic_trajectory pins the sample)
+    # sector the same bits as analytic_trajectory's stack of one, and pins
+    # the t = 0 column of every sector to the initial condition
     base = fig_params(g1=0.06, g2=0.08, chi=0.2)
     coeffs = [sector_coefficients(replace(base, sector_n=n)) for n in range(343)]
-    generators = np.array([sector_generator(c) for c in coeffs])
-    times = np.linspace(0.5, 50.0 / base.omega_cavity, 40)
+    times = np.linspace(0.0, 50.0 / base.omega_cavity, 40)
     for ic in (EXCITED, InitialCondition(0.6, 0.8j, 0.0)):
-        bound, shifted = propagate(generators, ic.as_array(), times)
+        bound, shifted = propagate(coeffs, ic, times)
         assert shifted.shape == (343, 3, times.size)
+        assert shifted[:, :, 0].tobytes() == np.tile(ic.as_array(), (343, 1)).tobytes()
         trajectories = [analytic_trajectory(c, ic, times) for c in coeffs]
         # the stack's bound is the largest of the sectors' bounds
         assert bound == max(traj.phase_error_bound for traj in trajectories)
@@ -470,18 +468,19 @@ def test_stacked_propagator_rows_equal_one_sector_route():
 
 def test_stacked_propagator_random_stack_matches_stacks_of_one():
     rng = np.random.default_rng(11)
-    params = [random_params(rng) for _ in range(40)]
-    generators = np.array([sector_generator(sector_coefficients(p)) for p in params])
+    coeffs = [sector_coefficients(random_params(rng)) for _ in range(40)]
     x0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    ic = InitialCondition(*(x0 / np.linalg.norm(x0)))
     times = np.sort(rng.uniform(0.0, 300.0, 25))
-    bound, shifted = propagate(generators, x0 / np.linalg.norm(x0), times)
+    bound, shifted = propagate(coeffs, ic, times)
     bounds = []
-    for k in range(len(params)):
-        bound_k, shifted_k = propagate(generators[k : k + 1], x0 / np.linalg.norm(x0), times)
+    for k in range(len(coeffs)):
+        bound_k, shifted_k = propagate(coeffs[k : k + 1], ic, times)
         assert np.array_equal(shifted[k], shifted_k[0])
         bounds.append(bound_k)
     assert bound == max(bounds)
-    lam = np.linalg.eigh(generators)[0]  # the decomposition propagate makes
+    # the decomposition propagate makes
+    lam = np.linalg.eigh(np.array([sector_generator(c) for c in coeffs]))[0]
     assert bound == 2.0**-53 * float(np.max(np.abs(lam))) * times[-1]
 
 

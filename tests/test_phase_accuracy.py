@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from djcm.cli import main
-from djcm.dynamics import PHASE_ERROR_LIMIT, PhaseAccuracyError, propagate, sector_generator, solve_sector
-from djcm.model import Kerr, ModelParams, sector_coefficients
+from djcm.dynamics import EXCITED, PHASE_ERROR_LIMIT, PhaseAccuracyError, propagate, sector_generator, solve_sector
+from djcm.model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
 from djcm.observables import husimi_q
 
 from phase_reference import OMEGA_CAVITY, OMEGA_LEVELS, REFERENCE, SAMPLES, TAU_MAX
@@ -94,13 +94,14 @@ def test_gated_rows_are_wrong_beyond_the_limit(key):
 
 
 def test_propagate_refuses_before_evaluating_a_phase():
-    generators = np.array([[[0.0, 0.1, 0.0], [0.1, -1.0, 0.0], [0.0, 0.0, 2.0]]])
-    x0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    bound, _ = propagate(generators, x0, np.array([0.0, 10.0]))
+    # K = [[0, 0.1, 0], [0.1, -1, 0], [0, 0, 2]]
+    coeffs = SectorCoefficients(h=-2.0, s=1.0, nu=3.0, v1=0.0, v2=0.1, omega_e=0.0, n=0)
+    generators = sector_generator(coeffs)[None]
+    bound, _ = propagate([coeffs], EXCITED, np.array([0.0, 10.0]))
     assert bound == 2.0**-53 * float(np.max(np.abs(np.linalg.eigh(generators)[0]))) * 10.0
     # 2e300 would overflow the phase; the gate refuses first
-    with pytest.raises(PhaseAccuracyError, match=r"^phase error bound 2.22e\+284 exceeds 1e-06$"):
-        propagate(generators, x0, np.array([0.0, 1e300]))
+    with pytest.raises(PhaseAccuracyError, match=r"^sector 0 propagator: phase error bound 2.22e\+284 exceeds 1e-06$"):
+        propagate([coeffs], EXCITED, np.array([0.0, 1e300]))
 
 
 def row2(n: int = 1) -> ModelParams:
