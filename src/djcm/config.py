@@ -59,8 +59,11 @@ DEFAULT_OBSERVABLES = tuple(SERIES)
 
 SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
-# CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text);
-# a run formats each file in memory, so the limit also bounds its memory
+# CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text).
+# A run formats each file in memory: a 5M-sample inversion run (10M cells, a
+# 188 MB file) peaked at 1.45 GB of RSS (Python 3.11, NumPy 2.4), ~145 B per
+# cell, so one file at the limit would need ~7 GB (extrapolated, not run).
+# The limit bounds the text, not the memory.
 MAX_CSV_CELLS = 50_000_000
 # largest last sector n_max of an all-sector Husimi sum; each sector costs
 # about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s

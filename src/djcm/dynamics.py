@@ -399,8 +399,10 @@ def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> T
     with relative and absolute tolerance ODE_TOLERANCE.
 
     Raises OverflowError when a rotating phase at the last grid point is
-    not finite, StepSizeUnderflowError when no representable step meets
-    the tolerances, and StepBudgetError when the grid needs more than
+    not finite or when the step loop leaves the floating-point range (an
+    overflow, or a division by a step that underflowed to zero),
+    StepSizeUnderflowError when no representable step meets the
+    tolerances, and StepBudgetError when the grid needs more than
     MAX_STEPS steps; these and any arithmetic error of the step loop
     name the sector and the ODE oracle (propagator_errors).
     """
@@ -409,7 +411,10 @@ def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> T
     with propagator_errors(f"sector {coeffs.n} ODE oracle"):
         if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
             raise OverflowError(f"the phases overflow the floating-point range by t = {t_end!r}")
-        out, accepted, rejected = _dormand_prince(grid, ic, coeffs)
+        try:
+            out, accepted, rejected = _dormand_prince(grid, ic, coeffs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise OverflowError(f"the integration left the floating-point range before t = {t_end!r}") from exc
     return Trajectory(
         times=grid, amplitudes=out, method=METHOD_ORACLE, steps_accepted=accepted, steps_rejected=rejected
     )

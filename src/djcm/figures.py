@@ -77,7 +77,7 @@ _SERIES_FIGURES = {
 }
 
 
-def row_params(row: FigureRow, sector_n: int = 1) -> ModelParams:
+def row_params(row: FigureRow) -> ModelParams:
     return ModelParams(
         omega_cavity=0.2,
         omega_levels=(0.3, 0.4, 0.5),
@@ -85,7 +85,7 @@ def row_params(row: FigureRow, sector_n: int = 1) -> ModelParams:
         g2=row.g2,
         omega_e=row.omega_e,
         deformation=Kerr(row.chi),
-        sector_n=sector_n,
+        sector_n=1,
     )
 
 

@@ -1,10 +1,12 @@
 """Minimal hand-emitted SVG line plots and heatmaps.
 
-No plotting dependency: documents are built from polylines and rects.
-The heatmap colormap is a fixed 256-step lookup table interpolated
-linearly between the anchor colors below (a perceptually ordered
-dark-violet -> teal -> yellow ramp); the same table is always used, so
-heatmaps are reproducible byte for byte.
+No plotting dependency. Both documents are built from one writer per
+element kind: _head (svg tag, white background, title), _frame, _line,
+_text and _axis_labels; only the polylines and the cell and colorbar
+rects are their own. The heatmap colormap is a fixed 256-step lookup
+table interpolated linearly between the anchor colors below (a
+perceptually ordered dark-violet -> teal -> yellow ramp); the same table
+is always used, so heatmaps are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -52,20 +54,20 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 46.0
 _LINE_WIDTH, _LINE_HEIGHT = 640, 420
 _PLOT_W = _LINE_WIDTH - _MARGIN_L - _MARGIN_R
 _PLOT_H = _LINE_HEIGHT - _MARGIN_T - _MARGIN_B
+_TICKS = 6  # ticks per line plot axis
 # a heatmap whose values span at most this fraction of their magnitude is
 # drawn flat, in one colour: round-off would otherwise colour a constant field
 FLAT_SPAN = 1e-12
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def _span(values: np.ndarray) -> tuple[float, float]:
-    lo = float(np.min(values))
-    hi = float(np.max(values))
+    lo, hi = float(np.min(values)), float(np.max(values))
     if hi == lo:
         pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
         return lo - pad, hi + pad
@@ -80,17 +82,59 @@ def _x_range(times: np.ndarray) -> tuple[float, float]:
     return x_lo, x_hi
 
 
+def _sx(x, x_lo: float, x_hi: float):
+    """The line plot's x pixel of tau x, a float or an array."""
+    return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * _PLOT_W
+
+
+def _text(x, y, body: str, size: int, anchor: str = "", rotate: bool = False) -> str:
+    """<text> at (x, y): a float prints with two decimals, a string as given.
+    rotate turns it by -90 degrees about (x, y), as a y-axis label."""
+    x = x if isinstance(x, str) else f"{x:.2f}"
+    y = y if isinstance(y, str) else f"{y:.2f}"
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{turn}>{body}</text>'
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333333", width: int = 1) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _frame(plot_w: float, plot_h: float) -> str:
+    return (
+        f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
+        'fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+
+
+def _head(width: float, height: float, title: str, title_x: float, frame: str = "") -> list[str]:
+    """The svg tag, the white background, then frame and title when given."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+    if frame:
+        parts.append(frame)
+    if title:
+        parts.append(_text(title_x, "20", title, 14, "middle"))
+    return parts
+
+
+def _axis_labels(xlabel: str, ylabel: str, plot_w: float, plot_h: float, height: float) -> list[str]:
+    y_label = [_text("16", _MARGIN_T + plot_h / 2, ylabel, 12, "middle", rotate=True)] if ylabel else []
+    return [_text(_MARGIN_L + plot_w / 2, height - 10, xlabel, 12, "middle"), *y_label]
+
+
 @functools.lru_cache(maxsize=1)
 def _polyline_template(times: bytes) -> str:
     """Polyline points over the float64 tau grid whose bytes are given: each
-    x pixel is formatted once, in the order of operations of line_plot_svg's
-    sx, and each y pixel is left as a %.2f slot for one % per series.  The
-    figures and the points of a sweep share one grid, so one entry serves
-    them all."""
+    x pixel is formatted once by _sx, and each y pixel is left as a %.2f
+    slot for one % per series.  The figures and the points of a sweep share
+    one grid, so one entry serves them all."""
     t = np.frombuffer(times)
-    x_lo, x_hi = _x_range(t)
-    xs = _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * _PLOT_W
-    return " ".join(["%.2f,%%.2f" % x for x in xs.tolist()])
+    return " ".join(["%.2f,%%.2f" % x for x in _sx(t, *_x_range(t)).tolist()])
 
 
 def line_plot_svg(
@@ -100,77 +144,32 @@ def line_plot_svg(
     ylabel: str = "",
 ) -> str:
     """SVG document with one polyline per (label, values) pair over the tau axis."""
-    width, height = _LINE_WIDTH, _LINE_HEIGHT
     times = np.asarray(times, dtype=float)
     x_lo, x_hi = _x_range(times)
     series = [(label, np.asarray(values, dtype=float)) for label, values in series]
     y_lo, y_hi = _span(np.concatenate([values for _, values in series]))
-    plot_w, plot_h = _PLOT_W, _PLOT_H
-
-    def sx(x):
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * _PLOT_H
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="14">{title}</text>'
-        )
+    bottom = _MARGIN_T + _PLOT_H
+    parts = _head(_LINE_WIDTH, _LINE_HEIGHT, title, _LINE_WIDTH / 2, _frame(_PLOT_W, _PLOT_H))
     for xt in _ticks(x_lo, x_hi):
-        px = sx(xt)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h:.2f}" x2="{px:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xt:.4g}</text>'
-        )
+        px = _sx(xt, x_lo, x_hi)
+        parts += [_line(px, bottom, px, bottom + 5), _text(px, bottom + 18, f"{xt:.4g}", 11, "middle")]
     for yt in _ticks(y_lo, y_hi):
         py = sy(yt)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5:.2f}" y1="{py:.2f}" x2="{_MARGIN_L:.2f}" y2="{py:.2f}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yt:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">tau</text>'
-    )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
-        )
+        parts += [_line(_MARGIN_L - 5, py, _MARGIN_L, py), _text(_MARGIN_L - 8, py + 4, f"{yt:.4g}", 11, "end")]
+    parts += _axis_labels("tau", ylabel, _PLOT_W, _PLOT_H, _LINE_HEIGHT)
     template = _polyline_template(times.tobytes())
     for idx, (label, values) in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
         pts = template % tuple(sy(values).tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1:
-            lx = _MARGIN_L + plot_w - 70
+            lx = _MARGIN_L + _PLOT_W - 70
             ly = _MARGIN_T + 16 + 16 * idx
-            parts.append(
-                f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 18:.2f}" y2="{ly - 4:.2f}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{lx + 24:.2f}" y="{ly:.2f}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+            parts += [_line(lx, ly - 4, lx + 18, ly - 4, color, 2), _text(lx + 24, ly, label, 11)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -185,22 +184,12 @@ def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
     bar_w = 18.0
     width = _MARGIN_L + plot_w + 70 + bar_w
     height = _MARGIN_T + plot_h + _MARGIN_B
-    vmin = float(np.min(values))
-    vmax = float(np.max(values))
+    vmin, vmax = float(np.min(values)), float(np.max(values))
     span = vmax - vmin
     if span <= FLAT_SPAN * max(abs(vmin), abs(vmax)):
         span = 0.0
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+    parts = _head(width, height, title, _MARGIN_L + plot_w / 2)
     # cells (row 0 of values is the smallest y, drawn at the bottom)
     if span == 0.0:
         idx = np.zeros((n, n), dtype=int)
@@ -213,30 +202,12 @@ def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
     for iy, row in enumerate(idx.tolist()):
         middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell:.2f}{size}"
         parts.append("\n".join([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row)]))
-    parts.append(
-        f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
+    parts.append(_frame(plot_w, plot_h))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        tick = float(axis[0]) + frac * (float(axis[-1]) - float(axis[0]))
-        px = _MARGIN_L + frac * plot_w
-        parts.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
-        )
-        py = _MARGIN_T + plot_h - frac * plot_h
-        parts.append(
-            f'<text x="{_MARGIN_L - 8:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">Re beta</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">Im beta</text>'
-    )
+        tick = f"{float(axis[0]) + frac * (float(axis[-1]) - float(axis[0])):.4g}"
+        parts.append(_text(_MARGIN_L + frac * plot_w, _MARGIN_T + plot_h + 16, tick, 11, "middle"))
+        parts.append(_text(_MARGIN_L - 8, _MARGIN_T + plot_h - frac * plot_h + 4, tick, 11, "end"))
+    parts += _axis_labels("Re beta", "Im beta", plot_w, plot_h, height)
     # colorbar
     bar_x = _MARGIN_L + plot_w + 30
     for i in range(256):
@@ -247,11 +218,6 @@ def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
             f'height="{plot_h / 255.0 + 0.5:.2f}" fill="{COLORMAP[i]}"/>'
         )
     for frac in (0.0, 0.5, 1.0):
-        vv = vmin + frac * span
-        py = _MARGIN_T + plot_h * (1.0 - frac)
-        parts.append(
-            f'<text x="{bar_x + bar_w + 4:.2f}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="10">{vv:.3g}</text>'
-        )
+        parts.append(_text(bar_x + bar_w + 4, _MARGIN_T + plot_h * (1.0 - frac) + 4, f"{vmin + frac * span:.3g}", 10))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -231,3 +232,29 @@ def test_fig7_heatmaps_keep_the_full_colour_scale(tmp_path):
         cells = reference_heatmap_cells(q)
         assert lines[3 : 3 + len(cells)] == cells
         assert len({cell.rsplit('fill="', 1)[1] for cell in cells}) > 200
+
+
+def golden_documents():
+    """Whole SVG documents from inputs built with + - * / alone, so that every
+    NumPy version computes the same pixels."""
+    t = np.arange(41) * 0.25
+    three = [("P1", t / 10.0), ("P2", 1.0 - t / 10.0), ("P3", (t - 5.0) * (t - 5.0) / 25.0 - 0.5)]
+    axis = np.arange(9) * 0.5 - 2.0
+    return {
+        "one series": line_plot_svg(t, [("P1", t * (10.0 - t) / 25.0)], title="one series", ylabel="P1"),
+        "legend": line_plot_svg(t, three, title="three series", ylabel="P"),
+        "flat, untitled": line_plot_svg(t, [("flat", t * 0.0 + 0.5)]),
+        "heatmap": heatmap_svg(axis, axis[:, None] * axis[None, :] / 4.0 + axis[:, None] / 8.0, title="grid"),
+        "flat heatmap, untitled": heatmap_svg(axis, np.zeros((9, 9)) + 0.25),
+    }
+
+
+def test_svg_documents_match_their_golden_digests():
+    digests = {name: hashlib.sha256(doc.encode()).hexdigest() for name, doc in golden_documents().items()}
+    assert digests == {
+        "one series": "dff93a2e6dbd4f2ad3f5babb872da15d9b2bf0873efd22154b813246b3c7817e",
+        "legend": "f0ab044dbfcfce02f289b17d313d16ff7eccccc7d848ddba459346cd8b2388de",
+        "flat, untitled": "3dbcf10049d038cc47e175d8062e21665bea2ca0c0777c7d4364ae2bb61a2095",
+        "heatmap": "77629828a5a5891728a4b5e51bea3ffb412d8b74fa57d4d9d3258f5209608f58",
+        "flat heatmap, untitled": "4592394ae9deaf5420e0bb35ea5b26dfb6df3076d07f4fa3f4a65d5b74562e44",
+    }
