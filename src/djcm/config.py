@@ -60,10 +60,15 @@ DEFAULT_OBSERVABLES = tuple(SERIES)
 SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
 # CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text).
-# A run formats each file in memory: a 5M-sample inversion run (10M cells, a
-# 188 MB file) peaked at 1.45 GB of RSS (Python 3.11, NumPy 2.4), ~145 B per
-# cell, so one file at the limit would need ~7 GB (extrapolated, not run).
-# The limit bounds the text, not the memory.
+# Files are written in blocks of rows, so a run's memory is its solved data:
+# the tau cells that runner.time_axis caches (~100 B per sample), the
+# amplitudes and series, and the solve's temporaries.  Measured peaks
+# (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells) 518 MB,
+# ~120 B per cell, the worst case, since the fewest columns share each
+# sample; a 2M-sample populations run (8M cells) 500 MB, ~60 B per cell; a
+# 1001 x 1001 Husimi grid (3M cells) 130 MB, ~35 B per cell.  A run of
+# two-column panels at the limit would need ~6 GB (extrapolated, not run):
+# the limit bounds the text, and the memory only through it.
 MAX_CSV_CELLS = 50_000_000
 # largest last sector n_max of an all-sector Husimi sum; each sector costs
 # about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s

@@ -432,6 +432,8 @@ def solve_sector(
     method 'analytic' (the default) takes the eigendecomposition route,
     'oracle' the ODE integrator (amplitudes_ode).  backend names the
     oracle's kernel: None or 'numpy', the only one (djcm.backend.ACTIVE).
+    An arithmetic error of the oracle, whose message gives the model time
+    t, ends with the scaled time tau = t * omega_cavity of the grid's end.
     """
     if method not in ("analytic", "oracle"):
         raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")
@@ -441,4 +443,8 @@ def solve_sector(
     coeffs = sector_coefficients(params)
     if method == "analytic":
         return analytic_trajectory(coeffs, ic, grid)
-    return amplitudes_ode(coeffs, ic, grid)
+    try:
+        return amplitudes_ode(coeffs, ic, grid)
+    except ArithmeticError as exc:
+        tau = float(grid[-1]) * params.omega_cavity
+        raise type(exc)(f"{exc} (tau = {tau:.15g}; t = tau / omega_cavity)") from exc

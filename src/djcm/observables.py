@@ -314,15 +314,18 @@ def husimi_q(
     # logarithm, so no weight underflows where the sum does not.
     radii, inverse = np.unique(r2, return_inverse=True) if len(sectors) > 1 else (r2, None)
     # The loop works in two buffers: on a large grid, every further array
-    # alive at once costs more in page faults than the arithmetic.
+    # alive at once costs more in page faults than the arithmetic.  ln r2 is
+    # taken once for all sectors; a single sector, whose loop runs once,
+    # takes it in the term buffer.  -lgamma - r2 has the bits of -r2 - lgamma.
     acc = np.zeros_like(radii)
     weight = np.empty_like(radii)
     term = np.empty_like(radii)
     with np.errstate(divide="ignore"):  # ln 0 = -inf gives the weight 0
+        log_radii = np.log(radii, out=term if inverse is None else None)
         for n, (p1, p2, p3) in zip(sectors, pops.tolist()):
-            np.subtract(np.negative(radii, out=weight), math.lgamma(n + 1.0), out=weight)
+            np.subtract(-math.lgamma(n + 1.0), radii, out=weight)
             if n:
-                weight += np.multiply(n, np.log(radii, out=term), out=term)
+                weight += np.multiply(n, log_radii, out=term)
             np.exp(weight, out=weight)
             np.divide(radii, n + 1, out=term)
             term *= p1

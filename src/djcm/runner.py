@@ -9,6 +9,7 @@ ends the map with WorkerDiedError.
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import tempfile
@@ -22,8 +23,8 @@ from .config import HusimiRequest, RunConfig
 from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
-from .output import format_cells, write_csv, write_json, write_text
-from .svgplot import heatmap_svg, line_plot_svg
+from .output import format_cells, write_chunks, write_csv, write_json
+from .svgplot import heatmap_chunks, line_plot_chunks
 
 __all__ = [
     "QUALITY_KEYS",
@@ -134,8 +135,8 @@ def write_series_panel(
     )
     if svg:
         files.append(f"{name}.svg")
-        svg_text = line_plot_svg(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
-        write_text(os.path.join(out_dir, files[1]), svg_text)
+        chunks = line_plot_chunks(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
+        write_chunks(os.path.join(out_dir, files[1]), chunks)
     return files
 
 
@@ -158,14 +159,16 @@ def write_husimi(
     resolution = request.resolution
     grid = husimi_q(params, request.tau / params.omega_cavity, request.range, resolution, request.n_max, ic=ic)
     files = [f"{name}.csv"]
-    # y-major rows: x cycles through the axis, y repeats each entry once per x
-    cells = format_cells(grid.axis)
-    xs = cells * resolution
-    ys = [cell for cell in cells for _ in range(resolution)]
-    write_csv(os.path.join(out_dir, files[0]), ["x", "y", "q"], [xs, ys, format_cells(grid.values)])
+    # y-major rows, written one y at a time: x cycles through the axis cells
+    axis_cells, q_cells = format_cells(grid.axis), format_cells(grid.values)
+    rows = (
+        "".join([f"{x},{y},{q}\n" for x, q in zip(axis_cells, q_cells[iy * resolution : (iy + 1) * resolution])])
+        for iy, y in enumerate(axis_cells)
+    )
+    write_chunks(os.path.join(out_dir, files[0]), itertools.chain(["x,y,q\n"], rows))
     if svg:
         files.append(f"{name}.svg")
-        write_text(os.path.join(out_dir, files[1]), heatmap_svg(grid.axis, grid.values, title=title))
+        write_chunks(os.path.join(out_dir, files[1]), heatmap_chunks(grid.axis, grid.values, title=title))
     record = {**asdict(request), "norm_drift_max": grid.norm_drift_max, "phase_error_bound": grid.phase_error_bound}
     return files, record
 

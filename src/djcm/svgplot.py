@@ -3,10 +3,12 @@
 No plotting dependency. Both documents are built from one writer per
 element kind: _head (svg tag, white background, title), _frame, _line,
 _text and _axis_labels; only the polylines and the cell and colorbar
-rects are their own. The heatmap colormap is a fixed 256-step lookup
-table interpolated linearly between the anchor colors below (a
-perceptually ordered dark-violet -> teal -> yellow ramp); the same table
-is always used, so heatmaps are reproducible byte for byte.
+rects are their own.  Each document is yielded as text chunks for
+output.write_chunks (one per series or per row of heatmap cells), so no
+document is held whole in memory.  The heatmap colormap is a fixed
+256-step lookup table interpolated linearly between the anchor colors
+below (a perceptually ordered dark-violet -> teal -> yellow ramp); the
+same table is always used, so heatmaps are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["LINE_COLORS", "COLORMAP", "FLAT_SPAN", "line_plot_svg", "heatmap_svg"]
+__all__ = ["LINE_COLORS", "COLORMAP", "FLAT_SPAN", "line_plot_chunks", "heatmap_chunks"]
 
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -122,6 +124,11 @@ def _head(width: float, height: float, title: str, title_x: float, frame: str = 
     return parts
 
 
+def _lines(parts: list[str]) -> str:
+    """The parts as one chunk of the document: one line each."""
+    return "\n".join(parts) + "\n"
+
+
 def _axis_labels(xlabel: str, ylabel: str, plot_w: float, plot_h: float, height: float) -> list[str]:
     y_label = [_text("16", _MARGIN_T + plot_h / 2, ylabel, 12, "middle", rotate=True)] if ylabel else []
     return [_text(_MARGIN_L + plot_w / 2, height - 10, xlabel, 12, "middle"), *y_label]
@@ -137,13 +144,14 @@ def _polyline_template(times: bytes) -> str:
     return " ".join(["%.2f,%%.2f" % x for x in _sx(t, *_x_range(t)).tolist()])
 
 
-def line_plot_svg(
+def line_plot_chunks(
     times: np.ndarray,
     series: list[tuple[str, np.ndarray]],
     title: str = "",
     ylabel: str = "",
-) -> str:
-    """SVG document with one polyline per (label, values) pair over the tau axis."""
+):
+    """SVG document with one polyline per (label, values) pair over the tau
+    axis, yielded in chunks: the frame and axes, then one per series."""
     times = np.asarray(times, dtype=float)
     x_lo, x_hi = _x_range(times)
     series = [(label, np.asarray(values, dtype=float)) for label, values in series]
@@ -161,23 +169,25 @@ def line_plot_svg(
         py = sy(yt)
         parts += [_line(_MARGIN_L - 5, py, _MARGIN_L, py), _text(_MARGIN_L - 8, py + 4, f"{yt:.4g}", 11, "end")]
     parts += _axis_labels("tau", ylabel, _PLOT_W, _PLOT_H, _LINE_HEIGHT)
+    yield _lines(parts)
     template = _polyline_template(times.tobytes())
     for idx, (label, values) in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
         pts = template % tuple(sy(values).tolist())
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+        parts = [f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>']
         if len(series) > 1:
             lx = _MARGIN_L + _PLOT_W - 70
             ly = _MARGIN_T + 16 + 16 * idx
             parts += [_line(lx, ly - 4, lx + 18, ly - 4, color, 2), _text(lx + 24, ly, label, 11)]
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield _lines(parts)
+    yield "</svg>\n"
 
 
-def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
+def heatmap_chunks(axis: np.ndarray, values: np.ndarray, title: str = ""):
     """SVG heatmap over the square coherent-state patch whose Re beta and
     Im beta run along axis, values of shape (len(axis), len(axis)): one rect
-    per grid cell, colored by the fixed 256-step table."""
+    per grid cell, colored by the fixed 256-step table.  Yielded in chunks:
+    the head, one per row of cells, then the frame, axes and colorbar."""
     n = len(axis)
     cell = max(1.0, min(4.0, 480.0 / n))
     plot_w = plot_h = n * cell
@@ -189,20 +199,20 @@ def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
     if span <= FLAT_SPAN * max(abs(vmin), abs(vmax)):
         span = 0.0
 
-    parts = _head(width, height, title, _MARGIN_L + plot_w / 2)
+    yield _lines(_head(width, height, title, _MARGIN_L + plot_w / 2))
     # cells (row 0 of values is the smallest y, drawn at the bottom)
     if span == 0.0:
         idx = np.zeros((n, n), dtype=int)
     else:
         idx = np.clip(((values - vmin) / span * 255.0).astype(int), 0, 255)
     # each column's x and each row's y are formatted once, and a row's
-    # rects are joined into one string as soon as they are built
+    # rects make one chunk
     heads = [f'<rect x="{_MARGIN_L + ix * cell:.2f}" y="' for ix in range(n)]
     size = f'" width="{cell:.2f}" height="{cell:.2f}" fill="'
-    for iy, row in enumerate(idx.tolist()):
+    for iy, row in enumerate(idx):
         middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell:.2f}{size}"
-        parts.append("\n".join([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row)]))
-    parts.append(_frame(plot_w, plot_h))
+        yield _lines([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row.tolist())])
+    parts = [_frame(plot_w, plot_h)]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         tick = f"{float(axis[0]) + frac * (float(axis[-1]) - float(axis[0])):.4g}"
         parts.append(_text(_MARGIN_L + frac * plot_w, _MARGIN_T + plot_h + 16, tick, 11, "middle"))
@@ -220,4 +230,4 @@ def heatmap_svg(axis: np.ndarray, values: np.ndarray, title: str = "") -> str:
     for frac in (0.0, 0.5, 1.0):
         parts.append(_text(bar_x + bar_w + 4, _MARGIN_T + plot_h * (1.0 - frac) + 4, f"{vmin + frac * span:.3g}", 10))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield _lines(parts)

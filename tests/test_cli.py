@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -170,6 +171,10 @@ def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical range error: sector 1 ODE oracle: used up its budget of")
+    # the model time, and the tau the config set
+    assert err.endswith(
+        "before t = 50000000.0; the analytic route solves these parameters (tau = 50; t = tau / omega_cavity)\n"
+    )
     assert err.count("\n") == 1
 
 
@@ -192,7 +197,8 @@ def test_oracle_range_errors_name_the_oracle_and_sector(tmp_path, capsys, field,
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "numerical range error: sector 1 ODE oracle: the integration left the floating-point range before t = 1.0\n"
+        "numerical range error: sector 1 ODE oracle: the integration left the floating-point range before t = 1.0 "
+        "(tau = 0.2; t = tau / omega_cavity)\n"
     )
     assert "Numerical result out of range" not in err and "division by zero" not in err
     assert not out.exists()
@@ -741,6 +747,11 @@ def test_husimi_command(tmp_path):
     assert manifest["params"]["chi"] == 0.2
     header, cols = read_csv_columns(out / "husimi.csv")
     assert cols["q"].min() >= 0.0
+    # y-major rows written one y at a time: x cycles through the axis, every cell %.17g
+    axis = np.linspace(-3.0, 3.0, 41).tolist()
+    yx = itertools.product(axis, repeat=2)
+    reference = [f"{x:.17g},{y:.17g},{q:.17g}" for (y, x), q in zip(yx, cols["q"].tolist())]
+    assert (out / "husimi.csv").read_text().splitlines() == ["x,y,q", *reference]
 
 
 def test_husimi_all_sectors(tmp_path):
