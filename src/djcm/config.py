@@ -66,7 +66,7 @@ MAX_SWEEP_POINTS = 10_000
 # (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells) 518 MB,
 # ~120 B per cell, the worst case, since the fewest columns share each
 # sample; a 2M-sample populations run (8M cells) 500 MB, ~60 B per cell; a
-# 1001 x 1001 Husimi grid (3M cells) 130 MB, ~35 B per cell.  A run of
+# 1001 x 1001 Husimi grid (3M cells) 82 MB, ~18 B per cell.  A run of
 # two-column panels at the limit would need ~6 GB (extrapolated, not run):
 # the limit bounds the text, and the memory only through it.
 MAX_CSV_CELLS = 50_000_000
@@ -362,18 +362,18 @@ def sweep_from_dict(doc: dict, base: RunConfig) -> list[tuple[str, RunConfig]] |
     (label, RunConfig) per point of the Cartesian product over named
     parameter axes on top of base, in deterministic axis order.  Every point
     passes construction, the Husimi rules included, and
-    RunConfig.check_intensity_observables.  An axis named twice is a
-    ConfigError.  A label prints each value with %g, and two points with
-    one label (one output directory) are a ConfigError.  An error in
-    building one point names its label."""
+    RunConfig.check_intensity_observables.  Empty axes (one point, out_dir
+    itself) and an axis named twice are ConfigErrors.  A label prints each
+    value with %g, and two points with one label (one output directory) are
+    a ConfigError.  An error in building one point names its label."""
     if "sweep" not in doc:
         return None
     sweep = doc["sweep"]
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: expected an object")
     axes_doc = _require(sweep, "axes", "sweep")
-    if not isinstance(axes_doc, list):
-        raise ConfigError("sweep.axes: expected a list of [name, values] pairs")
+    if not isinstance(axes_doc, list) or not axes_doc:
+        raise ConfigError("sweep.axes: expected a non-empty list of [name, values] pairs")
     axes = []
     size = 1
     for i, entry in enumerate(axes_doc):

@@ -80,17 +80,23 @@ class ObservableSeries:
 class HusimiGrid:
     """Husimi values over a square patch of the coherent-state plane.
 
-    values[i, j] = Q(axis[j] + 1j * axis[i]); n_max is the last sector summed.
-    norm_drift_max is max|P1 + P2 + P3 - 1| over the summed sectors.
-    phase_error_bound is the one bound all summed sectors were gated on (see
-    dynamics.propagate): the largest of their bounds.
+    levels holds Q on the grid's distinct |beta|^2, ascending, and index[i, j]
+    the level of beta = axis[j] + 1j * axis[i], so values = levels[index].
+    n_max is the last sector summed.  norm_drift_max is max|P1 + P2 + P3 - 1|
+    over the summed sectors.  phase_error_bound is the one bound all summed
+    sectors were gated on (see dynamics.propagate): the largest of their bounds.
     """
 
     axis: np.ndarray
-    values: np.ndarray
+    levels: np.ndarray
+    index: np.ndarray
     n_max: int
     norm_drift_max: float
     phase_error_bound: float
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.levels[self.index]
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +310,22 @@ def husimi_q(
     bound, shifted = propagate(coeffs, ic, np.array([float(t)]))
     # the rotating phases of the second and third amplitudes drop out of |c|^2
     pops = populations(shifted[..., 0])
-    # Q depends on the grid only through r2: with several sectors, sum on the
-    # distinct radii and scatter back.  One sector sums on the grid itself:
-    # np.unique's sort costs more than its one term saves (a single-sector
-    # husimi_q through np.unique, best of 5 on a 2-vCPU Xeon VM with NumPy
-    # 2.4, took 116 ms against 31 ms at resolution 1001 and 1.38 s against
-    # 0.35 s at 3001), so keep the two paths apart.
+    # Q depends on the grid only through r2: sum on its sorted distinct
+    # values (radii) and index each point by binary search.  np.unique's
+    # inverse holds five grid-sized arrays; without it, numpy.ma is imported.
     # Each Poisson weight r2^n exp(-r2) / n! is exponentiated from its
     # logarithm, so no weight underflows where the sum does not.
-    radii, inverse = np.unique(r2, return_inverse=True) if len(sectors) > 1 else (r2, None)
+    radii = np.sort(r2, axis=None)
+    radii = radii[np.append(True, radii[1:] != radii[:-1])]
+    index = np.searchsorted(radii, r2)
     # The loop works in two buffers: on a large grid, every further array
     # alive at once costs more in page faults than the arithmetic.  ln r2 is
-    # taken once for all sectors; a single sector, whose loop runs once,
-    # takes it in the term buffer.  -lgamma - r2 has the bits of -r2 - lgamma.
+    # taken once for all sectors.  -lgamma - r2 has the bits of -r2 - lgamma.
     acc = np.zeros_like(radii)
     weight = np.empty_like(radii)
     term = np.empty_like(radii)
     with np.errstate(divide="ignore"):  # ln 0 = -inf gives the weight 0
-        log_radii = np.log(radii, out=term if inverse is None else None)
+        log_radii = np.log(radii)
         for n, (p1, p2, p3) in zip(sectors, pops.tolist()):
             np.subtract(-math.lgamma(n + 1.0), radii, out=weight)
             if n:
@@ -334,6 +338,5 @@ def husimi_q(
             weight *= term
             acc += weight
     acc /= math.pi
-    values = acc if inverse is None else acc[inverse].reshape(r2.shape)
     drift = norm_drift(shifted[..., 0])
-    return HusimiGrid(axis=axis, values=values, n_max=sectors[-1], norm_drift_max=drift, phase_error_bound=bound)
+    return HusimiGrid(axis, acc, index, n_max=sectors[-1], norm_drift_max=drift, phase_error_bound=bound)

@@ -6,6 +6,7 @@ command with the same inputs reproduces every output byte for byte.
 
 write_chunks writes a file from an iterable of text chunks, each written
 as soon as it is made: a file's whole text is never held in memory.
+format_cells formats every value it is given: it does not deduplicate.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ def write_chunks(path, chunks) -> None:
 
 
 def format_cells(values) -> list[str]:
-    """``%.17g`` of every float64 value, in order; each distinct bit pattern
-    is formatted once (so -0.0 and 0.0 stay distinct), which pays off on
-    columns that repeat a few values many times."""
+    """``%.17g`` of every float64 value, in order, from one ``%`` call."""
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return [texts[i] for i in inverse.tolist()]
+    return (("%.17g\n" * flat.size) % tuple(flat.tolist())).splitlines()
 
 
 def write_csv(path, header: list[str], columns: list) -> None:
@@ -68,7 +65,7 @@ def write_csv(path, header: list[str], columns: list) -> None:
             block = [col[start : start + CSV_BLOCK_ROWS] for col in columns]
             rows = len(block[0])
             for j in shared:
-                block[j] = (("%.17g\n" * rows) % tuple(block[j].tolist())).splitlines()
+                block[j] = format_cells(block[j])
             lists = [cells if isinstance(cells, list) else cells.tolist() for cells in (block[j] for j in first)]
             yield (row_template * rows) % tuple(itertools.chain.from_iterable(zip(*lists)))
 

@@ -156,14 +156,13 @@ def write_husimi(
     record: the request's fields (n_max null for the populated sector
     alone) and the grid's norm_drift_max and phase_error_bound
     (observables.HusimiGrid)."""
-    resolution = request.resolution
-    grid = husimi_q(params, request.tau / params.omega_cavity, request.range, resolution, request.n_max, ic=ic)
+    grid = husimi_q(params, request.tau / params.omega_cavity, request.range, request.resolution, request.n_max, ic=ic)
     files = [f"{name}.csv"]
-    # y-major rows, written one y at a time: x cycles through the axis cells
-    axis_cells, q_cells = format_cells(grid.axis), format_cells(grid.values)
+    # y-major rows, one y at a time: x cycles through the axis cells, q indexes the level cells
+    axis_cells, level_cells = format_cells(grid.axis), format_cells(grid.levels)
     rows = (
-        "".join([f"{x},{y},{q}\n" for x, q in zip(axis_cells, q_cells[iy * resolution : (iy + 1) * resolution])])
-        for iy, y in enumerate(axis_cells)
+        "".join([f"{x},{y},{level_cells[i]}\n" for x, i in zip(axis_cells, row.tolist())])
+        for y, row in zip(axis_cells, grid.index)
     )
     write_chunks(os.path.join(out_dir, files[0]), itertools.chain(["x,y,q\n"], rows))
     if svg:

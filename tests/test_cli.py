@@ -317,6 +317,22 @@ def test_sweep_label_collision_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_sweep_exits_2_and_leaves_out_dir_alone(tmp_path, capsys):
+    # with no axes the one point's label is "", so its directory would be
+    # out_dir itself, replaced whole by the point's files
+    cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": []})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    mode = out.stat().st_mode
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep.axes: ") and err.count("\n") == 1
+    assert tree_bytes(out) == {"notes.txt": b"kept\n"}
+    assert out.stat().st_mode == mode
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.json"]
+
+
 @pytest.mark.parametrize(
     "axis, message",
     [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djcm.config import RunConfig
+from djcm.config import HusimiRequest, RunConfig
 from djcm.dynamics import InitialCondition, solve_sector
 from djcm.model import Kerr, ModelParams
 from djcm.observables import (
@@ -27,7 +27,7 @@ from djcm.observables import (
     von_neumann_entropy,
 )
 from djcm.observables import _lowering_weight
-from djcm.runner import run_simulation
+from djcm.runner import run_simulation, write_husimi
 
 from test_model import fig_params
 
@@ -412,14 +412,15 @@ def test_husimi_single_sector_800_normalization():
 
 
 def log_space_husimi(params, t, axis, n_max):
-    """All-sector sum from one solve_sector run per sector, each Poisson
-    weight exponentiated from n ln r2 - r2 - ln n!."""
+    """Sum over sectors 0..n_max (the populated sector alone for n_max None)
+    from one solve_sector run per sector, each Poisson weight exponentiated
+    from n ln r2 - r2 - ln n!."""
     r2 = axis[None, :] ** 2 + axis[:, None] ** 2
     with np.errstate(divide="ignore"):
         log_r2 = np.log(r2)
     grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
     acc = np.zeros_like(r2)
-    for n in range(n_max + 1):
+    for n in (params.sector_n,) if n_max is None else range(n_max + 1):
         p1, p2, p3 = populations(solve_sector(replace(params, sector_n=n), grid).amplitudes[-1])
         log_w = -r2 - math.lgamma(n + 1.0)
         if n:
@@ -434,13 +435,32 @@ def log_space_husimi(params, t, axis, n_max):
     g2=st.floats(0.0, 0.2),
     omega_e=st.floats(0.0, 0.2),
     chi=st.sampled_from((0.0, 0.05, 0.2, 0.5)),
-    n_max=st.integers(0, 60),
+    n_max=st.one_of(st.none(), st.integers(0, 60)),
     tau=st.one_of(st.just(0.0), st.floats(1e-3, 200.0)),
     half_width=st.floats(0.5, 12.0),
 )
 def test_husimi_all_sectors_matches_per_sector_log_space_sum(g1, g2, omega_e, chi, n_max, tau, half_width):
+    # n_max None sums the populated sector alone, on the same distinct radii
     p = fig_params(omega_e=omega_e, g1=g1, g2=g2, chi=chi)
     t = tau / p.omega_cavity
     grid = husimi_q(p, t, half_width, 17, n_max)
     ref = log_space_husimi(p, t, grid.axis, n_max)
     assert np.all(np.abs(grid.values - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("n_max", [None, 12], ids=["single-sector", "all-sectors"])
+def test_husimi_csv_is_written_from_the_grid_levels(tmp_path, n_max):
+    p = fig_params(g1=0.06, g2=0.08, chi=0.2)
+    request = HusimiRequest(tau=25.0, range=3.0, resolution=31, n_max=n_max)
+    files, _ = write_husimi(str(tmp_path), "husimi", "", p, request, svg=False)
+    assert files == ["husimi.csv"]
+    grid = husimi_q(p, 25.0 / p.omega_cavity, 3.0, 31, n_max)
+    assert grid.index.shape == (31, 31)
+    assert np.array_equal(grid.values, grid.levels[grid.index])
+    # one level per distinct |beta|^2 of the grid
+    assert grid.levels.size == np.unique(grid.axis[None, :] ** 2 + grid.axis[:, None] ** 2).size
+    lines = (tmp_path / "husimi.csv").read_text().splitlines()
+    assert lines[0] == "x,y,q"
+    x, y, q = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]]).T
+    assert np.array_equal(q.view(np.uint64), grid.values.ravel().view(np.uint64))
+    assert np.array_equal(x, np.tile(grid.axis, 31)) and np.array_equal(y, np.repeat(grid.axis, 31))
