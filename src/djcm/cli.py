@@ -21,14 +21,15 @@ with a message that names it.  A simulate sweep runs its points, and
 validate each pass of criteria 1-9, on one worker process per CPU the
 process may run on (taskset -c 0 runs them serially; no output depends
 on the count); validate's stderr times are measured inside the worker
-that ran each criterion.  figures run serially.  A sweep writes all its
-points or nothing.  The djcm console script and python -m djcm.cli enter
-through run(), which freezes the import-time heap (gc.freeze) before
-main(), so exit-time collections skip it; main() called from Python
-freezes nothing.  Importing djcm before NumPy sets
-OPENBLAS_NUM_THREADS=1 unless it is already set; a program that
-imported NumPy first keeps its BLAS thread pool.  djcm reads no other
-environment variable.
+that ran each criterion.  figures run serially.  simulate, figures and
+husimi write into a staging directory (runner.staged) that reaches --out
+only when the run succeeds: a run that fails first writes nothing.  The
+djcm console script and python -m djcm.cli enter through run(), which
+freezes the import-time heap (gc.freeze) before main(), so exit-time
+collections skip it; main() called from Python freezes nothing.
+Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1 unless it is
+already set; a program that imported NumPy first keeps its BLAS thread
+pool.  djcm reads no other environment variable.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .config import (
 from .dynamics import EXCITED
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
 from .output import write_json
-from .runner import WorkerDiedError, manifest_header, run_simulation, run_sweep, write_husimi
+from .runner import WorkerDiedError, manifest_header, run_simulation, run_sweep, staged, write_husimi
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -106,14 +107,17 @@ def _cmd_simulate(args) -> int:
     points = sweep_from_dict(doc, cfg)
     if points is None:
         cfg.check_intensity_observables()
-        run_simulation(cfg, args.out)
-    else:
-        run_sweep(points, args.out)
+    with staged(args.out) as out:
+        if points is None:
+            run_simulation(cfg, out)
+        else:
+            run_sweep(points, out)
     return EXIT_OK
 
 
 def _cmd_figures(args) -> int:
-    run_figure(args.figure, args.out)
+    with staged(args.out) as out:
+        run_figure(args.figure, out)
     return EXIT_OK
 
 
@@ -124,17 +128,10 @@ def _cmd_husimi(args) -> int:
         params, ic = row_params(ROWS[1]), EXCITED  # chi = 0.2 reference row
     request = HusimiRequest(tau=args.t, range=args.range, resolution=args.resolution, n_max=args.all_sectors)
     request.check(params.omega_cavity, ("--t", "--range", "--resolution", "--all-sectors"))
-    files, record = write_husimi(args.out, "husimi", f"Husimi Q at tau={args.t:g}", params, request, ic=ic)
-    write_json(
-        os.path.join(args.out, "husimi_manifest.json"),
-        {
-            **manifest_header("husimi"),
-            **record,
-            "params": params_echo(params),
-            "ic": ic_echo(ic),
-            "outputs": sorted(files),
-        },
-    )
+    with staged(args.out) as out:
+        files, record = write_husimi(out, "husimi", f"Husimi Q at tau={args.t:g}", params, request, ic=ic)
+        echo = {"params": params_echo(params), "ic": ic_echo(ic), "outputs": sorted(files)}
+        write_json(os.path.join(out, "husimi_manifest.json"), {**manifest_header("husimi"), **record, **echo})
     return EXIT_OK
 
 

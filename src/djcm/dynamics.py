@@ -100,7 +100,7 @@ class InitialCondition:
 
     def __post_init__(self):
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude fails too
             raise ValueError(f"initial amplitudes must be normalized, |c|^2 = {norm!r}")
 
     def as_array(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared machinery for CLI runs: trajectory execution, file emission,
-manifest assembly and the worker processes that sweeps and validate share.
+manifest assembly, the one publish of every command's files (staged) and
+the worker processes that sweeps and validate share.
 
 parallel_map(fn, items) is the one place that forks: it maps fn over items
 on worker_count() worker processes and returns the results in item order.
@@ -9,6 +10,7 @@ ends the map with WorkerDiedError.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import shutil
@@ -31,6 +33,7 @@ __all__ = [
     "WorkerDiedError",
     "worker_count",
     "parallel_map",
+    "staged",
     "time_axis",
     "trajectory_quality",
     "manifest_header",
@@ -89,6 +92,28 @@ def parallel_map(fn, items: list) -> list:
             # the first failed item ends the map: drop the items not yet started
             pool.shutdown(cancel_futures=True)
             raise
+
+
+@contextlib.contextmanager
+def staged(out_dir: str):
+    """Yield a fresh staging directory in the nearest existing directory at
+    or above out_dir.  A clean exit moves each entry into out_dir with
+    os.replace, a directory replacing a same-named one whole; the staging
+    directory is always removed, so a run that raises writes nothing."""
+    parent = out_dir = os.path.abspath(out_dir)  # "" is the working directory
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    staging = tempfile.mkdtemp(prefix=".djcm-", dir=parent)
+    try:
+        yield staging
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(staging):
+            source, target = os.path.join(staging, name), os.path.join(out_dir, name)
+            if os.path.isdir(source) and os.path.isdir(target):
+                shutil.rmtree(target)
+            os.replace(source, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 @lru_cache(maxsize=1)
@@ -175,21 +200,23 @@ def write_husimi(
 def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
     """Execute one RunConfig and write CSV/SVG/manifest files into out_dir.
 
-    Every series and the Husimi grid are computed before the first file
-    is written, so a run that fails writes nothing.
+    Each observable, in cfg.observables order, is computed and then written,
+    so one panel's series are held at a time and the first that fails names
+    the error.  The CLI runs it in a staged directory: a failure writes nothing.
     """
     tau, tau_cells = time_axis(cfg.tau_max, cfg.samples)
     traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
-    panels = [(name, trajectory_series(traj, name, cfg.params)) for name in cfg.observables if name != "husimi"]
     manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
     outputs = []
-    if "husimi" in cfg.observables:
-        title = f"Husimi Q at tau={cfg.husimi.tau:g}"
-        outputs, manifest["husimi"] = write_husimi(
-            out_dir, "husimi", title, cfg.params, cfg.husimi, ic=cfg.ic, svg=cfg.svg
-        )
-    for name, series in panels:
-        outputs += write_series_panel(out_dir, name, tau, tau_cells, series, cfg.svg, title=name, ylabel=name)
+    for name in cfg.observables:
+        if name == "husimi":
+            files, manifest["husimi"] = write_husimi(
+                out_dir, name, f"Husimi Q at tau={cfg.husimi.tau:g}", cfg.params, cfg.husimi, ic=cfg.ic, svg=cfg.svg
+            )
+        else:
+            series = trajectory_series(traj, name, cfg.params)
+            files = write_series_panel(out_dir, name, tau, tau_cells, series, cfg.svg, title=name, ylabel=name)
+        outputs += files
     manifest["outputs"] = sorted(outputs)
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -207,30 +234,14 @@ def _simulate_job(job: tuple[str, RunConfig, str]) -> dict:
 
 def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
     """Run every (label, RunConfig) sweep point and write out_dir/<label>/
-    per point plus out_dir/sweep_manifest.json, all or nothing.
-
-    The points run into a staging directory beside out_dir, on the same
-    filesystem.  Only when every point has succeeded is each point
-    directory moved into out_dir, replacing an existing one whole, and the
-    sweep manifest written.  The staging directory is always removed.
+    per point plus out_dir/sweep_manifest.json.  The first point that fails
+    ends the sweep with its error; the CLI runs it in a staged directory,
+    so a failed sweep writes nothing.
     """
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    while not os.path.isdir(parent):  # the nearest existing directory above out_dir
-        parent = os.path.dirname(parent)
-    staging = tempfile.mkdtemp(prefix=".djcm-sweep-", dir=parent)
-    try:
-        # the points share one time axis: format its cells before the workers fork
-        time_axis(points[0][1].tau_max, points[0][1].samples)
-        # worker processes rather than threads: CSV formatting holds the
-        # interpreter lock, so threads would not overlap it
-        manifests = parallel_map(_simulate_job, [(label, cfg, os.path.join(staging, label)) for label, cfg in points])
-        os.makedirs(out_dir, exist_ok=True)
-        for label, _ in points:
-            target = os.path.join(out_dir, label)
-            if os.path.isdir(target):
-                shutil.rmtree(target)
-            os.replace(os.path.join(staging, label), target)
-        rows = [{"label": label, **{key: m[key] for key in QUALITY_KEYS}} for (label, _), m in zip(points, manifests)]
-        write_json(os.path.join(out_dir, "sweep_manifest.json"), {**manifest_header("simulate-sweep"), "points": rows})
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    # the points share one time axis: format its cells before the workers fork
+    time_axis(points[0][1].tau_max, points[0][1].samples)
+    # worker processes rather than threads: CSV formatting holds the
+    # interpreter lock, so threads would not overlap it
+    manifests = parallel_map(_simulate_job, [(label, cfg, os.path.join(out_dir, label)) for label, cfg in points])
+    rows = [{"label": label, **{key: m[key] for key in QUALITY_KEYS}} for (label, _), m in zip(points, manifests)]
+    write_json(os.path.join(out_dir, "sweep_manifest.json"), {**manifest_header("simulate-sweep"), "points": rows})

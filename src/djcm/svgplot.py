@@ -63,15 +63,13 @@ FLAT_SPAN = 1e-12
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def _span(values: np.ndarray) -> tuple[float, float]:
     lo, hi = float(np.min(values)), float(np.max(values))
     if hi == lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0  # a zero or subnormal value pads by 1: its tenth may round to 0
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad

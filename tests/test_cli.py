@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import io
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import djcm
-from djcm import cli, dynamics
+from djcm import cli, dynamics, output
 from djcm.cli import main
 from djcm.config import MAX_HUSIMI_N_MAX, load_config_file, run_config_from_dict, sweep_from_dict
 from djcm.dynamics import PHASE_ERROR_LIMIT
@@ -267,8 +268,8 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
             {"sweep": {"axes": [["sector_n", [1, 0]]]}},
             "configuration error: sweep point sector_n=0: observables: g2 is undefined",
         ),
-        # the series are computed, then the Husimi solve at tau = 1e300 (a finite
-        # raw time) exceeds the phase error bound
+        # populations is written, then the Husimi solve at tau = 1e300 (a
+        # finite raw time) exceeds the phase error bound
         ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e300}}, "numerical range error: sector 1"),
         # a sector number the engine cannot hold in a double, named before any point runs
         (
@@ -294,6 +295,139 @@ def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def _fail_after_first_chunk(write_chunks, target):
+    """write_chunks, except that the chunks of a file named target stop with
+    a float division by zero after the first one, as a formatter's would."""
+
+    def wrapper(path, chunks):
+        if os.path.basename(path) != target:
+            return write_chunks(path, chunks)
+
+        def failing():
+            yield next(iter(chunks))
+            raise ZeroDivisionError("float division by zero")
+
+        return write_chunks(path, failing())
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["simulate", "--config", "single.json"], "inversion.svg"),
+        (["simulate", "--config", "sweep.json"], "inversion.csv"),
+        (["figures", "fig3"], "fig3b.svg"),
+        (["husimi", "--t", "5", "--resolution", "21"], "husimi.svg"),
+    ],
+    ids=["simulate", "sweep", "figures", "husimi"],
+)
+def test_failed_write_publishes_nothing(tmp_path, monkeypatch, capsys, argv, target):
+    # a file that fails half-written ends the run with exit 2: a fresh --out
+    # is not made, an existing one keeps its bytes, and no staging is left
+    observables = ["populations", "inversion"]
+    write_config(tmp_path, "single.json", samples=50, observables=observables)
+    write_config(tmp_path, "sweep.json", samples=50, observables=observables, sweep={"axes": [["chi", [0.0, 0.2]]]})
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    existing = tmp_path / "existing"
+    assert main([*argv, "--out", str(existing)]) == 0
+    before = tree_bytes(existing)
+    monkeypatch.setattr(runner, "worker_count", lambda: 2)
+    for module in (output, runner):
+        monkeypatch.setattr(module, "write_chunks", _fail_after_first_chunk(module.write_chunks, target))
+    for out in (tmp_path / "fresh" / "nested", existing):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical range error: ") and err.endswith("float division by zero\n")
+        assert err.count("\n") == 1
+    assert tree_bytes(existing) == before
+    assert sorted(os.listdir(tmp_path)) == ["existing", "single.json", "sweep.json"]
+
+
+def test_staging_goes_in_the_nearest_existing_directory(tmp_path, monkeypatch):
+    # an existing --out holds its own staging directory, so --out . stages in
+    # the working directory, not in its parent; a fresh --out stages in the
+    # nearest directory above it that exists
+    staged_in = []
+    mkdtemp = tempfile.mkdtemp
+
+    def spy(**kwargs):
+        staged_in.append(kwargs["dir"])
+        return mkdtemp(**kwargs)
+
+    monkeypatch.setattr(runner.tempfile, "mkdtemp", spy)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["husimi", "--t", "5", "--resolution", "5", "--out", "."]) == 0
+    assert main(["husimi", "--t", "5", "--resolution", "5", "--out", str(tmp_path / "a" / "b")]) == 0
+    assert staged_in == [str(work), str(tmp_path)]
+    assert sorted(os.listdir(work)) == ["husimi.csv", "husimi.svg", "husimi_manifest.json"]
+    assert tree_bytes(work) == tree_bytes(tmp_path / "a" / "b")
+
+
+def test_constant_subnormal_series_plots(tmp_path):
+    # with no coupling the inversion stays at its t = 0 value, 5e-324, the
+    # smallest subnormal: a tenth of it rounds to 0, and the y range must not
+    cfg = write_config(
+        tmp_path,
+        params=dict(BASE_CONFIG["params"], g1=0, g2=0, omega_e=0),
+        ic=[2.3e-162, 1, 0],
+        samples=50,
+        observables=["inversion"],
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "nan" not in (out / "inversion.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (None, "top-level JSON value must be an object"),
+        ({"tau_max": "10"}, "tau_max: expected a number, got '10'"),
+        ({"samples": 2.5}, "samples: expected an integer, got 2.5"),
+        ({"params": [0.2]}, "params: expected an object"),
+        ({"params": dict(BASE_CONFIG["params"], omega_levels=[0.3, 0.4])}, "params.omega_levels: expected a list of three"),
+        ({"ic": [1, 0]}, "ic: expected a list of three amplitudes"),
+        ({"ic": [0, "1", 0]}, "ic[1]: expected a real number or an [re, im] pair, got '1'"),
+        ({"observables": ["inversion", 3]}, "observables: expected a list of observable names"),
+        ({"svg": "yes"}, "svg: expected true or false, got 'yes'"),
+        ({"husimi": []}, "husimi: expected an object"),
+        ({"sweep": []}, "sweep: expected an object"),
+        ({"sweep": {"axes": [["chi"]]}}, "sweep.axes[0]: expected [name, values]"),
+        ({"sweep": {"axes": [["chi", 0.1]]}}, "sweep.axes[0]: values must be a list"),
+    ],
+    ids=[
+        "top-level",
+        "number",
+        "integer",
+        "params",
+        "omega_levels",
+        "ic-length",
+        "ic-entry",
+        "observables",
+        "svg",
+        "husimi",
+        "sweep",
+        "axis",
+        "axis-values",
+    ],
+)
+def test_malformed_config_field_exits_2_naming_it(tmp_path, capsys, overrides, message):
+    if overrides is None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        cfg = str(cfg)
+    else:
+        cfg = write_config(tmp_path, **{"samples": 20, **overrides})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
 def test_long_config_integer_names_its_file(tmp_path, capsys):
@@ -982,14 +1116,22 @@ def test_sweep_rerun_replaces_point_directories(tmp_path):
 
 
 def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):
+    # one point's write fails in its worker; the error reaches the parent
+    # with its own type and the sweep writes nothing
     cfg = _three_point_sweep(tmp_path)
-    blocker = tmp_path / "file"
-    blocker.write_text("not a directory\n")
+    write_csv = runner.write_csv
+
+    def full_disk(path, header, columns):
+        if f"{os.sep}chi=0.1{os.sep}" in path:
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        return write_csv(path, header, columns)
+
     monkeypatch.setattr(runner, "worker_count", lambda: 2)
-    assert main(["simulate", "--config", cfg, "--out", str(blocker / "out")]) == 3
+    monkeypatch.setattr(runner, "write_csv", full_disk)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("i/o error:")
-    assert "Traceback" not in err
+    assert err.startswith("i/o error: [Errno 28] No space left on device: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
 def _exit_in_worker(original):

@@ -165,6 +165,14 @@ def test_initial_condition_norm_check():
         InitialCondition(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("amplitudes", [(math.nan, 1, 0), (0, complex(1, math.nan), 0), (0, 1, complex(math.nan, 0))])
+def test_initial_condition_rejects_nan_amplitudes(amplitudes):
+    # |c|^2 = nan: every comparison with nan is False, so the check must not
+    # read "off by more than 1e-12" but "not within 1e-12"
+    with pytest.raises(ValueError, match=r"must be normalized, \|c\|\^2 = nan"):
+        InitialCondition(*amplitudes)
+
+
 def test_sector_matrix_determinant_matches_theta():
     # the Laplace matrix M(z) = zI + iK has determinant Theta(z)
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
