@@ -61,12 +61,12 @@ SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
 # CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text).
 # Files are written in blocks of rows, so a run's memory is its solved data:
-# the tau cells that runner.time_axis caches (~100 B per sample), the
-# amplitudes and series, and the solve's temporaries.  Measured peaks
-# (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells) 518 MB,
-# ~120 B per cell, the worst case, since the fewest columns share each
-# sample; a 2M-sample populations run (8M cells) 500 MB, ~60 B per cell; a
-# 1001 x 1001 Husimi grid (3M cells) 82 MB, ~18 B per cell.  A run of
+# the tau cells that runner.time_axis caches (~100 B per sample), then the
+# solve's temporaries (~140 B per sample), the peak.  Measured peaks
+# (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells) 516 MB,
+# ~130 B per cell, the worst case, since the fewest columns share each
+# sample; a 2M-sample populations run (8M cells) 516 MB, ~65 B per cell; a
+# 1001 x 1001 Husimi grid (3M cells) 67 MB, ~22 B per cell.  A run of
 # two-column panels at the limit would need ~6 GB (extrapolated, not run):
 # the limit bounds the text, and the memory only through it.
 MAX_CSV_CELLS = 50_000_000

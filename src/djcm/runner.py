@@ -11,6 +11,7 @@ ends the map with WorkerDiedError.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import os
 import shutil
@@ -98,8 +99,10 @@ def parallel_map(fn, items: list) -> list:
 def staged(out_dir: str):
     """Yield a fresh staging directory in the nearest existing directory at
     or above out_dir.  A clean exit moves each entry into out_dir with
-    os.replace, a directory replacing a same-named one whole; the staging
-    directory is always removed, so a run that raises writes nothing."""
+    os.replace, a directory replacing a same-named one whole, and the
+    manifests last; the staging directory is always removed, so a run that
+    raises writes nothing.  A file staged over a directory, or a directory
+    over anything else, raises OSError before the first move."""
     parent = out_dir = os.path.abspath(out_dir)  # "" is the working directory
     while not os.path.isdir(parent):
         parent = os.path.dirname(parent)
@@ -107,8 +110,14 @@ def staged(out_dir: str):
     try:
         yield staging
         os.makedirs(out_dir, exist_ok=True)
-        for name in os.listdir(staging):
-            source, target = os.path.join(staging, name), os.path.join(out_dir, name)
+        names = sorted(os.listdir(staging), key=lambda name: name.endswith("manifest.json"))
+        moves = [(os.path.join(staging, name), os.path.join(out_dir, name)) for name in names]
+        for source, target in moves:
+            is_dir = os.path.isdir(target) and not os.path.islink(target)
+            if os.path.lexists(target) and os.path.isdir(source) != is_dir:
+                code = errno.EISDIR if is_dir else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), target)
+        for source, target in moves:
             if os.path.isdir(source) and os.path.isdir(target):
                 shutil.rmtree(target)
             os.replace(source, target)
@@ -192,7 +201,7 @@ def write_husimi(
     write_chunks(os.path.join(out_dir, files[0]), itertools.chain(["x,y,q\n"], rows))
     if svg:
         files.append(f"{name}.svg")
-        write_chunks(os.path.join(out_dir, files[1]), heatmap_chunks(grid.axis, grid.values, title=title))
+        write_chunks(os.path.join(out_dir, files[1]), heatmap_chunks(grid.axis, grid.levels, grid.index, title=title))
     record = {**asdict(request), "norm_drift_max": grid.norm_drift_max, "phase_error_bound": grid.phase_error_bound}
     return files, record
 

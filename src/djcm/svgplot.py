@@ -41,7 +41,7 @@ def _build_colormap() -> tuple[str, ...]:
         x = i / 255.0
         for (x0, r0, g0, b0), (x1, r1, g1, b1) in zip(_ANCHORS[:-1], _ANCHORS[1:]):
             if x0 <= x <= x1:
-                w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
+                w = (x - x0) / (x1 - x0)
                 r = round(r0 + w * (r1 - r0))
                 g = round(g0 + w * (g1 - g0))
                 b = round(b0 + w * (b1 - b0))
@@ -181,35 +181,34 @@ def line_plot_chunks(
     yield "</svg>\n"
 
 
-def heatmap_chunks(axis: np.ndarray, values: np.ndarray, title: str = ""):
+def heatmap_chunks(axis: np.ndarray, levels: np.ndarray, index: np.ndarray, title: str = ""):
     """SVG heatmap over the square coherent-state patch whose Re beta and
-    Im beta run along axis, values of shape (len(axis), len(axis)): one rect
-    per grid cell, colored by the fixed 256-step table.  Yielded in chunks:
-    the head, one per row of cells, then the frame, axes and colorbar."""
+    Im beta run along axis, of the values levels[index], index of shape
+    (len(axis), len(axis)), every level used: one rect per grid cell,
+    colored by the fixed 256-step table.  Yielded in chunks: the head, one
+    per row of cells, then the frame, axes and colorbar."""
     n = len(axis)
     cell = max(1.0, min(4.0, 480.0 / n))
     plot_w = plot_h = n * cell
     bar_w = 18.0
     width = _MARGIN_L + plot_w + 70 + bar_w
     height = _MARGIN_T + plot_h + _MARGIN_B
-    vmin, vmax = float(np.min(values)), float(np.max(values))
+    vmin, vmax = float(np.min(levels)), float(np.max(levels))
     span = vmax - vmin
     if span <= FLAT_SPAN * max(abs(vmin), abs(vmax)):
         span = 0.0
 
     yield _lines(_head(width, height, title, _MARGIN_L + plot_w / 2))
-    # cells (row 0 of values is the smallest y, drawn at the bottom)
-    if span == 0.0:
-        idx = np.zeros((n, n), dtype=int)
-    else:
-        idx = np.clip(((values - vmin) / span * 255.0).astype(int), 0, 255)
+    # each level is shaded once; row 0 of index is the smallest y, drawn at the bottom
+    shade = np.zeros(len(levels), dtype=int) if span == 0.0 else ((levels - vmin) / span * 255.0).astype(int)
+    shade = np.clip(shade, 0, 255)
     # each column's x and each row's y are formatted once, and a row's
     # rects make one chunk
     heads = [f'<rect x="{_MARGIN_L + ix * cell:.2f}" y="' for ix in range(n)]
     size = f'" width="{cell:.2f}" height="{cell:.2f}" fill="'
-    for iy, row in enumerate(idx):
+    for iy, row in enumerate(index):
         middle = f"{_MARGIN_T + plot_h - (iy + 1) * cell:.2f}{size}"
-        yield _lines([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, row.tolist())])
+        yield _lines([head + middle + COLORMAP[i] + '"/>' for head, i in zip(heads, shade[row].tolist())])
     parts = [_frame(plot_w, plot_h)]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         tick = f"{float(axis[0]) + frac * (float(axis[-1]) - float(axis[0])):.4g}"

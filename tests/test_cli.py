@@ -346,6 +346,35 @@ def test_failed_write_publishes_nothing(tmp_path, monkeypatch, capsys, argv, tar
     assert sorted(os.listdir(tmp_path)) == ["existing", "single.json", "sweep.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, blocked, message",
+    [
+        (["husimi", "--t", "5", "--resolution", "5"], "husimi.csv", "[Errno 21] Is a directory"),
+        (["simulate", "--config", "sweep.json"], "chi=0.1", "[Errno 20] Not a directory"),
+    ],
+    ids=["file over directory", "directory over file"],
+)
+def test_blocked_publish_moves_nothing(tmp_path, capsys, argv, blocked, message):
+    # a staged entry that os.replace cannot put over its target in --out
+    # ends the run with exit 3 before the first move: --out keeps its
+    # entries and bytes, and no staging directory is left
+    write_config(tmp_path, "sweep.json", samples=50, observables=["inversion"], sweep={"axes": [["chi", [0.0, 0.1]]]})
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    out = tmp_path / "out"
+    out.mkdir()
+    if blocked.endswith(".csv"):
+        (out / blocked).mkdir()
+        (out / blocked / "kept").write_text("a directory\n")
+    else:
+        (out / blocked).write_text("a file\n")
+    before = tree_bytes(out)
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert tree_bytes(out) == before and os.listdir(out) == [blocked]
+    assert err == f"i/o error: {message}: {str(out / blocked)!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["out", "sweep.json"]
+
+
 def test_staging_goes_in_the_nearest_existing_directory(tmp_path, monkeypatch):
     # an existing --out holds its own staging directory, so --out . stages in
     # the working directory, not in its parent; a fresh --out stages in the

@@ -165,6 +165,13 @@ def test_von_neumann_entropy_values():
     assert von_neumann_entropy(reduced_density(half)) == pytest.approx(LN2, abs=1e-12)
 
 
+def test_pure_state_entropy_has_no_sign_bit():
+    # a pure state's entropy is +0.0, not -0.0: validate prints it as 0.000e+00
+    pure = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1j]], dtype=np.complex128)
+    s = von_neumann_entropy(reduced_density(pure))
+    assert s.tolist() == [0.0, 0.0, 0.0] and not np.any(np.signbit(s))
+
+
 def test_entropy_series_matches_eigen_route():
     p, traj = row_trajectory(g1=0.06, g2=0.08, chi=0.2, samples=400)
     series = trajectory_series(traj, "entropy", p)[0].values

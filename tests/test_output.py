@@ -18,8 +18,11 @@ def line_plot_svg(*args, **kwargs) -> str:
     return "".join(line_plot_chunks(*args, **kwargs))
 
 
-def heatmap_svg(*args, **kwargs) -> str:
-    return "".join(heatmap_chunks(*args, **kwargs))
+def heatmap_svg(axis, values, **kwargs) -> str:
+    """heatmap_chunks over a value grid: each cell its own level."""
+    values = np.asarray(values, dtype=float)
+    index = np.arange(values.size).reshape(values.shape)
+    return "".join(heatmap_chunks(axis, values.ravel(), index, **kwargs))
 
 
 def test_write_csv_layout(tmp_path):
@@ -270,6 +273,9 @@ def test_heatmap_cells_match_per_cell_reference(n, seed):
     assert lines[start : start + len(cells)] == cells
     assert start == 3  # after the svg tag, the background and the title
     assert svg.count("<rect") == 1 + n * n + 1 + 256
+    # cells that share a level, as the Husimi grid's radii do: the same document
+    levels, index = np.unique(values, return_inverse=True)
+    assert "".join(heatmap_chunks(np.linspace(-2.0, 2.0, n), levels, index.reshape(n, n), title="t")) == svg
 
 
 def test_fig7_heatmaps_keep_the_full_colour_scale(tmp_path):
