@@ -129,7 +129,7 @@ def _cmd_husimi(args) -> int:
     request = HusimiRequest(tau=args.t, range=args.range, resolution=args.resolution, n_max=args.all_sectors)
     request.check(params.omega_cavity, ("--t", "--range", "--resolution", "--all-sectors"))
     with staged(args.out) as out:
-        files, record = write_husimi(out, "husimi", f"Husimi Q at tau={args.t:g}", params, request, ic=ic)
+        files, record = write_husimi(out, "husimi", f"Husimi Q at tau={request.tau:g}", params, request, ic=ic)
         echo = {"params": params_echo(params), "ic": ic_echo(ic), "outputs": sorted(files)}
         write_json(os.path.join(out, "husimi_manifest.json"), {**manifest_header("husimi"), **record, **echo})
     return EXIT_OK

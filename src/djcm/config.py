@@ -37,7 +37,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .model import Kerr, ModelParams
-from .dynamics import EXCITED, InitialCondition
+from .dynamics import EXCITED, InitialCondition, tau_grid
 from .observables import OBSERVABLE_NAMES, SERIES
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "run_config_from_dict",
     "sweep_from_dict",
 ]
-
-DEFAULT_OBSERVABLES = tuple(SERIES)
 
 SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
@@ -115,12 +113,15 @@ def _check_output_budget(cells: int, what: str) -> None:
 class HusimiRequest:
     """One Husimi Q grid: scaled time tau over [-range, range]^2, resolution
     points per axis; n_max None sums the populated sector only, an integer
-    the sectors 0..n_max.  tau None stands for a run's tau_max."""
+    the sectors 0..n_max.  tau None stands for a run's tau_max, -0.0 for 0.0."""
 
     tau: float | None = None
     range: float = 3.0
     resolution: int = 121
     n_max: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau", None if self.tau is None else self.tau + 0.0)
 
     def check(self, omega_cavity: float, names: tuple[str, str, str, str]) -> None:
         """The grid rules shared by the config's husimi fields and the husimi
@@ -153,7 +154,7 @@ class RunConfig:
     ic: InitialCondition = EXCITED
     tau_max: float = 50.0
     samples: int = 2000
-    observables: tuple[str, ...] = DEFAULT_OBSERVABLES
+    observables: tuple[str, ...] = tuple(SERIES)
     svg: bool = True
     method: str = "analytic"
     husimi: HusimiRequest = HusimiRequest()
@@ -175,6 +176,13 @@ class RunConfig:
             if name in self.observables[:i]:
                 raise ConfigError(f"observables: {name!r} is listed more than once")
         _check_output_budget(self.csv_cells(), "the run")
+        # after the output budget, which bounds samples: the check holds the grid in memory
+        t = tau_grid(self.tau_max, self.samples) / self.params.omega_cavity
+        if not (t[1:] > t[:-1]).all():
+            raise ConfigError(
+                f"tau_max / params.omega_cavity = {self.tau_max!r} / {self.params.omega_cavity!r} over samples = "
+                f"{self.samples}: the raw times t = tau / omega_cavity do not strictly increase"
+            )
 
     def csv_cells(self) -> int:
         """CSV cells the run writes: samples x (tau + one column per series)
@@ -188,8 +196,8 @@ class RunConfig:
         """Reject g2 and mandel_q where they are undefined from the first
         sample: <A+A> = 0 at tau = 0 when the vacuum sector (sector_n 0)
         starts with no |1,1> amplitude (ic[0] = 0).  A separate check, not
-        part of construction, because a sweep's base config and the husimi
-        command's config never run their observables."""
+        part of construction, because a sweep's base config never runs its
+        observables: only its points do, and each point is checked."""
         if self.params.sector_n == 0 and self.ic.c1 == 0:
             for name in ("g2", "mandel_q"):
                 if name in self.observables:
@@ -325,13 +333,13 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     """Build a RunConfig from a parsed JSON document."""
     params, ic = model_from_dict(doc)
 
-    observables = doc.get("observables", list(DEFAULT_OBSERVABLES))
+    observables = doc.get("observables", list(RunConfig.observables))
     if not (isinstance(observables, list) and all(isinstance(x, str) for x in observables)):
         raise ConfigError("observables: expected a list of observable names")
 
-    samples = _integer(doc.get("samples", 2000), "samples")
+    samples = _integer(doc.get("samples", RunConfig.samples), "samples")
 
-    svg = doc.get("svg", True)
+    svg = doc.get("svg", RunConfig.svg)
     if not isinstance(svg, bool):
         raise ConfigError(f"svg: expected true or false, got {svg!r}")
 
@@ -348,7 +356,7 @@ def run_config_from_dict(doc: dict, force_oracle: bool = False) -> RunConfig:
     return RunConfig(
         params=params,
         ic=ic,
-        tau_max=_number(doc.get("tau_max", 50.0), "tau_max"),
+        tau_max=_number(doc.get("tau_max", RunConfig.tau_max), "tau_max"),
         samples=samples,
         observables=tuple(observables),
         svg=svg,

@@ -48,6 +48,7 @@ __all__ = [
     "EXCITED",
     "Trajectory",
     "norm_drift",
+    "tau_grid",
     "sector_generator",
     "propagate",
     "propagator_errors",
@@ -91,14 +92,16 @@ class StepBudgetError(ArithmeticError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Normalized amplitude triple at t = 0; default is the atom entering
-    in level |2> with the field in the sector's number state."""
+    """Normalized amplitude triple at t = 0, complex with -0.0 parts stored as
+    0.0; default: the atom enters |2>, the field is the sector's number state."""
 
     c1: complex = 0j
     c2: complex = 1.0 + 0j
     c3: complex = 0j
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c3"):
+            object.__setattr__(self, name, complex(getattr(self, name)) + 0j)
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2 + abs(self.c3) ** 2
         if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude fails too
             raise ValueError(f"initial amplitudes must be normalized, |c|^2 = {norm!r}")
@@ -148,6 +151,11 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
     if require_zero_start and grid[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
     return grid
+
+
+def tau_grid(tau_max: float, samples: int) -> np.ndarray:
+    """A run's scaled time grid: config.RunConfig checks it, runner.time_axis solves on it."""
+    return np.linspace(0.0, tau_max, samples)
 
 
 def sector_generator(coeffs: SectorCoefficients) -> np.ndarray:
@@ -262,13 +270,8 @@ def _dormand_prince(grid: np.ndarray, ic: InitialCondition, coeffs: SectorCoeffi
 
     n_out = grid.shape[0]
     out = np.empty((n_out, 3), np.complex128)
-    # + 0j turns a signed zero part into +0.0
-    y1 = complex(ic.c1) + 0j
-    y2 = complex(ic.c2) + 0j
-    y3 = complex(ic.c3) + 0j
-    out[0, 0] = y1
-    out[0, 1] = y2
-    out[0, 2] = y3
+    y1, y2, y3 = ic.c1, ic.c2, ic.c3
+    out[0] = y1, y2, y3
     if n_out == 1:
         return out, 0, 0
 

@@ -73,7 +73,7 @@ class ModelParams:
     nu = omega_3 - omega_2.
 
     sector_n selects the invariant subspace spanned by
-    |1, n+1>, |2, n>, |3, n>.
+    |1, n+1>, |2, n>, |3, n>.  A frequency of -0.0 is stored as 0.0.
     """
 
     omega_cavity: float
@@ -85,10 +85,12 @@ class ModelParams:
     sector_n: int
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.omega_levels)
+        w = tuple(float(x) + 0.0 for x in self.omega_levels)
         if len(w) != 3:
             raise ValueError("omega_levels must hold exactly three frequencies")
         object.__setattr__(self, "omega_levels", w)
+        for name in ("omega_cavity", "g1", "g2", "omega_e"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         values = (self.omega_cavity, *w, self.g1, self.g2, self.omega_e)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("all frequencies and couplings must be finite")

@@ -14,9 +14,8 @@ reduces to the binary entropy of P1.
 and the squeezing parameters all take their moments from it.  The
 squeezing parameters drop the anomalous moments <A^k>, k >= 1: the
 three basis kets pair distinct atomic levels with distinct photon
-numbers, so every <A^k> vanishes in a single-sector state.
-`annihilation_moment` builds <A^k> generically from the basis kets, and
-validate criterion 8 checks that it comes out zero.
+numbers, so every <A^k> vanishes in a single-sector state.  Validate
+criterion 8 checks the moments and that step against the ladder matrix.
 
 `husimi_q` solves its sectors with one dynamics.propagate call at the
 one time t, t = 0 included, and weighs each sector's populations into
@@ -48,7 +47,6 @@ __all__ = [
     "reduced_density",
     "von_neumann_entropy",
     "squeezing_params",
-    "annihilation_moment",
     "trajectory_series",
     "husimi_q",
 ]
@@ -97,44 +95,6 @@ class HusimiGrid:
     @property
     def values(self) -> np.ndarray:
         return self.levels[self.index]
-
-
-# ---------------------------------------------------------------------------
-# anomalous ladder moments
-# ---------------------------------------------------------------------------
-
-def _sector_basis(n: int) -> tuple[tuple[int, int], ...]:
-    # (atomic level index, photon count) for |1,n+1>, |2,n>, |3,n>
-    return ((0, n + 1), (1, n), (2, n))
-
-
-def _lowering_weight(deformation, m: int, k: int) -> float:
-    """Matrix element <m-k| A^k |m> along one atomic level (0 if m < k)."""
-    w = 1.0
-    mm = m
-    for _ in range(k):
-        if mm == 0:
-            return 0.0
-        w *= deformation.f(mm) * math.sqrt(mm)
-        mm -= 1
-    return w
-
-
-def annihilation_moment(amps: np.ndarray, params: ModelParams, k: int):
-    """<A^k> for a sector state; amps has shape (..., 3)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    basis = _sector_basis(params.sector_n)
-    total = np.zeros(np.shape(amps)[:-1], dtype=np.complex128)
-    for j, (level, photons) in enumerate(basis):
-        w = _lowering_weight(params.deformation, photons, k)
-        if w == 0.0:
-            continue
-        target = (level, photons - k)
-        for i, ket in enumerate(basis):
-            if ket == target:
-                total = total + np.conj(np.asarray(amps)[..., i]) * np.asarray(amps)[..., j] * w
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import HusimiRequest, RunConfig
-from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector
+from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector, tau_grid
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
 from .output import format_cells, write_chunks, write_csv, write_json
@@ -131,7 +131,7 @@ def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, list[str]]:
     (format_cells), shared by every panel of the run and, through the
     cache, by every point of a sweep.  The grid is read-only; callers must
     not change the cell list."""
-    tau = np.linspace(0.0, tau_max, samples)
+    tau = tau_grid(tau_max, samples)
     tau.flags.writeable = False
     return tau, format_cells(tau)
 

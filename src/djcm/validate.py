@@ -35,11 +35,13 @@ from .dynamics import EXCITED, analytic_trajectory, norm_drift, sector_generator
 from .figures import ROWS, run_figure, row_params
 from .model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
 from .observables import (
-    annihilation_moment,
+    field_moments,
     g2_zero,
     husimi_q,
     mandel_q,
+    populations,
     reduced_density,
+    squeezing_params,
     trajectory_series,
     von_neumann_entropy,
 )
@@ -250,19 +252,43 @@ def _c7_husimi_normalization() -> CriterionResult:
     return CriterionResult(7, "Husimi normalization", passed, details)
 
 
+def _ladder_matrix(params: ModelParams) -> np.ndarray:
+    """A = a f(N) on photon numbers 0..n+1 of sector n: A[m - 1, m] = sqrt(m) f(m)."""
+    return np.diag([math.sqrt(m) * params.deformation.f(m) for m in range(1, params.sector_n + 2)], k=1)
+
+
+def _relative_error(values, reference) -> float:
+    return float(np.max(np.abs(values - reference) / np.maximum(1.0, np.abs(reference))))
+
+
 def _c8_moment_vanishing() -> CriterionResult:
-    worst_moment = 0.0
-    worst_pair = 0.0
+    """On each reference row, <A>, <A^2>, <A^4> read off the ladder matrix vanish,
+    and field_moments and squeezing_params (in its full forms) match it.  Each
+    ket pairs its own atomic level with one photon number, so for any photon
+    operator op, <op> = P1 op[n+1, n+1] + (P2 + P3) op[n, n]."""
+    worst_anomalous = worst_moments = worst_squeezing = 0.0
     for params in _fig_rows_params():
-        tau = np.linspace(0.0, 50.0, 2000)
-        traj = solve_sector(params, tau / params.omega_cavity)
-        for k in (1, 2, 4):
-            worst_moment = max(worst_moment, float(np.max(np.abs(annihilation_moment(traj.amplitudes, params, k)))))
-        s1x, s1p, s2x, s2p = (s.values for s in trajectory_series(traj, "squeezing", params))
-        worst_pair = max(worst_pair, float(np.max(np.abs(s1x - s1p))), float(np.max(np.abs(s2x - s2p))))
-    passed = worst_moment <= 1e-14 and worst_pair <= 1e-13
+        amps = solve_sector(params, np.linspace(0.0, 50.0, 2000) / params.omega_cavity).amplitudes
+        probs, n, lower = populations(amps), params.sector_n, _ladder_matrix(params)
+
+        def expect(op):
+            return probs[:, 0] * op[n + 1, n + 1] + (probs[:, 1] + probs[:, 2]) * op[n, n]
+
+        a1, a2, a4 = (expect(np.linalg.matrix_power(lower, k)) for k in (1, 2, 4))
+        m1, m2 = (expect(np.linalg.matrix_power(lower.T @ lower, k)) for k in (1, 2))
+        worst_anomalous = max(worst_anomalous, *(float(np.max(np.abs(a))) for a in (a1, a2, a4)))
+        worst_moments = max(worst_moments, *map(_relative_error, field_moments(amps, params), (m1, m2)))
+        # s1 from (<A>, <A^2>), s2 from (<A^2>, <A^4>): s_x, s_p = base +- Re(b + b* - a^2 - a*^2) - 2 a a*
+        full = []
+        for base, a, b in ((2.0 * m1, a1, a2), (2.0 * m2 - 2.0 * m1, a2, a4)):
+            anomalous = (b + np.conj(b) - a**2 - np.conj(a) ** 2).real
+            cross = 2.0 * (a * np.conj(a)).real
+            full += [base + anomalous - cross, base - anomalous - cross]
+        worst_squeezing = max(worst_squeezing, *map(_relative_error, squeezing_params(amps, params), full))
+    passed = worst_anomalous <= 1e-14 and worst_moments <= 1e-13 and worst_squeezing <= 1e-13
     details = (
-        f"max|<A^k>| = {worst_moment:.1e} (tol 1e-14), max|s_x - s_p| = {worst_pair:.1e} (tol 1e-13)"
+        f"max|<A^k>| = {worst_anomalous:.1e} (tol 1e-14), moments {worst_moments:.1e}, "
+        f"squeezing {worst_squeezing:.1e} against the ladder matrix (tol 1e-13)"
     )
     return CriterionResult(8, "anomalous-moment vanishing", passed, details)
 

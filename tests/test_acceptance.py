@@ -5,12 +5,14 @@ command runs the same code); the tests here assert the verdicts at the
 stated tolerances and enforce the runtime budgets.
 """
 
+import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from djcm import runner, validate
+from djcm import dynamics, figures, observables, runner, validate
 from djcm.cli import main
 from djcm.observables import husimi_q
 from djcm.validate import (
@@ -140,3 +142,79 @@ def test_criterion_error_crosses_workers(monkeypatch):
         run_all(123, 200)
     # raised in a worker: the pool attaches the worker's traceback as the cause
     assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def _varying(criterion):
+    """criterion, with details that change from one call to the next."""
+    calls = itertools.count()
+
+    def varying():
+        result = criterion()
+        result.details += f" (call {next(calls)})"
+        return result
+
+    return varying
+
+
+# criterion -> (run it, module, attribute, original -> perturbed attribute):
+# each perturbation is small enough to show that its criterion can fail
+PERTURBATIONS = {
+    # the oracle's microwave drive 1e-4 off: max|analytic - oracle| ~9e-4
+    1: (
+        _c1_cross_method,
+        dynamics,
+        "amplitudes_ode",
+        lambda ode: lambda coeffs, ic, grid: ode(replace(coeffs, omega_e=coeffs.omega_e * (1 + 1e-4)), ic, grid),
+    ),
+    # a looser oracle drifts ~2e-9 off the unit norm
+    2: (_c2_norm_conservation, dynamics, "ODE_TOLERANCE", lambda tol: 1e-5),
+    3: (
+        lambda: _c3_spectral_structure(DEFAULT_SEED, 1000),
+        validate,
+        "theta_poly",
+        lambda theta: lambda coeffs: (*theta(coeffs)[:2], theta(coeffs)[2] + 1e-9j),
+    ),
+    4: (
+        _c4_closed_form_limit,
+        validate,
+        "analytic_trajectory",
+        lambda analytic: lambda *args: (lambda traj: replace(traj, amplitudes=traj.amplitudes * (1 + 1e-8)))(
+            analytic(*args)
+        ),
+    ),
+    5: (_c5_entropy_identity, observables, "entropy", lambda entropy: lambda amps: entropy(amps) + 1e-9),
+    6: (_c6_fock_statistics, validate, "mandel_q", lambda q: lambda amps, params: q(amps, params) + 1e-9),
+    7: (
+        _c7_husimi_normalization,
+        validate,
+        "husimi_q",
+        lambda husimi: lambda *args: (lambda grid: replace(grid, levels=grid.levels * 1.02))(husimi(*args)),
+    ),
+    # field_moments and squeezing_params ~2e-9 and ~5e-9 off the ladder matrix
+    8: (
+        _c8_moment_vanishing,
+        observables,
+        "_moment_weights",
+        lambda weights: lambda params: tuple(w * (1 + 1e-9) for w in weights(params)),
+    ),
+    # no coupling and no drive: no population leaves |2>
+    9: (
+        _c9_figure_shape,
+        figures,
+        "row_params",
+        lambda row_params: lambda row: replace(row_params(row), g1=0.0, g2=0.0, omega_e=0.0),
+    ),
+    10: (lambda: run_all(123, 200)[-1], validate, "_c6_fock_statistics", _varying),
+}
+
+
+@pytest.mark.parametrize("index", sorted(PERTURBATIONS))
+def test_criterion_fails_under_perturbation(monkeypatch, index):
+    run, module, name, perturb = PERTURBATIONS[index]
+    # one worker: every criterion runs in this process, under the perturbation
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    result = run()
+    report(result)
+    assert result.index == index
+    assert not result.passed, result.details

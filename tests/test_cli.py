@@ -588,6 +588,34 @@ def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, override
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "overrides, point",
+    [
+        ({"tau_max": 5e-324, "samples": 3}, ""),
+        ({"params": dict(BASE_CONFIG["params"], omega_cavity=1e300), "tau_max": 1e-20, "samples": 10000}, ""),
+        (
+            {"sweep": {"axes": [["omega_cavity", [0.2, 1e300]]]}, "tau_max": 1e-20, "samples": 10000},
+            "sweep point omega_cavity=1e+300: ",
+        ),
+    ],
+    ids=["subnormal-tau", "huge-omega", "sweep-point"],
+)
+def test_raw_time_grid_that_does_not_increase_exits_2_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, overrides, point
+):
+    # neighbouring raw times tau / omega_cavity round to one value: a
+    # configuration error that names tau_max, raised before any point runs
+    monkeypatch.setattr(runner, "parallel_map", mock.Mock(side_effect=AssertionError("a sweep point ran")))
+    cfg = write_config(tmp_path, svg=False, **overrides)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {point}tau_max / params.omega_cavity = ") and err.count("\n") == 1
+    assert f"over samples = {overrides['samples']}: " in err and err.endswith(" do not strictly increase\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+    runner.parallel_map.assert_not_called()
+
 # the reference value first: hypothesis shrinks each draw towards it
 MAGNITUDES = (0.2, 0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1e-6, 0.01, 0.04, 1.0, 7.0, 1e6, 1e20, 1e150, 1e300)
 FIELD_CHOICES = {
@@ -977,6 +1005,31 @@ def test_sweep_manifests_echo_negative_zero_chi_as_zero(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert '"chi": 0.0,' in (out / "chi=-0" / "manifest.json").read_text()
     assert '"chi": 0.1,' in (out / "chi=0.1" / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("field", ["g1", "g2", "omega_e", "omega_levels", "ic", "husimi.tau", "--t"])
+def test_negative_zero_writes_the_bytes_of_zero(tmp_path, field):
+    # -0.0 is stored as 0.0: g2 = -0.0 took another eigh path, the others echoed apart
+    trees = []
+    for zero in (0.0, -0.0):
+        out = tmp_path / repr(zero)
+        params = dict(BASE_CONFIG["params"])
+        doc = {"samples": 50, "observables": list(OBSERVABLE_NAMES), "husimi": {"resolution": 5}}
+        if field == "--t":
+            argv = ["husimi", "--t", repr(zero), "--resolution", "5"]
+        else:
+            if field == "omega_levels":
+                params[field] = [zero, 0.4, 0.5]
+            elif field == "ic":
+                doc["ic"] = [[zero, zero], [1.0, zero], [zero, zero]]
+            elif field == "husimi.tau":
+                doc["husimi"]["tau"] = zero
+            else:
+                params[field] = zero
+            argv = ["simulate", "--config", write_config(tmp_path, f"{zero!r}.json", params=params, **doc)]
+        assert main([*argv, "--out", str(out)]) == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 def test_husimi_validation_errors(tmp_path):

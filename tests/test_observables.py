@@ -13,7 +13,6 @@ from djcm.observables import (
     ObservableSeries,
     SERIES,
     UndefinedObservableError,
-    annihilation_moment,
     entropy,
     field_moments,
     g2_zero,
@@ -26,8 +25,8 @@ from djcm.observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from djcm.observables import _lowering_weight
 from djcm.runner import run_simulation, write_husimi
+from djcm.validate import _ladder_matrix
 
 from test_model import fig_params
 
@@ -203,20 +202,15 @@ def test_mandel_q_undeformed_envelope():
 
 
 def test_lowering_weight_matrix_elements():
-    assert _lowering_weight(Kerr(0.0), 3, 1) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert _lowering_weight(Kerr(0.0), 3, 3) == pytest.approx(math.sqrt(6.0), abs=1e-15)
-    assert _lowering_weight(Kerr(0.0), 2, 3) == 0.0
-    d = Kerr(0.2)
+    def power(chi, k):
+        # <m-k| A^k |m> at [m-k, m], on photon numbers 0..3 (sector n = 2)
+        return np.linalg.matrix_power(_ladder_matrix(fig_params(chi=chi, n=2)), k)
+
+    assert power(0.0, 1)[2, 3] == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert power(0.0, 3)[0, 3] == pytest.approx(math.sqrt(6.0), abs=1e-15)
+    assert not power(0.0, 3)[:, 2].any()
     expected = math.sqrt(1 + 0.2 * 4) * math.sqrt(2.0) * math.sqrt(1.2) * 1.0
-    assert _lowering_weight(d, 2, 2) == pytest.approx(expected, abs=1e-15)
-
-
-def test_annihilation_moments_vanish_identically():
-    p, traj = row_trajectory(omega_e=0.08, g1=0.06, g2=0.08, chi=0.2, samples=300)
-    for k in (1, 2, 4):
-        moments = annihilation_moment(traj.amplitudes, p, k)
-        assert moments.shape == (300,)
-        assert np.max(np.abs(moments)) <= 1e-14
+    assert power(0.2, 2)[0, 2] == pytest.approx(expected, abs=1e-15)
 
 
 def test_squeezing_fock_values():
