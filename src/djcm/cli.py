@@ -18,10 +18,11 @@ ODE oracle; Husimi grids always come from the analytic route.  The
 husimi flags make one config.HusimiRequest, checked
 by the rules of simulate's "husimi" section, so a rejected flag exits 2
 with a message that names it.  A simulate sweep runs its points, and
-validate each pass of criteria 1-9, on one worker process per CPU the
-process may run on (taskset -c 0 runs them serially; no output depends
-on the count); validate's stderr times are measured inside the worker
-that ran each criterion.  figures run serially.  simulate, figures and
+validate both passes of criteria 1-9 as one map, on one worker process
+per CPU the process may run on (taskset -c 0 runs them serially; no
+output depends on the count); validate's stderr times are measured
+inside the worker that ran each criterion, criterion 10's as the sum of
+the second pass's nine.  figures run serially.  simulate, figures and
 husimi write into a staging directory (runner.staged) that reaches --out
 only when the run succeeds: a run that fails first writes nothing.  The
 djcm console script and python -m djcm.cli enter through run(), which

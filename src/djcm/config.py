@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .model import Kerr, ModelParams
 from .dynamics import EXCITED, InitialCondition, tau_grid
-from .observables import OBSERVABLE_NAMES, SERIES
+from .observables import OBSERVABLE_NAMES, SERIES, populations
 
 __all__ = [
     "ConfigError",
@@ -194,15 +194,15 @@ class RunConfig:
 
     def check_intensity_observables(self) -> None:
         """Reject g2 and mandel_q where they are undefined from the first
-        sample: <A+A> = 0 at tau = 0 when the vacuum sector (sector_n 0)
-        starts with no |1,1> amplitude (ic[0] = 0).  A separate check, not
-        part of construction, because a sweep's base config never runs its
-        observables: only its points do, and each point is checked."""
-        if self.params.sector_n == 0 and self.ic.c1 == 0:
+        sample: <A+A> = 0 at tau = 0 in the vacuum sector (sector_n 0) when
+        P1 = |ic[0]|^2, as the run computes it, is 0 (|ic[0]| below ~1.6e-162).
+        A separate check, not part of construction, because a sweep's base config
+        never runs its observables: only its points do, and each point is checked."""
+        if self.params.sector_n == 0 and populations(self.ic.as_array())[0] == 0.0:
             for name in ("g2", "mandel_q"):
                 if name in self.observables:
                     raise ConfigError(
-                        f"observables: {name} is undefined for sector_n 0 with ic[0] = 0, where <A+A> = 0 at tau = 0"
+                        f"observables: {name} is undefined for sector_n 0 with |ic[0]|^2 = 0, where <A+A> = 0 at tau = 0"
                     )
 
     def echo(self) -> dict:

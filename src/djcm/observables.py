@@ -221,13 +221,17 @@ def trajectory_series(traj: Trajectory, name: str, params: ModelParams) -> list[
     """Named observable series over a trajectory solved from params.
 
     NumPy's floating-point warnings are silenced: a value that leaves the
-    double range fails ObservableSeries' finiteness check instead.
+    double range fails ObservableSeries' finiteness check instead, and a
+    Python float's OverflowError (in the moment weights' `**`) one that names it.
     """
     if name not in SERIES:
         raise ValueError(f"unknown observable {name!r}")
     columns, values = SERIES[name]
     with np.errstate(all="ignore"):
-        arrays = values(traj.amplitudes, params)
+        try:
+            arrays = values(traj.amplitudes, params)
+        except OverflowError as exc:  # its text is an errno tuple
+            raise FloatingPointError(f"series {name!r} leaves the floating-point range") from exc
     return [ObservableSeries(col, v) for col, v in zip(columns, arrays)]
 
 

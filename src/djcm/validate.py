@@ -10,9 +10,9 @@ and byte-level determinism of this very report.
 theta_poly, the characteristic cubic det(zI + iK) of a sector, serves
 criterion 3 only: the engine takes its roots from the eigenvalues of K.
 
-Criteria 1-9 run on one worker process per CPU (runner.parallel_map;
-`taskset -c 0` runs them serially in this process) and come back in
-index order; criterion 10 repeats that pass once the first has finished.
+Criteria 1-9 run twice, both passes in one runner.parallel_map over one
+worker process per CPU (`taskset -c 0`: serially in this process), in
+index order; criterion 10 compares the two passes' report lines.
 
 The formatted report contains only deterministic numbers (same seed =>
 identical bytes); wall-clock timings, measured inside the process that
@@ -56,11 +56,11 @@ MAX_TUPLES = 100_000
 
 LN2 = math.log(2.0)
 
-# thresholds of the figure-shape check, frozen from the first verified
-# engine run (rows 2-3 exchange less population than row 1 because the
-# Kerr shift detunes the cavity transitions)
+# thresholds of the figure-shape check, frozen from the first verified engine
+# run: the Kerr shift detunes rows 2-3, which exchange less population than
+# row 1; row 2's max P3 is 0.038, against 0.39-0.40 with no coupling or drive
 FIG2_SHAPE_THRESHOLDS = {
-    "row2": {"p2_min_below": 0.65, "p3_max_above": 0.03},
+    "row2": {"p2_min_below": 0.65, "p3_max_above": 0.03, "p3_max_below": 0.1},
     "row3": {"p2_min_below": 0.55, "p3_max_above": 0.25},
 }
 
@@ -265,7 +265,9 @@ def _c8_moment_vanishing() -> CriterionResult:
     """On each reference row, <A>, <A^2>, <A^4> read off the ladder matrix vanish,
     and field_moments and squeezing_params (in its full forms) match it.  Each
     ket pairs its own atomic level with one photon number, so for any photon
-    operator op, <op> = P1 op[n+1, n+1] + (P2 + P3) op[n, n]."""
+    operator op, <op> = P1 op[n+1, n+1] + (P2 + P3) op[n, n].  The <A^k> check
+    is structural: A^k has a zero diagonal, so it reads an exact 0, as would
+    psi @ op over the embedded state.  Only the moment and squeezing checks fail."""
     worst_anomalous = worst_moments = worst_squeezing = 0.0
     for params in _fig_rows_params():
         amps = solve_sector(params, np.linspace(0.0, 50.0, 2000) / params.omega_cavity).amplitudes
@@ -316,7 +318,7 @@ def _c9_figure_shape() -> CriterionResult:
     thr3 = FIG2_SHAPE_THRESHOLDS["row3"]
     exchange = (
         p2_row2.min() < thr2["p2_min_below"]
-        and p3_row2.max() > thr2["p3_max_above"]
+        and thr2["p3_max_above"] < p3_row2.max() < thr2["p3_max_below"]
         and p2_row3.min() < thr3["p2_min_below"]
         and p3_row3.max() > thr3["p3_max_above"]
     )
@@ -341,9 +343,16 @@ def _timed_job(job: tuple) -> CriterionResult:
     return _timed(*job)
 
 
-def _run_core(seed: int, tuples: int) -> list[CriterionResult]:
-    """Criteria 1-9, in index order, on runner.parallel_map's worker
-    processes; each is timed inside the process that runs it."""
+def _format_line(result: CriterionResult) -> str:
+    flag = "PASS" if result.passed else "FAIL"
+    return f"[{result.index:2d}] {flag}  {result.name:<34s} {result.details}"
+
+
+def run_all(seed: int = DEFAULT_SEED, tuples: int = DEFAULT_TUPLES) -> list[CriterionResult]:
+    """Run every criterion; the tenth demands that a second run of the first
+    nine gives a byte-identical body.  Both runs of criteria 1-9 go to one
+    runner.parallel_map, each timed inside the process that runs it; the
+    tenth's time is the sum of the second run's nine."""
     jobs = [
         (_c1_cross_method,),
         (_c2_norm_conservation,),
@@ -355,27 +364,11 @@ def _run_core(seed: int, tuples: int) -> list[CriterionResult]:
         (_c8_moment_vanishing,),
         (_c9_figure_shape,),
     ]
-    return parallel_map(_timed_job, jobs)
-
-
-def _format_line(result: CriterionResult) -> str:
-    flag = "PASS" if result.passed else "FAIL"
-    return f"[{result.index:2d}] {flag}  {result.name:<34s} {result.details}"
-
-
-def run_all(seed: int = DEFAULT_SEED, tuples: int = DEFAULT_TUPLES) -> list[CriterionResult]:
-    """Run every criterion; the tenth re-runs the first nine and demands a
-    byte-identical body."""
-    results = _run_core(seed, tuples)
-    t0 = time.perf_counter()
-    rerun = _run_core(seed, tuples)
+    both = parallel_map(_timed_job, jobs + jobs)
+    results, rerun = both[:9], both[9:]
     same = [_format_line(r) for r in results] == [_format_line(r) for r in rerun]
-    details = (
-        "criteria 1-9 reproduce byte-identically on re-run"
-        if same
-        else "MISMATCH between repeated runs"
-    )
-    results.append(CriterionResult(10, "determinism", same, details, time.perf_counter() - t0))
+    details = "criteria 1-9 reproduce byte-identically on re-run" if same else "MISMATCH between repeated runs"
+    results.append(CriterionResult(10, "determinism", same, details, sum(r.elapsed for r in rerun)))
     return results
 
 

@@ -132,6 +132,20 @@ def test_report_independent_of_worker_count(monkeypatch):
     assert reports[0].endswith("\nresult: PASS (10/10)\n")
 
 
+def test_both_passes_share_one_parallel_map(monkeypatch):
+    calls = []
+
+    def spy(fn, items):
+        calls.append(len(items))
+        return runner.parallel_map(fn, items)
+
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(validate, "parallel_map", spy)
+    results = run_all(123, 200)
+    assert calls == [18]
+    assert [r.index for r in results] == list(range(1, 11)) and results[-1].passed
+
+
 def test_criterion_error_crosses_workers(monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("criterion 4 failed on purpose")
@@ -206,6 +220,17 @@ PERTURBATIONS = {
     ),
     10: (lambda: run_all(123, 200)[-1], validate, "_c6_fock_statistics", _varying),
 }
+
+
+@pytest.mark.parametrize("removed", [{"g1": 0.0, "g2": 0.0}, {"omega_e": 0.0}], ids=["no-coupling", "no-drive"])
+def test_criterion_09_fails_without_coupling_or_without_drive(monkeypatch, removed):
+    # either alone lets |3> fill on row 2 (max P3 ~0.39), where the Kerr
+    # detuning keeps it below 0.04
+    row_params = figures.row_params
+    monkeypatch.setattr(figures, "row_params", lambda row: replace(row_params(row), **removed))
+    result = _c9_figure_shape()
+    report(result)
+    assert not result.passed, result.details
 
 
 @pytest.mark.parametrize("index", sorted(PERTURBATIONS))

@@ -263,7 +263,7 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
     "overrides, message",
     [
         # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
-        ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with ic[0] = 0"),
+        ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with |ic[0]|^2 = 0"),
         (
             {"sweep": {"axes": [["sector_n", [1, 0]]]}},
             "configuration error: sweep point sector_n=0: observables: g2 is undefined",
@@ -285,6 +285,15 @@ VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
         (
             {"sweep": {"axes": [["g1", [0.1, 0.3]], ["g1", [0.2]]]}},
             "configuration error: sweep.axes: axis 'g1' is listed more than once",
+        ),
+        # chi = 1e200 overflows the moment weights' Python float **, whose
+        # own message is an errno tuple: the line names the series instead
+        *(
+            (
+                {"params": dict(BASE_CONFIG["params"], chi=1e200), "tau_max": 1e-200, "observables": ["populations", name]},
+                f"numerical range error: series {name!r} leaves the floating-point range",
+            )
+            for name in ("g2", "mandel_q", "squeezing")
         ),
     ],
 )
@@ -556,6 +565,21 @@ def test_sweep_point_manifest_rebuilds_its_point(tmp_path, flags):
         config = json.loads((out / label / "manifest.json").read_text())["config"]
         assert "sweep" not in config
         assert run_config_from_dict(config, force_oracle=bool(flags)) == point
+
+
+def test_sweep_point_whose_ic_0_squares_to_0_fails_before_any_point_runs(tmp_path, monkeypatch, capsys):
+    # ic[0] = 1e-170 is not 0, but P1 = |ic[0]|^2 is 0 at tau = 0 in sector 0
+    monkeypatch.setattr(runner, "parallel_map", mock.Mock(side_effect=AssertionError("a sweep point ran")))
+    sweep = {"axes": [["chi", [0.0, 0.1]]]}
+    cfg = write_config(tmp_path, params=VACUUM, ic=[1e-170, 1, 0], observables=["populations", "g2"], sweep=sweep)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: sweep point chi=0: observables: g2 is undefined for sector_n 0 "
+        "with |ic[0]|^2 = 0, where <A+A> = 0 at tau = 0\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+    runner.parallel_map.assert_not_called()
 
 
 def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, capsys):

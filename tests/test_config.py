@@ -221,6 +221,9 @@ def test_sweep_absent_returns_none():
         (0, None, ["populations", "inversion", "entropy", "squeezing"], None),
         (0, [1, 0, 0], None, None),  # <A+A> = 1 at tau = 0
         (1, None, None, None),
+        # |ic[0]|^2 underflows to 0: P1 = 0 at tau = 0, as the run computes it
+        (0, [1e-170, 1, 0], ["populations", "g2"], "g2"),
+        (0, [5e-324, 1, 0], ["mandel_q"], "mandel_q"),
     ],
 )
 def test_intensity_observables_need_photons_at_tau_0(sector_n, ic, observables, undefined):
