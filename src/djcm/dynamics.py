@@ -67,7 +67,9 @@ ODE_TOLERANCE = 1e-10
 # grows with |h| t, |s| t and the couplings times t, so a fast-rotating
 # sector would otherwise step for hours.  The loop takes ~23 us per step
 # on a 2-vCPU VM, so the budget ends such a run after ~2.3 s; validate's
-# longest oracle rows take 3999 steps, 25x below it.
+# longest oracle rows take 3999 steps, 25x below it.  Every grid interval
+# takes at least one accepted step, so a grid of more intervals than the
+# budget is refused before the first step.
 MAX_STEPS = 100_000
 
 # the largest phase error the analytic route vouches for: validate's
@@ -225,6 +227,12 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     return Trajectory(times=grid, amplitudes=amps, method=METHOD_ANALYTIC, phase_error_bound=bound)
 
 
+def _step_budget_error(budget: int, t_end: float) -> StepBudgetError:
+    return StepBudgetError(
+        f"used up its budget of {budget} steps before t = {t_end!r}; the analytic route solves these parameters"
+    )
+
+
 def _dormand_prince(grid: np.ndarray, ic: InitialCondition, coeffs: SectorCoefficients):
     """Adaptive Dormand-Prince 5(4) integration of the sector amplitudes over
     a strictly increasing grid; returns (out[T, 3] complex128, accepted
@@ -311,10 +319,7 @@ def _dormand_prince(grid: np.ndarray, ic: InitialCondition, coeffs: SectorCoeffi
         target = float(grid[i])
         while t < target:
             if nacc + nrej >= budget:
-                raise StepBudgetError(
-                    f"used up its budget of {budget} steps before t = {t_end!r}; "
-                    "the analytic route solves these parameters"
-                )
+                raise _step_budget_error(budget, t_end)
             # `not >=` also ends on a NaN step (non-finite derivatives)
             if not h >= 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflowError(
@@ -406,14 +411,18 @@ def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> T
     overflow, or a division by a step that underflowed to zero),
     StepSizeUnderflowError when no representable step meets the
     tolerances, and StepBudgetError when the grid needs more than
-    MAX_STEPS steps; these and any arithmetic error of the step loop
-    name the sector and the ODE oracle (propagator_errors).
+    MAX_STEPS steps (before any step when it has more than MAX_STEPS
+    intervals, each of which takes at least one accepted step); these and
+    any arithmetic error of the step loop name the sector and the ODE
+    oracle (propagator_errors).
     """
     grid = _as_grid(times, require_zero_start=True)
     t_end = float(grid[-1])
     with propagator_errors(f"sector {coeffs.n} ODE oracle"):
         if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
             raise OverflowError(f"the phases overflow the floating-point range by t = {t_end!r}")
+        if grid.shape[0] - 1 > MAX_STEPS:
+            raise _step_budget_error(MAX_STEPS, t_end)
         try:
             out, accepted, rejected = _dormand_prince(grid, ic, coeffs)
         except (OverflowError, ZeroDivisionError) as exc:

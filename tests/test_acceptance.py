@@ -17,8 +17,7 @@ from djcm.cli import main
 from djcm.observables import husimi_q
 from djcm.validate import (
     DEFAULT_SEED,
-    _c1_cross_method,
-    _c2_norm_conservation,
+    _c1_c2_reference_rows,
     _c3_spectral_structure,
     _c4_closed_form_limit,
     _c5_entropy_identity,
@@ -38,14 +37,14 @@ def report(result):
 
 
 def test_criterion_01_cross_method_equivalence():
-    result = _timed(_c1_cross_method)
+    result = _c1_c2_reference_rows()[0]
     report(result)
     assert result.passed, result.details
     assert result.elapsed < 5.0  # stated runtime budget
 
 
 def test_criterion_02_norm_conservation():
-    result = _c2_norm_conservation()
+    result = _c1_c2_reference_rows()[1]
     report(result)
     assert result.passed, result.details
 
@@ -142,8 +141,24 @@ def test_both_passes_share_one_parallel_map(monkeypatch):
     monkeypatch.setattr(runner, "worker_count", lambda: 1)
     monkeypatch.setattr(validate, "parallel_map", spy)
     results = run_all(123, 200)
-    assert calls == [18]
+    assert calls == [16]
     assert [r.index for r in results] == list(range(1, 11)) and results[-1].passed
+
+
+def test_each_pass_solves_the_reference_rows_once_by_oracle(monkeypatch):
+    # criteria 1 and 2 share one oracle solve per figure row: 3 rows x 2 passes
+    calls = []
+    ode = dynamics.amplitudes_ode
+
+    def spy(*args):
+        calls.append(args)
+        return ode(*args)
+
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(dynamics, "amplitudes_ode", spy)
+    results = run_all(123, 200)
+    assert len(calls) == 6
+    assert all(r.passed for r in results)
 
 
 def test_criterion_error_crosses_workers(monkeypatch):
@@ -175,13 +190,13 @@ def _varying(criterion):
 PERTURBATIONS = {
     # the oracle's microwave drive 1e-4 off: max|analytic - oracle| ~9e-4
     1: (
-        _c1_cross_method,
+        lambda: _c1_c2_reference_rows()[0],
         dynamics,
         "amplitudes_ode",
         lambda ode: lambda coeffs, ic, grid: ode(replace(coeffs, omega_e=coeffs.omega_e * (1 + 1e-4)), ic, grid),
     ),
     # a looser oracle drifts ~2e-9 off the unit norm
-    2: (_c2_norm_conservation, dynamics, "ODE_TOLERANCE", lambda tol: 1e-5),
+    2: (lambda: _c1_c2_reference_rows()[1], dynamics, "ODE_TOLERANCE", lambda tol: 1e-5),
     3: (
         lambda: _c3_spectral_structure(DEFAULT_SEED, 1000),
         validate,

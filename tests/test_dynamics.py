@@ -613,6 +613,30 @@ def test_step_budget_ends_the_run(monkeypatch):
         amplitudes_ode(coeffs, EXCITED, t)
 
 
+def test_step_budget_refuses_more_intervals_before_stepping(monkeypatch):
+    # every grid interval takes at least one accepted step, so a grid of more
+    # intervals than the budget fails at once, with the stepping message
+    stepped = []
+
+    def step_loop(grid, ic, coeffs):
+        stepped.append(grid.size)
+        return np.zeros((grid.size, 3), np.complex128), grid.size - 1, 0
+
+    monkeypatch.setattr(dynamics, "_dormand_prince", step_loop)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    coeffs = sector_coefficients(fig_params())
+    with pytest.raises(
+        StepBudgetError,
+        match=r"^sector 1 ODE oracle: used up its budget of 10 steps before t = 5\.5; "
+        r"the analytic route solves these parameters$",
+    ):
+        amplitudes_ode(coeffs, EXCITED, np.linspace(0.0, 5.5, 12))
+    assert stepped == []
+    # as many intervals as the budget may still fit: the step loop decides
+    assert amplitudes_ode(coeffs, EXCITED, np.linspace(0.0, 5.0, 11)).steps_accepted == 10
+    assert stepped == [11]
+
+
 # the propagator's roots alpha = -i lambda against Theta and a bisection oracle
 
 
