@@ -94,13 +94,15 @@ def _row_echo(row: FigureRow) -> dict:
 
 
 def run_figure(fig_id: str, out_dir: str) -> dict:
-    """Compute one built-in figure and write its CSV and SVG panel files into out_dir.
+    """Compute one built-in figure and write its CSV and SVG panel files into
+    out_dir, which it creates.
 
     Returns the manifest (also written as <fig_id>_manifest.json).
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
     tau, tau_cells = time_axis(FIG_TAU_MAX, FIG_SAMPLES)
+    os.makedirs(out_dir, exist_ok=True)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":

@@ -26,7 +26,7 @@ from .config import HusimiRequest, RunConfig
 from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector, tau_grid
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
-from .output import format_cells, write_chunks, write_csv, write_json
+from .output import Cells, csv_rows, format_cells, write_chunks, write_csv, write_json
 from .svgplot import heatmap_chunks, line_plot_chunks
 
 __all__ = [
@@ -126,14 +126,15 @@ def staged(out_dir: str):
 
 
 @lru_cache(maxsize=1)
-def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, list[str]]:
+def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, Cells]:
     """The dimensionless time grid of a run and its CSV cells
     (format_cells), shared by every panel of the run and, through the
-    cache, by every point of a sweep.  The grid is read-only; callers must
-    not change the cell list."""
+    cache, by every point of a sweep.  The grid and the cells are read-only."""
     tau = tau_grid(tau_max, samples)
-    tau.flags.writeable = False
-    return tau, format_cells(tau)
+    cells = format_cells(tau)
+    for array in (tau, cells.text, cells.length):
+        array.flags.writeable = False
+    return tau, cells
 
 
 def trajectory_quality(traj: Trajectory) -> dict:
@@ -154,7 +155,7 @@ def write_series_panel(
     out_dir: str,
     name: str,
     tau: np.ndarray,
-    tau_cells: list[str],
+    tau_cells: Cells,
     series: list[ObservableSeries],
     svg: bool,
     title: str,
@@ -195,10 +196,10 @@ def write_husimi(
     # y-major rows, one y at a time: x cycles through the axis cells, q indexes the level cells
     axis_cells, level_cells = format_cells(grid.axis), format_cells(grid.levels)
     rows = (
-        "".join([f"{x},{y},{level_cells[i]}\n" for x, i in zip(axis_cells, row.tolist())])
-        for y, row in zip(axis_cells, grid.index)
+        csv_rows([axis_cells, axis_cells[np.full(len(index), y)], level_cells[index]])
+        for y, index in enumerate(grid.index)
     )
-    write_chunks(os.path.join(out_dir, files[0]), itertools.chain(["x,y,q\n"], rows))
+    write_chunks(os.path.join(out_dir, files[0]), itertools.chain([b"x,y,q\n"], rows))
     if svg:
         files.append(f"{name}.svg")
         write_chunks(os.path.join(out_dir, files[1]), heatmap_chunks(grid.axis, grid.levels, grid.index, title=title))
@@ -207,13 +208,15 @@ def write_husimi(
 
 
 def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute one RunConfig and write CSV/SVG/manifest files into out_dir.
+    """Execute one RunConfig and write CSV/SVG/manifest files into out_dir,
+    which it creates.
 
     Each observable, in cfg.observables order, is computed and then written,
     so one panel's series are held at a time and the first that fails names
     the error.  The CLI runs it in a staged directory: a failure writes nothing.
     """
     tau, tau_cells = time_axis(cfg.tau_max, cfg.samples)
+    os.makedirs(out_dir, exist_ok=True)
     traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
     manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
     outputs = []

@@ -381,6 +381,33 @@ def test_solve_sector_rejects_bad_method_and_grid():
         solve_sector(p, np.array([]))
 
 
+def test_each_solve_checks_its_grid_once(monkeypatch):
+    # solve_sector checks the grid and hands it on checked; either route,
+    # called on its own, still checks what it is given
+    calls = []
+    as_grid = dynamics._as_grid
+
+    def spy(times, require_zero_start):
+        calls.append(require_zero_start)
+        return as_grid(times, require_zero_start)
+
+    monkeypatch.setattr(dynamics, "_as_grid", spy)
+    p, grid = fig_params(), tau_grid(10.0, 50)
+    for method in ("analytic", "oracle"):
+        calls.clear()
+        traj = solve_sector(p, grid, method=method)
+        assert calls == [True] and np.array_equal(traj.times, grid)
+    coeffs = sector_coefficients(p)
+    for route, zero_start in ((analytic_trajectory, False), (amplitudes_ode, True)):
+        calls.clear()
+        route(coeffs, EXCITED, grid)
+        assert calls == [zero_start]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            route(coeffs, EXCITED, np.array([0.0, 2.0, 1.0]))
+    with pytest.raises(ValueError, match="start at t = 0"):
+        amplitudes_ode(coeffs, EXCITED, np.array([1.0, 2.0]))
+
+
 def test_trajectory_accessors():
     p = fig_params()
     traj = solve_sector(p, tau_grid(5.0, 20))

@@ -4,14 +4,34 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from djcm.figures import run_figure
-
-from djcm.output import CSV_BLOCK_ROWS, format_cells, write_csv, write_json
+from djcm.config import RunConfig
+from djcm.figures import FIG7, ROWS, row_params, run_figure
+from djcm.model import Kerr, ModelParams
+from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, format_cells, write_csv, write_json
+from djcm.runner import run_simulation, write_husimi
 from djcm import svgplot
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_chunks, line_plot_chunks
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 1e300, 2.0**-52]
+
+
+def cell_texts(cells) -> list[str]:
+    """The text of each of a Cells' cells."""
+    return [bytes(text[:n]).decode() for text, n in zip(cells.text, cells.length.tolist())]
+
+
+def assert_cells_match_17g(values):
+    """format_cells of values against one %-24.17g per value: the padded
+    text, the length of the %.17g text and that text itself."""
+    values = np.asarray(values, dtype=np.float64)
+    cells = format_cells(values)
+    assert cells.text.shape == (values.size, CELL_WIDTH) and cells.length.shape == (values.size,)
+    assert cells.text.tobytes().decode() == "".join("%-24.17g" % v for v in values.tolist())
+    assert cell_texts(cells) == ["%.17g" % v for v in values.tolist()]
 
 
 def line_plot_svg(*args, **kwargs) -> str:
@@ -57,21 +77,22 @@ def test_write_csv_matches_per_cell_17g_reference(tmp_path):
 
 
 def test_write_csv_blocks_match_per_cell_17g_reference(tmp_path):
-    # three whole blocks and a partial one; float, int, list and repeated
+    # three whole blocks and a partial one; float, int, Cells and repeated
     # array columns, the repeated one given twice in a row and once apart
     n = 3 * CSV_BLOCK_ROWS + 17
     rng = np.random.default_rng(7)
     floats = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
     floats[:: 97] = np.resize(EDGE_VALUES, floats[:: 97].size)
     ints = rng.integers(-(2**60), 2**60, n)
-    texts = format_cells(rng.uniform(-1.0, 1.0, n))
+    preformatted = rng.uniform(-1.0, 1.0, n)
+    texts = format_cells(preformatted)
     shared = np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n]
     shared[5] = -0.0
     path = tmp_path / "blocks.csv"
     write_csv(str(path), ["f", "s1", "s2", "i", "t", "s3"], [floats, shared, shared, ints, texts, shared])
-    rows = zip(floats.tolist(), shared.tolist(), ints.tolist(), texts)
+    rows = zip(floats.tolist(), shared.tolist(), ints.tolist(), preformatted.tolist())
     reference = "f,s1,s2,i,t,s3\n" + "".join(
-        f"{f:.17g},{s:.17g},{s:.17g},{float(i):.17g},{t},{s:.17g}\n" for f, s, i, t in rows
+        f"{f:.17g},{s:.17g},{s:.17g},{float(i):.17g},{t:.17g},{s:.17g}\n" for f, s, i, t in rows
     )
     assert path.read_bytes() == reference.encode()
     # one array for every column: each row its cell, three times
@@ -209,13 +230,107 @@ def test_heatmap_svg_structure():
 
 def test_format_cells_matches_per_cell_17g():
     values = np.array(EDGE_VALUES * 3 + [0.1, 0.1, -0.0, 0.0])
-    assert format_cells(values) == [f"{v:.17g}" for v in values.tolist()]
-    assert format_cells(values[:2]) == ["-0", "0"]
+    assert_cells_match_17g(values)
+    assert cell_texts(format_cells(values[:2])) == ["-0", "0"]
     # any shape is taken in C order, and integers as float64
     grid = values[:12].reshape(3, 4)
-    assert format_cells(grid) == [f"{v:.17g}" for v in grid.ravel().tolist()]
-    assert format_cells(np.array([2**53 + 1, -3])) == ["9007199254740992", "-3"]
-    assert format_cells(np.array([])) == []
+    assert cell_texts(format_cells(grid)) == [f"{v:.17g}" for v in grid.ravel().tolist()]
+    assert cell_texts(format_cells(np.array([2**53 + 1, -3]))) == ["9007199254740992", "-3"]
+    assert len(format_cells(np.array([]))) == 0
+    # several blocks, and rows taken by slice and by index
+    values = np.random.default_rng(3).standard_normal(2 * CSV_BLOCK_ROWS + 5)
+    assert_cells_match_17g(values)
+    cells = format_cells(values)
+    assert cell_texts(cells[3:9]) == [f"{v:.17g}" for v in values[3:9].tolist()]
+    assert cell_texts(cells[np.array([7, 0, 7])]) == [f"{v:.17g}" for v in values[[7, 0, 7]].tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bits=arrays(np.uint64, st.integers(1, 50), elements=st.integers(0, 2**64 - 1)))
+def test_format_cells_matches_17g_on_any_bit_pattern(bits):
+    assert_cells_match_17g(bits.view(np.float64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(magnitudes=arrays(np.float64, st.integers(1, 50), elements=st.floats(1e-11, 2.0**53, exclude_max=True)))
+def test_format_cells_matches_17g_in_the_exact_range(magnitudes):
+    assert_cells_match_17g(magnitudes * np.where(np.arange(magnitudes.size) % 2, -1.0, 1.0))
+
+
+def test_format_cells_matches_17g_on_its_edges():
+    powers = np.array([float(f"1e{k}") for k in range(-12, 17)])
+    assert_cells_match_17g(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+    # exact half-way cases for 17 digits: 16-digit integers plus a quarter
+    # (held exactly below 2**51), 15-digit ones plus an eighth
+    rng = np.random.default_rng(11)
+    sixteen = rng.integers(10**15, 2**51, 200).astype(np.float64)
+    fifteen = rng.integers(10**14, 10**15, 200).astype(np.float64)
+    ties = [sixteen + 0.25, sixteen + 0.75] + [fifteen + f for f in (0.125, 0.375, 0.625, 0.875)]
+    for tie in ties:
+        assert np.all(tie % 1.0 > 0.0)  # the fraction survived: each is an exact tie
+    assert_cells_match_17g(np.concatenate(ties))
+    # the ends of the exact range and their neighbours, and the values beyond it
+    ends = np.array([1e-11, 2.0**53])
+    assert_cells_match_17g(np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf), -ends]))
+    assert_cells_match_17g([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+    # the doubles next below powers of ten, and digits cut back to one
+    assert_cells_match_17g([9.9999999999999991e-6, 0.099999999999999992, 999999999999999.88, 0.5, 1e-5, 2.0, 1234.0])
+
+
+@pytest.mark.parametrize("error", [-1e-9, 1e-9])
+def test_format_cells_sets_the_exponent_exactly(monkeypatch, error):
+    # the decimal exponent read off log10 is set against exact powers of
+    # ten: a log10 a little low or high still gives every digit
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda values: log10(values) + error)
+    powers = np.array([float(f"1e{k}") for k in range(-11, 16)])
+    assert_cells_match_17g(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+
+
+def test_format_cells_block_of_only_fallback_values():
+    # every value outside the exact range: one % call formats the block
+    rng = np.random.default_rng(5)
+    values = np.concatenate(
+        [
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            rng.uniform(1e-300, 9e-12, 50),
+            -(10.0 ** rng.uniform(16, 300, 50)),
+            np.nextafter(np.array([1e-11]), 0.0),
+        ]
+    )
+    assert_cells_match_17g(values)
+    assert_cells_match_17g(np.resize(values, CSV_BLOCK_ROWS + 3))
+
+
+def test_csv_files_match_their_golden_digests(tmp_path):
+    # digests of files written by the %-per-cell formatter: a benchmark
+    # sweep point's six CSVs (seed 5, its first point) and fig7b.csv.  They
+    # pin the solved values as well, as computed with Python 3.11 and
+    # NumPy 2.4 on x86-64; whether other NumPy builds give the same last
+    # bits is open (ROADMAP item 2)
+    params = ModelParams(
+        omega_cavity=0.2,
+        omega_levels=(0.3, 0.4, 0.5),
+        g1=0.04,
+        g2=0.06,
+        omega_e=0.026,
+        deformation=Kerr(0.011),
+        sector_n=1,
+    )
+    observables = ("populations", "inversion", "g2", "entropy", "mandel_q", "squeezing")
+    cfg = RunConfig(params=params, tau_max=50.0, samples=2000, observables=observables, svg=False)
+    run_simulation(cfg, str(tmp_path))
+    write_husimi(str(tmp_path), "fig7b", "", row_params(ROWS[1]), FIG7, svg=False)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.csv")}
+    assert digests == {
+        "entropy.csv": "ed80346fe813dc97a8455faed3b60004daf9aedccff3f2b8f7115ecd24a0d9f6",
+        "g2.csv": "cbe3d755594173e27ca34461a6495e43727a46591eeea3c3fe0eb2a95e96e3b5",
+        "inversion.csv": "266947c268f45d1122dcacd304c986240fdb3381d68f68a37893224566e51a6d",
+        "mandel_q.csv": "b541b030040cef13184ebea3fc906aab13dcbb3de9dfb0879635fb3bc2915655",
+        "populations.csv": "8d7ccae169207b21b80ad4c286c5d20be4613ae7475add70729e9431f2c692c1",
+        "squeezing.csv": "7f30f19b9712ea02468c4c033bd88e2dccb150a60e93d6564b208c34b67f9797",
+        "fig7b.csv": "eeb78c1ce91207d0e75cf9a236b3e5b6f489cf84ae2949bd20105766766ee1b7",
+    }
 
 
 def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
@@ -228,7 +343,7 @@ def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
         f"{float(a):.17g},{float(b):.17g},{float(c):.17g}\n" for a, b, c in zip(floats, repeated, ints)
     )
     assert path.read_bytes() == reference.encode()
-    # every column a list: the same bytes again
+    # every column Cells: the same bytes again
     write_csv(str(path), ["a", "b", "c"], [format_cells(floats), format_cells(repeated), format_cells(ints)])
     assert path.read_bytes() == reference.encode()
     with pytest.raises(ValueError):
