@@ -59,15 +59,14 @@ SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
 # CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text).
 # Files are written in blocks of rows, so a run's memory is its solved data:
-# the tau cells that runner.time_axis caches (25 B per sample: 24 bytes of
-# text and a length), then the solve's temporaries (~140 B per sample), the
-# peak.  Measured peaks (Python 3.11, NumPy 2.4): a 2M-sample inversion run
-# (4M cells) 389 MB, ~97 B per cell, the worst case, since the fewest
-# columns share each sample; a 2M-sample populations run (8M cells) 389 MB,
-# ~49 B per cell; a 1001 x 1001 Husimi grid (3M cells) 57 MB, ~19 B per
-# cell.  A run of two-column panels at the limit would need ~5 GB
-# (extrapolated, not run): the limit bounds the text, and the memory only
-# through it.
+# the tau cells that runner.time_axis caches (24 B of text per sample),
+# then the solve's temporaries (~140 B per sample), the peak.  Measured
+# peaks (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells)
+# 387 MB, ~97 B per cell, the worst case, since the fewest columns share
+# each sample; a 2M-sample populations run (8M cells) 387 MB, ~48 B per
+# cell; a 1001 x 1001 Husimi grid (3M cells) 57 MB, ~19 B per cell.  A run
+# of two-column panels at the limit would need ~5 GB (extrapolated, not
+# run): the limit bounds the text, and the memory only through it.
 MAX_CSV_CELLS = 50_000_000
 # largest last sector n_max of an all-sector Husimi sum; each sector costs
 # about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s

@@ -155,16 +155,6 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
     return grid
 
 
-class _CheckedGrid:
-    """A grid that solve_sector has checked (_as_grid, with its zero start):
-    the route it calls takes the grid without a second check."""
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid: np.ndarray):
-        self.grid = grid
-
-
 def tau_grid(tau_max: float, samples: int) -> np.ndarray:
     """A run's scaled time grid: config.RunConfig checks it, runner.time_axis solves on it."""
     return np.linspace(0.0, tau_max, samples)
@@ -228,7 +218,7 @@ def analytic_trajectory(coeffs: SectorCoefficients, ic: InitialCondition, times)
     PHASE_ERROR_LIMIT (see propagate); since max|lambda| >= |s|, |h|, that
     also covers the rotating phases.
     """
-    grid = times.grid if isinstance(times, _CheckedGrid) else _as_grid(times, require_zero_start=False)
+    grid = _as_grid(times, require_zero_start=False)
     bound, (shifted,) = propagate([coeffs], ic, grid)
     amps = np.empty((grid.size, 3), dtype=np.complex128)
     amps[:, 0] = shifted[0]
@@ -426,7 +416,7 @@ def amplitudes_ode(coeffs: SectorCoefficients, ic: InitialCondition, times) -> T
     any arithmetic error of the step loop name the sector and the ODE
     oracle (propagator_errors).
     """
-    grid = times.grid if isinstance(times, _CheckedGrid) else _as_grid(times, require_zero_start=True)
+    grid = _as_grid(times, require_zero_start=True)
     t_end = float(grid[-1])
     with propagator_errors(f"sector {coeffs.n} ODE oracle"):
         if not math.isfinite(max(abs(coeffs.h), abs(coeffs.s), abs(coeffs.nu)) * t_end):
@@ -456,7 +446,6 @@ def solve_sector(
     oracle's kernel: None or 'numpy', the only one (djcm.backend.ACTIVE).
     An arithmetic error of the oracle, whose message gives the model time
     t, ends with the scaled time tau = t * omega_cavity of the grid's end.
-    The grid is checked here, once: the route takes it as checked.
     """
     if method not in ("analytic", "oracle"):
         raise ValueError(f"method must be 'analytic' or 'oracle', got {method!r}")
@@ -465,9 +454,9 @@ def solve_sector(
     grid = _as_grid(times, require_zero_start=True)
     coeffs = sector_coefficients(params)
     if method == "analytic":
-        return analytic_trajectory(coeffs, ic, _CheckedGrid(grid))
+        return analytic_trajectory(coeffs, ic, grid)
     try:
-        return amplitudes_ode(coeffs, ic, _CheckedGrid(grid))
+        return amplitudes_ode(coeffs, ic, grid)
     except ArithmeticError as exc:
         tau = float(grid[-1]) * params.omega_cavity
         raise type(exc)(f"{exc} (tau = {tau:.15g}; t = tau / omega_cavity)") from exc

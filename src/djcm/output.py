@@ -7,11 +7,11 @@ command with the same inputs reproduces every output byte for byte.
 write_chunks writes a file from an iterable of chunks (str or bytes), each
 written as soon as it is made: a file's whole text is never held in memory.
 
-format_cells turns float64 values into Cells, CELL_WIDTH bytes of ASCII a
-value (the text of ``"%-24.17g" % v``) and a length (that of
-``"%.17g" % v``), in blocks of CSV_BLOCK_ROWS values and NumPy integer
-arithmetic, after the manner of Ryu printf (Adams, "Ryu revisited: printf
-floating point conversion", OOPSLA 2019).  A value in the exact range
+format_cells turns float64 values into cells, one row of CELL_WIDTH (24)
+bytes of ASCII a value (the text of ``"%-24.17g" % v``) in a uint8
+array, in blocks of CSV_BLOCK_ROWS values and NumPy integer arithmetic,
+after the manner of Ryu printf (Adams, "Ryu revisited: printf floating
+point conversion", OOPSLA 2019).  A value in the exact range
 1e-11 <= |v| < 2**53 is made as follows:
 
 - its 53-bit mantissa m and binary exponent come from its bits;
@@ -25,7 +25,7 @@ floating point conversion", OOPSLA 2019).  A value in the exact range
   cell (point, leading zeros, exponent, padding).
 
 Every other value (+-0, subnormals, inf, nan and the magnitudes outside the
-range) goes through one ``%`` call per block.  csv_rows joins cell columns
+range) goes through one ``%`` call per block.  csv_rows joins cell arrays
 into CSV rows as bytes: cells, commas and newlines, with the padding
 dropped.  write_csv formats and joins its columns in blocks of
 CSV_BLOCK_ROWS rows.
@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "CSV_BLOCK_ROWS",
     "CELL_WIDTH",
-    "Cells",
     "write_chunks",
     "format_cells",
     "csv_rows",
@@ -55,23 +54,6 @@ __all__ = [
 CSV_BLOCK_ROWS = 4096
 # the longest %.17g text, "-2.2250738585072014e-308"
 CELL_WIDTH = 24
-
-
-class Cells:
-    """Formatted cells: text is (n, CELL_WIDTH) uint8, row i the ASCII of
-    ``"%-24.17g" % v[i]``, and length (n,) uint8 the length of
-    ``"%.17g" % v[i]``.  Indexing takes rows, as a slice or an index array."""
-
-    __slots__ = ("text", "length")
-
-    def __init__(self, text: np.ndarray, length: np.ndarray):
-        self.text, self.length = text, length
-
-    def __len__(self) -> int:
-        return len(self.length)
-
-    def __getitem__(self, rows) -> Cells:
-        return Cells(self.text[rows], self.length[rows])
 
 
 def write_chunks(path, chunks) -> None:
@@ -126,10 +108,10 @@ _GROUP_DIGITS = np.tile(_GROUP_DIGITS.ravel(), 10).astype(np.int8)
 _GROUP_DIGITS[0] = -20
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
+def _layouts() -> np.ndarray:
     """The gather of every cell layout: the source byte of each of
     CELL_WIDTH positions, per (sign, E = -11..15, significant digits s =
-    1..17) as one key, and each layout's length."""
+    1..17) as one key."""
     x = np.arange(_LOW_E, 16, dtype=np.int8)[:, None, None]
     s = np.arange(1, 18, dtype=np.int8)[:, None]
     j = np.arange(CELL_WIDTH, dtype=np.int8) - np.arange(2, dtype=np.int8)[:, None, None, None]  # after a sign
@@ -148,41 +130,35 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     np.copyto(layout, _ZERO, where=(j >= 0) & (j < prefix))
     np.copyto(layout, _DOT, where=(j == 1) & (prefix > 0))
     np.copyto(layout, _MINUS, where=j < 0)
-    layout = layout.reshape(-1, CELL_WIDTH).astype(np.uint8)
-    return layout, (layout != _PAD).sum(axis=1).astype(np.uint8)
+    return layout.reshape(-1, CELL_WIDTH).astype(np.uint8)
 
 
-_LAYOUT, _LENGTH = _layouts()
-# rows a gather takes at once: its index holds 8 bytes a text byte
-_GATHER_ROWS = 1024
+_LAYOUT = _layouts()
 
 
-def format_cells(values) -> Cells:
-    """``%.17g`` of every float64 value, in C order, as Cells."""
+def format_cells(values) -> np.ndarray:
+    """``%.17g`` of every float64 value, in C order, as (n, CELL_WIDTH)
+    uint8 cells: row i is the text of ``"%-24.17g" % v[i]``."""
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    cells = Cells(np.empty((flat.size, CELL_WIDTH), dtype=np.uint8), np.empty(flat.size, dtype=np.uint8))
+    cells = np.empty((flat.size, CELL_WIDTH), dtype=np.uint8)
     for start in range(0, flat.size, CSV_BLOCK_ROWS):
         block = slice(start, start + CSV_BLOCK_ROWS)
-        _format_block(flat[block], cells.text[block], cells.length[block])
+        _format_block(flat[block], cells[block])
     return cells
 
 
-def _format_block(values: np.ndarray, text: np.ndarray, length: np.ndarray) -> None:
-    """format_cells of one block, into text and length."""
+def _format_block(values: np.ndarray, cells: np.ndarray) -> None:
+    """format_cells of one block, into cells."""
     magnitude = np.abs(values)
     (others,) = np.nonzero(~((magnitude >= _DECADES[1]) & (magnitude < 2.0**53)))
     magnitude[others] = 1.0  # formatted by % below
     source, key = _source_rows(*_decimal_digits(magnitude), np.signbit(values))
-    for start in range(0, len(values), _GATHER_ROWS):
-        layout = np.take(_LAYOUT, key[start : start + _GATHER_ROWS], axis=0)
-        row_starts = np.arange(start * _SOURCE, (start + len(layout)) * _SOURCE, _SOURCE)
-        np.take(source, layout + row_starts[:, None], out=text[start : start + _GATHER_ROWS], mode="clip")
-    np.take(_LENGTH, key, out=length, mode="clip")
+    row_starts = np.arange(0, len(values) * _SOURCE, _SOURCE)
+    np.take(source, np.take(_LAYOUT, key, axis=0) + row_starts[:, None], out=cells, mode="clip")
     if others.size:
         rest = values[others]
         padded = ("%-24.17g" * rest.size % tuple(rest.tolist())).encode()
-        text[others] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, CELL_WIDTH)
-        length[others] = (text[others] != ord(" ")).sum(axis=1)
+        cells[others] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, CELL_WIDTH)
 
 
 def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +205,12 @@ def _source_rows(digits: np.ndarray, e: np.ndarray, negative: np.ndarray) -> tup
     return np.take(_WORDS, words).view(np.uint8).reshape(-1), key
 
 
-def csv_rows(columns: list[Cells]) -> bytes:
-    """The CSV rows of equally long cell columns: each row's cells joined
-    by commas, and a newline after each row."""
+def csv_rows(columns: list[np.ndarray]) -> bytes:
+    """The CSV rows of equally long cell arrays (format_cells): each row's
+    cells joined by commas, and a newline after each row."""
     rows = np.empty((len(columns[0]), len(columns), CELL_WIDTH + 1), dtype=np.uint8)
     for j, cells in enumerate(columns):
-        rows[:, j, :CELL_WIDTH] = cells.text
+        rows[:, j, :CELL_WIDTH] = cells
     rows[:, :-1, CELL_WIDTH] = ord(",")
     rows[:, -1, CELL_WIDTH] = ord("\n")
     # a cell's text holds no space: dropping the padding joins the row
@@ -244,10 +220,10 @@ def csv_rows(columns: list[Cells]) -> bytes:
 def write_csv(path, header: list[str], columns: list) -> None:
     """Comma-separated file with a header row; one entry per column.
 
-    A column is Cells (format_cells) or an array, which prints the float64
-    value of each entry as ``%.17g``.  The body is formatted and written in
-    blocks of CSV_BLOCK_ROWS rows; an array given as more than one column
-    is formatted once per block.
+    A column is a 1-D array of values, each printed as the ``%.17g`` of its
+    float64 value, or a 2-D uint8 array of cells (format_cells).  The body
+    is formatted and written in blocks of CSV_BLOCK_ROWS rows; an array
+    given as more than one column is formatted once per block.
     """
     if len(header) != len(columns):
         raise ValueError("header and columns must have equal length")
@@ -256,8 +232,8 @@ def write_csv(path, header: list[str], columns: list) -> None:
         raise ValueError("all columns must have equal length")
     # each column's first occurrence: an array given more than once is formatted once
     first = [next(j for j, other in enumerate(columns) if other is col) for col in columns]
-    arrays = [j for j in dict.fromkeys(first) if not isinstance(columns[j], Cells)]
-    columns = [col if isinstance(col, Cells) else np.asarray(col, dtype=np.float64) for col in columns]
+    columns = [col if np.ndim(col) == 2 else np.asarray(col, dtype=np.float64) for col in columns]
+    arrays = [j for j in dict.fromkeys(first) if columns[j].ndim == 1]
 
     def body():
         for start in range(0, n, CSV_BLOCK_ROWS):

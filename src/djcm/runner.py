@@ -26,7 +26,7 @@ from .config import HusimiRequest, RunConfig
 from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector, tau_grid
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
-from .output import Cells, csv_rows, format_cells, write_chunks, write_csv, write_json
+from .output import csv_rows, format_cells, write_chunks, write_csv, write_json
 from .svgplot import heatmap_chunks, line_plot_chunks
 
 __all__ = [
@@ -126,13 +126,13 @@ def staged(out_dir: str):
 
 
 @lru_cache(maxsize=1)
-def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, Cells]:
+def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """The dimensionless time grid of a run and its CSV cells
     (format_cells), shared by every panel of the run and, through the
     cache, by every point of a sweep.  The grid and the cells are read-only."""
     tau = tau_grid(tau_max, samples)
     cells = format_cells(tau)
-    for array in (tau, cells.text, cells.length):
+    for array in (tau, cells):
         array.flags.writeable = False
     return tau, cells
 
@@ -155,7 +155,7 @@ def write_series_panel(
     out_dir: str,
     name: str,
     tau: np.ndarray,
-    tau_cells: Cells,
+    tau_cells: np.ndarray,
     series: list[ObservableSeries],
     svg: bool,
     title: str,

@@ -12,7 +12,8 @@ from djcm.config import RunConfig
 from djcm.figures import FIG7, ROWS, row_params, run_figure
 from djcm.model import Kerr, ModelParams
 from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, format_cells, write_csv, write_json
-from djcm.runner import run_simulation, write_husimi
+from djcm.dynamics import tau_grid
+from djcm.runner import run_simulation, time_axis, write_husimi
 from djcm import svgplot
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_chunks, line_plot_chunks
 
@@ -20,17 +21,17 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.1
 
 
 def cell_texts(cells) -> list[str]:
-    """The text of each of a Cells' cells."""
-    return [bytes(text[:n]).decode() for text, n in zip(cells.text, cells.length.tolist())]
+    """The text of each cell: its row with the padding stripped."""
+    return [bytes(row).decode().rstrip(" ") for row in cells]
 
 
 def assert_cells_match_17g(values):
     """format_cells of values against one %-24.17g per value: the padded
-    text, the length of the %.17g text and that text itself."""
+    text and, once the padding goes, the %.17g text itself."""
     values = np.asarray(values, dtype=np.float64)
     cells = format_cells(values)
-    assert cells.text.shape == (values.size, CELL_WIDTH) and cells.length.shape == (values.size,)
-    assert cells.text.tobytes().decode() == "".join("%-24.17g" % v for v in values.tolist())
+    assert cells.dtype == np.uint8 and cells.shape == (values.size, CELL_WIDTH)
+    assert cells.tobytes().decode() == "".join("%-24.17g" % v for v in values.tolist())
     assert cell_texts(cells) == ["%.17g" % v for v in values.tolist()]
 
 
@@ -77,7 +78,7 @@ def test_write_csv_matches_per_cell_17g_reference(tmp_path):
 
 
 def test_write_csv_blocks_match_per_cell_17g_reference(tmp_path):
-    # three whole blocks and a partial one; float, int, Cells and repeated
+    # three whole blocks and a partial one; float, int, cell and repeated
     # array columns, the repeated one given twice in a row and once apart
     n = 3 * CSV_BLOCK_ROWS + 17
     rng = np.random.default_rng(7)
@@ -245,6 +246,25 @@ def test_format_cells_matches_per_cell_17g():
     assert cell_texts(cells[np.array([7, 0, 7])]) == [f"{v:.17g}" for v in values[[7, 0, 7]].tolist()]
 
 
+def test_time_axis_is_cached_read_only_and_formatted():
+    def assert_axis(tau, cells, tau_max, samples):
+        assert np.array_equal(tau, tau_grid(tau_max, samples))
+        assert [bytes(row) for row in cells] == [("%-24.17g" % t).encode() for t in tau.tolist()]
+
+    tau, cells = time_axis(7.5, 33)
+    assert_axis(tau, cells, 7.5, 33)
+    repeat = time_axis(7.5, 33)
+    assert repeat[0] is tau and repeat[1] is cells
+    for array in (tau, cells):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # one axis is cached: a second replaces it, and the first is made afresh
+    assert_axis(*time_axis(3.0, 5), 3.0, 5)
+    again = time_axis(7.5, 33)
+    assert again[0] is not tau and again[1] is not cells
+    assert_axis(*again, 7.5, 33)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bits=arrays(np.uint64, st.integers(1, 50), elements=st.integers(0, 2**64 - 1)))
 def test_format_cells_matches_17g_on_any_bit_pattern(bits):
@@ -343,7 +363,7 @@ def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
         f"{float(a):.17g},{float(b):.17g},{float(c):.17g}\n" for a, b, c in zip(floats, repeated, ints)
     )
     assert path.read_bytes() == reference.encode()
-    # every column Cells: the same bytes again
+    # every column a cell array: the same bytes again
     write_csv(str(path), ["a", "b", "c"], [format_cells(floats), format_cells(repeated), format_cells(ints)])
     assert path.read_bytes() == reference.encode()
     with pytest.raises(ValueError):
