@@ -181,7 +181,7 @@ def von_neumann_entropy(rho: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvalsh(rho)
     lam = np.where((lam < 0.0) & (lam >= -1e-12), 0.0, lam)
     if np.any(lam < 0.0):
-        raise ValueError(f"density matrix has a negative eigenvalue: {lam.min()!r}")
+        raise ValueError(f"density matrix has a negative eigenvalue: {float(lam.min())!r}")
     positive = lam > 0.0
     # 0.0 - sum: a pure state's zero sum gives +0.0, where -sum would give -0.0
     return 0.0 - np.sum(np.where(positive, lam * np.log(np.where(positive, lam, 1.0)), 0.0), axis=-1)

@@ -206,8 +206,9 @@ def _source_rows(digits: np.ndarray, e: np.ndarray, negative: np.ndarray) -> tup
 
 
 def csv_rows(columns: list[np.ndarray]) -> bytes:
-    """The CSV rows of equally long cell arrays (format_cells): each row's
-    cells joined by commas, and a newline after each row."""
+    """The CSV rows of cell arrays (format_cells): each row's cells joined by
+    commas, and a newline after each row.  columns[0] sets the row count; a
+    one-cell column, shape (CELL_WIDTH,), repeats on every row."""
     rows = np.empty((len(columns[0]), len(columns), CELL_WIDTH + 1), dtype=np.uint8)
     for j, cells in enumerate(columns):
         rows[:, j, :CELL_WIDTH] = cells

@@ -196,7 +196,7 @@ def write_husimi(
     # y-major rows, one y at a time: x cycles through the axis cells, q indexes the level cells
     axis_cells, level_cells = format_cells(grid.axis), format_cells(grid.levels)
     rows = (
-        csv_rows([axis_cells, axis_cells[np.full(len(index), y)], level_cells[index]])
+        csv_rows([axis_cells, axis_cells[y], level_cells[index]])
         for y, index in enumerate(grid.index)
     )
     write_chunks(os.path.join(out_dir, files[0]), itertools.chain([b"x,y,q\n"], rows))

@@ -13,15 +13,16 @@ criterion 3 only: the engine takes its roots from the eigenvalues of K.
 Criteria 1-9 run twice, both passes in one runner.parallel_map of 16 jobs
 over one worker process per CPU (`taskset -c 0`: serially in this
 process), in index order; criterion 10 compares the two passes' report
-lines.  Criteria 1 and 2 share one job per pass, which solves each figure
-row once along both routes over tau <= 60: criterion 1 compares the
-routes, criterion 2 reads their norm drift.
+lines.  Each job is a generator that yields its criteria's results; criteria
+1 and 2 share one, which solves each figure row once along both routes over
+tau <= 60: criterion 1 compares the routes, criterion 2 reads their norm
+drift.
 
 The formatted report contains only deterministic numbers (same seed =>
 identical bytes); wall-clock timings, measured inside the process that
-runs each criterion, are carried on the result objects and printed to
-stderr by the CLI, never into the report.  Criterion 1's time holds the
-shared solves and its comparison, criterion 2's only its norm reductions.
+runs each job, are carried on the result objects and printed to stderr by
+the CLI, never into the report.  Each criterion's time runs from the
+previous result of its job, or from the job's start.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import os
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,36 +96,26 @@ class CriterionResult:
     elapsed: float = 0.0
 
 
-def _fig_rows_params() -> list[ModelParams]:
-    return [row_params(row) for row in ROWS]
-
-
-def _c1_c2_reference_rows() -> tuple[CriterionResult, CriterionResult]:
+def _c1_c2_reference_rows() -> Iterator[CriterionResult]:
     """Criteria 1 and 2 from one analytic and one oracle solve of each figure
     row over tau <= 60 (2000 samples): criterion 1 compares the two routes,
-    criterion 2 reads both routes' norm drift.  Criterion 1's elapsed time
-    holds the solves and its comparison, criterion 2's only its norm
-    reductions."""
-    t0 = time.perf_counter()
-    diffs, drift, norm_s = [], 0.0, 0.0
-    for params in _fig_rows_params():
+    criterion 2 reads both routes' norm drift."""
+    solved = []
+    for params in map(row_params, ROWS):
         t = np.linspace(0.0, 60.0, 2000) / params.omega_cavity
-        ana = solve_sector(params, t, method="analytic").amplitudes
-        orc = solve_sector(params, t, method="oracle").amplitudes
-        diffs.append(float(np.max(np.abs(ana - orc))))
-        t1 = time.perf_counter()
-        drift = max(drift, norm_drift(ana), norm_drift(orc))
-        norm_s += time.perf_counter() - t1
+        solved.append([solve_sector(params, t, method=method).amplitudes for method in ("analytic", "oracle")])
+    diffs = [float(np.max(np.abs(ana - orc))) for ana, orc in solved]
     worst = max(diffs)
     details = "max|analytic-oracle| = {:.3e} (tol 1e-06; rows {})".format(
         worst, "/".join(f"{d:.3e}" for d in diffs)
     )
-    c1 = CriterionResult(1, "cross-method equivalence", worst <= 1e-6, details, time.perf_counter() - t0 - norm_s)
+    yield CriterionResult(1, "cross-method equivalence", worst <= 1e-6, details)
+    drift = max(norm_drift(amps) for pair in solved for amps in pair)
     details = f"max||c|^2 - 1| = {drift:.3e} (tol 1e-09, both methods, tau <= 60)"
-    return c1, CriterionResult(2, "norm conservation", drift <= 1e-9, details, norm_s)
+    yield CriterionResult(2, "norm conservation", drift <= 1e-9, details)
 
 
-def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
+def _c3_spectral_structure(seed: int, tuples: int) -> Iterator[CriterionResult]:
     rng = np.random.default_rng(seed)
     generators, polys = [], []
     for _ in range(tuples):
@@ -169,10 +161,10 @@ def _c3_spectral_structure(seed: int, tuples: int) -> CriterionResult:
         f"max|Re alpha|/scale = {max_reality:.3e}, vieta = {max_vieta:.3e}, "
         f"|Theta(alpha)|/scale = {max_residual:.3e}, over {tuples} tuples"
     )
-    return CriterionResult(3, "spectral structure", passed, details)
+    yield CriterionResult(3, "spectral structure", passed, details)
 
 
-def _c4_closed_form_limit() -> CriterionResult:
+def _c4_closed_form_limit() -> Iterator[CriterionResult]:
     coeffs = SectorCoefficients(
         h=0.0, s=0.0, nu=0.0, v1=0.04 * math.sqrt(2.0), v2=0.06 * math.sqrt(2.0), omega_e=0.0, n=1
     )
@@ -190,13 +182,13 @@ def _c4_closed_form_limit() -> CriterionResult:
     )
     worst = float(np.max(np.abs(traj.amplitudes - ref)))
     details = f"max|analytic - two-coupling closed form| = {worst:.3e} (tol 1e-09, tau <= 40)"
-    return CriterionResult(4, "closed-form limit", worst <= 1e-9, details)
+    yield CriterionResult(4, "closed-form limit", worst <= 1e-9, details)
 
 
-def _c5_entropy_identity() -> CriterionResult:
+def _c5_entropy_identity() -> Iterator[CriterionResult]:
     worst_dev = 0.0
     s_min, s_max = math.inf, -math.inf
-    for params in _fig_rows_params():
+    for params in map(row_params, ROWS):
         tau = np.linspace(0.0, 50.0, 2000)
         traj = solve_sector(params, tau / params.omega_cavity)
         series = trajectory_series(traj, "entropy", params)[0].values
@@ -209,10 +201,10 @@ def _c5_entropy_identity() -> CriterionResult:
     details = (
         f"max|S - h2(P1)| = {worst_dev:.3e} (tol 1e-10), range [{s_min:.3e}, {s_max:.6f}] in [0, ln 2]"
     )
-    return CriterionResult(5, "entropy identity", passed, details)
+    yield CriterionResult(5, "entropy identity", passed, details)
 
 
-def _c6_fock_statistics() -> CriterionResult:
+def _c6_fock_statistics() -> Iterator[CriterionResult]:
     worst_q = 0.0
     g2_values = []
     for row in (ROWS[0], ROWS[1]):  # chi = 0 and chi = 0.2
@@ -226,7 +218,7 @@ def _c6_fock_statistics() -> CriterionResult:
         f"g2(0) = {'/'.join(str(v) for v in g2_values)} (exact 0 required), "
         f"max|Q + 1| = {worst_q:.3e} (tol 1e-12)"
     )
-    return CriterionResult(6, "Fock-sector statistics at t=0", passed, details)
+    yield CriterionResult(6, "Fock-sector statistics at t=0", passed, details)
 
 
 def _trapezoid_2d(values: np.ndarray, axis: np.ndarray) -> float:
@@ -236,7 +228,7 @@ def _trapezoid_2d(values: np.ndarray, axis: np.ndarray) -> float:
     return float(w @ values @ w)
 
 
-def _c7_husimi_normalization() -> CriterionResult:
+def _c7_husimi_normalization() -> Iterator[CriterionResult]:
     integrals = []
     min_value = math.inf
     for row in (ROWS[0], ROWS[1]):
@@ -249,7 +241,7 @@ def _c7_husimi_normalization() -> CriterionResult:
     details = "integrals {} (tol 1 +- 0.01), min value = {:.1e}".format(
         "/".join(f"{v:.6f}" for v in integrals), min_value
     )
-    return CriterionResult(7, "Husimi normalization", passed, details)
+    yield CriterionResult(7, "Husimi normalization", passed, details)
 
 
 def _ladder_matrix(params: ModelParams) -> np.ndarray:
@@ -261,7 +253,7 @@ def _relative_error(values, reference) -> float:
     return float(np.max(np.abs(values - reference) / np.maximum(1.0, np.abs(reference))))
 
 
-def _c8_moment_vanishing() -> CriterionResult:
+def _c8_moment_vanishing() -> Iterator[CriterionResult]:
     """On each reference row, <A>, <A^2>, <A^4> read off the ladder matrix vanish,
     and field_moments and squeezing_params (in its full forms) match it.  Each
     ket pairs its own atomic level with one photon number, so for any photon
@@ -269,7 +261,7 @@ def _c8_moment_vanishing() -> CriterionResult:
     is structural: A^k has a zero diagonal, so it reads an exact 0, as would
     psi @ op over the embedded state.  Only the moment and squeezing checks fail."""
     worst_anomalous = worst_moments = worst_squeezing = 0.0
-    for params in _fig_rows_params():
+    for params in map(row_params, ROWS):
         amps = solve_sector(params, np.linspace(0.0, 50.0, 2000) / params.omega_cavity).amplitudes
         probs, n, lower = populations(amps), params.sector_n, _ladder_matrix(params)
 
@@ -292,7 +284,7 @@ def _c8_moment_vanishing() -> CriterionResult:
         f"max|<A^k>| = {worst_anomalous:.1e} (tol 1e-14), moments {worst_moments:.1e}, "
         f"squeezing {worst_squeezing:.1e} against the ladder matrix (tol 1e-13)"
     )
-    return CriterionResult(8, "anomalous-moment vanishing", passed, details)
+    yield CriterionResult(8, "anomalous-moment vanishing", passed, details)
 
 
 def _read_csv_column(path: str, column: str) -> np.ndarray:
@@ -301,7 +293,7 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", usecols=index, ndmin=1)
 
 
-def _c9_figure_shape() -> CriterionResult:
+def _c9_figure_shape() -> Iterator[CriterionResult]:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run_figure("fig2", tmp)
         names = [p["name"] for p in manifest["panels"]]
@@ -328,24 +320,20 @@ def _c9_figure_shape() -> CriterionResult:
         f"row2 minP2/maxP3 = {p2_row2.min():.4f}/{p3_row2.max():.4f}, "
         f"row3 = {p2_row3.min():.4f}/{p3_row3.max():.4f}"
     )
-    return CriterionResult(9, "figure-shape reproduction", passed, details)
-
-
-def _timed(criterion, *args) -> CriterionResult:
-    """Run one criterion and set its elapsed wall-clock time."""
-    t0 = time.perf_counter()
-    result = criterion(*args)
-    result.elapsed = time.perf_counter() - t0
-    return result
+    yield CriterionResult(9, "figure-shape reproduction", passed, details)
 
 
 def _timed_job(job: tuple) -> tuple[CriterionResult, ...]:
-    """Run one job: criteria 1 and 2 share one and time their own parts,
-    any other criterion is timed whole."""
+    """Run one job's criterion generator; each result's elapsed time runs
+    from the previous result, or from the job's start."""
     criterion, *args = job
-    if criterion is _c1_c2_reference_rows:
-        return criterion()
-    return (_timed(criterion, *args),)
+    results = []
+    t0 = time.perf_counter()
+    for result in criterion(*args):
+        t1 = time.perf_counter()
+        result.elapsed, t0 = t1 - t0, t1
+        results.append(result)
+    return tuple(results)
 
 
 def _format_line(result: CriterionResult) -> str:

@@ -26,7 +26,7 @@ from djcm.validate import (
     _c8_moment_vanishing,
     _c9_figure_shape,
     _format_line,
-    _timed,
+    _timed_job,
     format_report,
     run_all,
 )
@@ -37,20 +37,20 @@ def report(result):
 
 
 def test_criterion_01_cross_method_equivalence():
-    result = _c1_c2_reference_rows()[0]
+    result = _timed_job((_c1_c2_reference_rows,))[0]
     report(result)
     assert result.passed, result.details
     assert result.elapsed < 5.0  # stated runtime budget
 
 
 def test_criterion_02_norm_conservation():
-    result = _c1_c2_reference_rows()[1]
+    result = _timed_job((_c1_c2_reference_rows,))[1]
     report(result)
     assert result.passed, result.details
 
 
 def test_criterion_03_spectral_structure():
-    result = _timed(_c3_spectral_structure, DEFAULT_SEED, 1000)
+    result = _timed_job((_c3_spectral_structure, DEFAULT_SEED, 1000))[0]
     report(result)
     assert result.passed, result.details
     assert result.elapsed < 2.0  # stated runtime budget
@@ -58,19 +58,19 @@ def test_criterion_03_spectral_structure():
 
 
 def test_criterion_04_closed_form_limit():
-    result = _c4_closed_form_limit()
+    result = next(_c4_closed_form_limit())
     report(result)
     assert result.passed, result.details
 
 
 def test_criterion_05_entropy_identity():
-    result = _c5_entropy_identity()
+    result = next(_c5_entropy_identity())
     report(result)
     assert result.passed, result.details
 
 
 def test_criterion_06_fock_sector_statistics():
-    result = _c6_fock_statistics()
+    result = next(_c6_fock_statistics())
     report(result)
     assert result.passed, result.details
 
@@ -85,20 +85,20 @@ def test_criterion_07_husimi_normalization(monkeypatch):
         return grid
 
     monkeypatch.setattr(validate, "husimi_q", timed_husimi_q)
-    result = _c7_husimi_normalization()
+    result = next(_c7_husimi_normalization())
     report(result)
     assert result.passed, result.details
     assert len(grid_seconds) == 6 and max(grid_seconds) < 3.0  # stated per-grid budget
 
 
 def test_criterion_08_moment_vanishing():
-    result = _c8_moment_vanishing()
+    result = next(_c8_moment_vanishing())
     report(result)
     assert result.passed, result.details
 
 
 def test_criterion_09_figure_shape():
-    result = _c9_figure_shape()
+    result = next(_c9_figure_shape())
     report(result)
     assert result.passed, result.details
 
@@ -145,6 +145,24 @@ def test_both_passes_share_one_parallel_map(monkeypatch):
     assert [r.index for r in results] == list(range(1, 11)) and results[-1].passed
 
 
+def test_every_check_is_timed(monkeypatch):
+    # each check's time runs from the previous result of its job, or from the
+    # job's start; the determinism check's is the sum of the second pass's nine
+    outputs = []
+
+    def spy(fn, items):
+        outputs.extend(runner.parallel_map(fn, items))
+        return outputs
+
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(validate, "parallel_map", spy)
+    results = run_all(123, 200)
+    assert all(r.elapsed > 0.0 for r in results[:9])
+    # check 1 holds the shared solves, check 2 only their norm reductions
+    assert results[1].elapsed < results[0].elapsed
+    assert results[9].elapsed == sum(r.elapsed for out in outputs[8:] for r in out)
+
+
 def test_each_pass_solves_the_reference_rows_once_by_oracle(monkeypatch):
     # criteria 1 and 2 share one oracle solve per figure row: 3 rows x 2 passes
     calls = []
@@ -178,9 +196,9 @@ def _varying(criterion):
     calls = itertools.count()
 
     def varying():
-        result = criterion()
-        result.details += f" (call {next(calls)})"
-        return result
+        for result in criterion():
+            result.details += f" (call {next(calls)})"
+            yield result
 
     return varying
 
@@ -190,45 +208,55 @@ def _varying(criterion):
 PERTURBATIONS = {
     # the oracle's microwave drive 1e-4 off: max|analytic - oracle| ~9e-4
     1: (
-        lambda: _c1_c2_reference_rows()[0],
+        lambda: next(_c1_c2_reference_rows()),
         dynamics,
         "amplitudes_ode",
         lambda ode: lambda coeffs, ic, grid: ode(replace(coeffs, omega_e=coeffs.omega_e * (1 + 1e-4)), ic, grid),
     ),
     # a looser oracle drifts ~2e-9 off the unit norm
-    2: (lambda: _c1_c2_reference_rows()[1], dynamics, "ODE_TOLERANCE", lambda tol: 1e-5),
+    2: (lambda: _timed_job((_c1_c2_reference_rows,))[1], dynamics, "ODE_TOLERANCE", lambda tol: 1e-5),
     3: (
-        lambda: _c3_spectral_structure(DEFAULT_SEED, 1000),
+        lambda: next(_c3_spectral_structure(DEFAULT_SEED, 1000)),
         validate,
         "theta_poly",
         lambda theta: lambda coeffs: (*theta(coeffs)[:2], theta(coeffs)[2] + 1e-9j),
     ),
     4: (
-        _c4_closed_form_limit,
+        lambda: next(_c4_closed_form_limit()),
         validate,
         "analytic_trajectory",
         lambda analytic: lambda *args: (lambda traj: replace(traj, amplitudes=traj.amplitudes * (1 + 1e-8)))(
             analytic(*args)
         ),
     ),
-    5: (_c5_entropy_identity, observables, "entropy", lambda entropy: lambda amps: entropy(amps) + 1e-9),
-    6: (_c6_fock_statistics, validate, "mandel_q", lambda q: lambda amps, params: q(amps, params) + 1e-9),
+    5: (
+        lambda: next(_c5_entropy_identity()),
+        observables,
+        "entropy",
+        lambda entropy: lambda amps: entropy(amps) + 1e-9,
+    ),
+    6: (
+        lambda: next(_c6_fock_statistics()),
+        validate,
+        "mandel_q",
+        lambda q: lambda amps, params: q(amps, params) + 1e-9,
+    ),
     7: (
-        _c7_husimi_normalization,
+        lambda: next(_c7_husimi_normalization()),
         validate,
         "husimi_q",
         lambda husimi: lambda *args: (lambda grid: replace(grid, levels=grid.levels * 1.02))(husimi(*args)),
     ),
     # field_moments and squeezing_params ~2e-9 and ~5e-9 off the ladder matrix
     8: (
-        _c8_moment_vanishing,
+        lambda: next(_c8_moment_vanishing()),
         observables,
         "_moment_weights",
         lambda weights: lambda params: tuple(w * (1 + 1e-9) for w in weights(params)),
     ),
     # no coupling and no drive: no population leaves |2>
     9: (
-        _c9_figure_shape,
+        lambda: next(_c9_figure_shape()),
         figures,
         "row_params",
         lambda row_params: lambda row: replace(row_params(row), g1=0.0, g2=0.0, omega_e=0.0),
@@ -243,7 +271,7 @@ def test_criterion_09_fails_without_coupling_or_without_drive(monkeypatch, remov
     # detuning keeps it below 0.04
     row_params = figures.row_params
     monkeypatch.setattr(figures, "row_params", lambda row: replace(row_params(row), **removed))
-    result = _c9_figure_shape()
+    result = next(_c9_figure_shape())
     report(result)
     assert not result.passed, result.details
 

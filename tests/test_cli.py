@@ -965,9 +965,13 @@ def test_figure_panels_labels_and_headers(tmp_path, fig_id):
     assert written == listed
 
 
-def test_figures_rejects_unknown_id():
+def test_figures_rejects_unknown_id(tmp_path):
     with pytest.raises(SystemExit):
         main(["figures", "fig9"])
+    out = tmp_path / "figs"
+    with pytest.raises(ValueError, match="unknown figure 'fig9'; valid ids are " + ", ".join(FIGURE_IDS)):
+        run_figure("fig9", str(out))
+    assert not out.exists()
 
 
 def test_husimi_command(tmp_path):
@@ -1126,9 +1130,12 @@ def test_validate_deterministic_and_passing(capsys):
 
 def test_validate_seed_changes_sweep_but_not_verdict(capsys):
     assert main(["validate", "--tuples", "60", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "seed: 7" in out
-    assert "result: PASS" in out
+    captured = capsys.readouterr()
+    assert "seed: 7" in captured.out
+    assert "result: PASS" in captured.out
+    # one timing line per check on stderr, in index order
+    indices = [int(m) for m in re.findall(r"^\[ ?(\d+)\] \d+\.\d{3} s$", captured.err, re.M)]
+    assert indices == list(range(1, 11)) and captured.err.count("\n") == 10
 
 
 @pytest.mark.parametrize(
@@ -1341,6 +1348,19 @@ def test_import_starts_one_blas_thread():
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[: len(expected)] == expected
+
+
+def test_cli_import_leaves_pool_and_validate_unloaded():
+    # runner.parallel_map and cli._cmd_validate import these late, so every
+    # command's start-up skips them
+    probe = (
+        "import sys, djcm.cli; "
+        "print(*sorted({'concurrent.futures', 'multiprocessing', 'djcm.validate'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(djcm.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_run_freezes_the_heap_before_main(monkeypatch):

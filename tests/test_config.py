@@ -105,6 +105,9 @@ def test_zero_cavity_frequency_rejected():
     bad["params"]["omega_cavity"] = 0.0
     with pytest.raises(ConfigError, match="omega_cavity"):
         run_config_from_dict(bad)
+    bad["params"]["omega_cavity"] = -0.2
+    with pytest.raises(ConfigError, match="^params: omega_cavity must be >= 0$"):
+        run_config_from_dict(bad)
 
 
 def test_non_finite_numbers_are_rejected():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -568,12 +569,22 @@ def test_kernel_rejects_steps_at_a_loose_tolerance(monkeypatch):
     assert (first.steps_accepted, first.steps_rejected) == (again.steps_accepted, again.steps_rejected)
 
 
-def test_kernel_nan_step_ends_as_underflow():
+def test_kernel_nan_step_ends_as_underflow(monkeypatch):
     # a NaN constant makes the first step NaN; the guard must end the loop.
     # SectorCoefficients refuses NaN, so the loop gets a bare record
     nan_sector = SimpleNamespace(h=math.nan, s=0.0, nu=0.0, v1=0.05, v2=0.05, omega_e=0.0)
     with pytest.raises(StepSizeUnderflowError, match="^step size underflow"):
         dynamics._dormand_prince(np.array([0.0, 1.0]), EXCITED, nan_sector)
+    # phases that turn NaN mid-run give a non-finite error estimate: each such
+    # step is rejected at a tenth of its size until the guard ends the run
+    calls = itertools.count()
+    monkeypatch.setattr(
+        dynamics, "cmath", SimpleNamespace(exp=lambda z: cmath.exp(z) if next(calls) < 300 else complex("nan"))
+    )
+    coeffs = sector_coefficients(row_params(ROWS[1]))
+    with pytest.raises(StepSizeUnderflowError, match="^sector 1 ODE oracle: step size underflow"):
+        amplitudes_ode(coeffs, EXCITED, np.linspace(0.0, 250.0, 11))
+    assert next(calls) > 300
 
 
 def test_kernel_repeated_calls_are_identical():
@@ -664,7 +675,7 @@ def test_step_budget_refuses_more_intervals_before_stepping(monkeypatch):
 # the propagator's roots alpha = -i lambda against Theta and a bisection oracle
 
 
-def test_solve_cubic_factorable():
+def test_propagator_roots_factorable():
     # h = s = omega_e = 0: Theta = z (z^2 + v1^2 + v2^2) = z (z^2 + 0.1^2)
     coeffs = SectorCoefficients(h=0.0, s=0.0, nu=0.0, v1=0.06, v2=0.08, omega_e=0.0, n=0)
     roots = propagator_roots(coeffs)
@@ -674,13 +685,13 @@ def test_solve_cubic_factorable():
     assert min_gap(roots) == pytest.approx(0.1, abs=1e-12)
 
 
-def test_solve_cubic_orders_by_imaginary_part():
+def test_propagator_roots_orders_by_imaginary_part():
     c = sector_coefficients(fig_params(g1=0.06, g2=0.08, chi=0.2))
     roots = propagator_roots(c)
     assert roots[0].imag < roots[1].imag < roots[2].imag
 
 
-def test_solve_cubic_vieta_fig_row():
+def test_propagator_roots_vieta_fig_row():
     c = sector_coefficients(fig_params())
     a2, a1, a0 = theta_poly(c)
     a, b, cc = propagator_roots(c)
@@ -689,7 +700,7 @@ def test_solve_cubic_vieta_fig_row():
     assert abs(a * b + a * cc + b * cc - a1) <= 1e-12 * max(1.0, abs(a1))
 
 
-def test_solve_cubic_against_bisection_oracle_fig_rows():
+def test_propagator_roots_against_bisection_oracle_fig_rows():
     for kwargs in (
         dict(),
         dict(g1=0.06, g2=0.08, chi=0.2),

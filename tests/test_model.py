@@ -161,3 +161,5 @@ def test_params_validation():
         Kerr(-0.1)
     with pytest.raises(ValueError):
         ModelParams(0.2, (0.3, 0.4, float("inf")), 0.04, 0.06, 0.04, Kerr(0.0), 1)
+    with pytest.raises(ValueError, match="^omega_levels must hold exactly three frequencies$"):
+        ModelParams(0.2, (0.3, 0.4), 0.04, 0.06, 0.04, Kerr(0.0), 1)

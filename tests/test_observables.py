@@ -162,6 +162,8 @@ def test_von_neumann_entropy_values():
     assert von_neumann_entropy(reduced_density(amps_at_tau(p, 0.0))) == 0.0
     half = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0], dtype=np.complex128)
     assert von_neumann_entropy(reduced_density(half)) == pytest.approx(LN2, abs=1e-12)
+    with pytest.raises(ValueError, match=r"^density matrix has a negative eigenvalue: -1e-09$"):
+        von_neumann_entropy(np.diag([1.0 + 1e-9, 0.0, -1e-9]))
 
 
 def test_pure_state_entropy_has_no_sign_bit():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from djcm.config import RunConfig
 from djcm.figures import FIG7, ROWS, row_params, run_figure
 from djcm.model import Kerr, ModelParams
-from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, format_cells, write_csv, write_json
+from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, csv_rows, format_cells, write_csv, write_json
 from djcm.dynamics import tau_grid
 from djcm.runner import run_simulation, time_axis, write_husimi
 from djcm import svgplot
@@ -320,6 +320,17 @@ def test_format_cells_block_of_only_fallback_values():
     )
     assert_cells_match_17g(values)
     assert_cells_match_17g(np.resize(values, CSV_BLOCK_ROWS + 3))
+
+
+def test_csv_rows_repeats_a_one_cell_column():
+    # write_husimi passes one y cell per grid row: the same bytes as that
+    # cell gathered once per x
+    axis = format_cells(np.linspace(-3.0, 3.0, 7))
+    levels = format_cells(np.array([0.25, 1e-20, 0.0, 5e-324, 1.0, 0.5, 0.125]))
+    for y in range(len(axis)):
+        gathered = csv_rows([axis, axis[np.full(len(axis), y)], levels])
+        assert csv_rows([axis, axis[y], levels]) == gathered
+        assert gathered.count(b"\n") == len(axis)
 
 
 def test_csv_files_match_their_golden_digests(tmp_path):
