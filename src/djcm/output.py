@@ -8,11 +8,11 @@ write_chunks writes a file from an iterable of chunks (str or bytes), each
 written as soon as it is made: a file's whole text is never held in memory.
 
 format_cells turns float64 values into cells, one row of CELL_WIDTH (24)
-bytes of ASCII a value (the text of ``"%-24.17g" % v``) in a uint8
-array, in blocks of CSV_BLOCK_ROWS values and NumPy integer arithmetic,
-after the manner of Ryu printf (Adams, "Ryu revisited: printf floating
-point conversion", OOPSLA 2019).  A value in the exact range
-1e-11 <= |v| < 2**53 is made as follows:
+bytes of ASCII a value (the text of ``"%.17g" % v``, with spaces anywhere
+in the row) in a uint8 array, in blocks of CSV_BLOCK_ROWS values and
+NumPy integer arithmetic, after the manner of Ryu printf (Adams, "Ryu
+revisited: printf floating point conversion", OOPSLA 2019).  A value in
+the exact range 1e-11 <= |v| < 2**53 is made as follows:
 
 - its 53-bit mantissa m and binary exponent come from its bits;
 - its decimal exponent E comes from log10 and is then set exactly against
@@ -20,13 +20,14 @@ point conversion", OOPSLA 2019).  A value in the exact range
 - 2m * 5**(16 - E) is formed as a 128-bit product of 32-bit limbs (5**27 <
   2**64 bounds the range below), shifted right by the binary exponent and
   rounded half to even on the exact remainder: its 17 digits;
-- the digits come from a table of 4-digit groups, and one gather, keyed on
-  the sign, E and the digits left once trailing zeros go, lays out the
-  cell (point, leading zeros, exponent, padding).
+- the digits, as the ASCII of 4-digit groups, fill the cell's three 64-bit
+  words, and copies of them are moved one byte down and three up;
+- tables keyed on the sign, E and the digits left once trailing zeros go
+  mask what %g's layout keeps of each copy and add the rest of the text.
 
 Every other value (+-0, subnormals, inf, nan and the magnitudes outside the
 range) goes through one ``%`` call per block.  csv_rows joins cell arrays
-into CSV rows as bytes: cells, commas and newlines, with the padding
+into CSV rows as bytes: cells, commas and newlines, with the spaces
 dropped.  write_csv formats and joins its columns in blocks of
 CSV_BLOCK_ROWS rows.
 """
@@ -84,61 +85,44 @@ _DECADES = _decades()
 _POW5_HIGH = np.array([5**k >> 32 for k in range(28)], dtype=_U64)
 _POW5_LOW = np.array([5**k & 2**32 - 1 for k in range(28)], dtype=_U64)
 
-# A cell is gathered from its source row of six 4-byte words (text order):
-# ". 0" and the first digit, four groups of 4 digits, then "e-" and the
-# two digits of -E (E < -4).  _WORDS holds every such word.
-_DOT, _PAD, _ZERO, _DIGIT0, _E, _MINUS = 0, 1, 2, 3, 20, 21
-_SOURCE = 24
-# the 4-digit groups 0000..9999 as ASCII
-_DIGITS = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-for _k in range(4):
-    _DIGITS[..., _k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - _k))
-_FIRST_WORDS, _E_WORDS = 10_000, 10_010  # _WORDS offsets of the first digit's words and of E's
-_WORDS = np.concatenate(
-    [
-        _DIGITS.reshape(-1),
-        np.frombuffer(b"".join(b". 0%d" % d for d in range(10)), dtype=np.uint8),
-        np.frombuffer(b"".join(b"e-%02d" % abs(e) for e in range(_LOW_E, 16)), dtype=np.uint8),
-    ]
-).view(np.uint32)
+# the decimal digits of the 4-digit groups 0000..9999
+_GROUPS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+# a group's ASCII as one 32-bit half of a word; a cell is three 64-bit
+# words, its byte k at bits 8k..8k + 7 of word k // 8
+_DIGITS = np.ascontiguousarray(_GROUPS + np.uint8(48)).view("<u4").ravel()
+_WORD = np.dtype("<u8")
 # a group's digits up to its last nonzero one (0001 -> 4, 1200 -> 2), far below 0 for 0000
-_ZERO_DIGIT = np.arange(10) == 0
-_GROUP_DIGITS = 4 - _ZERO_DIGIT * (1 + _ZERO_DIGIT[:, None] * (1 + _ZERO_DIGIT[:, None, None]))
-_GROUP_DIGITS = np.tile(_GROUP_DIGITS.ravel(), 10).astype(np.int8)
-_GROUP_DIGITS[0] = -20
+_GROUP_DIGITS = np.where(_GROUPS > 0, np.arange(1, 5, dtype=np.int8), np.int8(-20)).max(axis=1)
+# the digits of the 17 before each group ("000d" starts three before the first)
+_GROUP_STARTS = np.arange(-3, 18, 4, dtype=np.int8)[:, None]
 
 
-def _layouts() -> np.ndarray:
-    """The gather of every cell layout: the source byte of each of
-    CELL_WIDTH positions, per (sign, E = -11..15, significant digits s =
-    1..17) as one key."""
-    x = np.arange(_LOW_E, 16, dtype=np.int8)[:, None, None]
-    s = np.arange(1, 18, dtype=np.int8)[:, None]
-    j = np.arange(CELL_WIDTH, dtype=np.int8) - np.arange(2, dtype=np.int8)[:, None, None, None]  # after a sign
-    # a prefix ("0.000" for -4 <= E < 0), `before` digits, a point when
-    # `after` digits follow, then "e-XX" for E < -4; padding elsewhere
-    scientific, fractional = x < -4, (x >= -4) & (x < 0)
-    prefix = np.where(fractional, 1 - x, 0)
-    before = np.where(scientific, 1, np.where(fractional, s, x + 1))
-    after = np.maximum(s - before, 0)
-    point = prefix + before
-    end = point + (after > 0) + after
-    layout = np.full(np.broadcast(j, x, s).shape, _PAD, dtype=np.int8)
-    np.copyto(layout, _E + j - end, where=scientific & (j >= end) & (j < end + 4))
-    np.copyto(layout, _DIGIT0 + j - prefix - (j > point), where=(j >= prefix) & (j < end))
-    np.copyto(layout, _DOT, where=(j == point) & (after > 0))  # over the digits' span
-    np.copyto(layout, _ZERO, where=(j >= 0) & (j < prefix))
-    np.copyto(layout, _DOT, where=(j == 1) & (prefix > 0))
-    np.copyto(layout, _MINUS, where=j < 0)
-    return layout.reshape(-1, CELL_WIDTH).astype(np.uint8)
+def _tables() -> np.ndarray:
+    """The four cells of each layout key (sign, E = -11..15, significant
+    digits s = 1..17), as (4, 3, keys) words: the masks H, T and G of the
+    bytes taken from the digits at byte 2 (before the point), at byte 3
+    (after it) and at byte 6 (after "0.000"), and the fill F of the rest."""
+    layouts = []
+    for sign, e, s in itertools.product(" -", range(_LOW_E, 16), range(1, 18)):
+        if e >= 0:  # E + 1 digits, then a point if more follow
+            layout = " " + "H" * (e + 1) + ("." + "T" * (s - e - 1)) * (s > e + 1)
+        elif e >= -4:  # "0." and -1 - E zeros, right-aligned before byte 6
+            layout = "0." + ("0" * (-1 - e)).rjust(3) + "G" * s
+        else:  # one digit, a point if more follow, and "e-XX" in the last four bytes
+            layout = (" H" + ("." + "T" * (s - 1)) * (s > 1)).ljust(19) + "e-%02d" % -e
+        layouts.append((sign + layout).ljust(CELL_WIDTH).encode())
+    cells = b"".join(layouts)
+    tables = [cells.translate(bytes(255 * (i == mark) for i in range(256))) for mark in b"HTG"]
+    tables.append(cells.translate(bytes(i * (i not in b"HTG") for i in range(256))))
+    return np.frombuffer(b"".join(tables), dtype=_WORD).reshape(4, -1, 3).transpose(0, 2, 1).copy()
 
 
-_LAYOUT = _layouts()
+_TABLES = _tables()
 
 
 def format_cells(values) -> np.ndarray:
     """``%.17g`` of every float64 value, in C order, as (n, CELL_WIDTH)
-    uint8 cells: row i is the text of ``"%-24.17g" % v[i]``."""
+    uint8 cells: row i is ``"%.17g" % v[i]`` with spaces anywhere in it."""
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     cells = np.empty((flat.size, CELL_WIDTH), dtype=np.uint8)
     for start in range(0, flat.size, CSV_BLOCK_ROWS):
@@ -152,9 +136,13 @@ def _format_block(values: np.ndarray, cells: np.ndarray) -> None:
     magnitude = np.abs(values)
     (others,) = np.nonzero(~((magnitude >= _DECADES[1]) & (magnitude < 2.0**53)))
     magnitude[others] = 1.0  # formatted by % below
-    source, key = _source_rows(*_decimal_digits(magnitude), np.signbit(values))
-    row_starts = np.arange(0, len(values) * _SOURCE, _SOURCE)
-    np.take(source, np.take(_LAYOUT, key, axis=0) + row_starts[:, None], out=cells, mode="clip")
+    text, key = _digit_text(*_decimal_digits(magnitude), np.signbit(values))
+    # the digits moved one byte down and three up
+    down, up = text >> _U64(8), text << _U64(24)
+    down[:-1] |= text[1:] << _U64(56)
+    up[1:] |= text[:-1] >> _U64(40)
+    h, t, g, f = np.take(_TABLES, key, axis=2)
+    cells.view(_WORD)[:] = ((down & h) | (text & t) | (up & g) | f).T
     if others.size:
         rest = values[others]
         padded = ("%-24.17g" * rest.size % tuple(rest.tolist())).encode()
@@ -187,22 +175,23 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, e
 
 
-def _source_rows(digits: np.ndarray, e: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's source row, all rows as one flat uint8 array, and its
-    layout key (_LAYOUT)."""
-    words = np.empty((len(digits), _SOURCE // 4), dtype=np.uint32)
-    high, low = np.divmod(digits, _U64(10**8))
-    np.divmod(low, _U64(10**4), out=(words[:, 3], words[:, 4]))
-    high, low = np.divmod(high, _U64(10**8))
-    np.divmod(low, _U64(10**4), out=(words[:, 1], words[:, 2]))
-    np.add(high, _FIRST_WORDS, out=words[:, 0], casting="unsafe")
-    np.add(e, _E_WORDS - 1, out=words[:, 5], casting="unsafe")
+def _digit_text(digits: np.ndarray, e: np.ndarray, negative: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of 17 digits (_decimal_digits) as a cell's three words, one
+    row a word, the digits at bytes 3..19; and each value's key in _TABLES."""
+    # six groups: the first digit as "000d", four of 4 digits, and "0000"
+    groups = np.zeros((6, len(digits)), dtype=_U64)
+    groups[0] = digits // _U64(10**16)
+    digits -= groups[0] * _U64(10**16)
+    groups[2] = digits // _U64(10**8)
+    groups[4] = digits - groups[2] * _U64(10**8)
+    np.floor_divide(groups[2:5:2], _U64(10**4), out=groups[1:4:2])
+    groups[2:5:2] -= groups[1:4:2] * _U64(10**4)
     # the digits up to the last nonzero group's last nonzero one
-    significant = 13 + _GROUP_DIGITS[words[:, 4]]
-    (short,) = np.nonzero(words[:, 4] == 0)
-    significant[short] = np.maximum((_GROUP_DIGITS[words[short, 1:4]] + np.array([1, 5, 9], np.int8)).max(axis=1), 1)
+    significant = (np.take(_GROUP_DIGITS, groups) + _GROUP_STARTS).max(axis=0)
     key = negative * (27 * 17) + e * 17 + significant - 18
-    return np.take(_WORDS, words).view(np.uint8).reshape(-1), key
+    halves = np.take(_DIGITS, groups)
+    # dtype: NumPy 1 would keep a uint32 shifted by a scalar as uint32
+    return np.left_shift(halves[1::2], _U64(32), dtype=_U64) | halves[0::2], key
 
 
 def csv_rows(columns: list[np.ndarray]) -> bytes:
@@ -214,7 +203,7 @@ def csv_rows(columns: list[np.ndarray]) -> bytes:
         rows[:, j, :CELL_WIDTH] = cells
     rows[:, :-1, CELL_WIDTH] = ord(",")
     rows[:, -1, CELL_WIDTH] = ord("\n")
-    # a cell's text holds no space: dropping the padding joins the row
+    # a cell's text holds no space: dropping the spaces joins the row
     return rows.tobytes().translate(None, b" ")
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from djcm import dynamics, figures, observables, runner, validate
 from djcm.cli import main
+from djcm.model import Kerr, ModelParams, sector_coefficients
 from djcm.observables import husimi_q
 from djcm.validate import (
     DEFAULT_SEED,
@@ -55,6 +56,38 @@ def test_criterion_03_spectral_structure():
     assert result.passed, result.details
     assert result.elapsed < 2.0  # stated runtime budget
     assert "over 1000 tuples" in result.details  # every tuple is checked, none skipped
+
+
+def uniform_draws(seed, tuples):
+    """Criterion 3's tuples drawn with Generator.uniform and np.sort: the
+    reference for its Generator.random draws."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(tuples):
+        while True:
+            w = np.sort(rng.uniform(0.0, 1.0, 3))
+            if w[0] < w[1] < w[2]:
+                break
+        draws.append(
+            ModelParams(
+                omega_cavity=float(rng.uniform(0.0, 1.0)),
+                omega_levels=(float(w[0]), float(w[1]), float(w[2])),
+                g1=float(rng.uniform(0.0, 0.2)),
+                g2=float(rng.uniform(0.0, 0.2)),
+                omega_e=float(rng.uniform(0.0, 0.2)),
+                deformation=Kerr(float(rng.uniform(0.0, 0.5))),
+                sector_n=int(rng.integers(0, 6)),
+            )
+        )
+    return draws
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_criterion_03_draws_the_uniform_tuples(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(validate, "sector_coefficients", lambda params: drawn.append(params) or sector_coefficients(params))
+    next(_c3_spectral_structure(seed, 1000))
+    assert drawn == uniform_draws(seed, 1000)
 
 
 def test_criterion_04_closed_form_limit():

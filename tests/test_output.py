@@ -21,17 +21,16 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.1
 
 
 def cell_texts(cells) -> list[str]:
-    """The text of each cell: its row with the padding stripped."""
-    return [bytes(row).decode().rstrip(" ") for row in cells]
+    """The text of each cell: its row with the spaces removed."""
+    return [bytes(row).decode().replace(" ", "") for row in cells]
 
 
 def assert_cells_match_17g(values):
-    """format_cells of values against one %-24.17g per value: the padded
-    text and, once the padding goes, the %.17g text itself."""
+    """format_cells of values against one %.17g per value: each cell,
+    once its spaces go, is the %.17g text itself."""
     values = np.asarray(values, dtype=np.float64)
     cells = format_cells(values)
     assert cells.dtype == np.uint8 and cells.shape == (values.size, CELL_WIDTH)
-    assert cells.tobytes().decode() == "".join("%-24.17g" % v for v in values.tolist())
     assert cell_texts(cells) == ["%.17g" % v for v in values.tolist()]
 
 
@@ -249,7 +248,7 @@ def test_format_cells_matches_per_cell_17g():
 def test_time_axis_is_cached_read_only_and_formatted():
     def assert_axis(tau, cells, tau_max, samples):
         assert np.array_equal(tau, tau_grid(tau_max, samples))
-        assert [bytes(row) for row in cells] == [("%-24.17g" % t).encode() for t in tau.tolist()]
+        assert [bytes(row).replace(b" ", b"") for row in cells] == [("%.17g" % t).encode() for t in tau.tolist()]
 
     tau, cells = time_axis(7.5, 33)
     assert_axis(tau, cells, 7.5, 33)
@@ -295,6 +294,20 @@ def test_format_cells_matches_17g_on_its_edges():
     assert_cells_match_17g([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
     # the doubles next below powers of ten, and digits cut back to one
     assert_cells_match_17g([9.9999999999999991e-6, 0.099999999999999992, 999999999999999.88, 0.5, 1e-5, 2.0, 1234.0])
+
+
+def test_format_cells_matches_17g_on_dyadic_multiples():
+    # k * 2**j has short texts (0.5, 1234.5, 3.0517578125e-05) that random
+    # bit patterns almost never give: every decimal exponent of the exact
+    # range, every digit count and 172 (E, digits) layouts, both signs
+    k = np.arange(1, 1000, dtype=np.float64)
+    values = (k[:, None] * 2.0 ** np.arange(-50, 51)).ravel()
+    values = values[(values >= 1e-11) & (values < 2.0**53)]
+    assert values.size == 89_521
+    assert_cells_match_17g(np.concatenate([values, -values]))
+    mantissas, exponents = zip(*(("%.16e" % v).split("e") for v in values.tolist()))
+    layouts = {(int(x), len(m.replace(".", "").rstrip("0"))) for m, x in zip(mantissas, exponents)}
+    assert len({x for x, _ in layouts}) == 27 and len({s for _, s in layouts}) == 17 and len(layouts) == 172
 
 
 @pytest.mark.parametrize("error", [-1e-9, 1e-9])
