@@ -64,12 +64,13 @@ MAX_SWEEP_POINTS = 10_000
 # peaks (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells)
 # 387 MB, ~97 B per cell, the worst case, since the fewest columns share
 # each sample; a 2M-sample populations run (8M cells) 387 MB, ~48 B per
-# cell; a 1001 x 1001 Husimi grid (3M cells) 57 MB, ~19 B per cell.  A run
+# cell; a 1001 x 1001 Husimi grid (3M cells) 59 MB, ~20 B per cell.  A run
 # of two-column panels at the limit would need ~5 GB (extrapolated, not
 # run): the limit bounds the text, and the memory only through it.
 MAX_CSV_CELLS = 50_000_000
 # largest last sector n_max of an all-sector Husimi sum; each sector costs
-# about 0.5 KB and 50-100 us, so the limit bounds a sum at ~5 MB and ~1 s
+# about 0.7 KB and 20-190 us (21 x 21 to 201 x 201 grids), so the limit
+# bounds a sum at ~7 MB and a 201 x 201 husimi run at ~1.3-1.8 s
 MAX_HUSIMI_N_MAX = 10_000
 # the fields of a config document, per section (the module docstring)
 FIELDS = {
@@ -274,16 +275,14 @@ def _params_from_dict(doc, where: str = "params") -> ModelParams:
         raise ConfigError(f"{where}.omega_levels: expected a list of three frequencies")
     chi = _number(doc.get("chi", 0.0), f"{where}.chi")
     sector_n = _integer(doc.get("sector_n", 1), f"{where}.sector_n")
+    omega_cavity = _number(_require(doc, "omega_cavity", where), f"{where}.omega_cavity")
+    omega_levels = tuple(_number(v, f"{where}.omega_levels") for v in levels)
+    g1 = _number(_require(doc, "g1", where), f"{where}.g1")
+    g2 = _number(_require(doc, "g2", where), f"{where}.g2")
+    omega_e = _number(_require(doc, "omega_e", where), f"{where}.omega_e")
+    # each field's error above names its field; the prefix is for ModelParams' and Kerr's own
     try:
-        return ModelParams(
-            omega_cavity=_number(_require(doc, "omega_cavity", where), f"{where}.omega_cavity"),
-            omega_levels=tuple(_number(v, f"{where}.omega_levels") for v in levels),
-            g1=_number(_require(doc, "g1", where), f"{where}.g1"),
-            g2=_number(_require(doc, "g2", where), f"{where}.g2"),
-            omega_e=_number(_require(doc, "omega_e", where), f"{where}.omega_e"),
-            deformation=Kerr(chi),
-            sector_n=sector_n,
-        )
+        return ModelParams(omega_cavity, omega_levels, g1, g2, omega_e, Kerr(chi), sector_n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

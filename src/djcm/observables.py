@@ -283,25 +283,16 @@ def husimi_q(
     radii = np.sort(r2, axis=None)
     radii = radii[np.append(True, radii[1:] != radii[:-1])]
     index = np.searchsorted(radii, r2)
-    # The loop works in two buffers: on a large grid, every further array
-    # alive at once costs more in page faults than the arithmetic.  ln r2 is
-    # taken once for all sectors.  -lgamma - r2 has the bits of -r2 - lgamma.
+    # ln r2 is taken once for all sectors.  -lgamma - r2 has the bits of
+    # -r2 - lgamma.  The n = 0 weight skips n ln r2, as 0 x ln 0 is nan.
     acc = np.zeros_like(radii)
-    weight = np.empty_like(radii)
-    term = np.empty_like(radii)
     with np.errstate(divide="ignore"):  # ln 0 = -inf gives the weight 0
         log_radii = np.log(radii)
-        for n, (p1, p2, p3) in zip(sectors, pops.tolist()):
-            np.subtract(-math.lgamma(n + 1.0), radii, out=weight)
-            if n:
-                weight += np.multiply(n, log_radii, out=term)
-            np.exp(weight, out=weight)
-            np.divide(radii, n + 1, out=term)
-            term *= p1
-            term += p2
-            term += p3
-            weight *= term
-            acc += weight
+    for n, (p1, p2, p3) in zip(sectors, pops.tolist()):
+        log_weight = -math.lgamma(n + 1.0) - radii
+        if n:
+            log_weight += n * log_radii
+        acc += np.exp(log_weight) * (radii / (n + 1) * p1 + p2 + p3)
     acc /= math.pi
     drift = norm_drift(shifted[..., 0])
     return HusimiGrid(axis, acc, index, n_max=sectors[-1], norm_drift_max=drift, phase_error_bound=bound)

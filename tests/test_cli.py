@@ -545,6 +545,26 @@ def test_unknown_config_field_exits_2_naming_it(tmp_path, capsys, overrides, mes
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({k: v for k, v in BASE_CONFIG["params"].items() if k != "g1"}, "params: missing required field 'g1'"),
+        (dict(BASE_CONFIG["params"], g1="x"), "params.g1: expected a number, got 'x'"),
+        (dict(BASE_CONFIG["params"], omega_cavity=math.nan), "params.omega_cavity: expected a finite number, got nan"),
+        (dict(BASE_CONFIG["params"], omega_levels=[0.3, "a", 0.5]), "params.omega_levels: expected a number, got 'a'"),
+    ],
+    ids=["missing", "not-a-number", "not-finite", "level"],
+)
+def test_params_field_error_names_it_once(tmp_path, capsys, params, message):
+    # the exact line: a field's own error is not prefixed with "params: " again
+    cfg = write_config(tmp_path, samples=20, svg=False, params=params)
+    out = tmp_path / "out"
+    for argv in (["simulate", "--config", cfg], ["husimi", "--t", "1", "--resolution", "3", "--config", cfg]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [[], ["--force-oracle"]])
 def test_sweep_point_manifest_rebuilds_its_point(tmp_path, flags):
     # a point's manifest["config"] is a config document for that point alone

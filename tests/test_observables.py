@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from djcm.config import HusimiRequest, RunConfig
 from djcm.dynamics import InitialCondition, solve_sector
+from djcm.figures import ROWS, row_params
 from djcm.model import Kerr, ModelParams
 from djcm.observables import (
     ObservableSeries,
@@ -361,6 +362,18 @@ def test_husimi_all_sectors_initial_time_is_flat():
     grid = husimi_q(p, 0.0, 2.0, 31, n_max=60)
     assert np.max(np.abs(grid.values - 1.0 / math.pi)) <= 1e-10
     assert grid.n_max == 60
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.label for row in ROWS])
+@pytest.mark.parametrize("tau", [0.0, 10.0, 25.0])
+def test_husimi_all_sectors_centre_is_sector_0(row, tau):
+    # at beta = 0, ln 0 = -inf weighs every sector n >= 1 by exp(-inf) = 0,
+    # and sector 0 skips 0 x ln 0 = nan: the centre is sector 0's, bit for bit
+    p = row_params(row)
+    t = tau / p.omega_cavity
+    centre = husimi_q(p, t, 2.0, 5, n_max=40).values[2, 2]
+    assert centre == husimi_q(p, t, 2.0, 5, n_max=0).values[2, 2]
+    assert centre > 0.0
 
 
 def test_husimi_argument_validation():
