@@ -14,6 +14,7 @@ same table is always used, so heatmaps are reproducible byte for byte.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -149,11 +150,16 @@ def line_plot_chunks(
     ylabel: str = "",
 ):
     """SVG document with one polyline per (label, values) pair over the tau
-    axis, yielded in chunks: the frame and axes, then one per series."""
+    axis, yielded in chunks: the frame and axes, then one per series.  A y
+    axis whose ticks would leave the floating-point range raises
+    FloatingPointError naming the plot by its title."""
     times = np.asarray(times, dtype=float)
     x_lo, x_hi = _x_range(times)
     series = [(label, np.asarray(values, dtype=float)) for label, values in series]
     y_lo, y_hi = _span(np.concatenate([values for _, values in series]))
+    # the largest product that _span and _ticks form: past it a tick or pixel is inf or nan
+    if not math.isfinite((y_hi - y_lo) * (_TICKS - 1)):
+        raise FloatingPointError(f"plot {title!r}: its y axis leaves the floating-point range")
 
     def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * _PLOT_H

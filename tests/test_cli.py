@@ -124,23 +124,6 @@ def test_simulate_degenerate_spectrum_runs_analytic(tmp_path):
     assert manifest["phase_error_bound"] == pytest.approx(2.0**-53 * 0.1 * 250.0, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "params, flags",
-    [
-        (dict(omega_cavity=1e-300, g1=1e150), []),  # the phase error bound overflows
-        (dict(g1=1e15, g2=1e15), ["--force-oracle"]),  # integrator step size underflows
-    ],
-)
-def test_numerical_range_errors_exit_2(tmp_path, capsys, params, flags):
-    params = dict(BASE_CONFIG["params"], **params)
-    cfg = write_config(tmp_path, params=params, observables=["populations"], svg=False, samples=50)
-    assert main(["simulate", "--config", cfg, *flags, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical range error:")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_overflowed_constants_exit_2_on_both_routes(tmp_path):
     # the oracle used to step forever on the NaN step these constants give;
     # the Husimi sum at t = 0 used to skip the solve, and with it this check
@@ -179,54 +162,6 @@ def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-# the fuzz test's reference document: every frequency 0.2, sector 1
-ORACLE_REFERENCE = {
-    "omega_cavity": 0.2,
-    "omega_levels": [0.0, 0.2, 0.4],
-    **{name: 0.2 for name in ("g1", "g2", "omega_e", "chi")},
-    "sector_n": 1,
-}
-
-
-@pytest.mark.parametrize("field, value", [("g1", 1e150), ("chi", 1e300), ("omega_e", 1e150), ("omega_e", 1e300)])
-def test_oracle_range_errors_name_the_oracle_and_sector(tmp_path, capsys, field, value):
-    # the kernel's initial-step probe overflows (r1**2) or divides by a zero
-    # step: one message for both, without Python's own texts
-    params = dict(ORACLE_REFERENCE, **{field: value})
-    cfg = write_config(tmp_path, params=params, tau_max=0.2, samples=2)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "numerical range error: sector 1 ODE oracle: the integration left the floating-point range before t = 1.0 "
-        "(tau = 0.2; t = tau / omega_cavity)\n"
-    )
-    assert "Numerical result out of range" not in err and "division by zero" not in err
-    assert not out.exists()
-
-
-def test_infinite_tau_max_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, tau_max=float("inf"))
-    assert "Infinity" in (tmp_path / "run.json").read_text()
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "tau_max" in err and "finite" in err
-
-
-def test_simulate_invalid_observable_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, observables=["populations", "wigner"])
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "observables" in err and "wigner" in err
-
-
-def test_simulate_duplicate_observable_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, observables=["inversion", "populations", "inversion"])
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == "configuration error: observables: 'inversion' is listed more than once\n"
-    assert not (tmp_path / "x").exists()
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -242,68 +177,213 @@ def test_output_budget_exits_2_before_solving(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_simulate_bad_husimi_field_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, observables=["husimi"], husimi={"n_max": -1})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == "configuration error: husimi.n_max must be >= 0, got -1\n"
-    assert not (tmp_path / "x").exists()
-
-
-def test_simulate_husimi_sector_limit_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, observables=["husimi"], husimi={"n_max": 200_000})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == "configuration error: husimi.n_max must be <= 10000, got 200000\n"
-    assert not (tmp_path / "x").exists()
-
-
 VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
+# with BASE_CONFIG's omega_cavity and sector_n: every frequency 0.2, sector 1
+ORACLE_REFERENCE = dict(omega_levels=[0.0, 0.2, 0.4], g1=0.2, g2=0.2, omega_e=0.2, chi=0.2)
+VACUUM_G2 = "observables: g2 is undefined for sector_n 0 with |ic[0]|^2 = 0, where <A+A> = 0 at tau = 0"
+RAW_TIME = "tau_max / params.omega_cavity = {} overflows the raw time t = tau / omega_cavity"
+# near the top of the double range: s2 = 1.55e308 at chi 1.1e153
+HUGE_S2 = {"ic": [1, 0, 0], "tau_max": 1e-150, "observables": ["squeezing"]}
 
 
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
-        ({"params": VACUUM}, "configuration error: observables: g2 is undefined for sector_n 0 with |ic[0]|^2 = 0"),
-        (
-            {"sweep": {"axes": [["sector_n", [1, 0]]]}},
-            "configuration error: sweep point sector_n=0: observables: g2 is undefined",
+def with_params(**fields):
+    return {"params": dict(BASE_CONFIG["params"], **fields)}
+
+
+def sweep_over(*axes):
+    return {"sweep": {"axes": list(axes)}}
+
+
+def config_error(line):
+    return re.escape(f"configuration error: {line}")
+
+
+def range_error(line):
+    return re.escape(f"numerical range error: {line}")
+
+
+# single simulate runs that exit 2 and need no setup of their own, by id:
+# config overrides (a string is the whole document), flags, and a regular
+# expression for the whole of the one stderr line; first the document's shape
+MALFORMED_CONFIG = {
+    "top-level": ("[1, 2]", [], r"configuration error: .+/run\.json: top-level JSON value must be an object"),
+    "number": ({"tau_max": "10"}, [], config_error("tau_max: expected a number, got '10'")),
+    "integer": ({"samples": 2.5}, [], config_error("samples: expected an integer, got 2.5")),
+    "params": ({"params": [0.2]}, [], config_error("params: expected an object")),
+    "omega_levels": (
+        with_params(omega_levels=[0.3, 0.4]), [], config_error("params.omega_levels: expected a list of three frequencies")
+    ),
+    "ic-length": ({"ic": [1, 0]}, [], config_error("ic: expected a list of three amplitudes")),
+    "ic-entry": ({"ic": [0, "1", 0]}, [], config_error("ic[1]: expected a real number or an [re, im] pair, got '1'")),
+    "observables": (
+        {"observables": ["inversion", 3]}, [], config_error("observables: expected a list of observable names")
+    ),
+    "svg": ({"svg": "yes"}, [], config_error("svg: expected true or false, got 'yes'")),
+    "husimi": ({"husimi": []}, [], config_error("husimi: expected an object")),
+    "sweep": ({"sweep": []}, [], config_error("sweep: expected an object")),
+    "axis": (sweep_over(["chi"]), [], config_error("sweep.axes[0]: expected [name, values]")),
+    "axis-values": (sweep_over(["chi", 0.1]), [], config_error("sweep.axes[0]: values must be a list")),
+}
+FAILED_SIMULATE = {
+    # the document's values
+    "infinite-tau_max": ({"tau_max": math.inf}, [], config_error("tau_max: expected a finite number, got inf")),
+    "unknown-observable": (
+        {"observables": ["populations", "wigner"]},
+        [],
+        config_error(f"observables: unknown name 'wigner'; valid names are {', '.join(OBSERVABLE_NAMES)}"),
+    ),
+    "duplicate-observable": (
+        {"observables": ["inversion", "populations", "inversion"]},
+        [],
+        config_error("observables: 'inversion' is listed more than once"),
+    ),
+    "negative-n_max": (
+        {"observables": ["husimi"], "husimi": {"n_max": -1}}, [], config_error("husimi.n_max must be >= 0, got -1")
+    ),
+    "n_max-limit": (
+        {"observables": ["husimi"], "husimi": {"n_max": 200_000}},
+        [],
+        config_error("husimi.n_max must be <= 10000, got 200000"),
+    ),
+    "negative-chi": (
+        with_params(chi=-1.0), [], config_error("params: Kerr constant chi must be finite and >= 0, got -1.0")
+    ),
+    # a sector number the engine cannot hold in a double, named before any point runs
+    "huge-sector_n": (
+        with_params(sector_n=10**400), [], r"configuration error: params\.sector_n: expected a finite number, got 10{400}"
+    ),
+    "huge-sector_n-axis": (
+        sweep_over(["sector_n", [1, 10**400]]),
+        [],
+        r"configuration error: sweep\.axes\[0\]: expected a finite number, got 10{400}",
+    ),
+    # a second axis of one name would override the first in every point
+    "duplicate-axis": (
+        sweep_over(["g1", [0.1, 0.3]], ["g1", [0.2]]), [], config_error("sweep.axes: axis 'g1' is listed more than once")
+    ),
+    "label-collision": (
+        sweep_over(["chi", [0, 0.0, 0.1, 0.1000001]]),
+        [],
+        config_error("sweep.axes: two points share the label 'chi=0'; labels print each value to 6 significant digits"),
+    ),
+    # a sweep point's error names the point
+    "point-chi": (
+        sweep_over(["chi", [0.1, -1]]),
+        [],
+        config_error("sweep point chi=-1: Kerr constant chi must be finite and >= 0, got -1.0"),
+    ),
+    "point-g1": (sweep_over(["g1", [0.1, -0.5]]), [], config_error("sweep point g1=-0.5: g1, g2 and omega_e must be >= 0")),
+    "point-omega_cavity": (
+        sweep_over(["omega_cavity", [0.2, 0]]),
+        [],
+        config_error("sweep point omega_cavity=0: params.omega_cavity must be > 0 for the tau = omega_cavity*t axis"),
+    ),
+    "point-sector_n": (
+        sweep_over(["sector_n", [1, -2]]),
+        [],
+        config_error("sweep point sector_n=-2: sector_n must be a non-negative integer, got -2"),
+    ),
+    # the entry state |2,0> has <A+A> = 0 at tau = 0: rejected before any solve
+    "vacuum-g2": ({"params": VACUUM}, [], config_error(VACUUM_G2)),
+    "point-vacuum-g2": (sweep_over(["sector_n", [1, 0]]), [], config_error(f"sweep point sector_n=0: {VACUUM_G2}")),
+    # tau_max / omega_cavity is the last raw time; an infinite one used to
+    # reach the solver and print NumPy's overflow warnings first
+    "raw-time-subnormal-omega": (with_params(omega_cavity=1e-320), [], config_error(RAW_TIME.format("50.0 / 1e-320"))),
+    "raw-time-huge-tau": (
+        with_params(omega_cavity=1e-300) | {"tau_max": 1e300}, [], config_error(RAW_TIME.format("1e+300 / 1e-300"))
+    ),
+    "raw-time-point": (
+        sweep_over(["omega_cavity", [0.2, 1e-320]]),
+        [],
+        config_error("sweep point omega_cavity=9.99989e-321: " + RAW_TIME.format("50.0 / 1e-320")),
+    ),
+    # the solve
+    "phase-bound-overflow": (
+        with_params(omega_cavity=1e-300, g1=1e150),
+        [],
+        range_error("sector 1 propagator: phase error bound inf exceeds 1e-06"),
+    ),
+    "oracle-step-underflow": (
+        with_params(g1=1e15, g2=1e15),
+        ["--force-oracle"],
+        range_error(
+            "sector 1 ODE oracle: step size underflow while integrating to t = 250.0; "
+            "tolerances unreachable for these parameters (tau = 50; t = tau / omega_cavity)"
         ),
-        # populations is written, then the Husimi solve at tau = 1e300 (a
-        # finite raw time) exceeds the phase error bound
-        ({"observables": ["populations", "husimi"], "husimi": {"tau": 1e300}}, "numerical range error: sector 1"),
-        # a sector number the engine cannot hold in a double, named before any point runs
-        (
-            {"params": dict(BASE_CONFIG["params"], sector_n=10**400)},
-            "configuration error: params.sector_n: expected a finite number, got 1000",
-        ),
-        ({"sweep": {"axes": [["sector_n", [1, 10**400]]]}}, "configuration error: sweep.axes[0]: expected a finite number"),
-        (
-            {"params": dict(BASE_CONFIG["params"], chi=-1.0)},
-            "configuration error: params: Kerr constant chi must be finite and >= 0, got -1.0",
-        ),
-        # a second axis of one name would override the first in every point
-        (
-            {"sweep": {"axes": [["g1", [0.1, 0.3]], ["g1", [0.2]]]}},
-            "configuration error: sweep.axes: axis 'g1' is listed more than once",
-        ),
-        # chi = 1e200 overflows the moment weights' Python float **, whose
-        # own message is an errno tuple: the line names the series instead
-        *(
-            (
-                {"params": dict(BASE_CONFIG["params"], chi=1e200), "tau_max": 1e-200, "observables": ["populations", name]},
-                f"numerical range error: series {name!r} leaves the floating-point range",
-            )
-            for name in ("g2", "mandel_q", "squeezing")
-        ),
-    ],
-)
-def test_failed_simulate_writes_nothing(tmp_path, capsys, overrides, message):
-    cfg = write_config(tmp_path, samples=50, **overrides)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1
-    assert not out.exists()
+    ),
+    # the oracle's initial-step probe overflows (r1**2) or divides by a zero
+    # step: one message for both, without Python's own texts
+    **{
+        f"oracle-{field}-{value:g}": (
+            with_params(**{**ORACLE_REFERENCE, field: value}) | {"tau_max": 0.2, "samples": 2},
+            ["--force-oracle"],
+            range_error(
+                "sector 1 ODE oracle: the integration left the floating-point range before t = 1.0 "
+                "(tau = 0.2; t = tau / omega_cavity)"
+            ),
+        )
+        for field, value in [("g1", 1e150), ("chi", 1e300), ("omega_e", 1e150), ("omega_e", 1e300)]
+    },
+    # populations is written, then the Husimi solve at tau = 1e300 (a
+    # finite raw time) exceeds the phase error bound
+    "husimi-phase-bound": (
+        {"observables": ["populations", "husimi"], "husimi": {"tau": 1e300}},
+        [],
+        range_error("sector 1 propagator: phase error bound 8.26e+283 exceeds 1e-06"),
+    ),
+    # the series; sector 0 with ic[0] = 1e-160: <A+A> = 1e-320 passes the
+    # vacuum check, and its square underflows to 0, so g2 is 0/0 at tau = 0
+    "g2-underflow": (
+        {"params": VACUUM, "ic": [1e-160, 1, 0], "observables": ["g2"]},
+        [],
+        range_error("series 'g2' contains non-finite values"),
+    ),
+    # chi = 1e200 overflows the moment weights' Python float **, whose
+    # own message is an errno tuple: the line names the series instead
+    **{
+        f"weights-{name}": (
+            with_params(chi=1e200) | {"tau_max": 1e-200, "observables": ["populations", name]},
+            [],
+            range_error(f"series {name!r} leaves the floating-point range"),
+        )
+        for name in ("g2", "mandel_q", "squeezing")
+    },
+    # one column of a multi-column observable
+    "s2_x": (with_params(chi=1.2e153) | HUGE_S2, [], range_error("series 's2_x' contains non-finite values")),
+    # the plot: a finite series whose padded y range, times five for the
+    # ticks, leaves the range (test_huge_series_without_svg_writes_its_csv)
+    "plot-y-axis": (
+        with_params(chi=1.1e153) | HUGE_S2, [], range_error("plot 'squeezing': its y axis leaves the floating-point range")
+    ),
+}
+
+
+def assert_simulate_fails(tmp_path, capsys, config, flags, stderr):
+    # exit 2 with one line, and neither --out nor a .djcm-* staging directory
+    if not isinstance(config, str):  # overrides of BASE_CONFIG, not a whole document
+        config = json.dumps({**BASE_CONFIG, "samples": 50, **config})
+    (tmp_path / "run.json").write_text(config)
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), *flags, "--out", str(tmp_path / "out")]) == 2
+    assert re.fullmatch(f"{stderr}\n", capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize("config, flags, stderr", MALFORMED_CONFIG.values(), ids=MALFORMED_CONFIG)
+def test_malformed_config_field_exits_2_naming_it(tmp_path, capsys, config, flags, stderr):
+    assert_simulate_fails(tmp_path, capsys, config, flags, stderr)
+
+
+@pytest.mark.parametrize("config, flags, stderr", FAILED_SIMULATE.values(), ids=FAILED_SIMULATE)
+def test_failed_simulate_writes_nothing(tmp_path, capsys, config, flags, stderr):
+    assert_simulate_fails(tmp_path, capsys, config, flags, stderr)
+
+
+def test_huge_series_without_svg_writes_its_csv(tmp_path):
+    # the plot-y-axis row's run without its plot: the series is finite
+    cfg = write_config(tmp_path, samples=50, svg=False, **with_params(chi=1.1e153), **HUGE_S2)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    _, cols = read_csv_columns(tmp_path / "out" / "squeezing.csv")
+    assert cols["s2_x"].max() == 1.5487999999999999e308
 
 
 def _fail_after_first_chunk(write_chunks, target):
@@ -421,53 +501,6 @@ def test_constant_subnormal_series_plots(tmp_path):
     assert "nan" not in (out / "inversion.svg").read_text()
 
 
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        (None, "top-level JSON value must be an object"),
-        ({"tau_max": "10"}, "tau_max: expected a number, got '10'"),
-        ({"samples": 2.5}, "samples: expected an integer, got 2.5"),
-        ({"params": [0.2]}, "params: expected an object"),
-        ({"params": dict(BASE_CONFIG["params"], omega_levels=[0.3, 0.4])}, "params.omega_levels: expected a list of three"),
-        ({"ic": [1, 0]}, "ic: expected a list of three amplitudes"),
-        ({"ic": [0, "1", 0]}, "ic[1]: expected a real number or an [re, im] pair, got '1'"),
-        ({"observables": ["inversion", 3]}, "observables: expected a list of observable names"),
-        ({"svg": "yes"}, "svg: expected true or false, got 'yes'"),
-        ({"husimi": []}, "husimi: expected an object"),
-        ({"sweep": []}, "sweep: expected an object"),
-        ({"sweep": {"axes": [["chi"]]}}, "sweep.axes[0]: expected [name, values]"),
-        ({"sweep": {"axes": [["chi", 0.1]]}}, "sweep.axes[0]: values must be a list"),
-    ],
-    ids=[
-        "top-level",
-        "number",
-        "integer",
-        "params",
-        "omega_levels",
-        "ic-length",
-        "ic-entry",
-        "observables",
-        "svg",
-        "husimi",
-        "sweep",
-        "axis",
-        "axis-values",
-    ],
-)
-def test_malformed_config_field_exits_2_naming_it(tmp_path, capsys, overrides, message):
-    if overrides is None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text("[1, 2]")
-        cfg = str(cfg)
-    else:
-        cfg = write_config(tmp_path, **{"samples": 20, **overrides})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and message in err and err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == ["run.json"]
-
-
 def test_long_config_integer_names_its_file(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(BASE_CONFIG).replace('"sector_n": 1', '"sector_n": ' + "7" * 5000))
@@ -476,17 +509,6 @@ def test_long_config_integer_names_its_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {path}: invalid JSON: ") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["run.json"]
-
-
-def test_sweep_label_collision_exits_2_and_writes_nothing(tmp_path, capsys):
-    cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": [["chi", [0, 0.0, 0.1, 0.1000001]]]})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: sweep.axes: two points share the label 'chi=0'; "
-        "labels print each value to 6 significant digits\n"
-    )
-    assert not out.exists()
 
 
 def test_empty_sweep_exits_2_and_leaves_out_dir_alone(tmp_path, capsys):
@@ -503,25 +525,6 @@ def test_empty_sweep_exits_2_and_leaves_out_dir_alone(tmp_path, capsys):
     assert tree_bytes(out) == {"notes.txt": b"kept\n"}
     assert out.stat().st_mode == mode
     assert sorted(os.listdir(tmp_path)) == ["out", "run.json"]
-
-
-@pytest.mark.parametrize(
-    "axis, message",
-    [
-        (["chi", [0.1, -1]], "sweep point chi=-1: Kerr constant chi must be finite and >= 0, got -1.0"),
-        (["g1", [0.1, -0.5]], "sweep point g1=-0.5: g1, g2 and omega_e must be >= 0"),
-        (["omega_cavity", [0.2, 0]], "sweep point omega_cavity=0: params.omega_cavity must be > 0 for the tau"),
-        (["sector_n", [1, -2]], "sweep point sector_n=-2: sector_n must be a non-negative integer, got -2"),
-    ],
-    ids=["chi", "g1", "omega_cavity", "sector_n"],
-)
-def test_sweep_point_errors_name_the_point(tmp_path, capsys, axis, message):
-    cfg = write_config(tmp_path, samples=20, svg=False, sweep={"axes": [axis]})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
 @pytest.mark.parametrize(
@@ -602,37 +605,6 @@ def test_sweep_point_whose_ic_0_squares_to_0_fails_before_any_point_runs(tmp_pat
     runner.parallel_map.assert_not_called()
 
 
-def test_g2_whose_intensity_underflows_exits_2_and_writes_nothing(tmp_path, capsys):
-    # sector 0 with ic[0] = 1e-160: <A+A> = 1e-320 passes the vacuum check, and
-    # its square underflows to 0, so g2 is 0/0 at tau = 0
-    cfg = write_config(tmp_path, params=VACUUM, ic=[1e-160, 1, 0], samples=50, observables=["g2"])
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "numerical range error: series 'g2' contains non-finite values\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "overrides, point",
-    [
-        ({"params": dict(BASE_CONFIG["params"], omega_cavity=1e-320)}, ""),
-        ({"params": dict(BASE_CONFIG["params"], omega_cavity=1e-300), "tau_max": 1e300}, ""),
-        ({"sweep": {"axes": [["omega_cavity", [0.2, 1e-320]]]}}, "sweep point omega_cavity=9.99989e-321: "),
-    ],
-    ids=["subnormal-omega", "huge-tau", "sweep-point"],
-)
-def test_raw_time_overflow_exits_2_and_writes_nothing(tmp_path, capsys, overrides, point):
-    # tau_max / omega_cavity is the last raw time; an infinite one used to
-    # reach the solver and print NumPy's overflow warnings first
-    cfg = write_config(tmp_path, samples=50, svg=False, **overrides)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {point}tau_max / params.omega_cavity = ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-
 @pytest.mark.parametrize(
     "overrides, point",
     [
@@ -672,6 +644,10 @@ FIELD_CHOICES = {
     "n_max": (None, 0, 5),
     "tau": (None, 0.0, 7.0, 1e-300, 1e10, 1e300),
 }
+
+
+# a coordinate or tick label that left the floating-point range
+NON_FINITE = re.compile(r"\b(nan|inf)\b")
 
 
 def assert_one_error_line(err):
@@ -720,8 +696,8 @@ def single_run_documents(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(doc=single_run_documents(), force_oracle=st.booleans())
 def test_single_run_exit_contract(doc, force_oracle):
-    # exit 0 with finite CSV cells, or exit 2 with one message line and no
-    # output; never a traceback (an exception out of main) or a warning.
+    # exit 0 with finite CSV cells and SVG numbers, or exit 2 with one message
+    # line and no output; never a traceback (an exception out of main) or a warning.
     # Sweep points run in this process, so their warnings are caught too.
     # A low step budget keeps the oracle runs short: past it they exit 2.
     with (
@@ -762,6 +738,9 @@ def test_single_run_exit_contract(doc, force_oracle):
                 elif name.endswith(".csv"):
                     _, cols = read_csv_columns(path)
                     assert all(np.all(np.isfinite(col)) for col in cols.values()), path
+                elif name.endswith(".svg"):
+                    with open(path) as fh:
+                        assert not NON_FINITE.search(fh.read()), path
         assert manifests == (2 if "sweep" in doc else 1)
 
 
@@ -795,8 +774,8 @@ def husimi_argvs(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(argv=husimi_argvs())
 def test_husimi_exit_contract(argv):
-    # exit 0 with a finite husimi.csv, or exit 2 with one message line and
-    # no output; never a traceback (an exception out of main) or a warning
+    # exit 0 with a finite husimi.csv and husimi.svg, or exit 2 with one
+    # message line and no output; never a traceback (an exception out of main) or a warning
     with tempfile.TemporaryDirectory() as tmp:
         if "--config" in argv:
             cfg = os.path.join(tmp, "run.json")
@@ -818,6 +797,8 @@ def test_husimi_exit_contract(argv):
         assert sorted(os.listdir(out)) == ["husimi.csv", "husimi.svg", "husimi_manifest.json"]
         _, cols = read_csv_columns(os.path.join(out, "husimi.csv"))
         assert all(np.all(np.isfinite(col)) for col in cols.values())
+        with open(os.path.join(out, "husimi.svg")) as fh:
+            assert not NON_FINITE.search(fh.read())
 
 
 def test_husimi_runs_the_vacuum_sector(tmp_path):
