@@ -150,7 +150,7 @@ def line_plot_chunks(
     ylabel: str = "",
 ):
     """SVG document with one polyline per (label, values) pair over the tau
-    axis, yielded in chunks: the frame and axes, then one per series.  A y
+    axis, yielded in chunks: the frame and axes, then one per series.  An
     axis whose ticks would leave the floating-point range raises
     FloatingPointError naming the plot by its title."""
     times = np.asarray(times, dtype=float)
@@ -158,8 +158,9 @@ def line_plot_chunks(
     series = [(label, np.asarray(values, dtype=float)) for label, values in series]
     y_lo, y_hi = _span(np.concatenate([values for _, values in series]))
     # the largest product that _span and _ticks form: past it a tick or pixel is inf or nan
-    if not math.isfinite((y_hi - y_lo) * (_TICKS - 1)):
-        raise FloatingPointError(f"plot {title!r}: its y axis leaves the floating-point range")
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not math.isfinite((hi - lo) * (_TICKS - 1)):
+            raise FloatingPointError(f"plot {title!r}: its {axis} axis leaves the floating-point range")
 
     def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * _PLOT_H

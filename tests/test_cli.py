@@ -162,21 +162,6 @@ def test_oracle_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["simulate", "--config", "{cfg}"], "output budget: the run would write 1700000000 CSV cells, above the limit"),
-        (["husimi", "--t", "1", "--resolution", "100000"], "output budget: --resolution 100000 would write"),
-    ],
-)
-def test_output_budget_exits_2_before_solving(tmp_path, capsys, argv, message):
-    cfg = write_config(tmp_path, samples=100_000_000)
-    out = tmp_path / "x"
-    assert main([a.replace("{cfg}", cfg) for a in argv] + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
-    assert not out.exists()
-
-
 VACUUM = dict(BASE_CONFIG["params"], sector_n=0)
 # with BASE_CONFIG's omega_cavity and sector_n: every frequency 0.2, sector 1
 ORACLE_REFERENCE = dict(omega_levels=[0.0, 0.2, 0.4], g1=0.2, g2=0.2, omega_e=0.2, chi=0.2)
@@ -202,11 +187,15 @@ def range_error(line):
     return re.escape(f"numerical range error: {line}")
 
 
+# no coupling, and a tau axis near the top of the double range
+WIDE_TAU = with_params(omega_cavity=1.0, g1=0.0, g2=0.0, omega_e=0.0) | {"tau_max": 1e308, "observables": ["populations"]}
+
+
 # single simulate runs that exit 2 and need no setup of their own, by id:
 # config overrides (a string is the whole document), flags, and a regular
 # expression for the whole of the one stderr line; first the document's shape
 MALFORMED_CONFIG = {
-    "top-level": ("[1, 2]", [], r"configuration error: .+/run\.json: top-level JSON value must be an object"),
+    "top-level": ("[1, 2]", [], config_error("run.json: top-level JSON value must be an object")),
     "number": ({"tau_max": "10"}, [], config_error("tau_max: expected a number, got '10'")),
     "integer": ({"samples": 2.5}, [], config_error("samples: expected an integer, got 2.5")),
     "params": ({"params": [0.2]}, [], config_error("params: expected an object")),
@@ -355,35 +344,146 @@ FAILED_SIMULATE = {
     "plot-y-axis": (
         with_params(chi=1.1e153) | HUGE_S2, [], range_error("plot 'squeezing': its y axis leaves the floating-point range")
     ),
+    # ... and a tau axis whose span, times five, does (the analytic route's
+    # phase error bound refuses this run before its plot)
+    "plot-x-axis": (
+        WIDE_TAU, ["--force-oracle"], range_error("plot 'populations': its x axis leaves the floating-point range")
+    ),
+    # checked before any solve
+    "output-budget": (
+        {"samples": 100_000_000},
+        [],
+        config_error("output budget: the run would write 1700000000 CSV cells, above the limit of 50000000"),
+    ),
+    # a grid of more intervals than the oracle's step budget (dynamics.MAX_STEPS),
+    # refused before its first step
+    "oracle-long-grid": (
+        {"samples": 150_001, "observables": ["populations"], "svg": False},
+        ["--force-oracle"],
+        range_error(
+            "sector 1 ODE oracle: used up its budget of 100000 steps before t = 250.0; "
+            "the analytic route solves these parameters (tau = 50; t = tau / omega_cavity)"
+        ),
+    ),
+}
+HUSIMI_RAW_TIME = ["husimi", "--t", "5", "--resolution", "3", "--config", "run.json"]
+HUSIMI_OVERFLOW = range_error(
+    "the Husimi range x (-1e+200, 1e+200), y (-1e+200, 1e+200) overflows: |beta|^2 at the grid corner is not finite"
+)
+# every other command line that exits 2 without setup of its own, by id:
+# argv without --out, the config document of run.json (None: no file) as
+# in the tables above, and the regular expression for the one stderr line
+FAILED_COMMAND = {
+    "missing-config": (
+        ["simulate", "--config", "none.json"],
+        None,
+        config_error("cannot read config file 'none.json': [Errno 2] No such file or directory: 'none.json'"),
+    ),
+    "husimi-output-budget": (
+        ["husimi", "--t", "1", "--resolution", "100000"],
+        None,
+        config_error("output budget: --resolution 100000 would write 30000000000 CSV cells, above the limit of 50000000"),
+    ),
+    # the husimi command checks its flags by the rules of simulate's husimi section
+    "husimi-negative-t": (["husimi", "--t", "-1"], None, config_error("--t must be finite and >= 0, got -1.0")),
+    "husimi-nan-t": (["husimi", "--t", "nan"], None, config_error("--t must be finite and >= 0, got nan")),
+    "husimi-infinite-t": (["husimi", "--t", "inf"], None, config_error("--t must be finite and >= 0, got inf")),
+    "husimi-zero-range": (
+        ["husimi", "--t", "1", "--range", "0"], None, config_error("--range must be finite and > 0, got 0.0")
+    ),
+    "husimi-nan-range": (
+        ["husimi", "--t", "1", "--range", "nan"], None, config_error("--range must be finite and > 0, got nan")
+    ),
+    "husimi-resolution-1": (
+        ["husimi", "--t", "1", "--resolution", "1"], None, config_error("--resolution must be >= 2, got 1")
+    ),
+    "husimi-negative-all-sectors": (
+        ["husimi", "--t", "1", "--all-sectors", "-1"], None, config_error("--all-sectors must be >= 0, got -1")
+    ),
+    "husimi-all-sectors-limit": (
+        ["husimi", "--t", "1", "--all-sectors", "200000"], None, config_error("--all-sectors must be <= 10000, got 200000")
+    ),
+    # |beta|^2 at the corner of the grid overflows, for one sector or their sum
+    "husimi-range-overflow": (["husimi", "--t", "1", "--range", "1e200", "--resolution", "3"], None, HUSIMI_OVERFLOW),
+    "husimi-range-overflow-all-sectors": (
+        ["husimi", "--t", "1", "--range", "1e200", "--resolution", "3", "--all-sectors", "2"], None, HUSIMI_OVERFLOW
+    ),
+    # the config's omega_cavity sets the raw time of --t
+    "husimi-zero-omega_cavity": (
+        HUSIMI_RAW_TIME,
+        with_params(omega_cavity=0.0),
+        config_error("params.omega_cavity must be > 0 for the tau = omega_cavity*t axis"),
+    ),
+    "husimi-raw-time": (
+        HUSIMI_RAW_TIME,
+        with_params(omega_cavity=1e-320),
+        config_error("--t / params.omega_cavity = 5.0 / 1e-320 overflows the raw time t = tau / omega_cavity"),
+    ),
+    # checked before the worker pool starts, not by NumPy's seeding
+    "validate-negative-seed": (["validate", "--seed", "-1"], None, config_error("--seed must be >= 0, got -1")),
+    "validate-zero-tuples": (["validate", "--tuples", "0"], None, config_error("--tuples must be >= 1, got 0")),
+    "validate-tuples-limit": (
+        ["validate", "--tuples", "100001"], None, config_error("--tuples must be <= 100000, got 100001")
+    ),
 }
 
 
-def assert_simulate_fails(tmp_path, capsys, config, flags, stderr):
-    # exit 2 with one line, and neither --out nor a .djcm-* staging directory
-    if not isinstance(config, str):  # overrides of BASE_CONFIG, not a whole document
-        config = json.dumps({**BASE_CONFIG, "samples": 50, **config})
-    (tmp_path / "run.json").write_text(config)
-    assert main(["simulate", "--config", str(tmp_path / "run.json"), *flags, "--out", str(tmp_path / "out")]) == 2
-    assert re.fullmatch(f"{stderr}\n", capsys.readouterr().err)
-    assert os.listdir(tmp_path) == ["run.json"]
+@pytest.fixture
+def exits_2(tmp_path, monkeypatch, capsys):
+    """check(argv, config, stderr) runs main(argv) in tmp_path and asserts
+    exit 2, an empty stdout, one stderr line that the regular expression
+    stderr matches whole, and nothing beside the inputs: no --out (argv
+    names none, so the command's default lands in tmp_path) and no .djcm-*
+    staging directory.  Unless config is None it is written to run.json
+    first: a string is the whole document, a dict overrides BASE_CONFIG
+    at 50 samples."""
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, config, stderr):
+        inputs = []
+        if config is not None:
+            if not isinstance(config, str):
+                config = json.dumps({**BASE_CONFIG, "samples": 50, **config})
+            (tmp_path / "run.json").write_text(config)
+            inputs = ["run.json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"{stderr}\n", captured.err)
+        assert os.listdir(tmp_path) == inputs
+
+    return check
+
+
+def assert_simulate_fails(exits_2, config, flags, stderr):
+    exits_2(["simulate", "--config", "run.json", *flags], config, stderr)
 
 
 @pytest.mark.parametrize("config, flags, stderr", MALFORMED_CONFIG.values(), ids=MALFORMED_CONFIG)
-def test_malformed_config_field_exits_2_naming_it(tmp_path, capsys, config, flags, stderr):
-    assert_simulate_fails(tmp_path, capsys, config, flags, stderr)
+def test_malformed_config_field_exits_2_naming_it(exits_2, config, flags, stderr):
+    assert_simulate_fails(exits_2, config, flags, stderr)
 
 
 @pytest.mark.parametrize("config, flags, stderr", FAILED_SIMULATE.values(), ids=FAILED_SIMULATE)
-def test_failed_simulate_writes_nothing(tmp_path, capsys, config, flags, stderr):
-    assert_simulate_fails(tmp_path, capsys, config, flags, stderr)
+def test_failed_simulate_writes_nothing(exits_2, config, flags, stderr):
+    assert_simulate_fails(exits_2, config, flags, stderr)
+
+
+@pytest.mark.parametrize("argv, config, stderr", FAILED_COMMAND.values(), ids=FAILED_COMMAND)
+def test_failed_command_writes_nothing(exits_2, argv, config, stderr):
+    exits_2(argv, config, stderr)
 
 
 def test_huge_series_without_svg_writes_its_csv(tmp_path):
-    # the plot-y-axis row's run without its plot: the series is finite
+    # the plot-y-axis and plot-x-axis rows' runs without their plots: every series is finite
     cfg = write_config(tmp_path, samples=50, svg=False, **with_params(chi=1.1e153), **HUGE_S2)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    _, cols = read_csv_columns(tmp_path / "out" / "squeezing.csv")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "y")]) == 0
+    _, cols = read_csv_columns(tmp_path / "y" / "squeezing.csv")
     assert cols["s2_x"].max() == 1.5487999999999999e308
+    cfg = write_config(tmp_path, "wide.json", samples=50, svg=False, **WIDE_TAU)
+    assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "x")]) == 0
+    _, cols = read_csv_columns(tmp_path / "x" / "populations.csv")
+    assert cols["tau"][-1] == 1e308 and all(np.all(np.isfinite(col)) for col in cols.values())
 
 
 def _fail_after_first_chunk(write_chunks, target):
@@ -831,25 +931,6 @@ def test_husimi_manifest_records_the_initial_condition(tmp_path):
     assert json.loads((sim_out / "manifest.json").read_text())["config"]["ic"] == lowest["ic"]
 
 
-@pytest.mark.parametrize(
-    "omega_cavity, message",
-    [
-        (0.0, "params.omega_cavity must be > 0 for the tau = omega_cavity*t axis"),
-        (1e-320, "--t / params.omega_cavity = 5.0 / 1e-320 overflows the raw time t = tau / omega_cavity"),
-    ],
-)
-def test_husimi_config_needs_a_finite_raw_time(tmp_path, capsys, omega_cavity, message):
-    cfg = write_config(tmp_path, params=dict(BASE_CONFIG["params"], omega_cavity=omega_cavity))
-    out = tmp_path / "h"
-    assert main(["husimi", "--t", "5", "--resolution", "3", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not out.exists()
-
-
-def test_simulate_missing_config_exits_2(tmp_path):
-    assert main(["simulate", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
-
-
 def test_simulate_byte_identical_reruns(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -990,6 +1071,23 @@ def test_husimi_command(tmp_path):
     assert (out / "husimi.csv").read_text().splitlines() == ["x,y,q", *reference]
 
 
+def test_one_husimi_grid_from_three_entry_points(tmp_path):
+    # fig7's chi = 0.2 panel, the husimi command at its defaults and simulate
+    # with the husimi observable on the same row ask for one grid: the same bytes
+    row2 = {
+        "params": dict(BASE_CONFIG["params"], g1=0.06, g2=0.08, chi=0.2),
+        "observables": ["husimi"],
+        "husimi": {"tau": 25.0},
+    }
+    (tmp_path / "row2.json").write_text(json.dumps(row2))
+    assert main(["figures", "fig7", "--out", str(tmp_path / "figs")]) == 0
+    assert main(["husimi", "--t", "25", "--out", str(tmp_path / "flags")]) == 0
+    assert main(["simulate", "--config", str(tmp_path / "row2.json"), "--out", str(tmp_path / "config")]) == 0
+    assert (tmp_path / "figs" / "fig7b.csv").read_bytes() == (tmp_path / "flags" / "husimi.csv").read_bytes()
+    for name in ("husimi.csv", "husimi.svg"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+
+
 def test_husimi_all_sectors(tmp_path):
     out = tmp_path / "ha"
     assert main(["husimi", "--t", "0", "--range", "2", "--resolution", "21", "--all-sectors", "60", "--out", str(out)]) == 0
@@ -1003,16 +1101,6 @@ def test_husimi_all_sectors(tmp_path):
     cell_fills = re.findall(r'width="4.00" height="4.00" fill="(#[0-9a-f]{6})"', (out / "husimi.svg").read_text())
     assert len(cell_fills) == 21 * 21
     assert set(cell_fills) == {"#440154"}
-
-
-@pytest.mark.parametrize("flags", [[], ["--all-sectors", "2"]])
-def test_husimi_range_that_overflows_exits_2(tmp_path, capsys, flags):
-    out = tmp_path / "out"
-    assert main(["husimi", "--t", "1", "--range", "1e200", "--resolution", "3", *flags, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical range error: the Husimi range x (-1e+200, 1e+200)")
-    assert err.count("\n") == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("chi_text", ["0", "-0.0"])
@@ -1061,29 +1149,6 @@ def test_negative_zero_writes_the_bytes_of_zero(tmp_path, field):
     assert trees[0] == trees[1]
 
 
-def test_husimi_validation_errors(tmp_path):
-    assert main(["husimi", "--t", "-1", "--out", str(tmp_path)]) == 2
-    assert main(["husimi", "--t", "1", "--resolution", "1", "--out", str(tmp_path)]) == 2
-    assert main(["husimi", "--t", "1", "--range", "0", "--out", str(tmp_path)]) == 2
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--t", "nan"], "--t must be finite and >= 0, got nan"),
-        (["--t", "inf"], "--t must be finite and >= 0, got inf"),
-        (["--t", "1", "--range", "nan"], "--range must be finite and > 0, got nan"),
-        (["--t", "1", "--all-sectors", "-1"], "--all-sectors must be >= 0, got -1"),
-        (["--t", "1", "--all-sectors", "200000"], "--all-sectors must be <= 10000, got 200000"),
-    ],
-)
-def test_husimi_rejects_bad_flags(tmp_path, capsys, flags, message):
-    out = tmp_path / "out"
-    assert main(["husimi", *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert not out.exists()
-
-
 HUSIMI_FLAGS = {"tau": "--t", "range": "--range", "resolution": "--resolution", "n_max": "--all-sectors"}
 
 
@@ -1119,40 +1184,44 @@ def test_husimi_rules_are_one_table_for_fields_and_flags(tmp_path, capsys, field
     assert from_field.replace(f"husimi.{field}", HUSIMI_FLAGS[field]) == from_flag
 
 
+def assert_timed_in_order(err):
+    # one timing line per check on stderr, in index order
+    indices = [int(m) for m in re.findall(r"^\[ ?(\d+)\] \d+\.\d{3} s$", err, re.M)]
+    assert indices == list(range(1, 11)) and err.count("\n") == 10
+
+
 def test_validate_deterministic_and_passing(capsys):
-    assert main(["validate", "--tuples", "120"]) == 0
-    first = capsys.readouterr().out
-    assert main(["validate", "--tuples", "120"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert "result: PASS (10/10)" in first
-    assert first.count("PASS") == 11  # ten criteria plus the summary line
+    reports = []
+    for _ in range(2):
+        assert main(["validate", "--tuples", "60"]) == 0
+        captured = capsys.readouterr()
+        assert_timed_in_order(captured.err)
+        reports.append(captured.out)
+    assert reports[0] == reports[1]
+    assert reports[0].endswith("\nresult: PASS (10/10)\n")
+    assert reports[0].count("PASS") == 11  # ten criteria plus the summary line
 
 
 def test_validate_seed_changes_sweep_but_not_verdict(capsys):
-    assert main(["validate", "--tuples", "60", "--seed", "7"]) == 0
+    assert main(["validate", "--seed", "7", "--tuples", "60"]) == 0
     captured = capsys.readouterr()
-    assert "seed: 7" in captured.out
-    assert "result: PASS" in captured.out
-    # one timing line per check on stderr, in index order
-    indices = [int(m) for m in re.findall(r"^\[ ?(\d+)\] \d+\.\d{3} s$", captured.err, re.M)]
-    assert indices == list(range(1, 11)) and captured.err.count("\n") == 10
+    assert "\nseed: 7\n" in captured.out and captured.out.endswith("\nresult: PASS (10/10)\n")
+    assert_timed_in_order(captured.err)
 
 
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--seed", "-1", "--seed must be >= 0, got -1"),
-        ("--tuples", "0", "--tuples must be >= 1, got 0"),
-        ("--tuples", "100001", "--tuples must be <= 100000, got 100001"),
-    ],
-)
-def test_validate_rejects_out_of_range_flags(capsys, flag, value, message):
-    # checked before the worker pool starts, not by NumPy's seeding
-    assert main(["validate", flag, value]) == 2
+def test_validate_exits_1_on_a_failed_criterion(monkeypatch, capsys):
+    # criterion 6 under a perturbation of its Mandel Q (test_acceptance.PERTURBATIONS[6]),
+    # every criterion in this process
+    from djcm import validate
+
+    mandel_q = validate.mandel_q
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(validate, "mandel_q", lambda amps, params: mandel_q(amps, params) + 1e-9)
+    assert main(["validate", "--seed", "7", "--tuples", "60"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"configuration error: {message}\n"
+    assert re.search(r"^\[ 6\] FAIL ", captured.out, re.M)
+    assert captured.out.count("FAIL") == 2 and captured.out.endswith("\nresult: FAIL (9/10)\n")
+    assert_timed_in_order(captured.err)
 
 
 def test_cli_usage_error_exit_code():
