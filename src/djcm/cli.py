@@ -23,11 +23,12 @@ per CPU the process may run on (taskset -c 0 runs them serially; no
 output depends on the count); validate's stderr times are measured
 inside the worker that ran each criterion, criterion 10's as the sum of
 the second pass's nine.  figures run serially.  simulate, figures and
-husimi write into a staging directory (runner.staged) that reaches --out
-only when the run succeeds: a run that fails first writes nothing.  The
-djcm console script and python -m djcm.cli enter through run(), which
-freezes the import-time heap (gc.freeze) before main(), so exit-time
-collections skip it; main() called from Python freezes nothing.
+husimi publish a plan of their files (runner.publish) in a staging
+directory (runner.staged) that reaches --out only when the run succeeds:
+a run that fails first writes nothing.  The djcm console script and
+python -m djcm.cli enter through run(), which freezes the import-time
+heap (gc.freeze) before main(), so exit-time collections skip it; main()
+called from Python freezes nothing.
 Importing djcm before NumPy sets OPENBLAS_NUM_THREADS=1 unless it is
 already set; a program that imported NumPy first keeps its BLAS thread
 pool.  djcm reads no other environment variable.
@@ -37,24 +38,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 
 from . import __version__
-from .config import (
-    ConfigError,
-    HusimiRequest,
-    ic_echo,
-    load_config_file,
-    model_from_dict,
-    params_echo,
-    run_config_from_dict,
-    sweep_from_dict,
-)
+from .config import ConfigError, HusimiRequest, load_config_file, model_from_dict, run_config_from_dict, sweep_from_dict
 from .dynamics import EXCITED
 from .figures import FIGURE_IDS, ROWS, row_params, run_figure
-from .output import write_json
-from .runner import WorkerDiedError, manifest_header, run_simulation, run_sweep, staged, write_husimi
+from .runner import WorkerDiedError, publish, run_husimi, run_simulation, run_sweep, staged
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -109,16 +99,13 @@ def _cmd_simulate(args) -> int:
     if points is None:
         cfg.check_intensity_observables()
     with staged(args.out) as out:
-        if points is None:
-            run_simulation(cfg, out)
-        else:
-            run_sweep(points, out)
+        publish(run_simulation(cfg) if points is None else run_sweep(points, out), out)
     return EXIT_OK
 
 
 def _cmd_figures(args) -> int:
     with staged(args.out) as out:
-        run_figure(args.figure, out)
+        publish(run_figure(args.figure), out)
     return EXIT_OK
 
 
@@ -130,9 +117,7 @@ def _cmd_husimi(args) -> int:
     request = HusimiRequest(tau=args.t, range=args.range, resolution=args.resolution, n_max=args.all_sectors)
     request.check(params.omega_cavity, ("--t", "--range", "--resolution", "--all-sectors"))
     with staged(args.out) as out:
-        files, record = write_husimi(out, "husimi", f"Husimi Q at tau={request.tau:g}", params, request, ic=ic)
-        echo = {"params": params_echo(params), "ic": ic_echo(ic), "outputs": sorted(files)}
-        write_json(os.path.join(out, "husimi_manifest.json"), {**manifest_header("husimi"), **record, **echo})
+        publish(run_husimi(params, ic, request), out)
     return EXIT_OK
 
 

@@ -11,20 +11,19 @@ fig2 emits the nine population panels (rows x levels), fig3-fig6 one
 panel per row (inversion, g2, entropy, Mandel Q), fig7 two Husimi
 heatmaps (chi = 0 and chi = 0.2, evaluated at tau = 25 over
 [-3, 3]^2), and fig8 the four squeezing panels (rows 1 and 3, first-
-and second-order pairs).
+and second-order pairs).  run_figure builds a figure's plan (see runner):
+its panels' CSV and SVG files, then <fig_id>_manifest.json.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .config import HusimiRequest
 from .dynamics import solve_sector
 from .model import Kerr, ModelParams
 from .observables import trajectory_series
-from .output import write_json
-from .runner import manifest_header, time_axis, trajectory_quality, write_husimi, write_series_panel
+from .runner import husimi_panel, manifest_entry, panel_files, series_panel, time_axis, trajectory_quality
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7", "row_params", "run_figure"]
 
@@ -89,20 +88,18 @@ def row_params(row: FigureRow) -> ModelParams:
     )
 
 
-def _row_echo(row: FigureRow) -> dict:
-    return {"row": row.label, "omega_e": row.omega_e, "g1": row.g1, "g2": row.g2, "chi": row.chi}
+def _panel_echo(name: str, observable: str, row: FigureRow) -> dict:
+    """A panel's manifest record, apart from its trajectory quality or grid record."""
+    row_echo = {"row": row.label, "omega_e": row.omega_e, "g1": row.g1, "g2": row.g2, "chi": row.chi}
+    return {"name": name, "observable": observable, **row_echo, "files": panel_files(name, True)}
 
 
-def run_figure(fig_id: str, out_dir: str) -> dict:
-    """Compute one built-in figure and write its CSV and SVG panel files into
-    out_dir, which it creates.
-
-    Returns the manifest (also written as <fig_id>_manifest.json).
-    """
+def run_figure(fig_id: str):
+    """The plan of one built-in figure: its CSV and SVG panel files, then
+    <fig_id>_manifest.json; a panel is computed when publish reaches it."""
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
-    tau, tau_cells = time_axis(FIG_TAU_MAX, FIG_SAMPLES)
-    os.makedirs(out_dir, exist_ok=True)
+    axis = time_axis(FIG_TAU_MAX, FIG_SAMPLES)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":
@@ -110,28 +107,19 @@ def run_figure(fig_id: str, out_dir: str) -> dict:
         for row in ROWS[:2]:
             name = fig_id + next(letters)
             title = f"Husimi Q, chi={row.chi:g}, tau={FIG7.tau:g}"
-            files, record = write_husimi(out_dir, name, title, row_params(row), FIG7)
-            panels.append({"name": name, "observable": "husimi", **_row_echo(row), "files": files, **record})
+            record = yield from husimi_panel(name, title, row_params(row), FIG7)
+            panels.append({**_panel_echo(name, "husimi", row), **record})
     else:
         rows, observable, row_panels = _SERIES_FIGURES[fig_id]
         for row in rows:
             params = row_params(row)
-            traj = solve_sector(params, tau / params.omega_cavity)
+            traj = solve_sector(params, axis[0] / params.omega_cavity)
             series = trajectory_series(traj, observable, params)
             quality = trajectory_quality(traj)
             for label, columns, title in row_panels:
                 name = fig_id + next(letters)
-                files = write_series_panel(
-                    out_dir, name, tau, tau_cells, series[columns], svg=True, title=f"{title} ({row.label})"
-                )
-                panels.append({"name": name, "observable": label, **_row_echo(row), "files": files, **quality})
+                yield from series_panel(name, axis, series[columns], svg=True, title=f"{title} ({row.label})")
+                panels.append({**_panel_echo(name, label, row), **quality})
 
-    manifest = {
-        **manifest_header("figures"),
-        "figure": fig_id,
-        "tau_max": FIG_TAU_MAX,
-        "samples": FIG_SAMPLES,
-        "panels": panels,
-    }
-    write_json(os.path.join(out_dir, f"{fig_id}_manifest.json"), manifest)
-    return manifest
+    fields = {"figure": fig_id, "tau_max": FIG_TAU_MAX, "samples": FIG_SAMPLES, "panels": panels}
+    return (yield from manifest_entry(f"{fig_id}_manifest.json", "figures", fields))

@@ -1,11 +1,12 @@
-"""Deterministic CSV and JSON emission, and the one writer of every file.
+"""Deterministic CSV and JSON text, and the one writer of every file.
 
 Floats are printed with 17 significant digits (round-trip exact for
 IEEE doubles), newlines are Unix, key order is sorted: re-running a
 command with the same inputs reproduces every output byte for byte.
 
-write_chunks writes a file from an iterable of chunks (str or bytes), each
-written as soon as it is made: a file's whole text is never held in memory.
+A file is an iterable of chunks (str or bytes; csv_chunks, json_chunks)
+that write_chunks, called by runner.publish alone, writes as each is made:
+a file's whole text is never held in memory.
 
 format_cells turns float64 values into cells, one row of CELL_WIDTH (24)
 bytes of ASCII a value (the text of ``"%.17g" % v``, with spaces anywhere
@@ -28,8 +29,7 @@ the exact range 1e-11 <= |v| < 2**53 is made as follows:
 Every other value (+-0, subnormals, inf, nan and the magnitudes outside the
 range) goes through one ``%`` call per block.  csv_rows joins cell arrays
 into CSV rows as bytes: cells, commas and newlines, with the spaces
-dropped.  write_csv formats and joins its columns in blocks of
-CSV_BLOCK_ROWS rows.
+dropped.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ __all__ = [
     "write_chunks",
     "format_cells",
     "csv_rows",
-    "write_csv",
-    "write_json",
+    "csv_chunks",
+    "json_chunks",
 ]
 
-# rows per chunk of write_csv: enough to amortise the per-chunk calls, few
+# rows per chunk of csv_chunks: enough to amortise the per-chunk calls, few
 # enough (~0.5 MB of text at 4 columns) that no chunk weighs in memory
 CSV_BLOCK_ROWS = 4096
 # the longest %.17g text, "-2.2250738585072014e-308"
@@ -207,12 +207,12 @@ def csv_rows(columns: list[np.ndarray]) -> bytes:
     return rows.tobytes().translate(None, b" ")
 
 
-def write_csv(path, header: list[str], columns: list) -> None:
-    """Comma-separated file with a header row; one entry per column.
+def csv_chunks(header: list[str], columns: list):
+    """The chunks of a comma-separated file: the header row, then the body
+    in blocks of CSV_BLOCK_ROWS rows, each formatted when it is taken.
 
     A column is a 1-D array of values, each printed as the ``%.17g`` of its
-    float64 value, or a 2-D uint8 array of cells (format_cells).  The body
-    is formatted and written in blocks of CSV_BLOCK_ROWS rows; an array
+    float64 value, or a 2-D uint8 array of cells (format_cells); an array
     given as more than one column is formatted once per block.
     """
     if len(header) != len(columns):
@@ -236,8 +236,9 @@ def write_csv(path, header: list[str], columns: list) -> None:
                     cells[j] = formatted[k :: len(arrays)]
             yield csv_rows([cells[j] for j in first])
 
-    write_chunks(path, itertools.chain([(",".join(header) + "\n").encode()], body()))
+    return itertools.chain([(",".join(header) + "\n").encode()], body())
 
 
-def write_json(path, doc) -> None:
-    write_chunks(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+def json_chunks(doc) -> list[str]:
+    """The JSON text of doc, indented, keys sorted and newline-terminated, as one chunk."""
+    return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]

@@ -1,6 +1,8 @@
-"""Shared machinery for CLI runs: trajectory execution, file emission,
-manifest assembly, the one publish of every command's files (staged) and
-the worker processes that sweeps and validate share.
+"""Shared machinery for CLI runs: trajectory execution, plans of files
+(generators of (file name, chunks) entries, the manifest last, that return
+the manifest; a panel is computed only when publish reaches it), their one
+writer (publish), the one move of every command's files into --out
+(staged) and the worker processes that sweeps and validate share.
 
 parallel_map(fn, items) is the one place that forks: it maps fn over items
 on worker_count() worker processes and returns the results in item order.
@@ -22,11 +24,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .config import HusimiRequest, RunConfig
+from .config import HusimiRequest, RunConfig, ic_echo, params_echo
 from .dynamics import EXCITED, InitialCondition, Trajectory, norm_drift, solve_sector, tau_grid
 from .model import ModelParams
 from .observables import ObservableSeries, husimi_q, trajectory_series
-from .output import csv_rows, format_cells, write_chunks, write_csv, write_json
+from .output import csv_chunks, csv_rows, format_cells, json_chunks, write_chunks
 from .svgplot import heatmap_chunks, line_plot_chunks
 
 __all__ = [
@@ -35,12 +37,15 @@ __all__ = [
     "worker_count",
     "parallel_map",
     "staged",
+    "publish",
     "time_axis",
     "trajectory_quality",
-    "manifest_header",
-    "write_series_panel",
-    "write_husimi",
+    "manifest_entry",
+    "panel_files",
+    "series_panel",
+    "husimi_panel",
     "run_simulation",
+    "run_husimi",
     "run_sweep",
 ]
 
@@ -146,114 +151,105 @@ def trajectory_quality(traj: Trajectory) -> dict:
     return dict(zip(QUALITY_KEYS, values))
 
 
-def manifest_header(command: str) -> dict:
-    """The fields that open every manifest: the command and the library version."""
-    return {"command": command, "version": __version__}
+def manifest_entry(name: str, command: str, fields: dict):
+    """A plan's last entry, its manifest: the command, the library version
+    and fields; returns the manifest."""
+    manifest = {"command": command, "version": __version__, **fields}
+    yield name, json_chunks(manifest)
+    return manifest
 
 
-def write_series_panel(
-    out_dir: str,
-    name: str,
-    tau: np.ndarray,
-    tau_cells: np.ndarray,
-    series: list[ObservableSeries],
-    svg: bool,
-    title: str,
-    ylabel: str = "",
-) -> list[str]:
-    """One panel: <name>.csv (columns tau and one per series) and, with svg,
-    <name>.svg (line plot); returns the file names.  tau_cells is
-    format_cells(tau), formatted once for all of a run's panels (time_axis)."""
-    files = [f"{name}.csv"]
-    write_csv(
-        os.path.join(out_dir, files[0]), ["tau"] + [s.name for s in series], [tau_cells] + [s.values for s in series]
-    )
+def panel_files(name: str, svg: bool) -> list[str]:
+    """The files of a panel's plan (series_panel, husimi_panel), in order."""
+    return [f"{name}.csv", f"{name}.svg"][: 1 + svg]
+
+
+def series_panel(name: str, axis: tuple, series: list[ObservableSeries], svg: bool, title: str, ylabel: str = ""):
+    """One panel's plan: <name>.csv (columns tau and one per series) and,
+    with svg, <name>.svg (line plot).  axis is the run's time_axis: tau and
+    its cells, formatted once for all of a run's panels."""
+    tau, tau_cells = axis
+    yield f"{name}.csv", csv_chunks(["tau"] + [s.name for s in series], [tau_cells] + [s.values for s in series])
     if svg:
-        files.append(f"{name}.svg")
-        chunks = line_plot_chunks(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
-        write_chunks(os.path.join(out_dir, files[1]), chunks)
-    return files
+        yield f"{name}.svg", line_plot_chunks(tau, [(s.name, s.values) for s in series], title=title, ylabel=ylabel)
 
 
-def write_husimi(
-    out_dir: str,
-    name: str,
-    title: str,
-    params: ModelParams,
-    request: HusimiRequest,
-    *,
-    ic: InitialCondition = EXCITED,
-    svg: bool = True,
-) -> tuple[list[str], dict]:
-    """The Husimi Q grid of request (tau set) -> <name>.csv (columns x, y,
-    q; y-major order) and, with svg, <name>.svg (heatmap).  The grid always
-    comes from the analytic route.  Returns the file names and the grid
+def husimi_panel(
+    name: str, title: str, params: ModelParams, request: HusimiRequest, ic: InitialCondition = EXCITED, svg: bool = True
+):
+    """The plan of the Husimi Q grid of request (tau set): <name>.csv
+    (columns x, y, q; y-major order) and, with svg, <name>.svg (heatmap).
+    The grid always comes from the analytic route.  Returns the grid
     record: the request's fields (n_max null for the populated sector
     alone) and the grid's norm_drift_max and phase_error_bound
     (observables.HusimiGrid)."""
     grid = husimi_q(params, request.tau / params.omega_cavity, request.range, request.resolution, request.n_max, ic=ic)
-    files = [f"{name}.csv"]
     # y-major rows, one y at a time: x cycles through the axis cells, q indexes the level cells
     axis_cells, level_cells = format_cells(grid.axis), format_cells(grid.levels)
-    rows = (
-        csv_rows([axis_cells, axis_cells[y], level_cells[index]])
-        for y, index in enumerate(grid.index)
-    )
-    write_chunks(os.path.join(out_dir, files[0]), itertools.chain([b"x,y,q\n"], rows))
+    rows = (csv_rows([axis_cells, axis_cells[y], level_cells[index]]) for y, index in enumerate(grid.index))
+    yield f"{name}.csv", itertools.chain([b"x,y,q\n"], rows)
     if svg:
-        files.append(f"{name}.svg")
-        write_chunks(os.path.join(out_dir, files[1]), heatmap_chunks(grid.axis, grid.levels, grid.index, title=title))
-    record = {**asdict(request), "norm_drift_max": grid.norm_drift_max, "phase_error_bound": grid.phase_error_bound}
-    return files, record
+        yield f"{name}.svg", heatmap_chunks(grid.axis, grid.levels, grid.index, title=title)
+    return {**asdict(request), "norm_drift_max": grid.norm_drift_max, "phase_error_bound": grid.phase_error_bound}
 
 
-def run_simulation(cfg: RunConfig, out_dir: str) -> dict:
-    """Execute one RunConfig and write CSV/SVG/manifest files into out_dir,
-    which it creates.
+def publish(plan, out_dir: str):
+    """Write each (file name, chunks) entry of plan into out_dir, made when
+    the first entry comes (a plan that fails before it creates nothing),
+    and return what the plan returns: a run's manifest."""
+    while True:
+        try:
+            name, chunks = next(plan)
+        except StopIteration as end:
+            return end.value
+        os.makedirs(out_dir, exist_ok=True)
+        write_chunks(os.path.join(out_dir, name), chunks)
 
-    Each observable, in cfg.observables order, is computed and then written,
-    so one panel's series are held at a time and the first that fails names
-    the error.  The CLI runs it in a staged directory: a failure writes nothing.
-    """
-    tau, tau_cells = time_axis(cfg.tau_max, cfg.samples)
-    os.makedirs(out_dir, exist_ok=True)
-    traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
-    manifest = {**manifest_header("simulate"), "config": cfg.echo(), **trajectory_quality(traj)}
-    outputs = []
+
+def run_simulation(cfg: RunConfig):
+    """The plan of one RunConfig: CSV/SVG files per observable, in
+    cfg.observables order, then manifest.json.  One panel's series are held
+    at a time, and the first that fails names the error."""
+    axis = time_axis(cfg.tau_max, cfg.samples)
+    traj = solve_sector(cfg.params, axis[0] / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
+    manifest = {"config": cfg.echo(), **trajectory_quality(traj)}
     for name in cfg.observables:
         if name == "husimi":
-            files, manifest["husimi"] = write_husimi(
-                out_dir, name, f"Husimi Q at tau={cfg.husimi.tau:g}", cfg.params, cfg.husimi, ic=cfg.ic, svg=cfg.svg
-            )
+            title = f"Husimi Q at tau={cfg.husimi.tau:g}"
+            manifest["husimi"] = yield from husimi_panel(name, title, cfg.params, cfg.husimi, ic=cfg.ic, svg=cfg.svg)
         else:
             series = trajectory_series(traj, name, cfg.params)
-            files = write_series_panel(out_dir, name, tau, tau_cells, series, cfg.svg, title=name, ylabel=name)
-        outputs += files
-    manifest["outputs"] = sorted(outputs)
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
+            yield from series_panel(name, axis, series, cfg.svg, title=name, ylabel=name)
+    manifest["outputs"] = sorted(file for name in cfg.observables for file in panel_files(name, cfg.svg))
+    return (yield from manifest_entry("manifest.json", "simulate", manifest))
+
+
+def run_husimi(params: ModelParams, ic: InitialCondition, request: HusimiRequest):
+    """The husimi command's plan: the grid's files, then husimi_manifest.json."""
+    record = yield from husimi_panel("husimi", f"Husimi Q at tau={request.tau:g}", params, request, ic=ic)
+    echo = {"params": params_echo(params), "ic": ic_echo(ic), "outputs": panel_files("husimi", True)}
+    return (yield from manifest_entry("husimi_manifest.json", "husimi", {**record, **echo}))
 
 
 def _simulate_job(job: tuple[str, RunConfig, str]) -> dict:
-    """run_simulation of one sweep point; a configuration or numerical range
-    error opens with 'sweep point <label>: ', as a build error does."""
+    """Publish one sweep point's plan into its directory and return its
+    manifest; a configuration or numerical range error opens with
+    'sweep point <label>: ', as a build error does."""
     label, cfg, out_dir = job
     try:
-        return run_simulation(cfg, out_dir)
+        return publish(run_simulation(cfg), out_dir)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"sweep point {label}: {exc}") from exc
 
 
-def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str) -> None:
-    """Run every (label, RunConfig) sweep point and write out_dir/<label>/
-    per point plus out_dir/sweep_manifest.json.  The first point that fails
-    ends the sweep with its error; the CLI runs it in a staged directory,
-    so a failed sweep writes nothing.
-    """
+def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str):
+    """The plan of a sweep: sweep_manifest.json alone, once every (label,
+    RunConfig) point has published its own plan into out_dir/<label>/.
+    The first point that fails ends the sweep with its error."""
     # the points share one time axis: format its cells before the workers fork
     time_axis(points[0][1].tau_max, points[0][1].samples)
     # worker processes rather than threads: CSV formatting holds the
     # interpreter lock, so threads would not overlap it
     manifests = parallel_map(_simulate_job, [(label, cfg, os.path.join(out_dir, label)) for label, cfg in points])
     rows = [{"label": label, **{key: m[key] for key in QUALITY_KEYS}} for (label, _), m in zip(points, manifests)]
-    write_json(os.path.join(out_dir, "sweep_manifest.json"), {**manifest_header("simulate-sweep"), "points": rows})
+    return (yield from manifest_entry("sweep_manifest.json", "simulate-sweep", {"points": rows}))

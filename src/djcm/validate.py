@@ -51,7 +51,7 @@ from .observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from .runner import parallel_map
+from .runner import parallel_map, publish
 
 __all__ = ["theta_poly", "CriterionResult", "DEFAULT_SEED", "DEFAULT_TUPLES", "MAX_TUPLES", "run_all", "format_report"]
 
@@ -295,7 +295,7 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
 
 def _c9_figure_shape() -> Iterator[CriterionResult]:
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = run_figure("fig2", tmp)
+        manifest = publish(run_figure("fig2"), tmp)
         names = [p["name"] for p in manifest["panels"]]
         ok = len(names) == 9
         # one read per panel; fig2e/f hold P2/P3 of row 2, fig2h/i those of row 3

@@ -510,12 +510,29 @@ def _fail_after_first_chunk(write_chunks, target):
         (["simulate", "--config", "sweep.json"], "inversion.csv"),
         (["figures", "fig3"], "fig3b.svg"),
         (["husimi", "--t", "5", "--resolution", "21"], "husimi.svg"),
+        (["simulate", "--config", "single.json"], "manifest.json"),
+        (["simulate", "--config", "sweep.json"], "sweep_manifest.json"),
+        (["simulate", "--config", "sweep.json"], "manifest.json"),
+        (["figures", "fig3"], "fig3_manifest.json"),
+        (["husimi", "--t", "5", "--resolution", "21"], "husimi_manifest.json"),
     ],
-    ids=["simulate", "sweep", "figures", "husimi"],
+    ids=[
+        "simulate",
+        "sweep",
+        "figures",
+        "husimi",
+        "simulate-manifest",
+        "sweep-manifest",
+        "sweep-point-manifest",
+        "figures-manifest",
+        "husimi-manifest",
+    ],
 )
 def test_failed_write_publishes_nothing(tmp_path, monkeypatch, capsys, argv, target):
     # a file that fails half-written ends the run with exit 2: a fresh --out
-    # is not made, an existing one keeps its bytes, and no staging is left
+    # is not made, an existing one keeps its bytes, and no staging is left.
+    # A manifest is the last file a plan writes, so publishing stays all or
+    # nothing up to it; the sweep's points run on 2 workers
     observables = ["populations", "inversion"]
     write_config(tmp_path, "single.json", samples=50, observables=observables)
     write_config(tmp_path, "sweep.json", samples=50, observables=observables, sweep={"axes": [["chi", [0.0, 0.2]]]})
@@ -749,6 +766,19 @@ FIELD_CHOICES = {
 # a coordinate or tick label that left the floating-point range
 NON_FINITE = re.compile(r"\b(nan|inf)\b")
 
+# each CSV column's physical range in an accepted run, with its tolerance:
+# populations and inversion to 1e-6 (dynamics.PHASE_ERROR_LIMIT, the gate on
+# an analytic run's error; the oracle's norm drift stays far below it), S to
+# 1e-15 of rounding at ln 2 (entropy clips P1 to [0, 1]), g2 and Q exactly
+# (g2 sums non-negative terms, Q + 1 is a non-negative quotient)
+PHYSICAL_RANGES = {
+    **dict.fromkeys(("P1", "P2", "P3"), (0.0, 1.0 + 1e-6)),
+    "W": (-1.0 - 1e-6, 1.0 + 1e-6),
+    "S": (0.0, math.log(2.0) + 1e-15),
+    "g2": (0.0, math.inf),
+    "Q": (-1.0, math.inf),
+}
+
 
 def assert_one_error_line(err):
     # every numerical range error names what failed, never Python's bare text
@@ -796,8 +826,9 @@ def single_run_documents(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(doc=single_run_documents(), force_oracle=st.booleans())
 def test_single_run_exit_contract(doc, force_oracle):
-    # exit 0 with finite CSV cells and SVG numbers, or exit 2 with one message
-    # line and no output; never a traceback (an exception out of main) or a warning.
+    # exit 0 with finite CSV cells in their physical ranges and finite SVG
+    # numbers, or exit 2 with one message line and no output; never a
+    # traceback (an exception out of main) or a warning.
     # Sweep points run in this process, so their warnings are caught too.
     # A low step budget keeps the oracle runs short: past it they exit 2.
     with (
@@ -838,6 +869,9 @@ def test_single_run_exit_contract(doc, force_oracle):
                 elif name.endswith(".csv"):
                     _, cols = read_csv_columns(path)
                     assert all(np.all(np.isfinite(col)) for col in cols.values()), path
+                    for column, values in cols.items():
+                        lo, hi = PHYSICAL_RANGES.get(column, (-math.inf, math.inf))
+                        assert lo <= values.min() and values.max() <= hi, (path, column)
                 elif name.endswith(".svg"):
                     with open(path) as fh:
                         assert not NON_FINITE.search(fh.read()), path
@@ -1035,7 +1069,7 @@ FIGURE_PANELS = {
 
 @pytest.mark.parametrize("fig_id", FIGURE_IDS)
 def test_figure_panels_labels_and_headers(tmp_path, fig_id):
-    manifest = run_figure(fig_id, str(tmp_path))
+    manifest = runner.publish(run_figure(fig_id), str(tmp_path))
     panels = manifest["panels"]
     assert [(p["name"], p["observable"]) for p in panels] == [(n, label) for n, label, _ in FIGURE_PANELS[fig_id]]
     for panel, (name, _, header) in zip(panels, FIGURE_PANELS[fig_id]):
@@ -1052,7 +1086,7 @@ def test_figures_rejects_unknown_id(tmp_path):
         main(["figures", "fig9"])
     out = tmp_path / "figs"
     with pytest.raises(ValueError, match="unknown figure 'fig9'; valid ids are " + ", ".join(FIGURE_IDS)):
-        run_figure("fig9", str(out))
+        runner.publish(run_figure("fig9"), str(out))
     assert not out.exists()
 
 
@@ -1302,15 +1336,15 @@ def test_sweep_point_io_error_crosses_workers(tmp_path, monkeypatch, capsys):
     # one point's write fails in its worker; the error reaches the parent
     # with its own type and the sweep writes nothing
     cfg = _three_point_sweep(tmp_path)
-    write_csv = runner.write_csv
+    write_chunks = runner.write_chunks
 
-    def full_disk(path, header, columns):
-        if f"{os.sep}chi=0.1{os.sep}" in path:
+    def full_disk(path, chunks):
+        if f"{os.sep}chi=0.1{os.sep}" in path and path.endswith(".csv"):
             raise OSError(errno.ENOSPC, "No space left on device", path)
-        return write_csv(path, header, columns)
+        return write_chunks(path, chunks)
 
     monkeypatch.setattr(runner, "worker_count", lambda: 2)
-    monkeypatch.setattr(runner, "write_csv", full_disk)
+    monkeypatch.setattr(runner, "write_chunks", full_disk)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error: [Errno 28] No space left on device: ") and err.count("\n") == 1

@@ -1,5 +1,7 @@
 import math
+import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +28,10 @@ from djcm.observables import (
     trajectory_series,
     von_neumann_entropy,
 )
-from djcm.runner import run_simulation, write_husimi
+from djcm.runner import husimi_panel, publish, run_simulation
 from djcm.validate import _ladder_matrix
 
+from phase_reference import OMEGA_CAVITY, OMEGA_LEVELS, REFERENCE
 from test_model import fig_params
 
 LN2 = math.log(2.0)
@@ -204,6 +207,40 @@ def test_mandel_q_undeformed_envelope():
     assert np.max(np.abs(q - expected)) <= 1e-12
 
 
+def exact_mandel_q(probs, params) -> float:
+    """Q of the populations probs, normalised, in exact rational arithmetic:
+    the variance over the mean of the deformed photon number, minus one."""
+    n, chi = params.sector_n, Fraction(params.deformation.chi)
+    w_up, w_dn = (n + 1) * (1 + chi * (n + 1) ** 2), n * (1 + chi * n * n)
+    p1, p2, p3 = map(Fraction, probs)
+    norm = p1 + p2 + p3
+    mean = (w_up * p1 + w_dn * (p2 + p3)) / norm
+    return float((w_up**2 * p1 + w_dn**2 * (p2 + p3)) / norm / mean - mean - 1)
+
+
+@pytest.mark.parametrize("key", list(REFERENCE), ids=[f"n={key[1]:.0e}" for key in REFERENCE])
+def test_mandel_q_at_large_sectors_against_60_digit_references(key):
+    # the 60-digit populations of tests/phase_reference.py, rounded to
+    # doubles, as real amplitudes; the reference is Q of the populations
+    # mandel_q reads from them, exactly.  Measured error: 0, 2.2e-16,
+    # 1.1e-16 and 1.1e-16 (n = 10^12 at chi 0; 10^4, 10^6 and 10^8 at chi
+    # 0.2), so 1e-14 leaves 45x headroom; the form (m2 - m1^2) / m1 - 1
+    # errs by 5.4e-4, 7.1e-5, 69 and 5.1e7 on the same rows
+    chi, n, g1, g2, omega_e = key
+    params = ModelParams(
+        omega_cavity=OMEGA_CAVITY,
+        omega_levels=tuple(OMEGA_LEVELS),
+        g1=g1,
+        g2=g2,
+        omega_e=omega_e,
+        deformation=Kerr(chi),
+        sector_n=n,
+    )
+    amps = np.sqrt(np.array(REFERENCE[key])).astype(complex)
+    reference = [exact_mandel_q(row, params) for row in populations(amps).tolist()]
+    assert np.max(np.abs(mandel_q(amps, params) - reference)) <= 1e-14
+
+
 def test_lowering_weight_matrix_elements():
     def power(chi, k):
         # <m-k| A^k |m> at [m-k, m], on photon numbers 0..3 (sector n = 2)
@@ -271,8 +308,12 @@ def test_array_functions_rows_match_stack_and_bounds():
         assert np.ndim(g2_zero(amps[0], p)) == 0
         for got, want in zip(field_moments(amps, p), reference_number_moments(amps, p)):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # physical ranges, exactly on these stacks (normalised to rounding):
+        # P in [0, 1], W in [-1, 1], S in [0, ln 2] (and the eigenvalue route's
+        # S to 1e-12), g2 >= 0 and Q >= -1
         probs = populations(amps)
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+        assert np.all(np.abs(inversion(amps)) <= 1.0)
         s = entropy(amps)
         assert np.all(s >= 0.0) and np.all(s <= LN2)
         s_eig = von_neumann_entropy(reduced_density(amps))
@@ -299,7 +340,8 @@ def test_series_times_are_scaled(tmp_path):
     # a series holds values only; run_simulation writes it against
     # tau = omega_cavity * t, the grid the trajectory was solved on
     p, traj = row_trajectory(samples=100, tau_max=10.0)
-    run_simulation(RunConfig(params=p, tau_max=10.0, samples=100, observables=("inversion",), svg=False), str(tmp_path))
+    cfg = RunConfig(params=p, tau_max=10.0, samples=100, observables=("inversion",), svg=False)
+    publish(run_simulation(cfg), str(tmp_path))
     table = np.loadtxt(tmp_path / "inversion.csv", delimiter=",", skiprows=1)
     assert table[0, 0] == 0.0
     assert table[-1, 0] == pytest.approx(10.0)
@@ -468,7 +510,8 @@ def test_husimi_all_sectors_matches_per_sector_log_space_sum(g1, g2, omega_e, ch
 def test_husimi_csv_is_written_from_the_grid_levels(tmp_path, n_max):
     p = fig_params(g1=0.06, g2=0.08, chi=0.2)
     request = HusimiRequest(tau=25.0, range=3.0, resolution=31, n_max=n_max)
-    files, _ = write_husimi(str(tmp_path), "husimi", "", p, request, svg=False)
+    publish(husimi_panel("husimi", "", p, request, svg=False), str(tmp_path))
+    files = os.listdir(tmp_path)
     assert files == ["husimi.csv"]
     grid = husimi_q(p, 25.0 / p.omega_cavity, 3.0, 31, n_max)
     assert grid.index.shape == (31, 31)

@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import arrays
 from djcm.config import RunConfig
 from djcm.figures import FIG7, ROWS, row_params, run_figure
 from djcm.model import Kerr, ModelParams
-from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, csv_rows, format_cells, write_csv, write_json
+from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, csv_chunks, csv_rows, format_cells, json_chunks, write_chunks
 from djcm.dynamics import tau_grid
-from djcm.runner import run_simulation, time_axis, write_husimi
+from djcm.runner import husimi_panel, publish, run_simulation, time_axis
 from djcm import svgplot
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_chunks, line_plot_chunks
 
@@ -47,13 +47,13 @@ def heatmap_svg(axis, values, **kwargs) -> str:
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(str(path), ["a", "b"], [np.array([0.0, 1.5]), np.array([2.0, -3.25])])
+    write_chunks(str(path), csv_chunks(["a", "b"], [np.array([0.0, 1.5]), np.array([2.0, -3.25])]))
     text = path.read_text()
     assert text == "a,b\n0,2\n1.5,-3.25\n"
     with pytest.raises(ValueError):
-        write_csv(str(path), ["a"], [np.array([0.0]), np.array([1.0])])
+        write_chunks(str(path), csv_chunks(["a"], [np.array([0.0]), np.array([1.0])]))
     with pytest.raises(ValueError):
-        write_csv(str(path), ["a", "b"], [np.array([0.0]), np.array([1.0, 2.0])])
+        write_chunks(str(path), csv_chunks(["a", "b"], [np.array([0.0]), np.array([1.0, 2.0])]))
 
 
 def test_write_csv_matches_per_cell_17g_reference(tmp_path):
@@ -62,7 +62,7 @@ def test_write_csv_matches_per_cell_17g_reference(tmp_path):
     ints = np.arange(len(floats), dtype=np.int64) * -(2**40)
     ints[-1] = 2**53 + 1  # rounds to 2**53 as float64
     path = tmp_path / "pin.csv"
-    write_csv(str(path), ["f", "i"], [floats, ints])
+    write_chunks(str(path), csv_chunks(["f", "i"], [floats, ints]))
     reference = "f,i\n" + "".join(f"{float(f):.17g},{float(i):.17g}\n" for f, i in zip(floats, ints))
     assert path.read_bytes() == reference.encode()
     # 17 significant digits round-trip every finite double exactly
@@ -72,7 +72,7 @@ def test_write_csv_matches_per_cell_17g_reference(tmp_path):
             assert float(cell) == v and np.signbit(float(cell)) == np.signbit(v)
     assert path.read_text().splitlines()[4].startswith("0.10000000000000001,")
     # a 0-row file is the header only
-    write_csv(str(path), ["a", "b"], [np.array([]), np.array([], dtype=np.int64)])
+    write_chunks(str(path), csv_chunks(["a", "b"], [np.array([]), np.array([], dtype=np.int64)]))
     assert path.read_bytes() == b"a,b\n"
 
 
@@ -89,14 +89,14 @@ def test_write_csv_blocks_match_per_cell_17g_reference(tmp_path):
     shared = np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n]
     shared[5] = -0.0
     path = tmp_path / "blocks.csv"
-    write_csv(str(path), ["f", "s1", "s2", "i", "t", "s3"], [floats, shared, shared, ints, texts, shared])
+    write_chunks(str(path), csv_chunks(["f", "s1", "s2", "i", "t", "s3"], [floats, shared, shared, ints, texts, shared]))
     rows = zip(floats.tolist(), shared.tolist(), ints.tolist(), preformatted.tolist())
     reference = "f,s1,s2,i,t,s3\n" + "".join(
         f"{f:.17g},{s:.17g},{s:.17g},{float(i):.17g},{t:.17g},{s:.17g}\n" for f, s, i, t in rows
     )
     assert path.read_bytes() == reference.encode()
     # one array for every column: each row its cell, three times
-    write_csv(str(path), ["a", "b", "c"], [shared, shared, shared])
+    write_chunks(str(path), csv_chunks(["a", "b", "c"], [shared, shared, shared]))
     assert path.read_text() == "a,b,c\n" + "".join(f"{s:.17g},{s:.17g},{s:.17g}\n" for s in shared.tolist())
 
 
@@ -109,7 +109,7 @@ def test_write_csv_memory_stays_below_its_file_size(tmp_path):
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        write_csv(str(path), ["a", "b", "c", "d"], columns)
+        write_chunks(str(path), csv_chunks(["a", "b", "c", "d"], columns))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -120,7 +120,7 @@ def test_write_csv_memory_stays_below_its_file_size(tmp_path):
 
 def test_write_json_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "m.json"
-    write_json(str(path), {"b": 1, "a": [1, 2]})
+    write_chunks(str(path), json_chunks({"b": 1, "a": [1, 2]}))
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
@@ -336,7 +336,7 @@ def test_format_cells_block_of_only_fallback_values():
 
 
 def test_csv_rows_repeats_a_one_cell_column():
-    # write_husimi passes one y cell per grid row: the same bytes as that
+    # husimi_panel passes one y cell per grid row: the same bytes as that
     # cell gathered once per x
     axis = format_cells(np.linspace(-3.0, 3.0, 7))
     levels = format_cells(np.array([0.25, 1e-20, 0.0, 5e-324, 1.0, 0.5, 0.125]))
@@ -348,7 +348,9 @@ def test_csv_rows_repeats_a_one_cell_column():
 
 def test_csv_files_match_their_golden_digests(tmp_path):
     # digests of files written by the %-per-cell formatter: a benchmark
-    # sweep point's six CSVs (seed 5, its first point) and fig7b.csv.  They
+    # sweep point's six CSVs (seed 5, its first point) and fig7b.csv;
+    # mandel_q.csv's since Q is taken as a two-valued variance
+    # (observables.mandel_q), where it was <(A+A)^2> - <A+A>^2.  They
     # pin the solved values as well, as computed with Python 3.11, NumPy 2.4
     # and OpenBLAS 0.3 on an AVX-512 x86-64 CPU.  Their last bits follow the
     # CPU: this is the one test that fails under AVX2-only NumPy dispatch
@@ -366,15 +368,15 @@ def test_csv_files_match_their_golden_digests(tmp_path):
     )
     observables = ("populations", "inversion", "g2", "entropy", "mandel_q", "squeezing")
     cfg = RunConfig(params=params, tau_max=50.0, samples=2000, observables=observables, svg=False)
-    run_simulation(cfg, str(tmp_path))
-    write_husimi(str(tmp_path), "fig7b", "", row_params(ROWS[1]), FIG7, svg=False)
+    publish(run_simulation(cfg), str(tmp_path))
+    publish(husimi_panel("fig7b", "", row_params(ROWS[1]), FIG7, svg=False), str(tmp_path))
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.csv")}
     likely_cause = "the solved values' last bits moved: likely NumPy's SIMD dispatch target or OpenBLAS's core type"
     assert digests == {
         "entropy.csv": "ed80346fe813dc97a8455faed3b60004daf9aedccff3f2b8f7115ecd24a0d9f6",
         "g2.csv": "cbe3d755594173e27ca34461a6495e43727a46591eeea3c3fe0eb2a95e96e3b5",
         "inversion.csv": "266947c268f45d1122dcacd304c986240fdb3381d68f68a37893224566e51a6d",
-        "mandel_q.csv": "b541b030040cef13184ebea3fc906aab13dcbb3de9dfb0879635fb3bc2915655",
+        "mandel_q.csv": "fbb7186777beac167c3e0010cb1762684408d786a2eded57da2388e70467131e",
         "populations.csv": "8d7ccae169207b21b80ad4c286c5d20be4613ae7475add70729e9431f2c692c1",
         "squeezing.csv": "7f30f19b9712ea02468c4c033bd88e2dccb150a60e93d6564b208c34b67f9797",
         "fig7b.csv": "eeb78c1ce91207d0e75cf9a236b3e5b6f489cf84ae2949bd20105766766ee1b7",
@@ -386,16 +388,16 @@ def test_write_csv_list_columns_match_per_cell_17g(tmp_path):
     repeated = np.repeat(np.array([-0.0, 0.0, 0.25]), len(floats) // 3)
     ints = np.arange(len(floats), dtype=np.int64) * -(2**40)
     path = tmp_path / "cells.csv"
-    write_csv(str(path), ["a", "b", "c"], [format_cells(floats), repeated, ints])
+    write_chunks(str(path), csv_chunks(["a", "b", "c"], [format_cells(floats), repeated, ints]))
     reference = "a,b,c\n" + "".join(
         f"{float(a):.17g},{float(b):.17g},{float(c):.17g}\n" for a, b, c in zip(floats, repeated, ints)
     )
     assert path.read_bytes() == reference.encode()
     # every column a cell array: the same bytes again
-    write_csv(str(path), ["a", "b", "c"], [format_cells(floats), format_cells(repeated), format_cells(ints)])
+    write_chunks(str(path), csv_chunks(["a", "b", "c"], [format_cells(floats), format_cells(repeated), format_cells(ints)]))
     assert path.read_bytes() == reference.encode()
     with pytest.raises(ValueError):
-        write_csv(str(path), ["a", "b"], [format_cells(floats), floats[:-1]])
+        write_chunks(str(path), csv_chunks(["a", "b"], [format_cells(floats), floats[:-1]]))
 
 
 def reference_heatmap_cells(values):
@@ -444,7 +446,7 @@ def test_heatmap_cells_match_per_cell_reference(n, seed):
 def test_fig7_heatmaps_keep_the_full_colour_scale(tmp_path):
     # Husimi Q spans far more than FLAT_SPAN of its magnitude here, so the
     # flat-field rule leaves every fig7 cell as the layout reference draws it
-    run_figure("fig7", str(tmp_path))
+    publish(run_figure("fig7"), str(tmp_path))
     for name in ("fig7a", "fig7b"):
         q = np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1)[:, 2].reshape(121, 121)
         lines = (tmp_path / f"{name}.svg").read_text().splitlines()
