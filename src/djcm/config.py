@@ -59,7 +59,7 @@ SWEEP_AXIS_NAMES = ("omega_cavity", "g1", "g2", "omega_e", "chi", "sector_n")
 MAX_SWEEP_POINTS = 10_000
 # CSV cells a run, a whole sweep or a Husimi grid may write (~1 GB of text).
 # Files are written in blocks of rows, so a run's memory is its solved data:
-# the tau cells that runner.time_axis caches (24 B of text per sample),
+# the tau cells, formatted once per run (24 B of text per sample),
 # then the solve's temporaries (~140 B per sample), the peak.  Measured
 # peaks (Python 3.11, NumPy 2.4): a 2M-sample inversion run (4M cells)
 # 387 MB, ~97 B per cell, the worst case, since the fewest columns share

@@ -156,7 +156,8 @@ def _as_grid(times, require_zero_start: bool) -> np.ndarray:
 
 
 def tau_grid(tau_max: float, samples: int) -> np.ndarray:
-    """A run's scaled time grid: config.RunConfig checks it, runner.time_axis solves on it."""
+    """A run's scaled time grid: config.RunConfig checks it, and a run solves
+    on it and formats its cells once for all of its panels."""
     return np.linspace(0.0, tau_max, samples)
 
 

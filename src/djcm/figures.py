@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import HusimiRequest
-from .dynamics import solve_sector
+from .dynamics import solve_sector, tau_grid
 from .model import Kerr, ModelParams
 from .observables import trajectory_series
-from .runner import husimi_panel, manifest_entry, panel_files, series_panel, time_axis, trajectory_quality
+from .output import format_cells
+from .runner import husimi_panel, manifest_entry, panel_files, series_panel, trajectory_quality
 
 __all__ = ["FigureRow", "ROWS", "FIGURE_IDS", "FIG7", "row_params", "run_figure"]
 
@@ -99,7 +100,8 @@ def run_figure(fig_id: str):
     <fig_id>_manifest.json; a panel is computed when publish reaches it."""
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure {fig_id!r}; valid ids are {', '.join(FIGURE_IDS)}")
-    axis = time_axis(FIG_TAU_MAX, FIG_SAMPLES)
+    tau = tau_grid(FIG_TAU_MAX, FIG_SAMPLES)
+    axis = tau, format_cells(tau)
     letters = iter("abcdefghi")
     panels = []
     if fig_id == "fig7":
@@ -113,7 +115,7 @@ def run_figure(fig_id: str):
         rows, observable, row_panels = _SERIES_FIGURES[fig_id]
         for row in rows:
             params = row_params(row)
-            traj = solve_sector(params, axis[0] / params.omega_cavity)
+            traj = solve_sector(params, tau / params.omega_cavity)
             series = trajectory_series(traj, observable, params)
             quality = trajectory_quality(traj)
             for label, columns, title in row_panels:

@@ -19,9 +19,6 @@ import os
 import shutil
 import tempfile
 from dataclasses import asdict
-from functools import lru_cache
-
-import numpy as np
 
 from . import __version__
 from .config import HusimiRequest, RunConfig, ic_echo, params_echo
@@ -38,7 +35,6 @@ __all__ = [
     "parallel_map",
     "staged",
     "publish",
-    "time_axis",
     "trajectory_quality",
     "manifest_entry",
     "panel_files",
@@ -130,18 +126,6 @@ def staged(out_dir: str):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-@lru_cache(maxsize=1)
-def time_axis(tau_max: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dimensionless time grid of a run and its CSV cells
-    (format_cells), shared by every panel of the run and, through the
-    cache, by every point of a sweep.  The grid and the cells are read-only."""
-    tau = tau_grid(tau_max, samples)
-    cells = format_cells(tau)
-    for array in (tau, cells):
-        array.flags.writeable = False
-    return tau, cells
-
-
 def trajectory_quality(traj: Trajectory) -> dict:
     """Per-run route and accuracy, embedded in every manifest: the route,
     the norm drift, the phase error bound (analytic route) and the
@@ -166,8 +150,8 @@ def panel_files(name: str, svg: bool) -> list[str]:
 
 def series_panel(name: str, axis: tuple, series: list[ObservableSeries], svg: bool, title: str, ylabel: str = ""):
     """One panel's plan: <name>.csv (columns tau and one per series) and,
-    with svg, <name>.svg (line plot).  axis is the run's time_axis: tau and
-    its cells, formatted once for all of a run's panels."""
+    with svg, <name>.svg (line plot).  axis is the run's time grid and its
+    cells (format_cells), formatted once for all of the run's panels."""
     tau, tau_cells = axis
     yield f"{name}.csv", csv_chunks(["tau"] + [s.name for s in series], [tau_cells] + [s.values for s in series])
     if svg:
@@ -197,12 +181,13 @@ def publish(plan, out_dir: str):
     """Write each (file name, chunks) entry of plan into out_dir, made when
     the first entry comes (a plan that fails before it creates nothing),
     and return what the plan returns: a run's manifest."""
-    while True:
+    for written in itertools.count():
         try:
             name, chunks = next(plan)
         except StopIteration as end:
             return end.value
-        os.makedirs(out_dir, exist_ok=True)
+        if not written:
+            os.makedirs(out_dir, exist_ok=True)
         write_chunks(os.path.join(out_dir, name), chunks)
 
 
@@ -210,8 +195,9 @@ def run_simulation(cfg: RunConfig):
     """The plan of one RunConfig: CSV/SVG files per observable, in
     cfg.observables order, then manifest.json.  One panel's series are held
     at a time, and the first that fails names the error."""
-    axis = time_axis(cfg.tau_max, cfg.samples)
-    traj = solve_sector(cfg.params, axis[0] / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
+    tau = tau_grid(cfg.tau_max, cfg.samples)
+    axis = tau, format_cells(tau)
+    traj = solve_sector(cfg.params, tau / cfg.params.omega_cavity, ic=cfg.ic, method=cfg.method)
     manifest = {"config": cfg.echo(), **trajectory_quality(traj)}
     for name in cfg.observables:
         if name == "husimi":
@@ -246,8 +232,6 @@ def run_sweep(points: list[tuple[str, RunConfig]], out_dir: str):
     """The plan of a sweep: sweep_manifest.json alone, once every (label,
     RunConfig) point has published its own plan into out_dir/<label>/.
     The first point that fails ends the sweep with its error."""
-    # the points share one time axis: format its cells before the workers fork
-    time_axis(points[0][1].tau_max, points[0][1].samples)
     # worker processes rather than threads: CSV formatting holds the
     # interpreter lock, so threads would not overlap it
     manifests = parallel_map(_simulate_job, [(label, cfg, os.path.join(out_dir, label)) for label, cfg in points])

@@ -25,7 +25,7 @@ from djcm.cli import main
 from djcm.config import MAX_HUSIMI_N_MAX, load_config_file, run_config_from_dict, sweep_from_dict
 from djcm.dynamics import PHASE_ERROR_LIMIT
 from djcm.figures import FIGURE_IDS, run_figure
-from djcm.observables import OBSERVABLE_NAMES
+from djcm.observables import OBSERVABLE_NAMES, SERIES
 from djcm import runner
 from djcm.runner import QUALITY_KEYS
 
@@ -1294,6 +1294,23 @@ def test_worker_cap_does_not_change_output(tmp_path, monkeypatch):
     serial = tree_bytes(out_serial)
     assert len(serial) == 3 * 3 + 1
     assert serial == tree_bytes(out_pooled)
+
+
+def test_sweep_makes_each_directory_once(tmp_path, monkeypatch):
+    # a sweep point publishes as a single run does: its directory is made
+    # once, when its first file comes, not once a file (7 files a point here);
+    # then the sweep manifest's staging directory and --out, once each
+    sweep = {"axes": [["chi", [0.0, 0.1, 0.2]]]}
+    cfg = write_config(tmp_path, samples=50, svg=False, observables=list(SERIES), sweep=sweep)
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(runner, "worker_count", lambda: 1)
+    monkeypatch.setattr(os, "makedirs", lambda name, **kwargs: made.append(name) or makedirs(name, **kwargs))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    staging = os.path.dirname(made[0])
+    assert made == [os.path.join(staging, label) for label in ("chi=0", "chi=0.1", "chi=0.2")] + [staging, str(out)]
+    assert len(os.listdir(out / "chi=0.1")) == 7
 
 
 # the third point's phase error bound is ~1e285: it fails after the first two

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from djcm.config import HusimiRequest, RunConfig
 from djcm.dynamics import InitialCondition, solve_sector
-from djcm.figures import ROWS, row_params
+from djcm.figures import FIG_SAMPLES, FIG_TAU_MAX, ROWS, row_params
 from djcm.model import Kerr, ModelParams
 from djcm.observables import (
     ObservableSeries,
@@ -239,6 +239,31 @@ def test_mandel_q_at_large_sectors_against_60_digit_references(key):
     amps = np.sqrt(np.array(REFERENCE[key])).astype(complex)
     reference = [exact_mandel_q(row, params) for row in populations(amps).tolist()]
     assert np.max(np.abs(mandel_q(amps, params) - reference)) <= 1e-14
+
+
+def exact_s2(probs, params) -> Fraction:
+    """s2 = 2<(A+A)^2> - 2<A+A> of the populations probs, unnormalised, in
+    exact rational arithmetic on the model's weights (n+1) f^2(n+1), n f^2(n)."""
+    n, chi = params.sector_n, Fraction(params.deformation.chi)
+    w_up, w_dn = (n + 1) * (1 + chi * (n + 1) ** 2), n * (1 + chi * n * n)
+    p1, p2, p3 = map(Fraction, probs)
+    return 2 * (w_up**2 * p1 + w_dn**2 * (p2 + p3)) - 2 * (w_up * p1 + w_dn * (p2 + p3))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.label for row in ROWS])
+def test_s2_on_the_figure_grid_against_exact_rationals(row):
+    # fig8 draws rows 1 and 3.  Measured relative error, sample by sample:
+    # 0, 1.7e-15 and 1.8e-15 on rows 1-3, so 1e-14 leaves 5.6x headroom;
+    # nearly all of it is the rounding of w_dn = f(1)**2 = 1.1999999999999997
+    # in w_dn - 1 (on the weights as rounded the error is 0, 2.2e-16 and
+    # 2.3e-16).  The form 2 m2 - 2 m1 errs by 8.7e-13 on row 1 (chi 0, n 1),
+    # where s2 = 4 P1 falls to 0 as m2 and m1 near P2 + P3
+    params = row_params(row)
+    amps = solve_sector(params, np.linspace(0.0, FIG_TAU_MAX, FIG_SAMPLES) / params.omega_cavity).amplitudes
+    reference = np.array([float(exact_s2(probs, params)) for probs in populations(amps).tolist()])
+    _, _, s2_x, s2_p = squeezing_params(amps, params)
+    assert s2_x is s2_p
+    assert np.all(np.abs(s2_x - reference) <= 1e-14 * np.abs(reference))
 
 
 def test_lowering_weight_matrix_elements():

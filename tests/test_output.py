@@ -13,7 +13,7 @@ from djcm.figures import FIG7, ROWS, row_params, run_figure
 from djcm.model import Kerr, ModelParams
 from djcm.output import CELL_WIDTH, CSV_BLOCK_ROWS, csv_chunks, csv_rows, format_cells, json_chunks, write_chunks
 from djcm.dynamics import tau_grid
-from djcm.runner import husimi_panel, publish, run_simulation, time_axis
+from djcm.runner import husimi_panel, publish, run_simulation
 from djcm import svgplot
 from djcm.svgplot import _MARGIN_L, _MARGIN_T, COLORMAP, heatmap_chunks, line_plot_chunks
 
@@ -245,23 +245,17 @@ def test_format_cells_matches_per_cell_17g():
     assert cell_texts(cells[np.array([7, 0, 7])]) == [f"{v:.17g}" for v in values[[7, 0, 7]].tolist()]
 
 
-def test_time_axis_is_cached_read_only_and_formatted():
-    def assert_axis(tau, cells, tau_max, samples):
-        assert np.array_equal(tau, tau_grid(tau_max, samples))
-        assert [bytes(row).replace(b" ", b"") for row in cells] == [("%.17g" % t).encode() for t in tau.tolist()]
-
-    tau, cells = time_axis(7.5, 33)
-    assert_axis(tau, cells, 7.5, 33)
-    repeat = time_axis(7.5, 33)
-    assert repeat[0] is tau and repeat[1] is cells
-    for array in (tau, cells):
-        with pytest.raises(ValueError):
-            array[0] = 1
-    # one axis is cached: a second replaces it, and the first is made afresh
-    assert_axis(*time_axis(3.0, 5), 3.0, 5)
-    again = time_axis(7.5, 33)
-    assert again[0] is not tau and again[1] is not cells
-    assert_axis(*again, 7.5, 33)
+def test_tau_column_is_the_time_grid_in_17g_cells(tmp_path):
+    # each panel's tau column is its run's grid, tau_grid(tau_max, samples),
+    # as %.17g text: a simulate run's and a figure's
+    observables = ("populations", "inversion")
+    cfg = RunConfig(params=row_params(ROWS[0]), tau_max=7.5, samples=33, observables=observables, svg=False)
+    publish(run_simulation(cfg), str(tmp_path / "run"))
+    publish(run_figure("fig3"), str(tmp_path / "fig"))
+    runs = {"run": tau_grid(7.5, 33), "fig": tau_grid(50.0, 2000)}
+    for name in ("run/populations.csv", "run/inversion.csv", "fig/fig3a.csv", "fig/fig3c.csv"):
+        column = [line.split(",")[0] for line in (tmp_path / name).read_text().splitlines()]
+        assert column == ["tau"] + ["%.17g" % t for t in runs[name.split("/")[0]].tolist()]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -350,13 +344,15 @@ def test_csv_files_match_their_golden_digests(tmp_path):
     # digests of files written by the %-per-cell formatter: a benchmark
     # sweep point's six CSVs (seed 5, its first point) and fig7b.csv;
     # mandel_q.csv's since Q is taken as a two-valued variance
-    # (observables.mandel_q), where it was <(A+A)^2> - <A+A>^2.  They
+    # (observables.mandel_q), where it was <(A+A)^2> - <A+A>^2, and
+    # squeezing.csv's since s2 is taken as a sum of non-negative terms
+    # (observables.squeezing_params), where it was 2<(A+A)^2> - 2<A+A>.  They
     # pin the solved values as well, as computed with Python 3.11, NumPy 2.4
     # and OpenBLAS 0.3 on an AVX-512 x86-64 CPU.  Their last bits follow the
     # CPU: this is the one test that fails under AVX2-only NumPy dispatch
     # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") or under
     # OPENBLAS_CORETYPE=Haswell on that CPU.  Which of these the bytes may
-    # depend on is ROADMAP item 2
+    # depend on is ROADMAP item 4
     params = ModelParams(
         omega_cavity=0.2,
         omega_levels=(0.3, 0.4, 0.5),
@@ -378,7 +374,7 @@ def test_csv_files_match_their_golden_digests(tmp_path):
         "inversion.csv": "266947c268f45d1122dcacd304c986240fdb3381d68f68a37893224566e51a6d",
         "mandel_q.csv": "fbb7186777beac167c3e0010cb1762684408d786a2eded57da2388e70467131e",
         "populations.csv": "8d7ccae169207b21b80ad4c286c5d20be4613ae7475add70729e9431f2c692c1",
-        "squeezing.csv": "7f30f19b9712ea02468c4c033bd88e2dccb150a60e93d6564b208c34b67f9797",
+        "squeezing.csv": "ea8893c72209ac5de0b09f9f2dbca12790a90947e021c2b154341b3000e428fc",
         "fig7b.csv": "eeb78c1ce91207d0e75cf9a236b3e5b6f489cf84ae2949bd20105766766ee1b7",
     }, likely_cause
 
