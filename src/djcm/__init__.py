@@ -32,11 +32,11 @@ from .observables import (
     ObservableSeries,
     UndefinedObservableError,
     entropy,
-    field_moments,
     g2_zero,
     husimi_q,
     inversion,
     mandel_q,
+    mean_photon_number,
     populations,
     reduced_density,
     squeezing_params,

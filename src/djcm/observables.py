@@ -10,13 +10,13 @@ use the deformed ladder operators restricted to the sector's three
 basis kets; the entanglement entropy of the reduced atomic state
 reduces to the binary entropy of P1.
 
-`field_moments` is the one route to <A+A> and <(A+A)^2>: g2, Mandel Q
-and the squeezing parameters take <A+A> from it, and Mandel Q and s2
-weigh the populations so that no difference of moments cancels.  The
+`mean_photon_number` is the one route to <A+A>: g2, Mandel Q and the
+squeezing parameters take it from there, and weigh the populations with
+A+A's exact eigenvalues so that no difference of moments cancels.  The
 squeezing parameters drop the anomalous moments <A^k>, k >= 1: the
 three basis kets pair distinct atomic levels with distinct photon
 numbers, so every <A^k> vanishes in a single-sector state.  Validate
-criterion 8 checks the moments and that step against the ladder matrix.
+criterion 8 checks <A+A> and that step against the ladder matrix.
 Their forward errors are stated as first-order condition numbers for
 relative perturbations of P1 and P2 + P3 (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., 2002, ch. 1-3), plus a few roundings.
@@ -44,7 +44,7 @@ __all__ = [
     "OBSERVABLE_NAMES",
     "populations",
     "inversion",
-    "field_moments",
+    "mean_photon_number",
     "g2_zero",
     "mandel_q",
     "entropy",
@@ -117,32 +117,31 @@ def inversion(amps: np.ndarray) -> np.ndarray:
 
 
 def _moment_weights(params: ModelParams) -> tuple[float, float, float]:
-    n = params.sector_n
-    d = params.deformation
-    w_up = (n + 1) * d.f(n + 1) ** 2
-    w_dn = n * d.f(n) ** 2
-    # the two-photon weight (n-1) f^2(n-1) is 0 by definition at n = 0
-    w_two = (n - 1) * d.f(n - 1) ** 2 if n >= 1 else 0.0
-    return w_up, w_dn, w_two
+    # A+A's eigenvalues m f^2(m) = m (1 + chi m^2) at m = n + 1, n, n - 1, by products only
+    chi, n = params.deformation.chi, params.sector_n
+    return tuple(m * (1.0 + chi * m * m) if m > 0 else 0.0 for m in (n + 1, n, n - 1))
 
 
-def field_moments(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of the deformed photon number, (<A+A>, <(A+A)^2>)."""
+def mean_photon_number(amps: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Mean deformed photon number <A+A> = w_up P1 + w_dn (P2 + P3)."""
     probs = populations(amps)
-    p1, p23 = probs[..., 0], probs[..., 1] + probs[..., 2]
     w_up, w_dn, _ = _moment_weights(params)
-    return w_up * p1 + w_dn * p23, w_up**2 * p1 + w_dn**2 * p23
+    return w_up * probs[..., 0] + w_dn * (probs[..., 1] + probs[..., 2])
 
 
 def g2_zero(amps: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Zero-delay second-order intensity correlation g2(0): a ratio of
-    non-negative linear forms, so nothing cancels; condition number <= 3."""
-    m1, _ = field_moments(amps, params)
+    """Zero-delay second-order intensity correlation g2(0), over <A+A>^2 from
+    mean_photon_number: a ratio of non-negative linear forms, so nothing
+    cancels; condition number <= 3.  Where <A+A>^2 overflows, g2 is nan,
+    not a finite numerator over inf's silent 0, and its series fails."""
+    m1 = mean_photon_number(amps, params)
     if np.any(m1 == 0.0):
         raise UndefinedObservableError("g2 is undefined where <A+A> = 0")
     probs = populations(amps)
     w_up, w_dn, w_two = _moment_weights(params)
-    return (w_up * w_dn * probs[..., 0] + w_two * w_dn * (probs[..., 1] + probs[..., 2])) / (m1 * m1)
+    m1_sq = m1 * m1
+    m1_sq = np.where(np.isinf(m1_sq), np.nan, m1_sq)
+    return (w_up * w_dn * probs[..., 0] + w_two * w_dn * (probs[..., 1] + probs[..., 2])) / m1_sq
 
 
 def mandel_q(amps: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -150,15 +149,16 @@ def mandel_q(amps: np.ndarray, params: ModelParams) -> np.ndarray:
 
     Q = (w_up - w_dn)^2 P1 (P2 + P3) / (N <A+A>) - 1, N = P1 + P2 + P3: the
     variance of a number that is w_up on P1 and w_dn on P2 + P3, with
-    w_up - w_dn = model.k_value, so nothing cancels and Q >= -1 exactly.
+    w_up - w_dn = model.k_value (squared as k * k), so nothing cancels and Q >= -1.
     Q + 1 has condition number <= 2, and none for a common scale (norm drift).
     """
-    m1, _ = field_moments(amps, params)
+    m1 = mean_photon_number(amps, params)
     if np.any(m1 == 0.0):
         raise UndefinedObservableError("mandel_q is undefined where <A+A> = 0")
     probs = populations(amps)
     p1, p23 = probs[..., 0], probs[..., 1] + probs[..., 2]
-    return k_value(params.deformation, params.sector_n) ** 2 * p1 * p23 / ((p1 + p23) * m1) - 1.0
+    k = k_value(params.deformation, params.sector_n)
+    return k * k * p1 * p23 / ((p1 + p23) * m1) - 1.0
 
 
 def entropy(amps: np.ndarray) -> np.ndarray:
@@ -208,11 +208,11 @@ def squeezing_params(amps: np.ndarray, params: ModelParams) -> tuple[np.ndarray,
     quadratures give s1 = 2<A+A> and s2 = 2<(A+A)^2> - 2<A+A>, taken as
     s2 = 2 (w_up (w_up - 1) P1 + w_dn (w_dn - 1) (P2 + P3)).  Each weight
     is 0 or >= 1, so both terms are non-negative and nothing cancels: s1
-    and s2 have condition number <= 1, plus a few roundings.  w - 1 keeps
-    the rounding of w (f(n)**2), a relative u w / (w - 1): 6 u at n = 1,
-    chi = 0.2, and none at chi = 0, where s2 = 4 P1 exactly.
+    and s2 have condition number <= 1, plus a few roundings.  At n = 1 each
+    w = m (1 + chi m^2) is one rounding of 1 + chi m^2, which w - 1 keeps: a
+    relative u w / (w - 1), <= 6 u at chi = 0.2 and none at chi = 0 (s2 = 4 P1).
     """
-    m1, _ = field_moments(amps, params)
+    m1 = mean_photon_number(amps, params)
     probs = populations(amps)
     w_up, w_dn, _ = _moment_weights(params)
     s1 = 2.0 * m1
@@ -241,17 +241,13 @@ def trajectory_series(traj: Trajectory, name: str, params: ModelParams) -> list[
     """Named observable series over a trajectory solved from params.
 
     NumPy's floating-point warnings are silenced: a value that leaves the
-    double range fails ObservableSeries' finiteness check instead, and a
-    Python float's OverflowError (in the moment weights' `**`) one that names it.
+    double range fails ObservableSeries' finiteness check instead.
     """
     if name not in SERIES:
         raise ValueError(f"unknown observable {name!r}")
     columns, values = SERIES[name]
     with np.errstate(all="ignore"):
-        try:
-            arrays = values(traj.amplitudes, params)
-        except OverflowError as exc:  # its text is an errno tuple
-            raise FloatingPointError(f"series {name!r} leaves the floating-point range") from exc
+        arrays = values(traj.amplitudes, params)
     return [ObservableSeries(col, v) for col, v in zip(columns, arrays)]
 
 

@@ -37,14 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import EXCITED, analytic_trajectory, norm_drift, sector_generator, solve_sector
-from .figures import ROWS, run_figure, row_params
+from .dynamics import EXCITED, analytic_trajectory, norm_drift, sector_generator, solve_sector, tau_grid
+from .figures import FIG_SAMPLES, FIG_TAU_MAX, ROWS, run_figure, row_params
 from .model import Kerr, ModelParams, SectorCoefficients, sector_coefficients
 from .observables import (
-    field_moments,
     g2_zero,
     husimi_q,
     mandel_q,
+    mean_photon_number,
     populations,
     reduced_density,
     squeezing_params,
@@ -188,8 +188,8 @@ def _c4_closed_form_limit() -> Iterator[CriterionResult]:
 def _c5_entropy_identity() -> Iterator[CriterionResult]:
     worst_dev = 0.0
     s_min, s_max = math.inf, -math.inf
+    tau = tau_grid(FIG_TAU_MAX, FIG_SAMPLES)
     for params in map(row_params, ROWS):
-        tau = np.linspace(0.0, 50.0, 2000)
         traj = solve_sector(params, tau / params.omega_cavity)
         series = trajectory_series(traj, "entropy", params)[0].values
         # eigen-decomposition route on every sample's reduced density matrix
@@ -255,14 +255,16 @@ def _relative_error(values, reference) -> float:
 
 def _c8_moment_vanishing() -> Iterator[CriterionResult]:
     """On each reference row, <A>, <A^2>, <A^4> read off the ladder matrix vanish,
-    and field_moments and squeezing_params (in its full forms) match it.  Each
-    ket pairs its own atomic level with one photon number, so for any photon
-    operator op, <op> = P1 op[n+1, n+1] + (P2 + P3) op[n, n].  The <A^k> check
-    is structural: A^k has a zero diagonal, so it reads an exact 0, as would
-    psi @ op over the embedded state.  Only the moment and squeezing checks fail."""
+    and mean_photon_number and squeezing_params (in its full forms, s2 from the
+    matrix's <(A+A)^2>) match it.  Each ket pairs its own atomic level with one
+    photon number, so for any photon operator op, <op> = P1 op[n+1, n+1] +
+    (P2 + P3) op[n, n].  The <A^k> check is structural: A^k has a zero diagonal,
+    so it reads an exact 0, as would psi @ op over the embedded state.  Only
+    the moment and squeezing checks fail."""
     worst_anomalous = worst_moments = worst_squeezing = 0.0
+    tau = tau_grid(FIG_TAU_MAX, FIG_SAMPLES)
     for params in map(row_params, ROWS):
-        amps = solve_sector(params, np.linspace(0.0, 50.0, 2000) / params.omega_cavity).amplitudes
+        amps = solve_sector(params, tau / params.omega_cavity).amplitudes
         probs, n, lower = populations(amps), params.sector_n, _ladder_matrix(params)
 
         def expect(op):
@@ -271,7 +273,7 @@ def _c8_moment_vanishing() -> Iterator[CriterionResult]:
         a1, a2, a4 = (expect(np.linalg.matrix_power(lower, k)) for k in (1, 2, 4))
         m1, m2 = (expect(np.linalg.matrix_power(lower.T @ lower, k)) for k in (1, 2))
         worst_anomalous = max(worst_anomalous, *(float(np.max(np.abs(a))) for a in (a1, a2, a4)))
-        worst_moments = max(worst_moments, *map(_relative_error, field_moments(amps, params), (m1, m2)))
+        worst_moments = max(worst_moments, _relative_error(mean_photon_number(amps, params), m1))
         # s1 from (<A>, <A^2>), s2 from (<A^2>, <A^4>): s_x, s_p = base +- Re(b + b* - a^2 - a*^2) - 2 a a*
         full = []
         for base, a, b in ((2.0 * m1, a1, a2), (2.0 * m2 - 2.0 * m1, a2, a4)):

@@ -280,7 +280,7 @@ PERTURBATIONS = {
         "husimi_q",
         lambda husimi: lambda *args: (lambda grid: replace(grid, levels=grid.levels * 1.02))(husimi(*args)),
     ),
-    # field_moments and squeezing_params ~2e-9 and ~5e-9 off the ladder matrix
+    # mean_photon_number and squeezing_params ~1e-9 and ~5e-9 off the ladder matrix
     8: (
         lambda: next(_c8_moment_vanishing()),
         observables,

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -327,16 +328,25 @@ FAILED_SIMULATE = {
         [],
         range_error("series 'g2' contains non-finite values"),
     ),
-    # chi = 1e200 overflows the moment weights' Python float **, whose
-    # own message is an errno tuple: the line names the series instead
+    # chi = 1e200: the moment weights and k_value are finite, but their
+    # products overflow to inf (inf / inf, inf x 0 give nan), so each series
+    # fails the one finiteness check, in its first non-finite column
     **{
         f"weights-{name}": (
             with_params(chi=1e200) | {"tau_max": 1e-200, "observables": ["populations", name]},
             [],
-            range_error(f"series {name!r} leaves the floating-point range"),
+            range_error(f"series {column!r} contains non-finite values"),
         )
-        for name in ("g2", "mandel_q", "squeezing")
+        for name, column in (("g2", "g2"), ("mandel_q", "Q"), ("squeezing", "s2_x"))
     },
+    # P1 = 1 at chi 1.9e153: <A+A> = w_up = 1.52e154, whose square leaves
+    # the range while g2's numerator w_up w_dn P1 = 2.9e307 does not; the
+    # exact g2 is w_dn / w_up = 0.125, so the run fails rather than write 0
+    "g2-mean-square": (
+        with_params(chi=1.9e153) | HUGE_S2 | {"observables": ["populations", "g2"]},
+        [],
+        range_error("series 'g2' contains non-finite values"),
+    ),
     # one column of a multi-column observable
     "s2_x": (with_params(chi=1.2e153) | HUGE_S2, [], range_error("series 's2_x' contains non-finite values")),
     # the plot: a finite series whose padded y range, times five for the
@@ -480,6 +490,23 @@ def test_huge_series_without_svg_writes_its_csv(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "y")]) == 0
     _, cols = read_csv_columns(tmp_path / "y" / "squeezing.csv")
     assert cols["s2_x"].max() == 1.5487999999999999e308
+    # w_up = 1.52e154, whose square leaves the range; no output squares a
+    # weight, and <A+A> = w_dn (P2 + P3) + w_up P1 = 1.9e153 squares within it:
+    # g2 matches exact rationals on the written populations, and Q is finite
+    chi = 1.9e153
+    observables = {"tau_max": 1e-150, "observables": ["populations", "g2", "mandel_q"]}
+    cfg = write_config(tmp_path, "weights.json", samples=50, svg=False, **with_params(chi=chi), **observables)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+    _, probs = read_csv_columns(tmp_path / "w" / "populations.csv")
+    _, g2 = read_csv_columns(tmp_path / "w" / "g2.csv")
+    _, q = read_csv_columns(tmp_path / "w" / "mandel_q.csv")
+    w_up, w_dn = 2 * (1 + 4 * Fraction(chi)), 1 + Fraction(chi)
+    for p1, p2, p3, got in zip(probs["P1"], probs["P2"], probs["P3"], g2["g2"]):
+        p1, p23 = Fraction(p1), Fraction(p2) + Fraction(p3)
+        want = w_up * w_dn * p1 / (w_up * p1 + w_dn * p23) ** 2
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
+    assert g2["g2"].max() > 0.0
+    assert np.all(np.isfinite(q["Q"])) and q["Q"].min() >= -1.0
     cfg = write_config(tmp_path, "wide.json", samples=50, svg=False, **WIDE_TAU)
     assert main(["simulate", "--config", cfg, "--force-oracle", "--out", str(tmp_path / "x")]) == 0
     _, cols = read_csv_columns(tmp_path / "x" / "populations.csv")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from djcm.config import HusimiRequest, RunConfig
-from djcm.dynamics import InitialCondition, solve_sector
+from djcm.dynamics import InitialCondition, solve_sector, tau_grid
 from djcm.figures import FIG_SAMPLES, FIG_TAU_MAX, ROWS, row_params
 from djcm.model import Kerr, ModelParams
 from djcm.observables import (
@@ -17,11 +17,11 @@ from djcm.observables import (
     SERIES,
     UndefinedObservableError,
     entropy,
-    field_moments,
     g2_zero,
     husimi_q,
     inversion,
     mandel_q,
+    mean_photon_number,
     populations,
     reduced_density,
     squeezing_params,
@@ -87,27 +87,26 @@ def test_inversion_bounded():
     assert np.all(w >= -1.0) and np.all(w <= 1.0)
 
 
-def test_field_moments_fock_values():
+def test_mean_photon_number_fock_values():
     p = fig_params()
-    assert field_moments(amps_at_tau(p, 0.0), p) == (1.0, 1.0)
+    assert mean_photon_number(amps_at_tau(p, 0.0), p) == 1.0
+    # the weight 1 (1 + 0.2) rounds once, to the double nearest 1.2; the
+    # square of the rounded f(1) = sqrt(1.2) would be 1.1999999999999997
     pk = fig_params(chi=0.2)
-    m1, m2 = field_moments(amps_at_tau(pk, 0.0), pk)
-    assert m1 == pytest.approx(1.2, abs=1e-15)
-    assert m2 == pytest.approx(1.44, abs=1e-15)
+    assert mean_photon_number(amps_at_tau(pk, 0.0), pk) == 1.2
 
 
-def test_field_moments_bounds_and_engine_cross_check():
+def test_mean_photon_number_bounds_and_engine_cross_check():
     p, traj = row_trajectory(g1=0.06, g2=0.08, chi=0.2)
     n = p.sector_n
     f2_up = (n + 1) * (1 + 0.2 * (n + 1) ** 2)
     f2_dn = n * (1 + 0.2 * n**2)
     amps = traj.amplitudes[::25]
-    m1, m2 = field_moments(amps, p)
-    assert np.all(m1 >= 0.0) and np.all(m2 >= 0.0)
+    m1 = mean_photon_number(amps, p)
+    assert np.all(m1 >= 0.0)
     assert np.all(m1 <= max(f2_up, f2_dn) + 1e-12)
-    ref_m1, ref_m2 = reference_number_moments(amps, p)
+    ref_m1, _ = reference_number_moments(amps, p)
     np.testing.assert_allclose(m1, ref_m1, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(m2, ref_m2, rtol=1e-14, atol=0.0)
 
 
 def test_g2_zero_fock_sector_is_zero():
@@ -207,11 +206,17 @@ def test_mandel_q_undeformed_envelope():
     assert np.max(np.abs(q - expected)) <= 1e-12
 
 
+def exact_weights(params) -> tuple[Fraction, Fraction, Fraction]:
+    """The model's weights m f^2(m) = m (1 + chi m^2) at m = n + 1, n, n - 1,
+    in exact rational arithmetic."""
+    n, chi = params.sector_n, Fraction(params.deformation.chi)
+    return tuple(m * (1 + chi * m * m) if m > 0 else Fraction(0) for m in (n + 1, n, n - 1))
+
+
 def exact_mandel_q(probs, params) -> float:
     """Q of the populations probs, normalised, in exact rational arithmetic:
     the variance over the mean of the deformed photon number, minus one."""
-    n, chi = params.sector_n, Fraction(params.deformation.chi)
-    w_up, w_dn = (n + 1) * (1 + chi * (n + 1) ** 2), n * (1 + chi * n * n)
+    w_up, w_dn, _ = exact_weights(params)
     p1, p2, p3 = map(Fraction, probs)
     norm = p1 + p2 + p3
     mean = (w_up * p1 + w_dn * (p2 + p3)) / norm
@@ -243,27 +248,48 @@ def test_mandel_q_at_large_sectors_against_60_digit_references(key):
 
 def exact_s2(probs, params) -> Fraction:
     """s2 = 2<(A+A)^2> - 2<A+A> of the populations probs, unnormalised, in
-    exact rational arithmetic on the model's weights (n+1) f^2(n+1), n f^2(n)."""
-    n, chi = params.sector_n, Fraction(params.deformation.chi)
-    w_up, w_dn = (n + 1) * (1 + chi * (n + 1) ** 2), n * (1 + chi * n * n)
+    exact rational arithmetic."""
+    w_up, w_dn, _ = exact_weights(params)
     p1, p2, p3 = map(Fraction, probs)
     return 2 * (w_up**2 * p1 + w_dn**2 * (p2 + p3)) - 2 * (w_up * p1 + w_dn * (p2 + p3))
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.label for row in ROWS])
-def test_s2_on_the_figure_grid_against_exact_rationals(row):
-    # fig8 draws rows 1 and 3.  Measured relative error, sample by sample:
-    # 0, 1.7e-15 and 1.8e-15 on rows 1-3, so 1e-14 leaves 5.6x headroom;
-    # nearly all of it is the rounding of w_dn = f(1)**2 = 1.1999999999999997
-    # in w_dn - 1 (on the weights as rounded the error is 0, 2.2e-16 and
-    # 2.3e-16).  The form 2 m2 - 2 m1 errs by 8.7e-13 on row 1 (chi 0, n 1),
-    # where s2 = 4 P1 falls to 0 as m2 and m1 near P2 + P3
-    params = row_params(row)
-    amps = solve_sector(params, np.linspace(0.0, FIG_TAU_MAX, FIG_SAMPLES) / params.omega_cavity).amplitudes
-    reference = np.array([float(exact_s2(probs, params)) for probs in populations(amps).tolist()])
+def exact_g2(probs, params) -> Fraction:
+    """g2(0) = <A+^2 A^2> / <A+A>^2 of the populations probs, unnormalised,
+    in exact rational arithmetic."""
+    w_up, w_dn, w_two = exact_weights(params)
+    p1, p2, p3 = map(Fraction, probs)
+    return (w_up * w_dn * p1 + w_dn * w_two * (p2 + p3)) / (w_up * p1 + w_dn * (p2 + p3)) ** 2
+
+
+def s2_of(amps, params):
     _, _, s2_x, s2_p = squeezing_params(amps, params)
     assert s2_x is s2_p
-    assert np.all(np.abs(s2_x - reference) <= 1e-14 * np.abs(reference))
+    return s2_x
+
+
+# fig8 draws s2 on rows 1 and 3, fig4 g2 on all three
+EXACT_ON_THE_FIGURE_GRID = [("s2", s2_of, exact_s2, row) for row in ROWS] + [
+    ("g2", g2_zero, exact_g2, row) for row in ROWS
+]
+
+
+@pytest.mark.parametrize(
+    "name, observable, exact, row",
+    EXACT_ON_THE_FIGURE_GRID,
+    ids=[row.label if name == "s2" else f"{name}-{row.label}" for name, _, _, row in EXACT_ON_THE_FIGURE_GRID],
+)
+def test_s2_on_the_figure_grid_against_exact_rationals(name, observable, exact, row):
+    # Measured relative error, sample by sample, on rows 1-3: s2 0, 4.6e-16
+    # and 4.5e-16, so 1e-14 leaves 21x headroom; g2 4.6e-16, 6.6e-16 and
+    # 6.5e-16, 15x.  Each weight is one rounding of 1 + chi m^2 (m = 1, 2
+    # scale exactly), which s2's w - 1 keeps.  The form 2 m2 - 2 m1 errs by
+    # 8.7e-13 on s2's row 1 (chi 0, n 1), where s2 = 4 P1 falls to 0 as m2
+    # and m1 near P2 + P3
+    params = row_params(row)
+    amps = solve_sector(params, tau_grid(FIG_TAU_MAX, FIG_SAMPLES) / params.omega_cavity).amplitudes
+    reference = np.array([float(exact(probs, params)) for probs in populations(amps).tolist()])
+    assert np.all(np.abs(observable(amps, params) - reference) <= 1e-14 * np.abs(reference)), name
 
 
 def test_lowering_weight_matrix_elements():
@@ -307,7 +333,7 @@ def _stacked(result):
 ARRAY_FUNCTIONS = {
     "populations": lambda amps, p: populations(amps),
     "inversion": lambda amps, p: inversion(amps),
-    "field_moments": field_moments,
+    "mean_photon_number": mean_photon_number,
     "g2_zero": g2_zero,
     "mandel_q": mandel_q,
     "entropy": lambda amps, p: entropy(amps),
@@ -331,8 +357,8 @@ def test_array_functions_rows_match_stack_and_bounds():
             assert by_row[0].shape == whole.shape[1:], name
             assert np.array_equal(whole, np.stack(by_row)), name
         assert np.ndim(g2_zero(amps[0], p)) == 0
-        for got, want in zip(field_moments(amps, p), reference_number_moments(amps, p)):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        want, _ = reference_number_moments(amps, p)
+        np.testing.assert_allclose(mean_photon_number(amps, p), want, rtol=1e-14, atol=0.0)
         # physical ranges, exactly on these stacks (normalised to rounding):
         # P in [0, 1], W in [-1, 1], S in [0, ln 2] (and the eigenvalue route's
         # S to 1e-12), g2 >= 0 and Q >= -1
